@@ -1,7 +1,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test test-all lint verify bench bench-surrogate bench-lanes bench-scenarios bench-backends bench-sharding bench-export
+.PHONY: test test-all lint verify bench bench-surrogate bench-lanes bench-scenarios bench-sharding bench-export
 
 test:              ## fast tier: everything not marked @pytest.mark.slow
 	python -m pytest -x -q -m "not slow"
@@ -26,9 +26,6 @@ bench-lanes:       ## serial-vs-lockstep lane training benchmark + artifact
 
 bench-scenarios:   ## non-ideality scenario grid benchmark + artifact
 	python -m pytest benchmarks/bench_scenario_grid.py -q -s
-
-bench-backends:    ## numpy-vs-fused backend matrix benchmark + artifact
-	python -m pytest benchmarks/bench_backend_matrix.py -q -s
 
 bench-sharding:    ## sharded MC evaluation / shm data plane benchmark + artifact
 	python -m pytest benchmarks/bench_mc_sharding.py -q -s

@@ -3,7 +3,7 @@
 Benchmarks the tentpole path on a large-``n_test`` scenario grid
 (``n_test`` = 2000, ``stuck-1pct`` + ``correlated`` — the regime the
 Table-II protocol scales into, where evaluation dominates the wall
-clock).  Four gates, correctness always before timing:
+clock).  Three gates, correctness always before timing:
 
 1. **bitwise identity** — ``evaluate_mc_sharded`` equals serial
    ``evaluate_mc`` via ``assert_array_equal`` at every tested shard
@@ -13,12 +13,14 @@ clock).  Four gates, correctness always before timing:
    pickling the identical payload per shard, the transport a
    pool-based design would otherwise pay.  This gate is
    host-independent: it compares bytes moved, not cores used;
-3. **end-to-end ≥ 1.25×** — the sharded path as shipped (fused driver,
-   adaptive cache-budget chunks) vs. the as-shipped serial default
-   (numpy, ``SAMPLE_BLOCK`` chunks), inline on one core;
-4. **pooled ≥ 2×** — asserted only on hosts with ≥ 4 cores, where the
+3. **pooled ≥ 2×** — asserted only on hosts with ≥ 4 cores, where the
    shards actually spread; on smaller hosts the number is recorded but
    not gated (a 1-core container cannot speed up by adding processes).
+
+The inline end-to-end ratio — the sharded path (adaptive cache-budget
+chunks) vs. the serial default (``SAMPLE_BLOCK`` chunks) on one core —
+is recorded but not gated: both run the same kernels, so it reflects
+only the chunk size and the publish/map cost.
 
 All measurements land in ``BENCH_mc_sharding.json`` with the host's CPU
 count, so committed numbers are interpretable on their own.
@@ -53,7 +55,6 @@ SCENARIOS = ("stuck-1pct", "correlated")
 TIMED_SCENARIO = "stuck-1pct"
 
 TRANSPORT_GATE = 2.0
-END_TO_END_GATE = 1.25
 POOLED_GATE = 2.0
 POOLED_MIN_CPUS = 4
 
@@ -100,8 +101,7 @@ def test_mc_sharding(output_dir):
         serial = evaluate_mc(params, x, y, scenario=scenario, **kwargs)
         for shards in (1, SHARDS):
             sharded = evaluate_mc_sharded(
-                params, x, y, scenario=scenario, shards=shards,
-                backend="fused", **kwargs,
+                params, x, y, scenario=scenario, shards=shards, **kwargs,
             )
             np.testing.assert_array_equal(sharded.accuracies, serial.accuracies)
 
@@ -109,21 +109,20 @@ def test_mc_sharding(output_dir):
     t_pickle, t_shm, payload_bytes = _transport_times(params, x, y)
     transport_speedup = t_pickle / t_shm
 
-    # ---- gate 3: end-to-end, sharded path vs. as-shipped serial ---- #
+    # ---- recorded, not gated: inline sharded path vs. serial default ---- #
     t_serial = best_time(
         lambda: evaluate_mc(params, x, y, scenario=TIMED_SCENARIO, **kwargs),
         repeats=REPEATS,
     )
     t_sharded = best_time(
         lambda: evaluate_mc_sharded(
-            params, x, y, scenario=TIMED_SCENARIO, shards=SHARDS,
-            backend="fused", **kwargs,
+            params, x, y, scenario=TIMED_SCENARIO, shards=SHARDS, **kwargs,
         ),
         repeats=REPEATS,
     )
     end_to_end_speedup = t_serial / t_sharded
 
-    # ---- gate 4: pooled fan-out, asserted on multi-core hosts only ---- #
+    # ---- gate 3: pooled fan-out, asserted on multi-core hosts only ---- #
     cpus = os.cpu_count() or 1
     pooled_speedup = None
     if cpus >= POOLED_MIN_CPUS:
@@ -131,7 +130,7 @@ def test_mc_sharding(output_dir):
             t_pooled = best_time(
                 lambda: evaluate_mc_sharded(
                     params, x, y, scenario=TIMED_SCENARIO, shards=SHARDS,
-                    backend="fused", pool=pool, **kwargs,
+                    pool=pool, **kwargs,
                 ),
                 repeats=REPEATS,
             )
@@ -148,11 +147,10 @@ def test_mc_sharding(output_dir):
         f"    shm publish + map         : {t_shm * 1e3:8.2f} ms",
         f"    speedup                   : {transport_speedup:8.2f}x "
         f"(gate >= {TRANSPORT_GATE}x)",
-        f"  end-to-end (inline, one core):",
-        f"    serial numpy, batch_mc={SAMPLE_BLOCK:<4}: {t_serial:8.3f} s",
-        f"    sharded fused, adaptive   : {t_sharded:8.3f} s",
-        f"    speedup                   : {end_to_end_speedup:8.2f}x "
-        f"(gate >= {END_TO_END_GATE}x)",
+        f"  end-to-end (inline, one core; recorded, not gated):",
+        f"    serial, batch_mc={SAMPLE_BLOCK:<4}     : {t_serial:8.3f} s",
+        f"    sharded, adaptive chunks  : {t_sharded:8.3f} s",
+        f"    speedup                   : {end_to_end_speedup:8.2f}x",
     ]
     if pooled_speedup is not None:
         lines.append(
@@ -173,9 +171,9 @@ def test_mc_sharding(output_dir):
         "payload_bytes": payload_bytes,
         "transport": {"pickle_seconds": t_pickle, "shm_seconds": t_shm,
                       "speedup": transport_speedup, "gate": TRANSPORT_GATE},
-        "end_to_end": {"serial_numpy_seconds": t_serial,
-                       "sharded_fused_seconds": t_sharded,
-                       "speedup": end_to_end_speedup, "gate": END_TO_END_GATE},
+        "end_to_end": {"serial_seconds": t_serial,
+                       "sharded_seconds": t_sharded,
+                       "speedup": end_to_end_speedup},
         "pooled": {"speedup": pooled_speedup, "gate": POOLED_GATE,
                    "gated": cpus >= POOLED_MIN_CPUS},
     })
@@ -183,10 +181,6 @@ def test_mc_sharding(output_dir):
     assert transport_speedup >= TRANSPORT_GATE, (
         f"shm data plane only {transport_speedup:.2f}x faster than per-shard "
         f"pickling (need >= {TRANSPORT_GATE}x)"
-    )
-    assert end_to_end_speedup >= END_TO_END_GATE, (
-        f"sharded path only {end_to_end_speedup:.2f}x faster end-to-end "
-        f"(need >= {END_TO_END_GATE}x)"
     )
     if pooled_speedup is not None:
         assert pooled_speedup >= POOLED_GATE, (

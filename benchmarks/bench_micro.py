@@ -2,9 +2,8 @@
 
 These track the per-operation costs that every experiment above is built
 from; regressions here multiply through the whole harness.  The kernel
-hot paths are timed per registered execution backend
-(:mod:`repro.core.backends`), so the numpy-vs-fused cost of each kernel is
-visible individually rather than only through end-to-end runs.
+hot paths (transfer kernel, one MC-evaluation chunk, one training step)
+are timed individually rather than only through end-to-end runs.
 """
 
 import numpy as np
@@ -12,10 +11,9 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.circuits.ptanh import build_ptanh_netlist
-from repro.core import PrintedNeuralNetwork, VariationModel, snapshot_params
-from repro.core.backends import backend_names, get_backend
+from repro.core import PrintedNeuralNetwork, VariationModel, kernels, snapshot_params
 from repro.core.evaluation import draw_variation_samples
-from repro.core.grad_kernels import KernelNetwork, Workspace, transfer_fwd
+from repro.core.grad_kernels import KernelNetwork, transfer_fwd
 from repro.core.losses import MarginLoss
 from repro.spice import solve_dc
 from repro.surrogate import AnalyticSurrogate, sample_design_points
@@ -89,38 +87,31 @@ def test_micro_variation_sampling(benchmark):
 
 
 # --------------------------------------------------------------------- #
-# per-kernel timings through the backend registry                       #
+# per-kernel timings of the numpy hot paths                             #
 # --------------------------------------------------------------------- #
 
 
-@pytest.fixture(params=backend_names())
-def backend(request):
-    return request.param
-
-
-def test_micro_backend_transfer_kernel(benchmark, backend):
+def test_micro_transfer_kernel(benchmark):
     # Eq. 2/3 tanh transfer — the single hottest kernel of both paths.
     rng = np.random.default_rng(0)
     voltage = rng.uniform(0.0, 1.0, (20, 2048, 10))
     eta = rng.uniform(0.1, 1.0, (20, 1, 4))
-    ws = Workspace() if get_backend(backend).fused else None
-    out = benchmark(lambda: transfer_fwd(voltage, eta, "ptanh", ws=ws)[0])
+    out = benchmark(lambda: transfer_fwd(voltage, eta, "ptanh")[0])
     assert out.shape == voltage.shape
 
 
-def test_micro_backend_eval_chunk(benchmark, backend, pnn):
-    # One batch_mc chunk of the MC-evaluation whole-path driver.
+def test_micro_eval_chunk(benchmark, pnn):
+    # One batch_mc chunk of the MC-evaluation loop.
     params = snapshot_params(pnn)
     x = np.random.default_rng(1).uniform(size=(1024, 8))
     epsilons = draw_variation_samples(params, VariationModel(0.1, seed=4), n_test=20)
-    driver = get_backend(backend).make_eval_driver(params, x)
-    out = benchmark(lambda: driver.forward(epsilons))
+    out = benchmark(lambda: kernels.network_forward(params, x, epsilons=epsilons))
     assert out.shape == (20, 1024, 3)
 
 
-def test_micro_backend_train_step(benchmark, backend, pnn):
+def test_micro_train_step(benchmark, pnn):
     # One fwd+bwd kernel-engine step (loss + raw-parameter gradients).
-    net = KernelNetwork.from_pnn(pnn, backend=backend)
+    net = KernelNetwork.from_pnn(pnn)
     arrays = KernelNetwork.extract_arrays(pnn)
     rng = np.random.default_rng(2)
     x = rng.uniform(size=(512, 8))

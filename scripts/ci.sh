@@ -294,81 +294,6 @@ print(f"scenario smoke OK: {len(serial)} stuck-at lanes bitwise equal to "
       f"kernel; {applied}/{sampled} devices stuck; scenarios {sorted(scen_jobs)}")
 EOF
 
-echo "== backend smoke (fused vs numpy, bitwise-equal, telemetry-gated) =="
-TEL_BACKEND="$SMOKE_ROOT/telemetry_backends"
-TEL_BACKEND="$TEL_BACKEND" python - <<'EOF'
-import os
-import numpy as np
-from repro import telemetry
-from repro.core import (
-    PrintedNeuralNetwork,
-    TrainConfig,
-    backend_names,
-    evaluate_mc,
-    numba_version,
-    snapshot_params,
-    train_pnn,
-)
-from repro.experiments.runner import default_surrogates
-
-# The registry's house rule: a backend is a performance choice, never a
-# numerical one.  Both gates below are assert_array_equal — bitwise.
-sur = default_surrogates()
-rng = np.random.default_rng(2)
-pnn = PrintedNeuralNetwork([4, 3, 3], sur, rng=np.random.default_rng(7))
-params = snapshot_params(pnn)
-x = rng.uniform(0.0, 1.0, size=(64, 4))
-y = rng.integers(0, 3, size=64)
-
-tel = telemetry.enable(os.environ["TEL_BACKEND"],
-                       manifest={"command": "ci-backend-smoke"})
-
-# Gate 1: MC evaluation bitwise-identical on every registered backend.
-reference = evaluate_mc(params, x, y, epsilon=0.1, n_test=8, seed=11,
-                        batch_mc=3, backend="numpy")
-for backend in backend_names():
-    mine = evaluate_mc(params, x, y, epsilon=0.1, n_test=8, seed=11,
-                       batch_mc=3, backend=backend)
-    np.testing.assert_array_equal(mine.accuracies, reference.accuracies)
-
-# Gate 2: full fused training trajectory bitwise equal to numpy.
-gen = np.random.default_rng(0)
-x_tr = gen.uniform(0.0, 1.0, size=(24, 4))
-y_tr = gen.integers(0, 3, size=24)
-x_val = gen.uniform(0.0, 1.0, size=(12, 4))
-y_val = gen.integers(0, 3, size=12)
-runs = {}
-for backend in backend_names():
-    trainee = PrintedNeuralNetwork([4, 3, 3], sur, rng=np.random.default_rng(7))
-    config = TrainConfig(max_epochs=6, patience=6, epsilon=0.1,
-                         n_mc_train=3, seed=1, backend=backend)
-    runs[backend] = (trainee, train_pnn(trainee, x_tr, y_tr, x_val, y_val,
-                                        config))
-ref_pnn, ref_result = runs["numpy"]
-for backend, (trainee, result) in runs.items():
-    assert result.history == ref_result.history, backend
-    assert result.best_epoch == ref_result.best_epoch
-    state, ref_state = trainee.state_dict(), ref_pnn.state_dict()
-    for name in ref_state:
-        np.testing.assert_array_equal(state[name], ref_state[name])
-telemetry.disable()
-
-# Gate 3 (telemetry): every mc.evaluate span names its backend, both
-# backends actually ran, and nothing silently fell off the fast path.
-events = telemetry.read_events(os.environ["TEL_BACKEND"])
-counters = telemetry.summarize_events(events)["counters"]
-mc_spans = [e for e in events if e["kind"] == "span"
-            and e["name"] == "mc.evaluate"]
-assert mc_spans, "no mc.evaluate spans recorded"
-span_backends = {e["attrs"].get("backend") for e in mc_spans}
-assert span_backends == set(backend_names()), span_backends
-fallbacks = int(counters.get("backend.fallback", 0))
-assert fallbacks == 0, f"{fallbacks} runs fell back off the fused path!"
-jit = numba_version()
-print(f"backend smoke OK: {sorted(span_backends)} bitwise equal on MC + "
-      f"training; 0 fallbacks; numba {jit or 'absent (pure-numpy tier)'}")
-EOF
-
 echo "== sharding smoke (zero-copy data plane, bitwise-equal, telemetry-gated) =="
 TEL_SHARD="$SMOKE_ROOT/telemetry_sharding"
 TEL_SHARD="$TEL_SHARD" python - <<'EOF'
@@ -399,12 +324,11 @@ serial = evaluate_mc(params, x, y, **kwargs)
 tel = telemetry.enable(os.environ["TEL_SHARD"],
                        manifest={"command": "ci-sharding-smoke"})
 one = evaluate_mc_sharded(params, x, y, shards=1, **kwargs)
-three = evaluate_mc_sharded(params, x, y, shards=3, backend="fused", **kwargs)
+three = evaluate_mc_sharded(params, x, y, shards=3, **kwargs)
 method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 ctx = multiprocessing.get_context(method)
 with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as pool:
-    pooled = evaluate_mc_sharded(params, x, y, shards=3, backend="fused",
-                                 pool=pool, **kwargs)
+    pooled = evaluate_mc_sharded(params, x, y, shards=3, pool=pool, **kwargs)
 telemetry.disable()
 
 # Gate 1: bitwise identity — 1 shard, 3 shards inline, 3 shards pooled

@@ -39,11 +39,7 @@ This package is the paper's primary contribution (Sec. III):
 - :mod:`~repro.core.shm` — the zero-copy shared-memory data plane behind
   sharded evaluation: datasets, :class:`PNNParams` snapshots and
   pre-drawn ε streams published once, mapped read-only in workers under
-  fork and spawn, with audited publish/map/unlink accounting;
-- :mod:`~repro.core.backends` — the execution-backend registry behind
-  the kernel seam: the historical allocating ``"numpy"`` reference and
-  the preallocated-scratch ``"fused"`` backend (optional numba JIT
-  tier), every backend bitwise-equal to the reference.
+  fork and spawn, with audited publish/map/unlink accounting.
 """
 
 from repro.core.conductance import ConductanceConfig
@@ -72,13 +68,6 @@ from repro.core.variation import (
 )
 from repro.core.losses import MarginLoss, make_loss
 from repro.core.grad_kernels import KernelNetwork, Workspace
-from repro.core.backends import (
-    DEFAULT_BACKEND,
-    Backend,
-    backend_names,
-    get_backend,
-    numba_version,
-)
 from repro.core.training import TrainConfig, TrainResult, train_pnn
 from repro.core.lanes import LaneNetwork, train_pnn_lanes
 from repro.core.evaluation import (
@@ -128,11 +117,6 @@ __all__ = [
     "make_loss",
     "KernelNetwork",
     "Workspace",
-    "Backend",
-    "DEFAULT_BACKEND",
-    "backend_names",
-    "get_backend",
-    "numba_version",
     "TrainConfig",
     "TrainResult",
     "train_pnn",

@@ -24,13 +24,12 @@ bit-identical.  Changing it would silently re-roll all MC results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import telemetry
 from repro.core import kernels, shm
-from repro.core.backends import DEFAULT_BACKEND, get_backend
 from repro.core.params import PNNParams, snapshot_params
 from repro.core.pnn import PrintedNeuralNetwork
 from repro.core.variation import (
@@ -152,8 +151,8 @@ def _nominal_accuracy(params: PNNParams, x: np.ndarray,
     return MonteCarloAccuracy(accuracies=np.asarray([accuracy]))
 
 
-def _accuracy_rows(driver, epsilons, y: np.ndarray, start: int, stop: int,
-                   batch_mc: int, out: np.ndarray) -> None:
+def _accuracy_rows(params: PNNParams, x: np.ndarray, epsilons, y: np.ndarray,
+                   start: int, stop: int, batch_mc: int, out: np.ndarray) -> None:
     """Fill ``out`` with per-fabrication accuracies for rows [start, stop).
 
     Slices the pre-drawn ε stream at *global* positions, writes at local
@@ -167,7 +166,7 @@ def _accuracy_rows(driver, epsilons, y: np.ndarray, start: int, stop: int,
              neg[chunk_start:chunk_stop])
             for theta, act, neg in epsilons
         ]
-        predictions = driver.predict(chunk)               # (chunk, B)
+        predictions = kernels.predict(params, x, epsilons=chunk)   # (chunk, B)
         np.mean(predictions == y, axis=1,
                 out=out[chunk_start - start:chunk_stop - start])
 
@@ -181,7 +180,6 @@ def evaluate_mc(
     seed: int = 0,
     batch_mc: int = 20,
     scenario: str = DEFAULT_SCENARIO,
-    backend: str = DEFAULT_BACKEND,
 ) -> MonteCarloAccuracy:
     """Evaluate accuracy over ``n_test`` fabricated-circuit samples.
 
@@ -197,13 +195,6 @@ def evaluate_mc(
     the pre-refactor ε-only branch unchanged; named scenarios build their
     model at ``(epsilon, seed)`` and may be non-nominal even at ε = 0
     (stuck-at defects still fabricate broken devices).
-
-    ``backend`` picks the execution backend
-    (:mod:`repro.core.backends`) for the chunk loop.  Every registered
-    backend is bitwise-equal to ``"numpy"``, so the choice never changes
-    results — only how fast the chunks run.  One driver is built per call
-    and reused across chunks, so a fused backend's scratch buffers are
-    allocated once for the whole evaluation.
     """
     params = _as_params(design)
     y = np.asarray(y, dtype=np.int64)
@@ -213,19 +204,15 @@ def evaluate_mc(
 
     epsilons = draw_variation_samples(params, variation, n_test)
     batch_mc = max(1, int(batch_mc))
-    # One driver (and, for fused backends, one scratch workspace) reused
-    # across every chunk; one preallocated output row per fabrication.
-    driver = get_backend(backend).make_eval_driver(params, x)
     accuracies = np.empty(n_test, dtype=np.float64)
     with telemetry.get().span(
         "mc.evaluate",
-        backend=backend,
         scenario=scenario,
         epsilon=epsilon,
         n_test=int(n_test),
         batch_mc=batch_mc,
     ):
-        _accuracy_rows(driver, epsilons, y, 0, n_test, batch_mc, accuracies)
+        _accuracy_rows(params, x, epsilons, y, 0, n_test, batch_mc, accuracies)
     return MonteCarloAccuracy(accuracies=accuracies)
 
 
@@ -254,41 +241,35 @@ def plan_shards(n_test: int, shards: int,
     return spans
 
 
-#: Per-process cache of the latest mapped payload and its backend driver.
-#: Every shard of one published evaluation that lands in a process reuses
-#: a single mapping and a single driver (with its preallocated scratch) —
-#: one fused driver per worker, not one per shard.  Keyed by the payload's
-#: segment names, which are unique per publish, so a new payload evicts
-#: and closes the stale mapping.
-_SHARD_CACHE: Dict[Tuple[str, str, str, str],
-                   Tuple[shm.MappedEvaluation, object]] = {}
+#: Per-process cache of the latest mapped payload: every shard of one
+#: published evaluation that lands in a process reuses a single mapping.
+#: Keyed by the payload's three segment names, which are unique per
+#: publish, so a new payload evicts and closes the stale mapping.
+_SHARD_CACHE: Dict[Tuple[str, str, str], shm.MappedEvaluation] = {}
 
 
-def _shard_context(payload: shm.EvalPayload,
-                   backend: str) -> Tuple[shm.MappedEvaluation, object]:
+def _shard_mapping(payload: shm.EvalPayload) -> shm.MappedEvaluation:
     key = (payload.params.block.segment, payload.dataset.segment,
-           payload.epsilons.block.segment, backend)
-    cached = _SHARD_CACHE.get(key)
-    if cached is None:
+           payload.epsilons.block.segment)
+    mapping = _SHARD_CACHE.get(key)
+    if mapping is None:
         while _SHARD_CACHE:
-            _, (stale, _) = _SHARD_CACHE.popitem()
+            _, stale = _SHARD_CACHE.popitem()
             stale.close()
         mapping = shm.map_evaluation(payload)
-        driver = get_backend(backend).make_eval_driver(mapping.params, mapping.x)
-        cached = (mapping, driver)
-        _SHARD_CACHE[key] = cached
-    return cached
+        _SHARD_CACHE[key] = mapping
+    return mapping
 
 
 def _evaluate_shard(payload: shm.EvalPayload, start: int, stop: int,
-                    batch_mc: Optional[int], backend: str) -> np.ndarray:
+                    batch_mc: Optional[int]) -> np.ndarray:
     """Shard entry point — runs in pool workers (fork or spawn) or inline.
 
     Maps the published payload zero-copy (once per process, via
     :data:`_SHARD_CACHE`), evaluates its span, and returns only the fresh
     accuracy rows — the one thing that crosses the pipe back.
     """
-    mapping, driver = _shard_context(payload, backend)
+    mapping = _shard_mapping(payload)
     if batch_mc is None:
         batch_mc = _default_shard_batch(stop - start, mapping.x)
     batch_mc = max(1, int(batch_mc))
@@ -297,10 +278,9 @@ def _evaluate_shard(payload: shm.EvalPayload, start: int, stop: int,
         "mc.shard",
         start=int(start),
         stop=int(stop),
-        backend=backend,
         batch_mc=batch_mc,
     ):
-        _accuracy_rows(driver, mapping.epsilons, mapping.y,
+        _accuracy_rows(mapping.params, mapping.x, mapping.epsilons, mapping.y,
                        start, stop, batch_mc, out)
     return out
 
@@ -314,7 +294,6 @@ def evaluate_mc_sharded(
     seed: int = 0,
     batch_mc: Optional[int] = None,
     scenario: str = DEFAULT_SCENARIO,
-    backend: str = DEFAULT_BACKEND,
     shards: int = 1,
     pool=None,
     store: Optional[shm.SharedArrayStore] = None,
@@ -366,7 +345,6 @@ def evaluate_mc_sharded(
     try:
         with telemetry.get().span(
             "mc.evaluate_sharded",
-            backend=backend,
             scenario=scenario,
             epsilon=epsilon,
             n_test=int(n_test),
@@ -378,13 +356,12 @@ def evaluate_mc_sharded(
             )
             if pool is None:
                 rows = [
-                    _evaluate_shard(payload, start, stop, batch_mc, backend)
+                    _evaluate_shard(payload, start, stop, batch_mc)
                     for start, stop in spans
                 ]
             else:
                 futures = [
-                    pool.submit(_evaluate_shard, payload, start, stop,
-                                batch_mc, backend)
+                    pool.submit(_evaluate_shard, payload, start, stop, batch_mc)
                     for start, stop in spans
                 ]
                 rows = [future.result() for future in futures]

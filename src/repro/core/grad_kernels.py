@@ -34,9 +34,9 @@ differences and the autograd engine.
 :class:`KernelNetwork` packages the kernels into a training engine over a
 live :class:`~repro.core.pnn.PrintedNeuralNetwork`: it freezes the static
 structure (surrogate snapshots, design-space bounds, conductance limits),
-keeps per-epoch :class:`Workspace` buffers so the steady-state epoch
-allocates almost nothing of size ``(n_mc, batch, features)``, and exposes
-raw parameter arrays that :class:`repro.optim.RawParameter` /
+keeps the augmented inputs and crossbar products in per-epoch
+:class:`Workspace` buffers, and exposes raw parameter arrays that
+:class:`repro.optim.RawParameter` /
 :class:`~repro.optim.Adam` update directly — no ``Tensor`` wrapper, graph
 node, or state-dict copy is materialized per epoch.
 :func:`repro.core.training.train_pnn` dispatches here by default
@@ -70,7 +70,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import _jit
 from repro.core.kernels import (
     BIAS_VOLTAGE,
     apply_nonideality,
@@ -446,8 +445,7 @@ def surrogate_eta_bwd(d_eta: np.ndarray, ctx: tuple, sp: SurrogateParams) -> np.
 
 
 def transfer_fwd(
-    voltage: np.ndarray, eta: np.ndarray, kind: str,
-    ws: Optional[Workspace] = None, tag: str = "tf",
+    voltage: np.ndarray, eta: np.ndarray, kind: str, tag: str = "tf",
 ) -> Tuple[np.ndarray, tuple]:
     """Eq. 2/3 forward: voltages ``(..., B, F)``, η ``(..., C, 4)`` → output.
 
@@ -457,10 +455,9 @@ def transfer_fwd(
     column; with per-neuron circuits ``F`` must equal ``C``.  VJP:
     :func:`transfer_bwd`.
 
-    With a :class:`Workspace` the batch-sized intermediates live in
-    preallocated buffers (``out=`` ufuncs round identically to their
-    allocating forms, so the fused path is bitwise equal — the house
-    rule); ``ws=None`` executes the exact historical allocating sequence.
+    ``tag`` names the call site (pass, layer and circuit, e.g.
+    ``train.l0.act``) so profilers can attribute kernel time per pNN
+    layer; the arithmetic never reads it.
     """
     *lead, n_circuits, _ = eta.shape
     shape = (*lead, 1, 1) if n_circuits == 1 else (*lead, 1, n_circuits)
@@ -468,39 +465,22 @@ def transfer_fwd(
     eta2 = eta[..., 1].reshape(shape)
     eta3 = eta[..., 2].reshape(shape)
     eta4 = eta[..., 3].reshape(shape)
-    if ws is None:
-        shifted = voltage - eta3
-        tanh_u = np.tanh(shifted * eta4)
-        core = eta1 + eta2 * tanh_u
-        out = -core if kind == "negweight" else core
-    else:
-        full = np.broadcast_shapes(voltage.shape, shape)
-        shifted = np.subtract(voltage, eta3, out=ws.buf(f"{tag}.shift", full))
-        tanh_u = np.multiply(shifted, eta4, out=ws.buf(f"{tag}.tanh", full))
-        np.tanh(tanh_u, out=tanh_u)
-        out = ws.buf(f"{tag}.out", full)
-        if _jit.affine is not None:
-            _jit.affine(eta1, eta2, tanh_u, out=out)
-        else:
-            np.multiply(eta2, tanh_u, out=out)
-            np.add(eta1, out, out=out)
-        if kind == "negweight":
-            np.negative(out, out=out)
+    shifted = voltage - eta3
+    tanh_u = np.tanh(shifted * eta4)
+    core = eta1 + eta2 * tanh_u
+    out = -core if kind == "negweight" else core
     return out, (kind, tuple(lead), n_circuits, eta2, eta4, shifted, tanh_u)
 
 
 def transfer_bwd(
-    grad: np.ndarray, ctx: tuple,
-    ws: Optional[Workspace] = None, tag: str = "tfb",
+    grad: np.ndarray, ctx: tuple, tag: str = "tfb",
 ) -> Tuple[np.ndarray, np.ndarray]:
     """VJP of :func:`transfer_fwd` → (d_voltage ``(..., B, F)``, dη ``(..., C, 4)``).
 
     η gradients reduce over the batch axis, and — for a shared circuit —
     over the output-column axis as well.  All reductions address trailing
     axes, so the serial and lane-stacked layouts run the same code.
-    With a :class:`Workspace` the batch-sized cotangents run through
-    preallocated buffers (bitwise equal — ``out=`` ufuncs, untouched
-    reduction order); ``grad`` itself is never mutated.
+    ``tag`` names the call site for profilers, as in :func:`transfer_fwd`.
     """
     kind, lead, n_circuits, eta2, eta4, shifted, tanh_u = ctx
     axes = (-2, -1) if n_circuits == 1 else (-2,)
@@ -514,31 +494,14 @@ def transfer_bwd(
             r = r.sum(axis=-3, keepdims=True)
         return r.reshape(*lead, n_circuits)
 
-    if ws is None:
-        d_core = -grad if kind == "negweight" else grad
-        d_tanh = d_core * eta2
-        d_u = d_tanh * (1.0 - tanh_u * tanh_u)
-        d_voltage = d_u * eta4
-        d_eta1 = reduce(d_core)
-        d_eta2 = reduce(d_core * tanh_u)
-        d_eta3 = -reduce(d_voltage)
-        d_eta4 = reduce(d_u * shifted)
-    else:
-        full = np.broadcast_shapes(grad.shape, eta2.shape)
-        if kind == "negweight":
-            d_core = np.negative(grad, out=ws.buf(f"{tag}.dcore", grad.shape))
-        else:
-            d_core = grad
-        d_tanh = np.multiply(d_core, eta2, out=ws.buf(f"{tag}.dtanh", full))
-        d_u = np.multiply(tanh_u, tanh_u, out=ws.buf(f"{tag}.du", full))
-        np.subtract(1.0, d_u, out=d_u)
-        np.multiply(d_tanh, d_u, out=d_u)
-        d_voltage = np.multiply(d_u, eta4, out=ws.buf(f"{tag}.dv", full))
-        prod = ws.buf(f"{tag}.prod", full)
-        d_eta1 = reduce(d_core)
-        d_eta2 = reduce(np.multiply(d_core, tanh_u, out=prod))
-        d_eta3 = -reduce(d_voltage)
-        d_eta4 = reduce(np.multiply(d_u, shifted, out=prod))
+    d_core = -grad if kind == "negweight" else grad
+    d_tanh = d_core * eta2
+    d_u = d_tanh * (1.0 - tanh_u * tanh_u)
+    d_voltage = d_u * eta4
+    d_eta1 = reduce(d_core)
+    d_eta2 = reduce(d_core * tanh_u)
+    d_eta3 = -reduce(d_voltage)
+    d_eta4 = reduce(d_u * shifted)
     d_eta = np.stack([d_eta1, d_eta2, d_eta3, d_eta4], axis=-1)
     return d_voltage, d_eta
 
@@ -583,7 +546,6 @@ def crossbar_fwd(
 
 def crossbar_bwd(
     grad: np.ndarray, ctx: tuple, ws: Optional[Workspace] = None, tag: str = "cb",
-    fused: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """VJP of :func:`crossbar_fwd` → (d_x_aug, d_inverted, d_theta_eff).
 
@@ -593,11 +555,6 @@ def crossbar_bwd(
     backward would miss.  Shapes mirror :func:`crossbar_fwd` (optional
     leading lane axis); MC-axis unbroadcasting addresses axis ``-3`` so the
     serial and stacked layouts share one code path.
-
-    ``fused=True`` routes the remaining batch- and θ-sized temporaries
-    through Workspace buffers as well (``out=`` ufuncs/matmuls, same
-    operand order — bitwise equal); the default keeps the historical mix
-    so the numpy backend's benchmark baseline stays honest.
     """
     ws = ws or Workspace()
     x_aug, inverted, theta_eff, route, pos_w, neg_w, numerator, denom = ctx
@@ -607,13 +564,7 @@ def crossbar_bwd(
     mc_broadcast = theta_eff.shape[-3] == 1 and x_aug.shape[-3] > 1
 
     d_num = np.divide(grad, denom, out=ws.buf(f"{tag}.dnum", (*lead, batch, n_out)))
-    if fused:
-        d_denom_full = np.negative(grad, out=ws.buf(f"{tag}.ddf", (*lead, batch, n_out)))
-        np.multiply(d_denom_full, numerator, out=d_denom_full)
-        denom_sq = np.multiply(denom, denom, out=ws.buf(f"{tag}.dsq", denom.shape))
-        np.divide(d_denom_full, denom_sq, out=d_denom_full)
-    else:
-        d_denom_full = -grad * numerator / (denom * denom)
+    d_denom_full = -grad * numerator / (denom * denom)
     d_denom = d_denom_full.sum(axis=-2, keepdims=True)        # (..., N, 1, O)
     if mc_broadcast:
         d_denom = d_denom.sum(axis=-3, keepdims=True)
@@ -624,34 +575,13 @@ def crossbar_bwd(
     d_inverted = np.matmul(
         d_num, neg_w.swapaxes(-1, -2), out=ws.buf(f"{tag}.dinv", (*lead, batch, n_in))
     )
-    if fused:
-        d_pos_w = np.matmul(
-            x_aug.swapaxes(-1, -2), d_num,
-            out=ws.buf(f"{tag}.dpos", (*lead, n_in, n_out)),
-        )
-        d_neg_w = np.matmul(
-            inverted.swapaxes(-1, -2), d_num,
-            out=ws.buf(f"{tag}.dneg", (*lead, n_in, n_out)),
-        )
-    else:
-        d_pos_w = np.matmul(x_aug.swapaxes(-1, -2), d_num)    # (..., N, I+2, O)
-        d_neg_w = np.matmul(inverted.swapaxes(-1, -2), d_num)
+    d_pos_w = np.matmul(x_aug.swapaxes(-1, -2), d_num)        # (..., N, I+2, O)
+    d_neg_w = np.matmul(inverted.swapaxes(-1, -2), d_num)
     if mc_broadcast:
         d_pos_w = d_pos_w.sum(axis=-3, keepdims=True)
         d_neg_w = d_neg_w.sum(axis=-3, keepdims=True)
-    if fused:
-        route_inv = np.subtract(1.0, route, out=ws.buf(f"{tag}.rinv", route.shape))
-        np.multiply(d_neg_w, route_inv, out=d_neg_w)
-        d_magnitude = np.add(
-            d_denom, d_neg_w, out=ws.buf(f"{tag}.dmag", theta_eff.shape)
-        )
-        np.multiply(d_pos_w, route, out=d_pos_w)
-        np.add(d_magnitude, d_pos_w, out=d_magnitude)
-        sign = np.sign(theta_eff, out=ws.buf(f"{tag}.sign", theta_eff.shape))
-        d_theta_eff = np.multiply(d_magnitude, sign, out=d_magnitude)
-    else:
-        d_magnitude = d_denom + d_neg_w * (1.0 - route) + d_pos_w * route
-        d_theta_eff = d_magnitude * np.sign(theta_eff)
+    d_magnitude = d_denom + d_neg_w * (1.0 - route) + d_pos_w * route
+    d_theta_eff = d_magnitude * np.sign(theta_eff)
     return d_x_aug, d_inverted, d_theta_eff
 
 
@@ -660,10 +590,7 @@ def crossbar_bwd(
 # --------------------------------------------------------------------- #
 
 
-def margin_loss_fwd(
-    voltages: np.ndarray, targets: np.ndarray, margin: float = 0.3,
-    ws: Optional[Workspace] = None, tag: str = "loss",
-):
+def margin_loss_fwd(voltages: np.ndarray, targets: np.ndarray, margin: float = 0.3):
     """Mean squared hinge on voltage margins (numpy mirror of MarginLoss).
 
     ``voltages`` is ``(n_mc, batch, classes)`` serially — returning a
@@ -671,9 +598,7 @@ def margin_loss_fwd(
     per-lane ``(L,)`` array.  Each lane's loss is the mean over its own
     (contiguous) ``n_mc·batch`` per-sample hinge sums, so lane ``l``'s
     value is bitwise equal to the serial call on ``voltages[l]``.  VJP:
-    :func:`margin_loss_bwd`.  A :class:`Workspace` reroutes the
-    batch-sized intermediates through preallocated buffers, bitwise equal
-    to the allocating path.
+    :func:`margin_loss_bwd`.
     """
     if voltages.ndim not in (3, 4):
         raise ValueError("expected (n_mc, batch, classes) or (L, n_mc, batch, classes) voltages")
@@ -684,22 +609,11 @@ def margin_loss_fwd(
     target_grid = np.broadcast_to(targets, (*lead, batch))
     expanded = target_grid[..., None]
     true_voltage = np.take_along_axis(voltages, expanded, axis=-1)     # (..., B, 1)
-    if ws is None:
-        pre = margin - (true_voltage - voltages)                       # (..., B, C)
-        shortfall = np.maximum(pre, 0.0)
-        mask = np.ones(voltages.shape)
-        np.put_along_axis(mask, expanded, 0.0, axis=-1)
-        per_sample = (shortfall * shortfall * mask).sum(axis=-1)
-    else:
-        pre = np.subtract(true_voltage, voltages, out=ws.buf(f"{tag}.pre", voltages.shape))
-        np.subtract(margin, pre, out=pre)
-        shortfall = np.maximum(pre, 0.0, out=ws.buf(f"{tag}.shortfall", voltages.shape))
-        mask = ws.buf(f"{tag}.mask", voltages.shape)
-        mask.fill(1.0)
-        np.put_along_axis(mask, expanded, 0.0, axis=-1)
-        prod = np.multiply(shortfall, shortfall, out=ws.buf(f"{tag}.prod", voltages.shape))
-        np.multiply(prod, mask, out=prod)
-        per_sample = prod.sum(axis=-1)
+    pre = margin - (true_voltage - voltages)                           # (..., B, C)
+    shortfall = np.maximum(pre, 0.0)
+    mask = np.ones(voltages.shape)
+    np.put_along_axis(mask, expanded, 0.0, axis=-1)
+    per_sample = (shortfall * shortfall * mask).sum(axis=-1)
     if voltages.ndim == 4:
         loss = per_sample.reshape(per_sample.shape[0], -1).mean(axis=1)
     else:
@@ -707,71 +621,40 @@ def margin_loss_fwd(
     return loss, (pre, shortfall, mask, expanded, voltages.shape)
 
 
-def margin_loss_bwd(
-    ctx: tuple, ws: Optional[Workspace] = None, tag: str = "loss"
-) -> np.ndarray:
+def margin_loss_bwd(ctx: tuple) -> np.ndarray:
     """VJP of :func:`margin_loss_fwd` → d_voltages (same shape as input).
 
     The ``1/(n_mc·batch)`` mean scale is per lane (the lane axis, when
-    present, is excluded — each lane carries its own loss).  The fused
-    (Workspace) path scatters ``gathered + d_true`` straight into the
-    cotangent buffer instead of adding a zero-filled scatter array: every
-    non-target entry of ``d_pre`` is ≥ +0.0, so skipping the ``+ 0.0`` is
-    bitwise identical.
+    present, is excluded — each lane carries its own loss).
     """
     pre, shortfall, mask, expanded, shape = ctx
     scale = 1.0 / (shape[-3] * shape[-2])
-    if ws is None:
-        d_shortfall = 2.0 * shortfall * mask * scale
-        d_pre = d_shortfall * (pre > 0.0)      # strict ReLU mask, as autograd
-        d_voltages = d_pre.copy()
-        d_true = -d_pre.sum(axis=-1, keepdims=True)
-        scattered = np.zeros(shape)
-        np.put_along_axis(scattered, expanded, d_true, axis=-1)
-        d_voltages += scattered
-        return d_voltages
-    d_pre = np.multiply(2.0, shortfall, out=ws.buf(f"{tag}.dpre", shape))
-    np.multiply(d_pre, mask, out=d_pre)
-    np.multiply(d_pre, scale, out=d_pre)
-    relu = np.greater(pre, 0.0, out=ws.buf(f"{tag}.relu", shape))
-    np.multiply(d_pre, relu, out=d_pre)
+    d_shortfall = 2.0 * shortfall * mask * scale
+    d_pre = d_shortfall * (pre > 0.0)          # strict ReLU mask, as autograd
+    d_voltages = d_pre.copy()
     d_true = -d_pre.sum(axis=-1, keepdims=True)
-    gathered = np.take_along_axis(d_pre, expanded, axis=-1)
-    np.put_along_axis(d_pre, expanded, gathered + d_true, axis=-1)
-    return d_pre
+    scattered = np.zeros(shape)
+    np.put_along_axis(scattered, expanded, d_true, axis=-1)
+    d_voltages += scattered
+    return d_voltages
 
 
-def ce_loss_fwd(
-    voltages: np.ndarray, targets: np.ndarray, temperature: float = 0.1,
-    ws: Optional[Workspace] = None, tag: str = "loss",
-):
+def ce_loss_fwd(voltages: np.ndarray, targets: np.ndarray, temperature: float = 0.1):
     """Softmax cross-entropy on scaled voltages (mirror of VoltageCrossEntropy).
 
     Accepts ``(n_mc, batch, classes)`` (returns ``float``) or lane-stacked
     ``(L, n_mc, batch, classes)`` (returns ``(L,)`` per-lane losses, each
     bitwise equal to the serial call on that lane's slice).  VJP:
-    :func:`ce_loss_bwd`.  A :class:`Workspace` reroutes the batch-sized
-    intermediates through preallocated buffers, bitwise equal to the
-    allocating path.
+    :func:`ce_loss_bwd`.
     """
     if voltages.ndim not in (3, 4):
         raise ValueError("expected (n_mc, batch, classes) or (L, n_mc, batch, classes) voltages")
     *lead, batch, _ = voltages.shape
     targets = np.broadcast_to(np.asarray(targets, dtype=np.int64), (*lead, batch))
-    if ws is None:
-        logits = voltages * (1.0 / temperature)
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        log_probs = shifted - log_norm
-    else:
-        logits = np.multiply(
-            voltages, 1.0 / temperature, out=ws.buf(f"{tag}.logits", voltages.shape)
-        )
-        shifted = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=logits)
-        expd = np.exp(shifted, out=ws.buf(f"{tag}.exp", voltages.shape))
-        log_norm = expd.sum(axis=-1, keepdims=True)
-        np.log(log_norm, out=log_norm)
-        log_probs = np.subtract(shifted, log_norm, out=shifted)
+    logits = voltages * (1.0 / temperature)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    log_probs = shifted - log_norm
     expanded = targets[..., None]
     gathered = np.take_along_axis(log_probs, expanded, axis=-1)
     if voltages.ndim == 4:
@@ -781,30 +664,18 @@ def ce_loss_fwd(
     return loss, (log_probs, expanded, temperature, voltages.shape)
 
 
-def ce_loss_bwd(
-    ctx: tuple, ws: Optional[Workspace] = None, tag: str = "loss"
-) -> np.ndarray:
+def ce_loss_bwd(ctx: tuple) -> np.ndarray:
     """VJP of :func:`ce_loss_fwd` → d_voltages (same shape as input).
 
     As with the margin loss, the mean scale ``1/(n_mc·batch)`` excludes
-    the lane axis when one is present.  The fused path subtracts the
-    one-hot in place via gather/scatter: off-target entries keep
-    ``softmax`` unchanged, which matches ``softmax − 0.0`` bitwise because
-    softmax is strictly positive (or +0.0 after underflow).
+    the lane axis when one is present.
     """
     log_probs, expanded, temperature, shape = ctx
-    if ws is None:
-        softmax = np.exp(log_probs)
-        one_hot = np.zeros(shape)
-        np.put_along_axis(one_hot, expanded, 1.0, axis=-1)
-        d_logits = (softmax - one_hot) / (shape[-3] * shape[-2])
-        return d_logits * (1.0 / temperature)
-    softmax = np.exp(log_probs, out=ws.buf(f"{tag}.softmax", shape))
-    gathered = np.take_along_axis(softmax, expanded, axis=-1)
-    np.put_along_axis(softmax, expanded, gathered - 1.0, axis=-1)
-    np.divide(softmax, shape[-3] * shape[-2], out=softmax)
-    np.multiply(softmax, 1.0 / temperature, out=softmax)
-    return softmax
+    softmax = np.exp(log_probs)
+    one_hot = np.zeros(shape)
+    np.put_along_axis(one_hot, expanded, 1.0, axis=-1)
+    d_logits = (softmax - one_hot) / (shape[-3] * shape[-2])
+    return d_logits * (1.0 / temperature)
 
 
 #: Loss registry: name → (forward, backward) pair used by the engine.
@@ -879,39 +750,22 @@ class KernelNetwork:
         space,
         layer_sizes: Sequence[int],
         per_neuron_activation: bool = False,
-        backend: str = "numpy",
     ):
-        # Validated locally (not via the registry) to keep this module a
-        # leaf: repro.core.backends imports grad_kernels, not vice versa.
-        if backend not in ("numpy", "fused"):
-            raise ValueError(
-                f"unknown kernel backend {backend!r}; expected 'numpy' or 'fused'"
-            )
         self.layers = list(layers)
         self.act_surrogate = act_surrogate
         self.neg_surrogate = neg_surrogate
         self.space = space
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         self.per_neuron_activation = bool(per_neuron_activation)
-        self.backend = str(backend)
         self.workspace = Workspace()
-        # The fused tier threads this workspace into every kernel that
-        # accepts one; None leaves each kernel on its historical path.
-        self._fws = self.workspace if self.backend == "fused" else None
 
     # ------------------------------------------------------------------ #
     # construction                                                       #
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def from_pnn(cls, pnn, backend: str = "numpy") -> "KernelNetwork":
-        """Freeze a live network's static structure into an engine.
-
-        ``backend`` selects the kernel execution tier: ``"numpy"`` runs the
-        historical allocating kernels, ``"fused"`` threads the engine's
-        Workspace through every kernel (bitwise-identical results, fewer
-        temporaries).
-        """
+    def from_pnn(cls, pnn) -> "KernelNetwork":
+        """Freeze a live network's static structure into an engine."""
         metas = [
             LayerMeta(
                 in_features=layer.in_features,
@@ -931,7 +785,6 @@ class KernelNetwork:
             space=pnn.space,
             layer_sizes=pnn.layer_sizes,
             per_neuron_activation=pnn.per_neuron_activation,
-            backend=backend,
         )
 
     @staticmethod
@@ -1033,19 +886,13 @@ class KernelNetwork:
             printable = project_printable(theta_raw, meta.g_min, meta.g_max)
             theta_eff = printable[None]
             if eps_theta is not None:
-                theta_out = None
-                if self._fws is not None:
-                    theta_out = ws.buf(
-                        f"{tag}.l{index}.theta",
-                        np.broadcast_shapes(theta_eff.shape, eps_theta.shape),
-                    )
-                theta_eff = apply_nonideality(theta_eff, eps_theta, out=theta_out)
+                theta_eff = apply_nonideality(theta_eff, eps_theta)
 
             eta_neg, neg_chain = self._eta_chain(
                 w_neg, eps_neg, self.neg_surrogate, record
             )
             inverted, ctx_neg_transfer = transfer_fwd(
-                x_aug, eta_neg, "negweight", ws=self._fws, tag=f"{tag}.l{index}.neg"
+                x_aug, eta_neg, "negweight", tag=f"{tag}.l{index}.neg"
             )
             v_z, ctx_crossbar = crossbar_fwd(
                 x_aug, inverted, theta_eff, ws=ws, tag=f"{tag}.l{index}"
@@ -1055,7 +902,7 @@ class KernelNetwork:
                     w_act, eps_act, self.act_surrogate, record
                 )
                 hidden, ctx_act_transfer = transfer_fwd(
-                    v_z, eta_act, "ptanh", ws=self._fws, tag=f"{tag}.l{index}.act"
+                    v_z, eta_act, "ptanh", tag=f"{tag}.l{index}.act"
                 )
             else:
                 act_chain = ctx_act_transfer = None
@@ -1099,15 +946,14 @@ class KernelNetwork:
             meta, ctx = self.layers[index], tape[index]
             if meta.apply_activation:
                 grad, d_eta_act = transfer_bwd(
-                    grad, ctx.act_transfer, ws=self._fws, tag=f"bwd.l{index}.act"
+                    grad, ctx.act_transfer, tag=f"bwd.l{index}.act"
                 )
                 if need_omega_grads:
                     grads[index].w_act = self._eta_chain_bwd(
                         d_eta_act, ctx.act_chain, self.act_surrogate
                     )
             d_x_aug, d_inverted, d_theta_eff = crossbar_bwd(
-                grad, ctx.crossbar, ws=self.workspace, tag=f"bwd.l{index}",
-                fused=self._fws is not None,
+                grad, ctx.crossbar, ws=self.workspace, tag=f"bwd.l{index}"
             )
             if ctx.eps_theta is not None:
                 d_printable = apply_nonideality_bwd(d_theta_eff, ctx.eps_theta, axis=0)
@@ -1116,7 +962,7 @@ class KernelNetwork:
             grads[index].theta = d_printable          # straight-through projection
 
             d_x_aug2, d_eta_neg = transfer_bwd(
-                d_inverted, ctx.neg_transfer, ws=self._fws, tag=f"bwd.l{index}.neg"
+                d_inverted, ctx.neg_transfer, tag=f"bwd.l{index}.neg"
             )
             d_x_aug += d_x_aug2
             if need_omega_grads:
@@ -1144,8 +990,8 @@ class KernelNetwork:
         voltages, tape = self.forward(
             arrays, x, epsilons=epsilons, record=True, tag="train"
         )
-        value, ctx = loss_fwd(voltages, targets, ws=self._fws, tag="train.loss")
-        d_voltages = loss_bwd(ctx, ws=self._fws, tag="train.loss")
+        value, ctx = loss_fwd(voltages, targets)
+        d_voltages = loss_bwd(ctx)
         return value, self.backward(tape, d_voltages, need_omega_grads=need_omega_grads)
 
     def loss_value(
@@ -1160,7 +1006,7 @@ class KernelNetwork:
         """Forward-only loss (validation): no tape, no gradients."""
         loss_fwd, _ = LOSS_KERNELS[loss]
         voltages, _ = self.forward(arrays, x, epsilons=epsilons, record=False, tag=tag)
-        value, _ = loss_fwd(voltages, targets, ws=self._fws, tag=f"{tag}.loss")
+        value, _ = loss_fwd(voltages, targets)
         return value
 
     # ------------------------------------------------------------------ #

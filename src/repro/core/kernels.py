@@ -330,9 +330,7 @@ def surrogate_eta(omega: np.ndarray, surrogate: "SurrogateParams") -> np.ndarray
     raise ValueError(f"unknown surrogate backend {surrogate.backend!r}")
 
 
-def apply_nonideality(
-    nominal: np.ndarray, eps: EpsilonLike, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def apply_nonideality(nominal: np.ndarray, eps: EpsilonLike) -> np.ndarray:
     """Apply one sampled non-ideality draw to nominal printed values.
 
     The single variation-application kernel shared by the crossbar θ and
@@ -345,30 +343,15 @@ def apply_nonideality(
       ``scale`` and then pins overridden devices to ``sign(nominal) *
       override_value`` (a stuck conductance keeps the crossbar routing
       sign; a zero nominal entry stays zero).
-
-    ``out`` optionally receives the result (it must already have the
-    broadcast shape); the fused backend passes a Workspace buffer here to
-    avoid allocating one effective-θ array per MC chunk.  ``np.copyto``
-    with ``where=`` writes the same values ``np.where`` selects, so both
-    paths are bitwise identical.
     """
     if isinstance(eps, Perturbation):
-        if out is None:
-            effective = nominal * eps.scale
-            if eps.override_mask is not None:
-                effective = np.where(
-                    eps.override_mask, np.sign(nominal) * eps.override_value, effective
-                )
-            return effective
-        np.multiply(nominal, eps.scale, out=out)
+        effective = nominal * eps.scale
         if eps.override_mask is not None:
-            np.copyto(
-                out, np.sign(nominal) * eps.override_value, where=eps.override_mask
+            effective = np.where(
+                eps.override_mask, np.sign(nominal) * eps.override_value, effective
             )
-        return out
-    if out is None:
-        return nominal * eps
-    return np.multiply(nominal, eps, out=out)
+        return effective
+    return nominal * eps
 
 
 def circuit_eta(

@@ -88,7 +88,6 @@ LANE_SHARED_FIELDS = (
     "max_epochs",
     "patience",
     "loss",
-    "backend",
 )
 
 #: One lane's pre-drawn ε triples: list over layers of (ε_θ, ε_act, ε_neg);
@@ -139,25 +138,18 @@ class LaneNetwork:
     def __init__(self, net: KernelNetwork):
         self.net = net
         self.workspace = Workspace()
-        # Fused tier: thread this workspace through every kernel (transfer
-        # fwd/bwd, loss, ε application) instead of only the crossbar.
-        self._fws = self.workspace if net.backend == "fused" else None
 
     # ------------------------------------------------------------------ #
     # construction                                                       #
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def from_pnns(
-        cls, pnns: Sequence[PrintedNeuralNetwork], backend: str = "numpy"
-    ) -> "LaneNetwork":
+    def from_pnns(cls, pnns: Sequence[PrintedNeuralNetwork]) -> "LaneNetwork":
         """Freeze a compatible set of networks into one lane engine.
 
         All networks must share topology, per-neuron-activation mode and
         the *same* surrogate objects (one snapshot serves every lane —
         anything else would silently break per-lane bit-identity).
-        ``backend`` selects the kernel execution tier exactly as in
-        :meth:`KernelNetwork.from_pnn` (bitwise-identical results).
         """
         if not pnns:
             raise ValueError("need at least one network")
@@ -175,7 +167,7 @@ class LaneNetwork:
                     or theirs.negation.surrogate is not mine.negation.surrogate
                 ):
                     raise ValueError("lane networks must share surrogate objects")
-        return cls(KernelNetwork.from_pnn(first, backend=backend))
+        return cls(KernelNetwork.from_pnn(first))
 
     @staticmethod
     def stack_arrays(pnns: Sequence[PrintedNeuralNetwork]) -> List[List[np.ndarray]]:
@@ -264,19 +256,13 @@ class LaneNetwork:
             printable = project_printable(theta_raw, meta.g_min, meta.g_max)
             theta_eff = printable[:, None]                    # (L, 1, I, O)
             if eps_theta is not None:
-                theta_out = None
-                if self._fws is not None:
-                    theta_out = ws.buf(
-                        f"{tag}.l{index}.theta",
-                        np.broadcast_shapes(theta_eff.shape, eps_theta.shape),
-                    )
-                theta_eff = apply_nonideality(theta_eff, eps_theta, out=theta_out)
+                theta_eff = apply_nonideality(theta_eff, eps_theta)
 
             eta_neg, neg_chain = self._eta_chain(
                 w_neg, eps_neg, self.net.neg_surrogate, record
             )
             inverted, ctx_neg_transfer = transfer_fwd(
-                x_aug, eta_neg, "negweight", ws=self._fws, tag=f"{tag}.l{index}.neg"
+                x_aug, eta_neg, "negweight", tag=f"{tag}.l{index}.neg"
             )
             v_z, ctx_crossbar = crossbar_fwd(
                 x_aug, inverted, theta_eff, ws=ws, tag=f"{tag}.l{index}"
@@ -286,7 +272,7 @@ class LaneNetwork:
                     w_act, eps_act, self.net.act_surrogate, record
                 )
                 hidden, ctx_act_transfer = transfer_fwd(
-                    v_z, eta_act, "ptanh", ws=self._fws, tag=f"{tag}.l{index}.act"
+                    v_z, eta_act, "ptanh", tag=f"{tag}.l{index}.act"
                 )
             else:
                 act_chain = ctx_act_transfer = None
@@ -329,16 +315,14 @@ class LaneNetwork:
             meta, ctx = self.net.layers[index], tape[index]
             if meta.apply_activation:
                 grad, d_eta_act = transfer_bwd(
-                    grad, ctx.act_transfer, ws=self._fws,
-                    tag=f"lanes.bwd.l{index}.act",
+                    grad, ctx.act_transfer, tag=f"lanes.bwd.l{index}.act"
                 )
                 if need_omega_grads:
                     grads[index].w_act = self._eta_chain_bwd(
                         d_eta_act, ctx.act_chain, self.net.act_surrogate
                     )
             d_x_aug, d_inverted, d_theta_eff = crossbar_bwd(
-                grad, ctx.crossbar, ws=self.workspace, tag=f"lanes.bwd.l{index}",
-                fused=self._fws is not None,
+                grad, ctx.crossbar, ws=self.workspace, tag=f"lanes.bwd.l{index}"
             )
             if ctx.eps_theta is not None:
                 d_printable = apply_nonideality_bwd(d_theta_eff, ctx.eps_theta, axis=1)
@@ -347,8 +331,7 @@ class LaneNetwork:
             grads[index].theta = d_printable          # straight-through projection
 
             d_x_aug2, d_eta_neg = transfer_bwd(
-                d_inverted, ctx.neg_transfer, ws=self._fws,
-                tag=f"lanes.bwd.l{index}.neg",
+                d_inverted, ctx.neg_transfer, tag=f"lanes.bwd.l{index}.neg"
             )
             d_x_aug += d_x_aug2
             if need_omega_grads:
@@ -376,8 +359,8 @@ class LaneNetwork:
         voltages, tape = self.forward(
             arrays, x, epsilons=epsilons, record=True, tag="lanes"
         )
-        values, ctx = loss_fwd(voltages, targets, ws=self._fws, tag="lanes.loss")
-        d_voltages = loss_bwd(ctx, ws=self._fws, tag="lanes.loss")
+        values, ctx = loss_fwd(voltages, targets)
+        d_voltages = loss_bwd(ctx)
         return values, self.backward(tape, d_voltages, need_omega_grads=need_omega_grads)
 
     def loss_values(
@@ -392,7 +375,7 @@ class LaneNetwork:
         """Forward-only per-lane losses ``(L,)`` (validation path)."""
         loss_fwd, _ = LOSS_KERNELS[loss]
         voltages, _ = self.forward(arrays, x, epsilons=epsilons, record=False, tag=tag)
-        values, _ = loss_fwd(voltages, targets, ws=self._fws, tag=f"{tag}.loss")
+        values, _ = loss_fwd(voltages, targets)
         return values
 
     # ------------------------------------------------------------------ #
@@ -490,7 +473,7 @@ def train_pnn_lanes(
     base = configs[0]
     n_lanes = len(pnns)
 
-    lane_net = LaneNetwork.from_pnns(pnns, backend=base.backend)
+    lane_net = LaneNetwork.from_pnns(pnns)
     n_layers = len(lane_net.net.layers)
     stacked = LaneNetwork.stack_arrays(pnns)
     theta_params: List[RawParameter] = []
@@ -639,7 +622,6 @@ def train_pnn_lanes(
         tel.event(
             "lanes.run",
             n_lanes=n_lanes,
-            backend=base.backend,
             epochs_run=epoch + 1,
             lane_epochs=lane_epochs,
             shrink_events=shrink_events,
@@ -651,7 +633,6 @@ def train_pnn_lanes(
         tel.event(
             "train.run",
             engine="lanes",
-            backend=base.backend,
             epochs_run=epoch + 1,
             best_epoch=max(s.best_epoch for s in stoppers),
             best_val_loss=min(s.best_value for s in stoppers),

@@ -49,7 +49,6 @@ import numpy as np
 from repro import telemetry
 from repro.autograd.tensor import Tensor, no_grad
 from repro.core import kernels
-from repro.core.backends import get_backend
 from repro.core.grad_kernels import KernelNetwork, ce_loss_fwd, margin_loss_fwd
 from repro.core.losses import MarginLoss, VoltageCrossEntropy, make_loss
 from repro.core.params import snapshot_params
@@ -95,12 +94,6 @@ class TrainConfig:
     seed: int = 0
     verbose: bool = False
     scenario: str = DEFAULT_SCENARIO
-    #: Kernel execution backend (``repro.core.backends``).  Every backend
-    #: is bitwise-equal to ``"numpy"``, so — like ``engine`` — it is an
-    #: execution detail, deliberately excluded from
-    #: ``ExperimentConfig.training_fingerprint`` and the result-cache
-    #: digest: switching backends must not invalidate recorded results.
-    backend: str = "numpy"
 
     @property
     def variation_aware(self) -> bool:
@@ -224,13 +217,6 @@ def train_pnn(
         raise ValueError(
             f"unknown engine {engine!r}; expected 'kernel', 'autograd' or 'lanes'"
         )
-    get_backend(config.backend)  # fail fast on unknown backend names
-    if engine == "autograd" and config.backend != "numpy":
-        # The taped cross-check has no fused tier; record the silent
-        # downgrade so CI can assert it never happens on the fast paths.
-        telemetry.get().count(
-            "backend.fallback", engine="autograd", backend=config.backend
-        )
     if engine == "lanes":
         if variation is not None or val_variation is not None:
             raise ValueError(
@@ -293,7 +279,7 @@ def _train_kernel(
     written once at the end (the best epoch's state) — the steady-state
     epoch touches only ndarrays.
     """
-    net = KernelNetwork.from_pnn(pnn, backend=config.backend)
+    net = KernelNetwork.from_pnn(pnn)
     theta_params: List[RawParameter] = []
     omega_params: List[RawParameter] = []
     for index, (theta, w_act, w_neg) in enumerate(KernelNetwork.extract_arrays(pnn)):
@@ -389,7 +375,6 @@ def _train_kernel(
         tel.event(
             "train.run",
             engine="kernel",
-            backend=config.backend,
             epochs_run=epochs_run,
             best_epoch=stopper.best_epoch,
             best_val_loss=stopper.best_value,

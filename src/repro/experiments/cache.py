@@ -179,9 +179,6 @@ class ResultCache:
             params=None,
             cache_hit=True,
             digest=digest,
-            # Pre-backend sidecars carry no backend field; the entry was
-            # necessarily trained on the historical numpy kernels.
-            backend=str(meta.get("backend", "numpy")),
         )
 
     def load_design(self, digest: str, surrogates) -> PNNParams:
@@ -230,9 +227,6 @@ class ResultCache:
             "best_epoch": outcome.best_epoch,
             "epochs_run": outcome.epochs_run,
             "wall_time": outcome.wall_time,
-            # Attribution only: backends are bitwise-equal, so the backend
-            # is outside the digest but recorded for auditability.
-            "backend": outcome.backend,
         }
         meta_tmp = self.meta_path(digest).with_suffix(".json.tmp")
         meta_tmp.write_text(json.dumps(meta, sort_keys=True))
@@ -279,7 +273,6 @@ class RunJournal:
             "val_loss": outcome.val_loss,
             "cache_hit": outcome.cache_hit,
             "digest": outcome.digest,
-            "backend": getattr(outcome, "backend", "numpy"),
         }
         with open(self.path, "a") as handle:
             handle.write(json.dumps(entry, sort_keys=True) + "\n")

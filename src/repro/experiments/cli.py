@@ -44,7 +44,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import default_artifacts_dir, get_default_bundle, telemetry
-from repro.core.backends import DEFAULT_BACKEND, backend_names, numba_version
 from repro.core.variation import DEFAULT_SCENARIO, scenario_names
 from repro.datasets import DATASET_NAMES
 from repro.experiments.ablation import improvement_summary
@@ -119,12 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="non-ideality scenario to sweep (repeatable); "
                              "choices: " + ", ".join(scenario_names()) + " "
                              "(default: default ε-only)")
-    table2.add_argument("--backend", choices=backend_names(),
-                        default=DEFAULT_BACKEND,
-                        help="kernel execution backend for training and MC "
-                             "evaluation; every backend is bitwise-identical "
-                             "to 'numpy' and shares its cache entries "
-                             "(default: numpy)")
     table2.add_argument("--mc-shards", type=int, default=None, metavar="S",
                         help="split each cell's Monte-Carlo test evaluation "
                              "into S shards over the shared-memory data "
@@ -319,10 +312,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "seeds": list(profile.seeds),
                 "lane_width": lane_width,
                 "scenarios": list(scenarios),
-                "backend": args.backend,
                 "mc_shards": mc_shards,
                 "deploy_verify": args.deploy_verify,
-                "numba": numba_version(),
             })
         results = run_table2_parallel(
             args.datasets, profile, surrogates=bundle,
@@ -330,7 +321,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             progress=lambda msg: print(f"[run] {msg}", file=sys.stderr),
             lane_width=lane_width,
             scenarios=scenarios,
-            backend=args.backend,
             mc_shards=mc_shards,
             deploy_tile=_parse_tile(args.deploy_verify),
         )

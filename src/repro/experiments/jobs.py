@@ -143,10 +143,6 @@ class JobOutcome:
     digest:
         The cache digest the outcome is stored under (``None`` when
         caching is disabled).
-    backend:
-        Kernel execution backend the job trained with
-        (:mod:`repro.core.backends`).  Attribution metadata only —
-        backends are bitwise-equal, so it is *not* part of the digest.
     """
 
     key: JobKey
@@ -159,7 +155,6 @@ class JobOutcome:
     params: Optional[PNNParams] = None
     cache_hit: bool = False
     digest: Optional[str] = None
-    backend: str = "numpy"
 
 
 def train_epsilon(setup: Setup, eps_test: float) -> float:
@@ -227,9 +222,7 @@ def enumerate_jobs(
     return jobs
 
 
-def _train_config(
-    key: JobKey, config: ExperimentConfig, backend: str = "numpy"
-) -> TrainConfig:
+def _train_config(key: JobKey, config: ExperimentConfig) -> TrainConfig:
     """The :class:`TrainConfig` a job trains with (single source of truth).
 
     Shared by :func:`execute_job` and :func:`execute_job_lanes` so the
@@ -246,7 +239,6 @@ def _train_config(
         loss=config.loss,
         seed=key.seed,
         scenario=key.scenario,
-        backend=backend,
     )
 
 
@@ -256,7 +248,6 @@ def execute_job(
     surrogates,
     splits: Optional[DatasetSplits] = None,
     engine: str = "kernel",
-    backend: str = "numpy",
 ) -> JobOutcome:
     """Train one pNN for ``key`` — bit-identical to the serial runner.
 
@@ -286,10 +277,6 @@ def execute_job(
         choice is deliberately *not* part of the cache fingerprint
         (:meth:`ExperimentConfig.training_fingerprint`) — switching it must
         not invalidate recorded results.
-    backend:
-        Kernel execution backend (:mod:`repro.core.backends`), forwarded
-        through :attr:`TrainConfig.backend`.  Bitwise-equal across
-        backends, hence — like ``engine`` — outside the cache fingerprint.
 
     Returns
     -------
@@ -311,7 +298,6 @@ def execute_job(
         seed=key.seed,
         scenario=key.scenario,
         engine=engine,
-        backend=backend,
     ):
         pnn = PrintedNeuralNetwork(
             list(topology),
@@ -319,7 +305,7 @@ def execute_job(
             per_neuron_activation=config.per_neuron_activation,
             rng=np.random.default_rng(key.seed),
         )
-        train_config = _train_config(key, config, backend=backend)
+        train_config = _train_config(key, config)
         result = train_pnn(
             pnn, splits.x_train, splits.y_train, splits.x_val, splits.y_val,
             train_config, engine=engine,
@@ -349,7 +335,6 @@ def execute_job(
         epochs_run=result.epochs_run,
         wall_time=wall_time,
         params=snapshot_params(pnn),
-        backend=backend,
     )
 
 
@@ -391,7 +376,6 @@ def execute_job_lanes(
     config: ExperimentConfig,
     surrogates,
     splits: Optional[DatasetSplits] = None,
-    backend: str = "numpy",
 ) -> List[JobOutcome]:
     """Train one lane batch in lockstep — bitwise equal to serial jobs.
 
@@ -419,7 +403,7 @@ def execute_job_lanes(
     if splits is None:
         splits = load_splits(first.dataset, seed=SPLIT_SEED, max_train=config.max_train)
     if len(keys) == 1:
-        return [execute_job(first, config, surrogates, splits=splits, backend=backend)]
+        return [execute_job(first, config, surrogates, splits=splits)]
 
     topology = (splits.n_features, config.hidden, splits.n_classes)
     tel = telemetry.get()
@@ -434,7 +418,6 @@ def execute_job_lanes(
         scenario=first.scenario,
         n_lanes=len(keys),
         seeds=[key.seed for key in keys],
-        backend=backend,
     ):
         pnns = [
             PrintedNeuralNetwork(
@@ -448,7 +431,7 @@ def execute_job_lanes(
         results = train_pnn_lanes(
             pnns,
             splits.x_train, splits.y_train, splits.x_val, splits.y_val,
-            [_train_config(key, config, backend=backend) for key in keys],
+            [_train_config(key, config) for key in keys],
         )
     wall_time = time.perf_counter() - start
     cpu_time = time.process_time() - cpu_start
@@ -483,7 +466,6 @@ def execute_job_lanes(
                 epochs_run=result.epochs_run,
                 wall_time=wall_share,
                 params=snapshot_params(pnn),
-                backend=backend,
             )
         )
     return outcomes

@@ -84,10 +84,7 @@ def _forked_execute(key: JobKey) -> JobOutcome:
     inherited from the parent at fork time — avoiding a per-task pickle
     of the surrogate bundle.
     """
-    return execute_job(
-        key, _FORK_STATE["config"], _FORK_STATE["surrogates"],
-        backend=_FORK_STATE.get("backend", "numpy"),
-    )
+    return execute_job(key, _FORK_STATE["config"], _FORK_STATE["surrogates"])
 
 
 def _forked_execute_batch(keys: List[JobKey]) -> List[JobOutcome]:
@@ -97,10 +94,7 @@ def _forked_execute_batch(keys: List[JobKey]) -> List[JobOutcome]:
     :func:`execute_job_lanes`, so the pool handles mixed batch widths
     with one code path.
     """
-    return execute_job_lanes(
-        keys, _FORK_STATE["config"], _FORK_STATE["surrogates"],
-        backend=_FORK_STATE.get("backend", "numpy"),
-    )
+    return execute_job_lanes(keys, _FORK_STATE["config"], _FORK_STATE["surrogates"])
 
 
 def _pool_context():
@@ -121,7 +115,6 @@ def run_table2_parallel(
     progress: Optional[Callable[[str], None]] = None,
     lane_width: int = 8,
     scenarios: Tuple[str, ...] = (DEFAULT_SCENARIO,),
-    backend: str = "numpy",
     mc_shards: Optional[int] = None,
     deploy_tile: Optional[Tuple[int, int]] = None,
 ) -> List[CellResult]:
@@ -164,12 +157,6 @@ def run_table2_parallel(
         trains and evaluates its own full grid; the default
         single-scenario sweep reproduces the historical results (and
         cache digests) exactly.
-    backend:
-        Kernel execution backend (:mod:`repro.core.backends`) for both
-        training and MC evaluation.  Bitwise-equal across backends, so —
-        like ``workers`` and ``lane_width`` — it changes wall time only,
-        never results, and it is *not* part of the cache digest: entries
-        recorded under one backend are served to all of them.
     mc_shards:
         Shard count for the Monte-Carlo test evaluations (third-tier
         parallelism; ``None`` takes ``config.mc_shards``).  Shards > 1
@@ -177,7 +164,8 @@ def run_table2_parallel(
         :func:`repro.core.evaluation.evaluate_mc_sharded` over the
         shared-memory data plane, spread across a pool when
         ``workers > 1``.  Bitwise identical to serial evaluation at any
-        count, and — like ``backend`` — outside the cache digest.
+        count, and — like ``workers`` and ``lane_width`` — outside the
+        cache digest.
     deploy_tile:
         Optional ``(max_rows, max_cols)`` crossbar tile bound.  When set,
         every selected best-of-seeds design is additionally tiled and
@@ -214,7 +202,6 @@ def run_table2_parallel(
             n_jobs=len(jobs),
             cached=cache is not None,
             scenarios=list(scenarios),
-            backend=backend,
             mc_shards=mc_shards,
         )
     outcomes: Dict[JobKey, JobOutcome] = {}
@@ -264,12 +251,11 @@ def run_table2_parallel(
 
     if workers <= 1 or len(batches) <= 1:
         for batch in batches:
-            for outcome in execute_job_lanes(batch, config, surrogates, backend=backend):
+            for outcome in execute_job_lanes(batch, config, surrogates):
                 _finish(outcome)
     else:
         _FORK_STATE["config"] = config
         _FORK_STATE["surrogates"] = surrogates
-        _FORK_STATE["backend"] = backend
         try:
             ctx = _pool_context()
             tel.event("pool.start", workers=int(workers), n_pending=len(batches))
@@ -284,10 +270,10 @@ def run_table2_parallel(
         finally:
             _FORK_STATE.clear()
 
-    with tel.span("table2.assemble", backend=backend, mc_shards=mc_shards):
+    with tel.span("table2.assemble", mc_shards=mc_shards):
         results = _assemble(
             datasets, config, surrogates, outcomes, cache, scenarios,
-            backend=backend, mc_shards=mc_shards, eval_workers=workers,
+            mc_shards=mc_shards, eval_workers=workers,
             deploy_tile=deploy_tile, progress=progress,
         )
     if tel.enabled:
@@ -349,7 +335,6 @@ def _assemble(
     outcomes: Dict[JobKey, JobOutcome],
     cache: Optional[ResultCache],
     scenarios: Tuple[str, ...] = (DEFAULT_SCENARIO,),
-    backend: str = "numpy",
     mc_shards: int = 1,
     eval_workers: int = 1,
     deploy_tile: Optional[Tuple[int, int]] = None,
@@ -423,7 +408,7 @@ def _assemble(
                         design, splits.x_test, splits.y_test,
                         epsilon=eps_test, n_test=config.n_test,
                         seed=mc_evaluation_seed(best_seed), scenario=scenario,
-                        backend=backend, shards=mc_shards, pool=eval_pool,
+                        shards=mc_shards, pool=eval_pool,
                         store=store, dataset_key=("dataset", dataset),
                     )
                 else:
@@ -431,7 +416,6 @@ def _assemble(
                         design, splits.x_test, splits.y_test,
                         epsilon=eps_test, n_test=config.n_test,
                         seed=mc_evaluation_seed(best_seed), scenario=scenario,
-                        backend=backend,
                     )
                 results.append(
                     CellResult(

@@ -266,53 +266,6 @@ def _scenario_section(events: List[Dict], counters: Dict[str, float]) -> List[st
     return lines
 
 
-def _backend_section(events: List[Dict], counters: Dict[str, float]) -> List[str]:
-    """Per-backend timing attribution across training and MC evaluation.
-
-    Groups ``train.run`` events and ``mc.evaluate`` spans by their
-    ``backend`` attribute (:mod:`repro.core.backends`) so a fused-vs-numpy
-    run shows its timing split per backend, and surfaces the
-    ``backend.fallback`` counter — nonzero means a non-numpy backend was
-    requested on a path that silently downgraded (the CI backend smoke
-    gates on it staying zero).  Runs recorded before backends existed
-    carry no ``backend`` attribute and produce no section.
-    """
-    trains = [e for e in events
-              if e.get("kind") == "event" and e.get("name") == "train.run"
-              and e["attrs"].get("backend") is not None]
-    evals = [e for e in events
-             if e.get("kind") == "span" and e.get("name") == "mc.evaluate"
-             and e["attrs"].get("backend") is not None]
-    fallbacks = int(counters.get("backend.fallback", 0))
-    if not trains and not evals and not fallbacks:
-        return []
-    backends = list(dict.fromkeys(
-        [e["attrs"]["backend"] for e in trains]
-        + [e["attrs"]["backend"] for e in evals]
-    ))
-    lines = ["backends:"]
-    rows = []
-    for backend in backends:
-        t_runs = [e for e in trains if e["attrs"]["backend"] == backend]
-        m_runs = [e for e in evals if e["attrs"]["backend"] == backend]
-        train_s = sum(float(e["attrs"].get("dur_s", 0.0)) for e in t_runs)
-        mc_s = sum(float(e.get("dur_s", 0.0)) for e in m_runs)
-        rows.append([
-            backend,
-            str(len(t_runs)), f"{train_s:.2f}s",
-            str(len(m_runs)), f"{mc_s:.2f}s",
-        ])
-    lines.extend(_rows_to_table(
-        ["backend", "train_runs", "train_wall", "mc_evals", "mc_wall"], rows,
-    ))
-    if fallbacks:
-        lines.append(f"backend fallbacks: {fallbacks} (non-numpy backend "
-                     f"silently downgraded — investigate)")
-    else:
-        lines.append("backend fallbacks: 0")
-    return lines
-
-
 def _sharding_section(events: List[Dict], counters: Dict[str, float]) -> List[str]:
     """Shard utilization of the MC-evaluation data plane.
 
@@ -475,7 +428,6 @@ def render_telemetry_report(
         _surrogate_section(events),
         _training_section(events, counters),
         _lanes_section(events, counters),
-        _backend_section(events, counters),
         _sharding_section(events, counters),
         _scenario_section(events, counters),
         _export_section(events, counters),

@@ -2,8 +2,7 @@
 
 The contract of :mod:`repro.core.grad_kernels` is *agreement*: for every
 point in the {learnable} × {nominal, ε>0} × {shared, per-neuron} ×
-{analytic, MLP surrogate} × {margin, ce} × {registered backend} grid, the
-kernel engine's loss
+{analytic, MLP surrogate} × {margin, ce} grid, the kernel engine's loss
 must equal the autograd loss and its raw-parameter gradients must match the
 taped backward pass to ~1e-8 (observed agreement is float64 rounding).
 Finite differences pin the same gradients independently of both engines.
@@ -72,9 +71,9 @@ def autograd_reference(pnn, x, y, loss_name, epsilons):
     return loss.item(), grads
 
 
-def assert_grids_match(pnn, x, y, loss_name, epsilons, backend="numpy"):
+def assert_grids_match(pnn, x, y, loss_name, epsilons):
     ref_loss, ref_grads = autograd_reference(pnn, x, y, loss_name, epsilons)
-    net = KernelNetwork.from_pnn(pnn, backend=backend)
+    net = KernelNetwork.from_pnn(pnn)
     arrays = KernelNetwork.extract_arrays(pnn)
     value, grads = net.loss_and_grads(arrays, x, y, loss=loss_name, epsilons=epsilons)
     assert value == pytest.approx(ref_loss, rel=1e-12)
@@ -100,21 +99,19 @@ class TestAutogradAgreement:
     @pytest.mark.parametrize("loss_name", ["margin", "ce"])
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     @pytest.mark.parametrize("per_neuron", [False, True])
-    def test_analytic_grid(
-        self, analytic_surrogates, batch, per_neuron, epsilon, loss_name, backend
-    ):
+    def test_analytic_grid(self, analytic_surrogates, batch, per_neuron, epsilon, loss_name):
         x, y = batch
         pnn = make_pnn(analytic_surrogates, per_neuron=per_neuron)
         epsilons = draw_epsilons(pnn, epsilon, n_mc=5)
-        assert_grids_match(pnn, x, y, loss_name, epsilons, backend=backend)
+        assert_grids_match(pnn, x, y, loss_name, epsilons)
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     @pytest.mark.parametrize("per_neuron", [False, True])
-    def test_mlp_grid(self, tiny_bundle, batch, per_neuron, epsilon, backend):
+    def test_mlp_grid(self, tiny_bundle, batch, per_neuron, epsilon):
         x, y = batch
         pnn = make_pnn(tiny_bundle, per_neuron=per_neuron)
         epsilons = draw_epsilons(pnn, epsilon, n_mc=5)
-        assert_grids_match(pnn, x, y, "margin", epsilons, backend=backend)
+        assert_grids_match(pnn, x, y, "margin", epsilons)
 
     def test_without_output_activation(self, analytic_surrogates, batch):
         x, y = batch

@@ -80,35 +80,6 @@ class TestForwardEquivalence:
         )
 
 
-class TestBackendDrivers:
-    """Each registered backend's eval driver vs ``network_forward`` — bitwise."""
-
-    @pytest.mark.parametrize("per_neuron", [False, True])
-    @pytest.mark.parametrize("epsilon", [0.0, 0.10])
-    def test_driver_matches_reference(
-        self, analytic_surrogates, backend, per_neuron, epsilon
-    ):
-        from repro.core.backends import get_backend
-        from repro.core.evaluation import draw_variation_samples
-
-        pnn = make_pnn(analytic_surrogates, per_neuron)
-        params = snapshot_params(pnn)
-        x = np.random.default_rng(8).uniform(0.0, 1.0, size=(13, 4))
-        epsilons = None
-        if epsilon > 0:
-            epsilons = draw_variation_samples(
-                params, VariationModel(epsilon, seed=6), n_test=5
-            )
-        driver = get_backend(backend).make_eval_driver(params, x)
-        reference = kernels.network_forward(params, x, epsilons=epsilons)
-        # Twice: warm scratch buffers must not change a single bit.
-        for _ in range(2):
-            np.testing.assert_array_equal(driver.forward(epsilons), reference)
-        np.testing.assert_array_equal(
-            driver.predict(epsilons), reference.argmax(axis=-1)
-        )
-
-
 @pytest.fixture(scope="module")
 def trained_blob_pnn(blob_data):
     """A briefly-trained network so MC accuracies actually vary with ε."""
@@ -129,32 +100,20 @@ def trained_blob_pnn(blob_data):
 class TestChunkInvariance:
     """``evaluate_mc`` must be exactly invariant to ``batch_mc``."""
 
-    def test_batch_mc_does_not_change_results(self, trained_blob_pnn, blob_data, backend):
+    def test_batch_mc_does_not_change_results(self, trained_blob_pnn, blob_data):
         _, _, x_val, y_val = blob_data
         params = snapshot_params(trained_blob_pnn)
         reference = evaluate_mc(
             params, x_val, y_val, epsilon=0.1, n_test=23, seed=11, batch_mc=20,
-            backend=backend,
         )
         # Non-degenerate: variation must actually move some accuracies.
         assert len(set(reference.accuracies.tolist())) > 1
         for batch_mc in (1, 7, 23, 64):
             other = evaluate_mc(
                 params, x_val, y_val, epsilon=0.1, n_test=23, seed=11,
-                batch_mc=batch_mc, backend=backend,
+                batch_mc=batch_mc,
             )
             np.testing.assert_array_equal(other.accuracies, reference.accuracies)
-
-    def test_backends_agree_bitwise(self, trained_blob_pnn, blob_data, backend):
-        _, _, x_val, y_val = blob_data
-        params = snapshot_params(trained_blob_pnn)
-        reference = evaluate_mc(
-            params, x_val, y_val, epsilon=0.1, n_test=23, seed=11, backend="numpy"
-        )
-        other = evaluate_mc(
-            params, x_val, y_val, epsilon=0.1, n_test=23, seed=11, backend=backend
-        )
-        np.testing.assert_array_equal(other.accuracies, reference.accuracies)
 
     def test_matches_autograd_reference_at_sample_block(
         self, trained_blob_pnn, blob_data

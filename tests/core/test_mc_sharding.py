@@ -1,7 +1,7 @@
 """Sharded MC evaluation: bitwise identity with the serial path.
 
 The tentpole contract of the sharding PR: for every shard count, chunk
-size, scenario, backend, and pool start method, ``evaluate_mc_sharded``
+size, scenario and pool start method, ``evaluate_mc_sharded``
 returns byte-for-byte the accuracies of serial ``evaluate_mc`` — the
 shards consume the *same* pre-drawn ε blocks the serial loop consumes,
 so the merged stream is the serial stream.  Every equality below is
@@ -76,13 +76,11 @@ class TestPlanShards:
 class TestBitwiseIdentity:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     @pytest.mark.parametrize("shards", [1, 2, 3, 5])
-    def test_inline_matches_serial(self, workload, backend, scenario, shards):
+    def test_inline_matches_serial(self, workload, scenario, shards):
         params, x, y = workload
         kwargs = dict(epsilon=0.1, n_test=70, seed=3, scenario=scenario)
-        serial = evaluate_mc(params, x, y, backend=backend, **kwargs)
-        sharded = evaluate_mc_sharded(
-            params, x, y, backend=backend, shards=shards, **kwargs
-        )
+        serial = evaluate_mc(params, x, y, **kwargs)
+        sharded = evaluate_mc_sharded(params, x, y, shards=shards, **kwargs)
         assert_array_equal(sharded.accuracies, serial.accuracies)
 
     @pytest.mark.parametrize("batch_mc", [1, 7, 23, None])
@@ -121,11 +119,11 @@ class TestPooled:
             pytest.skip(f"start method {method!r} unavailable")
         params, x, y = workload
         kwargs = dict(epsilon=0.1, n_test=70, seed=3, scenario="correlated")
-        serial = evaluate_mc(params, x, y, backend="fused", **kwargs)
+        serial = evaluate_mc(params, x, y, **kwargs)
         ctx = multiprocessing.get_context(method)
         with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as pool:
             sharded = evaluate_mc_sharded(
-                params, x, y, backend="fused", shards=3, pool=pool, **kwargs
+                params, x, y, shards=3, pool=pool, **kwargs
             )
         assert_array_equal(sharded.accuracies, serial.accuracies)
 

@@ -109,6 +109,31 @@ class TestRoundTrip:
             loaded.predict(splits.x_test), pnn.predict(splits.x_test)
         )
 
+    def test_entry_recording_a_kernel_backend_still_hits(
+        self, tmp_path, analytic_surrogates, outcome
+    ):
+        # Entries written while a kernel-backend option existed carry a
+        # "backend" field in their sidecar and journal line.  The digest
+        # never covered it, so such caches must keep serving their designs.
+        fp = surrogate_fingerprint(analytic_surrogates)
+        digest = job_digest(KEY, MICRO, fp)
+        assert digest == "b6c3b4dd5d3ec36a13c096f800bea9a11d20b7dafaf6e612cc0c420e9a1a2460"
+        cache = ResultCache(tmp_path / "cache")
+        cache.store(digest, outcome, analytic_surrogates)
+        meta = json.loads(cache.meta_path(digest).read_text())
+        cache.meta_path(digest).write_text(json.dumps({**meta, "backend": "fused"}))
+        record = {"dataset": KEY.dataset, "seed": KEY.seed, "cache_hit": False,
+                  "digest": digest, "backend": "fused"}
+        cache.journal_path.write_text(json.dumps(record) + "\n")
+
+        restored = cache.load_outcome(digest)
+        assert restored is not None and restored.cache_hit
+        assert restored.key == KEY and restored.val_loss == outcome.val_loss
+        design = cache.load_design(digest, analytic_surrogates)
+        for mine, ref in zip(design.layers, outcome.params.layers):
+            np.testing.assert_array_equal(mine.theta, ref.theta)
+        assert RunJournal.read(cache.journal_path) == [record]
+
     def test_config_change_misses(self, tmp_path, analytic_surrogates, outcome):
         cache = ResultCache(tmp_path / "cache")
         fp = surrogate_fingerprint(analytic_surrogates)

@@ -18,6 +18,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             cli.main(["table2", "--profile", "gigantic"])
 
+    def test_table2_has_no_backend_flag(self, capsys):
+        # One kernel path: a script still passing --backend fails loudly.
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(["table2", "--backend", "numpy"])
+        assert "--backend" in capsys.readouterr().err
+
 
 class TestCellCommand:
     def test_runs_one_cell(self, capsys, monkeypatch, analytic_surrogates):
