@@ -27,7 +27,7 @@ bench-lanes:       ## serial-vs-lockstep lane training benchmark + artifact
 bench-scenarios:   ## non-ideality scenario grid benchmark + artifact
 	python -m pytest benchmarks/bench_scenario_grid.py -q -s
 
-bench-sharding:    ## sharded MC evaluation / shm data plane benchmark + artifact
+bench-sharding:    ## sharded MC evaluation benchmark + artifact
 	python -m pytest benchmarks/bench_mc_sharding.py -q -s
 
 bench-export:      ## tiling compile + closed-loop deploy verification benchmark + artifact

@@ -1,33 +1,27 @@
-"""Sharded MC evaluation over the shared-memory data plane.
+"""Sharded MC evaluation.
 
-Benchmarks the tentpole path on a large-``n_test`` scenario grid
+Benchmarks the sharded path on a large-``n_test`` scenario grid
 (``n_test`` = 2000, ``stuck-1pct`` + ``correlated`` — the regime the
 Table-II protocol scales into, where evaluation dominates the wall
-clock).  Three gates, correctness always before timing:
+clock).  Two gates, correctness always before timing:
 
 1. **bitwise identity** — ``evaluate_mc_sharded`` equals serial
    ``evaluate_mc`` via ``assert_array_equal`` at every tested shard
-   count and scenario (the tentpole's hard contract);
-2. **data plane ≥ 2×** (the headline gate) — publishing the evaluation
-   payload once to shared memory and mapping it per shard beats
-   pickling the identical payload per shard, the transport a
-   pool-based design would otherwise pay.  This gate is
-   host-independent: it compares bytes moved, not cores used;
-3. **pooled ≥ 2×** — asserted only on hosts with ≥ 4 cores, where the
+   count and scenario (the path's hard contract);
+2. **pooled ≥ 2×** — asserted only on hosts with ≥ 4 cores, where the
    shards actually spread; on smaller hosts the number is recorded but
    not gated (a 1-core container cannot speed up by adding processes).
 
 The inline end-to-end ratio — the sharded path (adaptive cache-budget
 chunks) vs. the serial default (``SAMPLE_BLOCK`` chunks) on one core —
 is recorded but not gated: both run the same kernels, so it reflects
-only the chunk size and the publish/map cost.
+only the chunk size.
 
 All measurements land in ``BENCH_mc_sharding.json`` with the host's CPU
 count, so committed numbers are interpretable on their own.
 """
 
 import os
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -41,8 +35,6 @@ from repro.core import (
     evaluate_mc_sharded,
     snapshot_params,
 )
-from repro.core.evaluation import _resolve_variation, draw_variation_samples
-from repro.core.shm import SharedArrayStore, map_evaluation, publish_evaluation
 from repro.surrogate import AnalyticSurrogate
 
 SIZES = (16, 6, 4)
@@ -54,7 +46,6 @@ REPEATS = 2
 SCENARIOS = ("stuck-1pct", "correlated")
 TIMED_SCENARIO = "stuck-1pct"
 
-TRANSPORT_GATE = 2.0
 POOLED_GATE = 2.0
 POOLED_MIN_CPUS = 4
 
@@ -67,29 +58,6 @@ def _workload():
     x = rng.uniform(0.0, 1.0, (BATCH, SIZES[0]))
     y = rng.integers(0, SIZES[-1], BATCH)
     return params, x, y
-
-
-def _transport_times(params, x, y):
-    """Shared-memory publish+map vs. per-shard pickle of the same payload."""
-    variation = _resolve_variation(EPSILON, seed=7, scenario=TIMED_SCENARIO)
-    epsilons = draw_variation_samples(params, variation, N_TEST)
-    y64 = np.asarray(y, dtype=np.int64)
-
-    def roundtrip_pickle():
-        for _ in range(SHARDS):
-            pickle.loads(pickle.dumps((params, x, y64, epsilons), protocol=5))
-
-    def roundtrip_shm():
-        with SharedArrayStore() as store:
-            payload = publish_evaluation(store, params, x, y64, epsilons,
-                                         dataset_key=None)
-            for _ in range(SHARDS):
-                map_evaluation(payload).close()
-
-    payload_bytes = len(pickle.dumps((params, x, y64, epsilons), protocol=5))
-    t_pickle = best_time(roundtrip_pickle, repeats=REPEATS)
-    t_shm = best_time(roundtrip_shm, repeats=REPEATS)
-    return t_pickle, t_shm, payload_bytes
 
 
 def test_mc_sharding(output_dir):
@@ -105,10 +73,6 @@ def test_mc_sharding(output_dir):
             )
             np.testing.assert_array_equal(sharded.accuracies, serial.accuracies)
 
-    # ---- gate 2: the data plane beats per-shard pickling ---- #
-    t_pickle, t_shm, payload_bytes = _transport_times(params, x, y)
-    transport_speedup = t_pickle / t_shm
-
     # ---- recorded, not gated: inline sharded path vs. serial default ---- #
     t_serial = best_time(
         lambda: evaluate_mc(params, x, y, scenario=TIMED_SCENARIO, **kwargs),
@@ -122,7 +86,7 @@ def test_mc_sharding(output_dir):
     )
     end_to_end_speedup = t_serial / t_sharded
 
-    # ---- gate 3: pooled fan-out, asserted on multi-core hosts only ---- #
+    # ---- gate 2: pooled fan-out, asserted on multi-core hosts only ---- #
     cpus = os.cpu_count() or 1
     pooled_speedup = None
     if cpus >= POOLED_MIN_CPUS:
@@ -142,11 +106,6 @@ def test_mc_sharding(output_dir):
         f"{SHARDS} shards, {cpus} cpu(s)",
         f"  identity: sharded == serial bitwise at shards in (1, {SHARDS}) "
         f"for {', '.join(SCENARIOS)}",
-        f"  data plane ({payload_bytes / 1e6:.1f} MB payload x {SHARDS} shards):",
-        f"    per-shard pickle roundtrip: {t_pickle * 1e3:8.2f} ms",
-        f"    shm publish + map         : {t_shm * 1e3:8.2f} ms",
-        f"    speedup                   : {transport_speedup:8.2f}x "
-        f"(gate >= {TRANSPORT_GATE}x)",
         f"  end-to-end (inline, one core; recorded, not gated):",
         f"    serial, batch_mc={SAMPLE_BLOCK:<4}     : {t_serial:8.3f} s",
         f"    sharded, adaptive chunks  : {t_sharded:8.3f} s",
@@ -168,9 +127,6 @@ def test_mc_sharding(output_dir):
         "topology": list(SIZES), "batch": BATCH, "n_test": N_TEST,
         "epsilon": EPSILON, "shards": SHARDS, "scenarios": list(SCENARIOS),
         "timed_scenario": TIMED_SCENARIO,
-        "payload_bytes": payload_bytes,
-        "transport": {"pickle_seconds": t_pickle, "shm_seconds": t_shm,
-                      "speedup": transport_speedup, "gate": TRANSPORT_GATE},
         "end_to_end": {"serial_seconds": t_serial,
                        "sharded_seconds": t_sharded,
                        "speedup": end_to_end_speedup},
@@ -178,10 +134,6 @@ def test_mc_sharding(output_dir):
                    "gated": cpus >= POOLED_MIN_CPUS},
     })
 
-    assert transport_speedup >= TRANSPORT_GATE, (
-        f"shm data plane only {transport_speedup:.2f}x faster than per-shard "
-        f"pickling (need >= {TRANSPORT_GATE}x)"
-    )
     if pooled_speedup is not None:
         assert pooled_speedup >= POOLED_GATE, (
             f"pooled sharding only {pooled_speedup:.2f}x on {cpus} cpus "

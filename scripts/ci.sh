@@ -294,7 +294,7 @@ print(f"scenario smoke OK: {len(serial)} stuck-at lanes bitwise equal to "
       f"kernel; {applied}/{sampled} devices stuck; scenarios {sorted(scen_jobs)}")
 EOF
 
-echo "== sharding smoke (zero-copy data plane, bitwise-equal, telemetry-gated) =="
+echo "== sharding smoke (bitwise-equal, telemetry-gated) =="
 TEL_SHARD="$SMOKE_ROOT/telemetry_sharding"
 TEL_SHARD="$TEL_SHARD" python - <<'EOF'
 import multiprocessing
@@ -337,15 +337,9 @@ np.testing.assert_array_equal(one.accuracies, serial.accuracies)
 np.testing.assert_array_equal(three.accuracies, serial.accuracies)
 np.testing.assert_array_equal(pooled.accuracies, serial.accuracies)
 
-# Gate 2 (telemetry): the segment accounting balances — every published
-# /dev/shm segment was unlinked — and the shard spans tile the sample
-# range exactly.
+# Gate 2 (telemetry): the shard spans tile the sample range exactly, and
+# exactly one evaluation ran pooled.
 events = telemetry.read_events(os.environ["TEL_SHARD"])
-counters = telemetry.summarize_events(events)["counters"]
-published = int(counters.get("shm.publish", 0))
-unlinked = int(counters.get("shm.unlink", 0))
-assert published == unlinked > 0, \
-    f"shm leak: {published} published, {unlinked} unlinked"
 shard_spans = [e for e in events if e["kind"] == "span"
                and e["name"] == "mc.shard"]
 spans = {(e["attrs"]["start"], e["attrs"]["stop"]) for e in shard_spans}
@@ -354,7 +348,6 @@ outer = [e for e in events if e["kind"] == "span"
          and e["name"] == "mc.evaluate_sharded"]
 assert sum(1 for e in outer if e["attrs"].get("pooled")) == 1, outer
 print(f"sharding smoke OK: 1/3/pooled shards bitwise equal to serial; "
-      f"{published} segments published and unlinked, "
       f"{len(shard_spans)} shard spans recorded")
 EOF
 
@@ -362,7 +355,6 @@ echo "== sharding report smoke (mc sharding section renders) =="
 SHARD_REPORT="$(python -m repro.experiments.cli report --telemetry "$TEL_SHARD")"
 echo "$SHARD_REPORT" | grep -q "mc sharding:" \
     || { echo "report missing 'mc sharding' section"; exit 1; }
-echo "$SHARD_REPORT" | grep "shm segments"
 
 echo "== parallel smoke table2 (2 workers, fresh cache, 2 MC shards, telemetry on) =="
 python -m repro.experiments.cli table2 --profile smoke --datasets iris \

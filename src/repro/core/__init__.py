@@ -35,11 +35,7 @@ This package is the paper's primary contribution (Sec. III):
   (N_test = 100) reporting mean ± std accuracy as in Table II, running
   through the autograd-free kernel path, serially (``evaluate_mc``) or
   sharded across a process pool (``evaluate_mc_sharded``) with bitwise
-  identical results;
-- :mod:`~repro.core.shm` — the zero-copy shared-memory data plane behind
-  sharded evaluation: datasets, :class:`PNNParams` snapshots and
-  pre-drawn ε streams published once, mapped read-only in workers under
-  fork and spawn, with audited publish/map/unlink accounting.
+  identical results.
 """
 
 from repro.core.conductance import ConductanceConfig
@@ -79,7 +75,6 @@ from repro.core.evaluation import (
     evaluate_mc_sharded,
     plan_shards,
 )
-from repro.core.shm import SharedArrayStore
 from repro.core.aging import AgingModel, CompositeVariation, evaluate_lifetime
 from repro.core.serialization import (
     load_params,
@@ -125,7 +120,6 @@ __all__ = [
     "MonteCarloAccuracy",
     "SAMPLE_BLOCK",
     "SHARD_BATCH_MC",
-    "SharedArrayStore",
     "evaluate_mc",
     "evaluate_mc_autograd",
     "evaluate_mc_sharded",

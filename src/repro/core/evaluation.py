@@ -24,18 +24,18 @@ bit-identical.  Changing it would silently re-roll all MC results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import telemetry
-from repro.core import kernels, shm
+from repro.core import kernels
 from repro.core.params import PNNParams, snapshot_params
 from repro.core.pnn import PrintedNeuralNetwork
 from repro.core.variation import (
     DEFAULT_SCENARIO,
     VariationModel,
-    build_scenario_model,
+    active_scenario_model,
     eps_concat,
 )
 
@@ -128,22 +128,6 @@ def draw_variation_samples(
     ]
 
 
-def _resolve_variation(epsilon: float, seed: int, scenario: str):
-    """The evaluation's non-ideality model, or ``None`` for a nominal run.
-
-    Exactly the branch structure :func:`evaluate_mc` always had: the
-    default scenario builds the legacy :class:`VariationModel` (or nothing
-    at ε = 0); named scenarios build their registry model and collapse to
-    nominal only when the model itself is nominal.
-    """
-    if scenario == DEFAULT_SCENARIO:
-        if epsilon == 0.0:
-            return None
-        return VariationModel(epsilon, seed=seed)
-    variation = build_scenario_model(scenario, epsilon, seed=seed)
-    return None if variation.is_nominal else variation
-
-
 def _nominal_accuracy(params: PNNParams, x: np.ndarray,
                       y: np.ndarray) -> MonteCarloAccuracy:
     predictions = kernels.predict(params, x)              # (1, B)
@@ -191,14 +175,14 @@ def evaluate_mc(
     result is independent of ``batch_mc``.
 
     ``scenario`` selects the non-ideality model
-    (:data:`repro.core.variation.SCENARIOS`).  The default scenario takes
-    the pre-refactor ε-only branch unchanged; named scenarios build their
-    model at ``(epsilon, seed)`` and may be non-nominal even at ε = 0
-    (stuck-at defects still fabricate broken devices).
+    (:data:`repro.core.variation.SCENARIOS`), built at ``(epsilon,
+    seed)``.  The default scenario's uniform ε model is nominal at ε = 0;
+    other scenarios may not be (stuck-at defects still fabricate broken
+    devices).
     """
     params = _as_params(design)
     y = np.asarray(y, dtype=np.int64)
-    variation = _resolve_variation(epsilon, seed, scenario)
+    variation = active_scenario_model(scenario, epsilon, seed=seed)
     if variation is None:
         return _nominal_accuracy(params, x, y)
 
@@ -241,37 +225,16 @@ def plan_shards(n_test: int, shards: int,
     return spans
 
 
-#: Per-process cache of the latest mapped payload: every shard of one
-#: published evaluation that lands in a process reuses a single mapping.
-#: Keyed by the payload's three segment names, which are unique per
-#: publish, so a new payload evicts and closes the stale mapping.
-_SHARD_CACHE: Dict[Tuple[str, str, str], shm.MappedEvaluation] = {}
-
-
-def _shard_mapping(payload: shm.EvalPayload) -> shm.MappedEvaluation:
-    key = (payload.params.block.segment, payload.dataset.segment,
-           payload.epsilons.block.segment)
-    mapping = _SHARD_CACHE.get(key)
-    if mapping is None:
-        while _SHARD_CACHE:
-            _, stale = _SHARD_CACHE.popitem()
-            stale.close()
-        mapping = shm.map_evaluation(payload)
-        _SHARD_CACHE[key] = mapping
-    return mapping
-
-
-def _evaluate_shard(payload: shm.EvalPayload, start: int, stop: int,
-                    batch_mc: Optional[int]) -> np.ndarray:
+def _evaluate_shard(params: PNNParams, x: np.ndarray, y: np.ndarray, epsilons,
+                    start: int, stop: int, batch_mc: Optional[int]) -> np.ndarray:
     """Shard entry point — runs in pool workers (fork or spawn) or inline.
 
-    Maps the published payload zero-copy (once per process, via
-    :data:`_SHARD_CACHE`), evaluates its span, and returns only the fresh
-    accuracy rows — the one thing that crosses the pipe back.
+    ``epsilons`` is this shard's own slice of the pre-drawn stream (rows
+    ``[start, stop)`` of it); ``start``/``stop`` are the global positions
+    the ``mc.shard`` span records.  Returns the shard's accuracy rows.
     """
-    mapping = _shard_mapping(payload)
     if batch_mc is None:
-        batch_mc = _default_shard_batch(stop - start, mapping.x)
+        batch_mc = _default_shard_batch(stop - start, x)
     batch_mc = max(1, int(batch_mc))
     out = np.empty(stop - start, dtype=np.float64)
     with telemetry.get().span(
@@ -280,8 +243,7 @@ def _evaluate_shard(payload: shm.EvalPayload, start: int, stop: int,
         stop=int(stop),
         batch_mc=batch_mc,
     ):
-        _accuracy_rows(mapping.params, mapping.x, mapping.epsilons, mapping.y,
-                       start, stop, batch_mc, out)
+        _accuracy_rows(params, x, epsilons, y, 0, stop - start, batch_mc, out)
     return out
 
 
@@ -296,19 +258,18 @@ def evaluate_mc_sharded(
     scenario: str = DEFAULT_SCENARIO,
     shards: int = 1,
     pool=None,
-    store: Optional[shm.SharedArrayStore] = None,
-    dataset_key=None,
 ) -> MonteCarloAccuracy:
-    """Shard-parallel :func:`evaluate_mc` over the shared-memory data plane.
+    """Shard-parallel :func:`evaluate_mc`.
 
-    The parent pre-draws the *complete* ε stream exactly as the serial
-    loop does, publishes design, test set and stream once through
-    :mod:`repro.core.shm`, and evaluates :func:`plan_shards` spans — each
-    aligned to :data:`SAMPLE_BLOCK` boundaries, so each shard consumes
-    whole pre-drawn blocks.  Per-shard accuracy rows are merged by ordered
-    concatenation; because the kernels are chunk-invariant (the PR 1/PR 6
-    equality gates), the result is **bitwise identical** to serial
-    :func:`evaluate_mc` at every shard count, pooled or not.
+    Pre-draws the *complete* ε stream exactly as the serial loop does and
+    splits it into :func:`plan_shards` spans — each aligned to
+    :data:`SAMPLE_BLOCK` boundaries, so each shard consumes whole
+    pre-drawn blocks.  Each shard gets its own arrays: design, test set
+    and its ε slice, passed directly when inline and pickled by the pool
+    otherwise.  Per-shard accuracy rows are merged by ordered
+    concatenation; because the kernels are chunk-invariant, the result is
+    **bitwise identical** to serial :func:`evaluate_mc` at every shard
+    count, pooled or not.
 
     Parameters beyond :func:`evaluate_mc`'s:
 
@@ -318,60 +279,39 @@ def evaluate_mc_sharded(
       value is honored as-is.  Either way results do not change.
     - ``shards`` — requested shard count (clamped to whole ε blocks).
     - ``pool`` — optional executor (``fork`` or ``spawn``) to spread the
-      shards over; ``None`` evaluates them inline, same data plane.
-    - ``store`` — optional external :class:`~repro.core.shm.
-      SharedArrayStore` to publish through (reused across calls); the
-      per-call design/ε blocks are unpublished on exit either way, so
-      publish/unlink accounting stays balanced.
-    - ``dataset_key`` — cache key for the (x, y) block within ``store``,
-      letting many evaluations on one dataset publish it once.
+      shards over; ``None`` evaluates them inline.
 
     Nominal evaluations (``ε = 0`` in the default scenario, or a nominal
-    scenario model) early-return exactly like the serial path and touch no
-    shared memory.
+    scenario model) early-return exactly like the serial path.
     """
     params = _as_params(design)
     y = np.asarray(y, dtype=np.int64)
-    variation = _resolve_variation(epsilon, seed, scenario)
+    variation = active_scenario_model(scenario, epsilon, seed=seed)
     if variation is None:
         return _nominal_accuracy(params, x, y)
 
     epsilons = draw_variation_samples(params, variation, n_test)
-    spans = plan_shards(n_test, shards)
-    owns_store = store is None
-    if owns_store:
-        store = shm.SharedArrayStore()
-    payload = None
-    try:
-        with telemetry.get().span(
-            "mc.evaluate_sharded",
-            scenario=scenario,
-            epsilon=epsilon,
-            n_test=int(n_test),
-            shards=len(spans),
-            pooled=pool is not None,
-        ):
-            payload = shm.publish_evaluation(
-                store, params, x, y, epsilons, dataset_key=dataset_key
-            )
-            if pool is None:
-                rows = [
-                    _evaluate_shard(payload, start, stop, batch_mc)
-                    for start, stop in spans
-                ]
-            else:
-                futures = [
-                    pool.submit(_evaluate_shard, payload, start, stop, batch_mc)
-                    for start, stop in spans
-                ]
-                rows = [future.result() for future in futures]
-        return MonteCarloAccuracy(accuracies=np.concatenate(rows))
-    finally:
-        if owns_store:
-            store.close()
-        elif payload is not None:
-            store.unpublish(payload.params.block)
-            store.unpublish(payload.epsilons.block)
+    tasks = [
+        (params, x, y,
+         [(theta[start:stop], act[start:stop], neg[start:stop])
+          for theta, act, neg in epsilons],
+         start, stop, batch_mc)
+        for start, stop in plan_shards(n_test, shards)
+    ]
+    with telemetry.get().span(
+        "mc.evaluate_sharded",
+        scenario=scenario,
+        epsilon=epsilon,
+        n_test=int(n_test),
+        shards=len(tasks),
+        pooled=pool is not None,
+    ):
+        if pool is None:
+            rows = [_evaluate_shard(*task) for task in tasks]
+        else:
+            futures = [pool.submit(_evaluate_shard, *task) for task in tasks]
+            rows = [future.result() for future in futures]
+    return MonteCarloAccuracy(accuracies=np.concatenate(rows))
 
 
 def evaluate_mc_autograd(

@@ -491,9 +491,9 @@ def train_pnn_lanes(
         groups.append({"params": omega_params, "lr": base.lr_omega})
     optimizer = LaneAdam(groups)
 
-    # Per-lane RNG streams: one variation model per lane (scenario-built,
-    # legacy VariationModel for the default scenario), consumed only
-    # while the lane is active — the serial loop's exact consumption.
+    # Per-lane RNG streams: one scenario-built variation model per lane,
+    # consumed only while the lane is active — the serial loop's exact
+    # consumption.
     variations = [_training_variation(config) for config in configs]
     sample_variation = variations[0] is not None
     n_mc = base.n_mc_train if sample_variation else 1

@@ -33,8 +33,7 @@ def _frozen(array: np.ndarray) -> np.ndarray:
         and not array.flags.writeable
         and array.flags.c_contiguous
     ):
-        # Already in frozen form (e.g. a read-only shared-memory view from
-        # repro.core.shm) — adopt it, keeping zero-copy paths zero-copy.
+        # Already in frozen form — adopt it rather than copy.
         return array
     copy = np.array(array, dtype=np.float64, copy=True)
     copy.setflags(write=False)

@@ -55,8 +55,7 @@ from repro.core.params import snapshot_params
 from repro.core.pnn import PrintedNeuralNetwork
 from repro.core.variation import (
     DEFAULT_SCENARIO,
-    VariationModel,
-    build_scenario_model,
+    active_scenario_model,
     model_has_overrides,
     sample_role,
 )
@@ -77,10 +76,10 @@ class TrainConfig:
     stacked configs (``repro.core.lanes.LANE_SHARED_FIELDS``).
 
     ``scenario`` names the non-ideality configuration to train under
-    (``repro.core.variation.SCENARIOS``).  The ``"default"`` scenario is
-    the legacy ε-only path — bit-identical to pre-scenario behavior; named
-    scenarios build their model through the registry (and may be
-    non-nominal even at ε = 0, e.g. stuck-at defects).
+    (``repro.core.variation.SCENARIOS``).  Every scenario builds its model
+    through the registry; the ``"default"`` scenario's ``VariationModel``
+    is bit-identical to pre-scenario behavior, and named scenarios may be
+    non-nominal even at ε = 0 (e.g. stuck-at defects).
     """
 
     lr_theta: float = 0.1
@@ -143,29 +142,17 @@ def draw_epoch_epsilons(variation, n_mc: int, pnn: PrintedNeuralNetwork):
 def _training_variation(config: TrainConfig):
     """The training-draw model for ``config``, or ``None`` for nominal runs.
 
-    The default scenario reproduces the legacy behavior byte for byte: a
-    ``VariationModel(config.epsilon, seed=config.seed)`` when ε > 0, no
-    sampling at all otherwise.  Named scenarios build their model through
-    the registry; a scenario model that is non-nominal even at ε = 0
-    (e.g. stuck-at defects) turns Monte-Carlo sampling on.
+    A scenario model that is non-nominal even at ε = 0 (e.g. stuck-at
+    defects) turns Monte-Carlo sampling on.
     """
-    model = build_scenario_model(config.scenario, config.epsilon, seed=config.seed)
-    if model is None:
-        if not config.variation_aware:
-            return None
-        return VariationModel(config.epsilon, seed=config.seed)
-    return None if model.is_nominal else model
+    return active_scenario_model(config.scenario, config.epsilon, seed=config.seed)
 
 
 def _validation_variation(config: TrainConfig):
     """The validation-draw model at ``seed + VALIDATION_SEED_OFFSET``."""
-    val_seed = config.seed + VALIDATION_SEED_OFFSET
-    model = build_scenario_model(config.scenario, config.epsilon, seed=val_seed)
-    if model is None:
-        if not config.variation_aware:
-            return None
-        return VariationModel(config.epsilon, seed=val_seed)
-    return None if model.is_nominal else model
+    return active_scenario_model(
+        config.scenario, config.epsilon, seed=config.seed + VALIDATION_SEED_OFFSET
+    )
 
 
 def _validation_epsilons(pnn: PrintedNeuralNetwork, config: TrainConfig, val_variation):

@@ -25,8 +25,10 @@ Networks") — so this module generalizes the seam:
   multiply; a later model's override wins).
 - The scenario registry (:data:`SCENARIOS`, :func:`build_scenario_model`)
   names the non-ideality configurations reachable from the experiments
-  CLI; ``"default"`` builds *no* model object at all, keeping the legacy
-  code path untouched.
+  CLI; ``"default"`` builds the paper's :class:`VariationModel`.
+  :func:`active_scenario_model` is the same lookup returning ``None`` for
+  a nominal model, which is how training, validation and evaluation
+  decide whether to sample at all.
 """
 
 from __future__ import annotations
@@ -426,15 +428,12 @@ class ComposedModel(NonIdealityModel):
 class Scenario:
     """A named, CLI-reachable non-ideality configuration.
 
-    ``build(epsilon, seed)`` returns the model to train/evaluate with, or
-    ``None`` for the default scenario — the experiments layer then takes
-    its pre-refactor legacy branch, which is what keeps the default
-    bit-identical to recorded results.
+    ``build(epsilon, seed)`` returns the model to train and evaluate with.
     """
 
     name: str
     description: str
-    build: Callable[[float, Optional[int]], Optional[NonIdealityModel]] = field(repr=False)
+    build: Callable[[float, Optional[int]], NonIdealityModel] = field(repr=False)
 
 
 #: The scenario the whole pre-refactor stack is equivalent to.
@@ -444,8 +443,8 @@ DEFAULT_SCENARIO = "default"
 _DEFECT_SEED_OFFSET = 60013
 
 
-def _build_default(epsilon: float, seed: Optional[int]) -> None:
-    return None
+def _build_default(epsilon: float, seed: Optional[int]) -> VariationModel:
+    return VariationModel(epsilon, seed=seed)
 
 
 def _build_gaussian(epsilon: float, seed: Optional[int]) -> GaussianVariationModel:
@@ -483,12 +482,12 @@ def scenario_names() -> Tuple[str, ...]:
 
 
 def build_scenario_model(name: str, epsilon: float,
-                         seed: Optional[int] = None) -> Optional[NonIdealityModel]:
+                         seed: Optional[int] = None) -> NonIdealityModel:
     """Build the non-ideality model for scenario ``name`` at level ``epsilon``.
 
-    Returns ``None`` for the default scenario: callers must then follow the
-    legacy ε-only branch (``VariationModel`` construction inline), which is
-    pinned bit-identical to pre-refactor behavior.
+    The default scenario builds ``VariationModel(epsilon, seed=seed)``,
+    whose draws are pinned bit-identical to the recorded results
+    (``tests/core/test_default_scenario_pinned.py``).
     """
     try:
         scenario = SCENARIOS[name]
@@ -496,3 +495,14 @@ def build_scenario_model(name: str, epsilon: float,
         known = ", ".join(sorted(SCENARIOS))
         raise ValueError(f"unknown scenario {name!r}; known scenarios: {known}") from None
     return scenario.build(epsilon, seed)
+
+
+def active_scenario_model(name: str, epsilon: float,
+                          seed: Optional[int] = None) -> Optional[NonIdealityModel]:
+    """Scenario ``name``'s model at ``epsilon``, or ``None`` when it is nominal.
+
+    Training, validation and MC evaluation draw nothing for a nominal
+    model: ``None`` tells them to run the single nominal forward pass.
+    """
+    model = build_scenario_model(name, epsilon, seed=seed)
+    return None if model.is_nominal else model

@@ -107,12 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="max same-group seeds trained in one lockstep "
                              "lane batch; results are bit-identical for any "
                              "width (default: 8)")
-    table2.add_argument("--lane-grouping", choices=("setup", "off"),
-                        default="setup",
-                        help="'setup' stacks all seeds of one (dataset, "
-                             "setup, ϵ_train) group into lanes; 'off' "
-                             "recovers the historical per-job scheduling "
-                             "(default: setup)")
     table2.add_argument("--scenario", action="append", dest="scenarios",
                         choices=scenario_names(), metavar="NAME", default=None,
                         help="non-ideality scenario to sweep (repeatable); "
@@ -120,9 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default: default ε-only)")
     table2.add_argument("--mc-shards", type=int, default=None, metavar="S",
                         help="split each cell's Monte-Carlo test evaluation "
-                             "into S shards over the shared-memory data "
-                             "plane; results are bit-identical for any S "
-                             "(default: profile setting)")
+                             "into S shards, spread over worker processes "
+                             "when --workers > 1; results are bit-identical "
+                             "for any S (default: profile setting)")
     table2.add_argument("--deploy-verify", metavar="ROWSxCOLS", default=None,
                         help="after assembly, tile every selected design "
                              "onto ROWSxCOLS crossbar arrays and re-simulate "
@@ -298,7 +292,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"error: --resume given but no cache at {cache_dir}", file=sys.stderr)
                 return 2
             cache = ResultCache(cache_dir)
-        lane_width = 1 if args.lane_grouping == "off" else max(1, args.lane_width)
+        lane_width = max(1, args.lane_width)
         scenarios = tuple(dict.fromkeys(args.scenarios or (DEFAULT_SCENARIO,)))
         mc_shards = (
             profile.mc_shards if args.mc_shards is None else max(1, args.mc_shards)

@@ -22,9 +22,8 @@ seed jobs as it did before lanes existed.  ``lane_width=1`` disables the
 first tier and recovers the historical per-job pool exactly.  The
 **third tier is MC-evaluation sharding** (``mc_shards``): after training,
 the assembly pass splits each cell's ``n_test`` fabrications into
-ε-block-aligned shards evaluated through the zero-copy shared-memory
-data plane (:mod:`repro.core.shm`), pooled when ``workers > 1`` —
-bitwise identical to the serial evaluation at any shard count.
+ε-block-aligned shards, pooled when ``workers > 1`` — bitwise identical
+to the serial evaluation at any shard count.
 
 Determinism contract
 --------------------
@@ -51,7 +50,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro.core import evaluate_mc, evaluate_mc_sharded, surrogate_fingerprint
-from repro.core.shm import SharedArrayStore
 from repro.core.variation import DEFAULT_SCENARIO
 from repro.datasets import load_splits
 from repro.experiments.cache import ResultCache, RunJournal, job_digest
@@ -61,7 +59,6 @@ from repro.experiments.jobs import (
     JobKey,
     JobOutcome,
     enumerate_jobs,
-    execute_job,
     execute_job_lanes,
     group_jobs_into_lanes,
     iter_cells,
@@ -77,20 +74,13 @@ from repro.experiments.runner import (
 _FORK_STATE: Dict[str, object] = {}
 
 
-def _forked_execute(key: JobKey) -> JobOutcome:
-    """Worker entry point under the ``fork`` start method.
-
-    Reads config/surrogates from :data:`_FORK_STATE`, which the child
-    inherited from the parent at fork time — avoiding a per-task pickle
-    of the surrogate bundle.
-    """
-    return execute_job(key, _FORK_STATE["config"], _FORK_STATE["surrogates"])
-
-
 def _forked_execute_batch(keys: List[JobKey]) -> List[JobOutcome]:
     """Worker entry point for one lane batch (second-tier pool task).
 
-    A width-1 batch falls through to :func:`execute_job` inside
+    Reads config/surrogates from :data:`_FORK_STATE`, which the child
+    inherited from the parent at fork time — avoiding a per-task pickle
+    of the surrogate bundle.  A width-1 batch falls through to
+    :func:`~repro.experiments.jobs.execute_job` inside
     :func:`execute_job_lanes`, so the pool handles mixed batch widths
     with one code path.
     """
@@ -161,11 +151,10 @@ def run_table2_parallel(
         Shard count for the Monte-Carlo test evaluations (third-tier
         parallelism; ``None`` takes ``config.mc_shards``).  Shards > 1
         route every non-nominal evaluation through
-        :func:`repro.core.evaluation.evaluate_mc_sharded` over the
-        shared-memory data plane, spread across a pool when
-        ``workers > 1``.  Bitwise identical to serial evaluation at any
-        count, and — like ``workers`` and ``lane_width`` — outside the
-        cache digest.
+        :func:`repro.core.evaluation.evaluate_mc_sharded`, spread across
+        a pool when ``workers > 1``.  Bitwise identical to serial
+        evaluation at any count, and — like ``workers`` and
+        ``lane_width`` — outside the cache digest.
     deploy_tile:
         Optional ``(max_rows, max_cols)`` crossbar tile bound.  When set,
         every selected best-of-seeds design is additionally tiled and
@@ -347,28 +336,23 @@ def _assemble(
     loop — so the selected designs (and hence the reported cells) match
     the serial run exactly.  Each scenario assembles its own grid, and
     the MC test evaluation draws from that scenario's model (the default
-    scenario takes the historical ε-only branch unchanged).
+    scenario's ``VariationModel`` draws the historical ε stream).
 
     With ``mc_shards > 1`` evaluations run through
-    :func:`~repro.core.evaluation.evaluate_mc_sharded`: one
-    :class:`~repro.core.shm.SharedArrayStore` spans the whole assembly so
-    each dataset's test split is published to shared memory once, and an
-    evaluation pool (``fork`` preferred) is kept when ``eval_workers > 1``
-    — the third parallelism tier.  Results are bitwise identical to the
-    serial ``evaluate_mc`` path either way.
+    :func:`~repro.core.evaluation.evaluate_mc_sharded`, over an
+    evaluation pool (``fork`` preferred) kept for the whole assembly when
+    ``eval_workers > 1`` — the third parallelism tier.  Results are
+    bitwise identical to the serial ``evaluate_mc`` path either way.
     """
     results: List[CellResult] = []
     designs: Dict[Tuple[str, bool, bool, float, str], Tuple[object, int, float]] = {}
     splits_by_dataset: Dict[str, object] = {}
-    store: Optional[SharedArrayStore] = None
     eval_pool: Optional[ProcessPoolExecutor] = None
-    if mc_shards > 1:
-        store = SharedArrayStore()
-        if eval_workers > 1:
-            eval_pool = ProcessPoolExecutor(
-                max_workers=min(eval_workers, mc_shards),
-                mp_context=_pool_context(),
-            )
+    if mc_shards > 1 and eval_workers > 1:
+        eval_pool = ProcessPoolExecutor(
+            max_workers=min(eval_workers, mc_shards),
+            mp_context=_pool_context(),
+        )
     try:
         for scenario in scenarios:
             for dataset, setup, eps_test in iter_cells(datasets):
@@ -409,7 +393,6 @@ def _assemble(
                         epsilon=eps_test, n_test=config.n_test,
                         seed=mc_evaluation_seed(best_seed), scenario=scenario,
                         shards=mc_shards, pool=eval_pool,
-                        store=store, dataset_key=("dataset", dataset),
                     )
                 else:
                     accuracy = evaluate_mc(
@@ -432,6 +415,4 @@ def _assemble(
     finally:
         if eval_pool is not None:
             eval_pool.shutdown()
-        if store is not None:
-            store.close()
     return results

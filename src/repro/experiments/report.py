@@ -266,24 +266,19 @@ def _scenario_section(events: List[Dict], counters: Dict[str, float]) -> List[st
     return lines
 
 
-def _sharding_section(events: List[Dict], counters: Dict[str, float]) -> List[str]:
-    """Shard utilization of the MC-evaluation data plane.
+def _sharding_section(events: List[Dict]) -> List[str]:
+    """Shard utilization of sharded MC evaluation.
 
-    Summarizes ``mc.evaluate_sharded`` spans, breaks the ``mc.shard``
+    Summarizes ``mc.evaluate_sharded`` spans and breaks the ``mc.shard``
     worker spans down per process (shards executed, MC rows produced,
-    wall attributed), and audits the shared-memory segment accounting —
-    the ``shm.publish`` / ``shm.unlink`` counters must balance or the run
-    leaked ``/dev/shm`` segments.  Runs recorded before sharding existed
-    produce no section.
+    wall attributed).  Runs without sharded evaluations produce no
+    section.
     """
     sharded = [e for e in events
                if e.get("kind") == "span" and e.get("name") == "mc.evaluate_sharded"]
     shard_spans = [e for e in events
                    if e.get("kind") == "span" and e.get("name") == "mc.shard"]
-    published = int(counters.get("shm.publish", 0))
-    mapped = int(counters.get("shm.map", 0))
-    unlinked = int(counters.get("shm.unlink", 0))
-    if not sharded and not shard_spans and not published:
+    if not sharded and not shard_spans:
         return []
     lines = ["mc sharding:"]
     if sharded:
@@ -309,16 +304,6 @@ def _sharding_section(events: List[Dict], counters: Dict[str, float]) -> List[st
             wall = sum(float(s.get("dur_s", 0.0)) for s in spans)
             rows.append([str(pid), str(len(spans)), str(rows_done), f"{wall:.2f}s"])
         lines.extend(_rows_to_table(["pid", "shards", "mc_rows", "wall"], rows))
-    if published or mapped or unlinked:
-        mbytes = counters.get("shm.publish_bytes", 0.0) / 1e6
-        balance = (
-            "balanced" if published == unlinked
-            else f"LEAK: {published - unlinked} live"
-        )
-        lines.append(
-            f"shm segments: {published} published ({mbytes:.1f} MB), "
-            f"{mapped} mapped, {unlinked} unlinked ({balance})"
-        )
     return lines
 
 
@@ -428,7 +413,7 @@ def render_telemetry_report(
         _surrogate_section(events),
         _training_section(events, counters),
         _lanes_section(events, counters),
-        _sharding_section(events, counters),
+        _sharding_section(events),
         _scenario_section(events, counters),
         _export_section(events, counters),
     ):

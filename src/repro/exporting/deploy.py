@@ -63,7 +63,7 @@ from repro.core.kernels import (
 )
 from repro.core.params import PNNParams, snapshot_params
 from repro.core.pnn import PrintedNeuralNetwork
-from repro.core.variation import Perturbation, VariationModel, build_scenario_model
+from repro.core.variation import Perturbation, build_scenario_model
 from repro.spice.netlist import GROUND, Netlist
 from repro.spice.plan import ParamBatch, StampPlan, compile_netlist
 from repro.spice.batch import solve_dc_batch
@@ -232,8 +232,6 @@ def _scenario_epsilons(name: str, params: PNNParams, epsilon: float,
     if name == "nominal":
         return None
     model = build_scenario_model(name, epsilon, seed=seed)
-    if model is None:  # "default" scenario = legacy ε-uniform branch
-        model = VariationModel(epsilon, seed=seed)
     return [sample_layer_epsilons(model, n_mc, layer) for layer in params.layers]
 
 

@@ -3,7 +3,7 @@
 from repro.optim.sgd import SGD, RawParameter
 from repro.optim.adam import Adam
 from repro.optim.early_stopping import EarlyStopping
-from repro.optim.lanes import LaneAdam, LaneSGD
+from repro.optim.lanes import LaneAdam
 from repro.optim.schedulers import StepLR, CosineAnnealingLR
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "EarlyStopping",
     "RawParameter",
     "LaneAdam",
-    "LaneSGD",
     "StepLR",
     "CosineAnnealingLR",
 ]

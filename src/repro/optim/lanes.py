@@ -1,22 +1,21 @@
-"""Lane-aware optimizers: per-lane Adam/SGD state over stacked parameters.
+"""Lane-aware optimizer: per-lane Adam state over stacked parameters.
 
 The lane training engine (:mod:`repro.core.lanes`) stacks ``L`` independent
 jobs' parameters on a leading axis — one :class:`~repro.optim.RawParameter`
-holds ``(L, ...)`` data and receives ``(L, ...)`` gradients.  Because every
-Adam/SGD update is elementwise, a single stacked update *is* ``L``
-independent per-lane updates, bitwise: lane ``l`` of a stacked step equals
-a serial step on lane ``l``'s slice (pinned by
-``tests/optim/test_lane_optimizers.py``).
+holds ``(L, ...)`` data and receives ``(L, ...)`` gradients.  Because the
+Adam update is elementwise, a single stacked update *is* ``L`` independent
+per-lane updates, bitwise: lane ``l`` of a stacked step equals a serial
+step on lane ``l``'s slice (pinned by ``tests/optim/test_lane_optimizers.py``).
 
 Adam's scalar bias-correction step counter is deliberately shared across
 the stack: all lanes of a batch start at step 0 and step together every
 epoch until they are *removed* (never skipped), so the shared counter
 always equals each surviving lane's private counter.
 
-:meth:`LaneAdam.compact` / :meth:`LaneSGD.compact` mirror the active-set
-compaction of ``solve_dc_batch``: when lanes early-stop, the caller slices
-``param.data`` down to the surviving lanes and calls ``compact(keep)`` so
-the optimizer moments follow.  Slicing is a gather (fancy-index copy) —
+:meth:`LaneAdam.compact` mirrors the active-set compaction of
+``solve_dc_batch``: when lanes early-stop, the caller slices ``param.data``
+down to the surviving lanes and calls ``compact(keep)`` so the optimizer
+moments follow.  Slicing is a gather (fancy-index copy) —
 surviving lanes' state is byte-identical before and after.
 """
 
@@ -25,7 +24,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.optim.adam import Adam
-from repro.optim.sgd import SGD, ParamGroups
 
 
 class LaneAdam(Adam):
@@ -52,17 +50,3 @@ class LaneAdam(Adam):
                 state["m"] = state["m"][keep]
                 state["v"] = state["v"][keep]
 
-
-class LaneSGD(SGD):
-    """SGD (optionally with momentum) over lane-stacked parameters."""
-
-    def __init__(self, params: ParamGroups, lr: float = 0.01, momentum: float = 0.0):
-        super().__init__(params, lr=lr, momentum=momentum)
-
-    def compact(self, keep: Sequence[int]) -> None:
-        """Gather the momentum buffers down to the surviving lanes."""
-        keep = list(keep)
-        for _, param in self.iter_params():
-            velocity = self._velocity.get(id(param))
-            if velocity is not None:
-                self._velocity[id(param)] = velocity[keep]

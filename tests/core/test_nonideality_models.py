@@ -27,6 +27,7 @@ from repro.core.variation import (
     eps_concat,
     eps_stack,
     model_has_overrides,
+    sample_role,
     scenario_names,
 )
 
@@ -219,8 +220,13 @@ class TestApplyNonideality:
 
 
 class TestScenarioRegistry:
-    def test_default_builds_no_model(self):
-        assert build_scenario_model(DEFAULT_SCENARIO, 0.1, seed=0) is None
+    def test_default_draws_like_variation_model(self):
+        model = build_scenario_model(DEFAULT_SCENARIO, 0.1, seed=3)
+        reference = VariationModel(0.1, seed=3)
+        assert type(model) is VariationModel
+        for shape, role in (((5, 3), "theta"), ((2, 7), "act"), ((2, 7), "neg")):
+            assert_array_equal(sample_role(model, 4, shape, role),
+                               reference.sample(4, shape))
 
     def test_known_scenarios(self):
         assert set(scenario_names()) == {"default", "gaussian", "stuck-1pct", "correlated"}

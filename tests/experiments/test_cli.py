@@ -24,6 +24,12 @@ class TestParser:
             cli._build_parser().parse_args(["table2", "--backend", "numpy"])
         assert "--backend" in capsys.readouterr().err
 
+    def test_table2_has_no_lane_grouping_flag(self, capsys):
+        # "--lane-grouping off" was a second spelling of "--lane-width 1".
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(["table2", "--lane-grouping", "off"])
+        assert "--lane-grouping" in capsys.readouterr().err
+
 
 class TestCellCommand:
     def test_runs_one_cell(self, capsys, monkeypatch, analytic_surrogates):

@@ -82,23 +82,16 @@ class TestReportSection:
                 "attrs": attrs}
 
     def test_empty_without_sharding_events(self):
-        assert _sharding_section([], {}) == []
+        assert _sharding_section([]) == []
 
-    def test_renders_utilization_and_balanced_accounting(self):
+    def test_renders_utilization(self):
         events = [
             self._span("mc.evaluate_sharded", shards=2, pooled=True),
             self._span("mc.shard", pid=11, start=0, stop=40),
             self._span("mc.shard", pid=12, start=40, stop=60),
         ]
-        counters = {"shm.publish": 3, "shm.publish_bytes": 2e6,
-                    "shm.map": 6, "shm.unlink": 3}
-        lines = _sharding_section(events, counters)
+        lines = _sharding_section(events)
         text = "\n".join(lines)
         assert lines[0] == "mc sharding:"
         assert "1 pooled" in text
         assert "11" in text and "40" in text
-        assert "balanced" in text and "LEAK" not in text
-
-    def test_flags_leaked_segments(self):
-        lines = _sharding_section([], {"shm.publish": 4, "shm.unlink": 2})
-        assert any("LEAK: 2 live" in line for line in lines)

@@ -55,9 +55,9 @@ class TestResume:
         # Simulate resume-after-kill: a fresh invocation over the same cache
         # dir must never re-enter training.
         def boom(*args, **kwargs):
-            raise AssertionError("execute_job called despite a full cache")
+            raise AssertionError("execute_job_lanes called despite a full cache")
 
-        monkeypatch.setattr(parallel, "execute_job", boom)
+        monkeypatch.setattr(parallel, "execute_job_lanes", boom)
         second = run_table2_parallel(
             ["iris"], MICRO, surrogates=analytic_surrogates, workers=1, cache=cache,
         )

@@ -1,6 +1,6 @@
 """Lane-stacked optimizer state vs per-lane serial optimizers, bit for bit.
 
-Adam's and SGD's updates are elementwise, so one stacked step over a
+Adam's update is elementwise, so one stacked step over a
 ``(L, ...)`` parameter must equal ``L`` independent per-lane steps exactly
 (no tolerance).  ``compact(keep)`` is a gather: surviving lanes' moments
 are byte-identical before and after, so a run that compacts mid-stream
@@ -10,7 +10,7 @@ still finishes bitwise equal to the serial lanes that ran start to end.
 import numpy as np
 import pytest
 
-from repro.optim import Adam, LaneAdam, LaneSGD, RawParameter, SGD
+from repro.optim import Adam, LaneAdam, RawParameter
 
 
 def lane_grads(rng, n_lanes, shape, steps):
@@ -50,8 +50,6 @@ def run_serial(opt_cls, data, grads, lane, steps=None, **kwargs):
     "stacked_cls,serial_cls,kwargs",
     [
         (LaneAdam, Adam, {}),
-        (LaneSGD, SGD, {"momentum": 0.9}),
-        (LaneSGD, SGD, {}),
     ],
 )
 class TestStackedEqualsSerial:
@@ -97,18 +95,6 @@ class TestCompactBookkeeping:
 
     def test_compact_before_first_step_is_noop(self):
         param = RawParameter(np.zeros((3, 2)), "p")
-        for optimizer in (
-            LaneAdam([{"params": [param], "lr": 0.05}]),
-            LaneSGD([{"params": [param], "lr": 0.05}], momentum=0.9),
-        ):
-            optimizer.compact([0, 1])             # no state yet; must not raise
+        optimizer = LaneAdam([{"params": [param], "lr": 0.05}])
+        optimizer.compact([0, 1])                 # no state yet; must not raise
 
-    def test_sgd_velocity_gathered(self):
-        param = RawParameter(np.zeros((3, 2)), "p")
-        optimizer = LaneSGD([{"params": [param], "lr": 0.05}], momentum=0.9)
-        param.grad = np.arange(6, dtype=float).reshape(3, 2)
-        optimizer.step()
-        before = optimizer._velocity[id(param)].copy()
-        param.data = param.data[[1, 2]]
-        optimizer.compact([1, 2])
-        np.testing.assert_array_equal(optimizer._velocity[id(param)], before[[1, 2]])
