@@ -1,7 +1,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test test-all lint verify bench bench-surrogate bench-lanes bench-scenarios bench-sharding bench-export
+.PHONY: test test-all lint verify bench bench-e2e bench-surrogate bench-scenarios bench-sharding bench-export
 
 test:              ## fast tier: everything not marked @pytest.mark.slow
 	python -m pytest -x -q -m "not slow"
@@ -18,11 +18,11 @@ verify: 	   ## tier-1 tests + 2-worker smoke table2 (the CI gate)
 bench:             ## regenerate every table & figure at $(REPRO_BENCH_PROFILE)
 	python -m pytest benchmarks/ --benchmark-only
 
+bench-e2e:         ## end-to-end benchmark: four workloads, golden-checked (BENCHMARK.json)
+	python3 benchmarks/e2e/run.py
+
 bench-surrogate:   ## scalar-vs-batched surrogate build benchmark + artifact
 	python -m pytest benchmarks/bench_surrogate_build.py -q -s
-
-bench-lanes:       ## serial-vs-lockstep lane training benchmark + artifact
-	python -m pytest benchmarks/bench_training_lanes.py -q -s
 
 bench-scenarios:   ## non-ideality scenario grid benchmark + artifact
 	python -m pytest benchmarks/bench_scenario_grid.py -q -s

@@ -8,9 +8,10 @@ variation streams:
 - ``engine="autograd"`` — the original path: a fresh dynamic tape over the
   full MC batch every epoch, Tensor-wrapped Adam state, an eager
   state-dict snapshot per epoch;
-- ``engine="kernel"`` — the refactored path: hand-derived backward kernels
-  over raw parameter arrays (:mod:`repro.core.grad_kernels`), preallocated
-  workspaces, lazy best-state snapshots.
+- ``engine="kernel"`` — a one-lane run of the lane training loop
+  (:func:`repro.core.lanes.train_pnn_lanes`): hand-derived backward
+  kernels over raw parameter arrays (:mod:`repro.core.grad_kernels`),
+  preallocated workspaces, lazy best-state snapshots.
 
 Both engines consume the identical RNG streams and produce per-epoch loss
 histories equal to ≤ 1e-9 relative (asserted below); the headline number is

@@ -15,7 +15,7 @@ import pytest
 
 from repro import default_artifacts_dir, get_default_bundle
 from repro.datasets import DATASET_NAMES
-from repro.experiments import profile_from_env, run_table2
+from repro.experiments import profile_from_env, run_table2_parallel
 
 
 def pytest_configure(config):
@@ -43,7 +43,7 @@ def output_dir() -> Path:
 @pytest.fixture(scope="session")
 def table2_results(profile, bundle):
     """Run the full Table-II grid once per session at the selected profile."""
-    return run_table2(list(DATASET_NAMES), profile, surrogates=bundle)
+    return run_table2_parallel(list(DATASET_NAMES), profile, surrogates=bundle, workers=1)
 
 
 def save_and_print(output_dir: Path, name: str, text: str) -> None:

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 tests + a 2-worker smoke Table-II run on one
-# dataset, so the parallel/cache path is exercised end-to-end on every PR.
+# dataset, so the parallel/cache path is exercised end-to-end on every PR,
+# then the end-to-end benchmark's tests and a correctness-only run of it.
 #
 #   bash scripts/ci.sh          # or: make verify
 set -euo pipefail
@@ -151,7 +152,7 @@ print(f"surrogate smoke OK: engines identical; telemetry audited "
       f"{len(solves)} solves / {lanes} lanes, 0 scalar fallbacks")
 EOF
 
-echo "== lane-equality smoke (lockstep lanes vs serial jobs, telemetry-gated) =="
+echo "== lane-equality smoke (3-lane batch vs one-lane batches, telemetry-gated) =="
 TEL_LANES="$SMOKE_ROOT/telemetry_lanes"
 TEL_LANES="$TEL_LANES" python - <<'EOF'
 import os
@@ -160,7 +161,6 @@ from repro import telemetry
 from repro.experiments import (
     ExperimentConfig,
     enumerate_jobs,
-    execute_job,
     execute_job_lanes,
     group_jobs_into_lanes,
     run_table2_parallel,
@@ -176,7 +176,7 @@ sur = default_surrogates()
 
 batch = next(b for b in group_jobs_into_lanes(enumerate_jobs(["iris"], cfg), 8)
              if b[0].learnable and b[0].variation_aware)
-serial = [execute_job(key, cfg, sur) for key in batch]
+one_lane = [execute_job_lanes([key], cfg, sur)[0] for key in batch]
 
 tel = telemetry.enable(os.environ["TEL_LANES"], manifest={"command": "ci-lane-smoke"})
 laned = execute_job_lanes(batch, cfg, sur)
@@ -184,7 +184,7 @@ cells = run_table2_parallel(["iris"], cfg, surrogates=sur, workers=1, lane_width
 telemetry.disable()
 
 # Gate 1: per-lane bit-identity — losses, epochs and trained parameters.
-for s, l in zip(serial, laned):
+for s, l in zip(one_lane, laned):
     assert l.key == s.key
     assert l.val_loss == s.val_loss, (s.key, s.val_loss, l.val_loss)
     assert l.best_epoch == s.best_epoch and l.epochs_run == s.epochs_run
@@ -192,7 +192,7 @@ for s, l in zip(serial, laned):
         assert np.array_equal(sl.theta, ll.theta)
         assert np.array_equal(sl.act_omega, ll.act_omega)
         assert np.array_equal(sl.neg_omega, ll.neg_omega)
-assert len({r.epochs_run for r in serial}) > 1, \
+assert len({r.epochs_run for r in one_lane}) > 1, \
     "smoke config regression: lanes no longer stop at different epochs"
 
 # Gate 2: the assembled table at lane_width=8 equals lane_width=1.
@@ -203,12 +203,14 @@ sig = lambda rs: [(c.dataset, c.setup.learnable, c.setup.variation_aware,
                   for c in rs]
 assert sig(cells) == sig(reference), "lane_width=8 != lane_width=1 cells"
 
-# Gate 3 (telemetry): every job rode a lane — none fell back to serial —
-# and the active-lane count actually shrank mid-run.
+# Gate 3 (telemetry): every planned batch stacked more than one lane —
+# grouping did not degenerate — and the active-lane count actually shrank
+# mid-run.
 events = telemetry.read_events(os.environ["TEL_LANES"])
 counters = telemetry.summarize_events(events)["counters"]
-assert int(counters.get("lanes.serial_jobs", 0)) == 0, \
-    f"{counters.get('lanes.serial_jobs')} jobs fell back to serial scheduling!"
+widths = [w for e in events if e["kind"] == "event" and e["name"] == "lanes.plan"
+          for w in e["attrs"]["widths"]]
+assert widths and min(widths) > 1, f"lane grouping degenerated: batch widths {widths}"
 assert int(counters.get("lanes.trained", 0)) >= len(batch)
 shrinks = [e for e in events if e["kind"] == "event" and e["name"] == "lanes.shrink"]
 assert shrinks, "no lanes.shrink events recorded"
@@ -216,12 +218,12 @@ assert any(int(e["attrs"]["active"]) > 0 for e in shrinks), \
     "active set only ever emptied wholesale — no mid-run shrink observed"
 runs = [e for e in events if e["kind"] == "event" and e["name"] == "lanes.run"]
 assert runs and all(int(e["attrs"]["lane_epochs"]) > 0 for e in runs)
-print(f"lane smoke OK: {len(serial)} lanes bitwise equal to serial "
-      f"(stops at epochs {sorted(r.epochs_run for r in serial)}); "
-      f"{len(shrinks)} shrink events, 0 serial fallbacks")
+print(f"lane smoke OK: {len(one_lane)} lanes bitwise equal to one-lane runs "
+      f"(stops at epochs {sorted(r.epochs_run for r in one_lane)}); "
+      f"{len(shrinks)} shrink events, batch widths {sorted(set(widths))}")
 EOF
 
-echo "== scenario smoke (stuck-at non-idealities through kernel + lanes, telemetry-gated) =="
+echo "== scenario smoke (stuck-at non-idealities through one-lane + 2-lane batches, telemetry-gated) =="
 TEL_SCEN="$SMOKE_ROOT/telemetry_scenarios"
 TEL_SCEN="$TEL_SCEN" python - <<'EOF'
 import os
@@ -230,7 +232,6 @@ from repro import telemetry
 from repro.experiments import (
     ExperimentConfig,
     enumerate_jobs,
-    execute_job,
     execute_job_lanes,
     group_jobs_into_lanes,
     run_table2_parallel,
@@ -239,7 +240,7 @@ from repro.experiments import (
 from repro.experiments.runner import default_surrogates
 
 # Tiny grid, but a *defect-bearing* scenario: stuck-at overrides must run
-# through both engines, not just the multiplicative ε path.
+# through one-lane and stacked batches, not just the multiplicative ε path.
 cfg = ExperimentConfig(seeds=(1, 2), max_epochs=8, patience=8,
                        n_mc_train=3, n_test=6, max_train=60)
 sur = default_surrogates()
@@ -249,8 +250,8 @@ batch = next(b for b in group_jobs_into_lanes(jobs, 8)
              if b[0].learnable and b[0].variation_aware)
 assert all(key.scenario == "stuck-1pct" for key in batch)
 
-# engine=kernel (serial per-job path), no telemetry — the reference.
-serial = [execute_job(key, cfg, sur) for key in batch]
+# One-lane batches, no telemetry — the reference.
+one_lane = [execute_job_lanes([key], cfg, sur)[0] for key in batch]
 
 tel = telemetry.enable(os.environ["TEL_SCEN"],
                        manifest={"command": "ci-scenario-smoke"})
@@ -259,8 +260,8 @@ cells = run_table2_parallel(["iris"], cfg, surrogates=sur, workers=1,
                             scenarios=("default", "stuck-1pct"))
 telemetry.disable()
 
-# Gate 1: lanes bitwise equal to the serial kernel path under defects.
-for s, l in zip(serial, laned):
+# Gate 1: the stacked batch is bitwise equal to one-lane runs under defects.
+for s, l in zip(one_lane, laned):
     assert l.key == s.key
     assert l.val_loss == s.val_loss, (s.key, s.val_loss, l.val_loss)
     assert l.best_epoch == s.best_epoch and l.epochs_run == s.epochs_run
@@ -277,12 +278,13 @@ means = lambda rs: [c.mean for c in rs]
 assert means(buckets["default"]) != means(buckets["stuck-1pct"]), \
     "stuck-at scenario produced identical cells to the default!"
 
-# Gate 3 (telemetry): lanes carried every job (no serial fallbacks) and
+# Gate 3 (telemetry): every planned batch stacked more than one lane and
 # the defect counters prove overrides were actually injected.
 events = telemetry.read_events(os.environ["TEL_SCEN"])
 counters = telemetry.summarize_events(events)["counters"]
-assert int(counters.get("lanes.serial_jobs", 0)) == 0, \
-    f"{counters.get('lanes.serial_jobs')} jobs fell back to serial scheduling!"
+widths = [w for e in events if e["kind"] == "event" and e["name"] == "lanes.plan"
+          for w in e["attrs"]["widths"]]
+assert widths and min(widths) > 1, f"lane grouping degenerated: batch widths {widths}"
 applied = int(counters.get("defects.applied", 0))
 sampled = int(counters.get("defects.sampled", 0))
 assert applied > 0 and sampled > 0, \
@@ -290,8 +292,8 @@ assert applied > 0 and sampled > 0, \
 scen_jobs = {e["attrs"].get("scenario") for e in events
              if e["kind"] == "event" and e["name"] == "job.done"}
 assert {"default", "stuck-1pct"} <= scen_jobs, scen_jobs
-print(f"scenario smoke OK: {len(serial)} stuck-at lanes bitwise equal to "
-      f"kernel; {applied}/{sampled} devices stuck; scenarios {sorted(scen_jobs)}")
+print(f"scenario smoke OK: {len(one_lane)} stuck-at lanes bitwise equal to "
+      f"one-lane runs; {applied}/{sampled} devices stuck; scenarios {sorted(scen_jobs)}")
 EOF
 
 echo "== sharding smoke (bitwise-equal, telemetry-gated) =="
@@ -476,5 +478,22 @@ echo "$EXPORT_REPORT" | grep -q "export:" \
 echo "$EXPORT_REPORT" | grep -q "verification failures: 0" \
     || { echo "deploy gate failed: verification failures reported"; exit 1; }
 echo "$EXPORT_REPORT" | grep "export:"
+
+echo "== end-to-end benchmark tests =="
+python -m pytest benchmarks/e2e -q
+
+echo "== end-to-end benchmark, correctness only (goldens, digests, failed operations; no timing gate) =="
+# run.py exits 0 whether or not its outputs are correct; the verdict is
+# the JSON object on its last line.
+E2E_LAST="$(python3 benchmarks/e2e/run.py --seconds 0 | tail -n 1)"
+E2E_LAST="$E2E_LAST" python - <<'EOF'
+import json
+import os
+
+result = json.loads(os.environ["E2E_LAST"])
+assert result["correct"] is True, "e2e benchmark: outputs are not correct"
+assert result["failed"] == 0, f"e2e benchmark: {result['failed']} operations failed"
+print(f"e2e OK: {result['attempted']} operations, 0 failed, outputs correct")
+EOF
 
 echo "CI OK"

@@ -21,16 +21,16 @@ This package is the paper's primary contribution (Sec. III):
 - :mod:`~repro.core.params` — immutable :class:`PNNParams` inference
   snapshots executed by the kernels without autograd;
 - :mod:`~repro.core.grad_kernels` — hand-derived backward kernels (VJPs)
-  for every forward kernel, packaged as the autograd-free
-  :class:`KernelNetwork` training engine;
+  for every forward kernel, plus :class:`KernelNetwork`, the serial
+  reference executor the lane executor is checked against;
 - :mod:`~repro.core.training` — nominal and variation-aware training
-  (Monte-Carlo expected loss, N_train = 20) with selectable execution
-  engine (``"kernel"`` fast path / ``"autograd"`` cross-check /
-  ``"lanes"`` single-lane stack);
-- :mod:`~repro.core.lanes` — lane-batched lockstep training: ``L``
-  compatible jobs stacked on a leading axis, one epoch loop, per-lane
-  early stopping with a shrinking active set — bitwise equal per lane to
-  serial kernel runs;
+  (Monte-Carlo expected loss, N_train = 20): ``train_pnn`` with the
+  ``"kernel"`` engine (a one-lane run of the lane loop) or the
+  ``"autograd"`` cross-check;
+- :mod:`~repro.core.lanes` — the training loop: ``L`` compatible jobs
+  stacked on a leading lane axis, one lockstep epoch loop, per-lane early
+  stopping with a shrinking active set — every lane bitwise equal to its
+  one-lane run;
 - :mod:`~repro.core.evaluation` — Monte-Carlo test evaluation
   (N_test = 100) reporting mean ± std accuracy as in Table II, running
   through the autograd-free kernel path, serially (``evaluate_mc``) or

@@ -31,16 +31,17 @@ sigmoid), so gradients agree with the taped reference to float64 rounding —
 pinned by ``tests/core/test_grad_kernels.py`` against both finite
 differences and the autograd engine.
 
-:class:`KernelNetwork` packages the kernels into a training engine over a
-live :class:`~repro.core.pnn.PrintedNeuralNetwork`: it freezes the static
-structure (surrogate snapshots, design-space bounds, conductance limits),
-keeps the augmented inputs and crossbar products in per-epoch
-:class:`Workspace` buffers, and exposes raw parameter arrays that
-:class:`repro.optim.RawParameter` /
-:class:`~repro.optim.Adam` update directly — no ``Tensor`` wrapper, graph
-node, or state-dict copy is materialized per epoch.
-:func:`repro.core.training.train_pnn` dispatches here by default
-(``engine="kernel"``), keeping the autograd loop as the slow cross-check.
+:class:`KernelNetwork` packages the kernels into the serial reference
+executor over one network's raw parameter arrays: it freezes the static
+structure (surrogate snapshots, design-space bounds, conductance limits)
+of a live :class:`~repro.core.pnn.PrintedNeuralNetwork` and keeps the
+augmented inputs and crossbar products in :class:`Workspace` buffers.
+Training runs through :class:`repro.core.lanes.LaneNetwork`, which reuses
+that frozen structure over lane-stacked arrays; ``KernelNetwork``'s own
+``forward``/``backward``/``loss_and_grads``/``loss_value`` are the
+per-lane reference that ``tests/core/test_grad_kernels.py`` checks
+against autograd and finite differences, and that
+``tests/core/test_lane_engine.py`` checks the lane executor against.
 
 Shape convention — the leading lane axis
 ----------------------------------------
@@ -738,8 +739,12 @@ class KernelNetwork:
     snapshots, design-space bounds, conductance limits, layer topology —
     and exposes :meth:`forward` / :meth:`backward` over a flat list of raw
     parameter arrays ``[θ, 𝔴_act, 𝔴_neg]`` per layer.  One instance owns a
-    :class:`Workspace`, so repeated epochs with constant shapes reuse the
+    :class:`Workspace`, so repeated calls with constant shapes reuse the
     same large buffers.
+
+    The training loop runs :class:`repro.core.lanes.LaneNetwork`, which
+    wraps this frozen structure; the methods here are the serial
+    reference that the lane executor must equal per lane, bitwise.
     """
 
     def __init__(

@@ -1,44 +1,47 @@
-"""Lane-batched lockstep training: L independent pNN trainings, one epoch loop.
+"""The pNN training loop: L independent trainings, one lockstep epoch loop.
 
 The Table-II protocol trains the *same* network topology on the *same*
 dataset many times — once per random seed, per setup, per training ϵ.  Each
-such job differs only in its RNG streams (network init + variation draws),
-yet the serial path pays full Python/numpy dispatch cost per job.  This
-module stacks ``L`` compatible jobs on a leading **lane** axis and runs one
-epoch loop over all of them — the training-side analogue of
+such job differs only in its RNG streams (network init + variation draws).
+This module stacks ``L`` compatible jobs on a leading **lane** axis and runs
+one epoch loop over all of them — the training-side analogue of
 ``solve_dc_batch``'s batched Newton iteration, shrinking active set
-included.
+included.  It is the only production training loop:
+``train_pnn(engine="kernel")`` is a one-lane run of it.
 
 Bit-identity is the spec, not tolerance
 ---------------------------------------
-Lane ``l`` of a batched run must reproduce the serial
-``train_pnn(engine="kernel")`` run for the same seed **bitwise**: the same
-per-epoch ``(train_loss, val_loss)`` history, the same early-stop epoch,
-and byte-identical trained parameters.  This holds because
+Lane ``l`` of an ``L``-lane run must reproduce the one-lane run for the
+same seed **bitwise**: the same per-epoch ``(train_loss, val_loss)``
+history, the same early-stop epoch, and byte-identical trained parameters.
+That is the ``lane_width`` invariance Table II relies on.  It holds because
 
 - every kernel in :mod:`repro.core.grad_kernels` addresses trailing axes,
   so a lane's slice undergoes the same elementwise operations and the same
-  per-slice 2-D GEMMs as a serial call;
+  per-slice 2-D GEMMs as a call on the unstacked arrays of
+  :class:`~repro.core.grad_kernels.KernelNetwork`, the serial reference
+  executor;
 - reductions (batch sums, MC means) keep the reduced axis's memory layout
   unchanged when a leading lane axis is added, so numpy's pairwise
   summation produces the same partial-sum tree per lane;
-- each lane owns its private :class:`~repro.core.variation.VariationModel`
-  (seeded per lane), drawn only while the lane is active — exactly the RNG
-  consumption of the serial loop;
+- each lane owns its private variation model (built from its config and
+  seeded per lane, or passed in as an override), drawn only while the lane
+  is active — exactly the RNG consumption of its one-lane run;
 - Adam's update is elementwise and its bias-correction counter is shared
   validly (lanes step together from epoch 0 until removed, see
   :class:`repro.optim.LaneAdam`);
 - early-stopped lanes are *removed* from the stack by a gather
   (fancy-index copy), which cannot perturb surviving lanes' bytes.
 
-Pinned by ``tests/core/test_lane_engine.py`` (per-lane histories, states,
-stop epochs, gather invariance) and the ci.sh lane-equality smoke.
+Pinned by ``tests/core/test_lane_engine.py`` (step-level equality with
+:class:`~repro.core.grad_kernels.KernelNetwork`, per-lane histories,
+states, stop epochs, gather invariance) and the ci.sh lane-equality smoke.
 
 Entry points
 ------------
 :func:`train_pnn_lanes` — train a list of networks in lockstep; returns
 one :class:`~repro.core.training.TrainResult` per lane and leaves each
-module holding its best-epoch parameters, like the serial path.
+module holding its best-epoch parameters.
 :class:`LaneNetwork` — the stacked forward/backward executor over
 ``(L, ...)`` raw parameter arrays, reusing the frozen structure of a
 :class:`~repro.core.grad_kernels.KernelNetwork`.
@@ -72,12 +75,17 @@ from repro.core.grad_kernels import apply_nonideality_bwd
 from repro.core.kernels import BIAS_VOLTAGE, apply_nonideality
 from repro.core.params import PNNParams
 from repro.core.pnn import PrintedNeuralNetwork
+from repro.core.training import (
+    TrainResult,
+    _training_variation,
+    _validation_epsilons,
+    draw_epoch_epsilons,
+)
 from repro.core.variation import EpsilonLike, eps_stack
 from repro.optim import EarlyStopping, RawParameter
 from repro.optim.lanes import LaneAdam
 
-#: TrainConfig fields every lane of a batch must agree on (seed may differ;
-#: verbose is presentation-only and ignored by the lane engine).
+#: TrainConfig fields every lane of a batch must agree on (seed may differ).
 LANE_SHARED_FIELDS = (
     "lr_theta",
     "lr_omega",
@@ -132,7 +140,7 @@ class LaneNetwork:
     ``[θ (L, in+2, out), 𝔴_act (L, C, 7), 𝔴_neg (L, C, 7)]`` per layer and
     activations ``(L, n_mc, batch, features)``.  Owns its own
     :class:`~repro.core.grad_kernels.Workspace`, namespaced separately from
-    any serial engine's.
+    the serial executor's.
     """
 
     def __init__(self, net: KernelNetwork):
@@ -408,6 +416,13 @@ def _require_compatible(configs) -> None:
                 )
 
 
+def _same_for_all_lanes(flags: Sequence[bool], what: str) -> bool:
+    """The one value every lane agrees on; lanes that disagree cannot stack."""
+    if any(flags) != all(flags):
+        raise ValueError(f"lanes must agree on whether they sample {what}")
+    return bool(flags[0])
+
+
 def train_pnn_lanes(
     pnns: Sequence[PrintedNeuralNetwork],
     x_train: np.ndarray,
@@ -415,16 +430,17 @@ def train_pnn_lanes(
     x_val: np.ndarray,
     y_val: np.ndarray,
     configs,
-) -> List:
-    """Train ``L`` networks in lockstep; bitwise equal to ``L`` serial runs.
+    variations=None,
+    val_variations=None,
+) -> List[TrainResult]:
+    """Train ``L`` networks in lockstep; lane ``l`` equals its one-lane run.
 
     Parameters
     ----------
     pnns:
         The networks, one per lane — same topology and surrogates,
         independently initialized (each from its own seed).  Trained in
-        place: each module ends up holding its best-epoch parameters,
-        exactly like :func:`~repro.core.training.train_pnn`.
+        place: each module ends up holding its best-epoch parameters.
     x_train, y_train, x_val, y_val:
         The *shared* dataset splits (lane batching groups jobs by
         dataset/setup, so all lanes see the same data).
@@ -432,17 +448,21 @@ def train_pnn_lanes(
         One :class:`~repro.core.training.TrainConfig` per lane.  All
         fields except ``seed`` must agree (:data:`LANE_SHARED_FIELDS` —
         including ``scenario``: lane stacks carry per-lane draws of the
-        *same* non-ideality model class, seeded per lane).  ``verbose``
-        is ignored.  Explicit variation/val-variation model *objects*
-        (aging models) are not supported on the lane path — use the
-        serial engine for those; named scenarios ride the config.
+        *same* non-ideality model class, seeded per lane).
+    variations, val_variations:
+        Optional per-lane training / validation variation models, one
+        entry per lane (the ``variation`` / ``val_variation`` overrides of
+        :func:`~repro.core.training.train_pnn`, e.g. an
+        :class:`~repro.core.aging.AgingModel`).  ``None`` — for the whole
+        list or one entry — builds that lane's model from its config.
+        Lanes must agree on whether they sample variation at all.
 
     Returns
     -------
     list of TrainResult
         One per lane, in input order — per-epoch history, best epoch and
-        early-stop bookkeeping all bitwise equal to the serial
-        ``engine="kernel"`` run with the same seed.
+        early-stop bookkeeping all bitwise equal to the one-lane run of
+        the same network and config.
 
     Notes
     -----
@@ -451,18 +471,8 @@ def train_pnn_lanes(
     stack, the optimizer moments (:meth:`LaneAdam.compact`), the hoisted
     validation ε and the per-lane variation models — surviving lanes'
     bytes are untouched, and stopped lanes stop consuming their RNG
-    streams (matching serial, since each lane owns its
-    :class:`~repro.core.variation.VariationModel`).
+    streams (each lane owns its variation model).
     """
-    # Imported here: repro.core.training imports this module for the
-    # engine="lanes" dispatch, so the reverse import must be deferred.
-    from repro.core.training import (
-        TrainResult,
-        _training_variation,
-        _validation_epsilons,
-        draw_epoch_epsilons,
-    )
-
     pnns = list(pnns)
     configs = list(configs)
     if len(pnns) != len(configs):
@@ -472,6 +482,10 @@ def train_pnn_lanes(
     _require_compatible(configs)
     base = configs[0]
     n_lanes = len(pnns)
+    variations = [None] * n_lanes if variations is None else list(variations)
+    val_variations = [None] * n_lanes if val_variations is None else list(val_variations)
+    if len(variations) != n_lanes or len(val_variations) != n_lanes:
+        raise ValueError("need exactly one variation model entry per network")
 
     lane_net = LaneNetwork.from_pnns(pnns)
     n_layers = len(lane_net.net.layers)
@@ -491,18 +505,30 @@ def train_pnn_lanes(
         groups.append({"params": omega_params, "lr": base.lr_omega})
     optimizer = LaneAdam(groups)
 
-    # Per-lane RNG streams: one scenario-built variation model per lane,
-    # consumed only while the lane is active — the serial loop's exact
-    # consumption.
-    variations = [_training_variation(config) for config in configs]
-    sample_variation = variations[0] is not None
+    # Per-lane RNG streams: the lane's override or its scenario-built
+    # model, consumed only while the lane is active — the one-lane run's
+    # exact consumption.
+    variations = [
+        _training_variation(config) if model is None else model
+        for config, model in zip(configs, variations)
+    ]
+    sample_variation = _same_for_all_lanes(
+        [model is not None and not model.is_nominal for model in variations],
+        "training variation",
+    )
     n_mc = base.n_mc_train if sample_variation else 1
 
-    # Hoisted fixed validation ε per lane (seed + VALIDATION_SEED_OFFSET),
-    # stacked once; compacted alongside the parameter stack.
-    per_lane_val = [_validation_epsilons(pnns[0], config, None) for config in configs]
+    # Hoisted fixed validation ε per lane (the override, else the scenario
+    # model at seed + VALIDATION_SEED_OFFSET), stacked once; compacted
+    # alongside the parameter stack.
+    per_lane_val = [
+        _validation_epsilons(pnns[0], config, model)
+        for config, model in zip(configs, val_variations)
+    ]
     val_epsilons = None
-    if any(draws is not None for draws in per_lane_val):
+    if _same_for_all_lanes(
+        [draws is not None for draws in per_lane_val], "validation variation"
+    ):
         val_epsilons = stack_epsilons(per_lane_val)
 
     stoppers = [EarlyStopping(patience=base.patience) for _ in range(n_lanes)]
@@ -582,7 +608,7 @@ def train_pnn_lanes(
             for position in stopped_positions:
                 lane = active[position]
                 # NaN-loss fallback: a lane that never improved keeps its
-                # final arrays (the serial loop's end-of-training capture).
+                # final arrays.
                 if stoppers[lane].best_state is None:
                     final_states[lane] = capture_state(position)
                 if trace:
@@ -613,7 +639,7 @@ def train_pnn_lanes(
             val_epsilons = compact_epsilons(val_epsilons, keep)
 
     # Lanes still active at max_epochs: capture their final arrays for the
-    # never-improved fallback (mirrors the serial loop's final capture).
+    # never-improved fallback.
     for position, lane in enumerate(active):
         if stoppers[lane].best_state is None:
             final_states[lane] = capture_state(position)

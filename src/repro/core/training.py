@@ -14,42 +14,35 @@ Hyperparameters mirror the paper:
   the best epoch's parameters — those are the circuits that "would be
   printed".
 
-Three execution engines implement the identical optimization:
+Two execution engines implement the identical optimization:
 
-- ``engine="kernel"`` (default) — the autograd-free fast path: one
-  :class:`repro.core.grad_kernels.KernelNetwork` executes hand-derived
-  forward/backward kernels over raw parameter arrays
-  (:class:`repro.optim.RawParameter`), with preallocated workspaces and no
-  per-epoch graph, Tensor wrapper, or state-dict copy;
+- ``engine="kernel"`` (default) — a one-lane run of the lane loop
+  :func:`repro.core.lanes.train_pnn_lanes`: hand-derived forward/backward
+  kernels (:mod:`repro.core.grad_kernels`) over raw parameter arrays, with
+  preallocated workspaces and no per-epoch graph, Tensor wrapper, or
+  state-dict copy.  Table II trains ``L`` seeds in lockstep through the
+  same loop, and every lane is bitwise equal to its one-lane run;
 - ``engine="autograd"`` — the original taped loop over the live
   :class:`~repro.core.pnn.PrintedNeuralNetwork` module, kept as the slow
-  cross-check;
-- ``engine="lanes"`` — the kernel path run through the lane-batched
-  engine (:mod:`repro.core.lanes`) as a single-lane stack.  Its real use
-  is :func:`repro.core.lanes.train_pnn_lanes`, which trains ``L``
-  compatible jobs in lockstep, *bitwise* equal per lane to ``L`` serial
-  ``engine="kernel"`` runs.
+  cross-check.
 
-All engines consume the train-variation RNG stream in the same canonical
+Both engines consume the train-variation RNG stream in the same canonical
 per-layer (θ, activation ω, negweight ω) order and produce per-epoch loss
-histories that agree to float64 rounding — and kernel vs lanes agree
-*bitwise* (pinned by ``tests/core/test_training_engine.py`` and
-``tests/core/test_lane_engine.py``).  See ``docs/TRAINING.md`` for the
+histories that agree to float64 rounding (pinned by
+``tests/core/test_training_engine.py``).  See ``docs/TRAINING.md`` for the
 full training-path contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import List, Tuple
 
 import numpy as np
 
-from repro import telemetry
 from repro.autograd.tensor import Tensor, no_grad
 from repro.core import kernels
-from repro.core.grad_kernels import KernelNetwork, ce_loss_fwd, margin_loss_fwd
+from repro.core.grad_kernels import ce_loss_fwd, margin_loss_fwd
 from repro.core.losses import MarginLoss, VoltageCrossEntropy, make_loss
 from repro.core.params import snapshot_params
 from repro.core.pnn import PrintedNeuralNetwork
@@ -59,7 +52,7 @@ from repro.core.variation import (
     model_has_overrides,
     sample_role,
 )
-from repro.optim import Adam, EarlyStopping, RawParameter
+from repro.optim import Adam, EarlyStopping
 
 #: Seed offset separating the fixed validation ε stream from training draws.
 VALIDATION_SEED_OFFSET = 104729
@@ -91,7 +84,6 @@ class TrainConfig:
     patience: int = 500
     loss: str = "margin"
     seed: int = 0
-    verbose: bool = False
     scenario: str = DEFAULT_SCENARIO
 
     @property
@@ -101,11 +93,11 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    """Outcome of :func:`train_pnn` (one per lane from the lane engine).
+    """Outcome of one training run (one per lane from the lane loop).
 
     ``history`` holds one ``(epoch, train_loss, val_loss)`` tuple per
-    epoch actually run; all fields are bitwise comparable across engines
-    (the lane-vs-kernel tests assert them with ``==``, not ``allclose``).
+    epoch actually run; all fields are bitwise comparable across lane
+    widths (the lane tests assert them with ``==``, not ``allclose``).
     """
 
     best_epoch: int
@@ -119,7 +111,7 @@ def draw_epoch_epsilons(variation, n_mc: int, pnn: PrintedNeuralNetwork):
 
     One ``(ε_θ, ε_act, ε_neg)`` triple per layer, exactly the shapes and
     order :meth:`PrintedNeuralNetwork.forward` samples internally — so
-    pre-drawing (for the kernel engine, or to freeze the validation set)
+    pre-drawing (for the lane loop, or to freeze the validation set)
     consumes the RNG identically to the taped path.
 
     Scenario models are sampled through ``sample_perturbation`` with the
@@ -187,203 +179,43 @@ def train_pnn(
 ) -> TrainResult:
     """Train a pNN in place and restore its best-validation parameters.
 
-    ``variation`` / ``val_variation`` optionally override the uniform
-    printing-variation model built from ``config.epsilon`` with any object
-    exposing the same ``sample``/``is_nominal`` interface (e.g. an
+    ``variation`` / ``val_variation`` optionally override the scenario
+    model built from ``config`` with any object exposing the same
+    ``sample``/``is_nominal`` interface (e.g. an
     :class:`~repro.core.aging.AgingModel` for aging-aware training).
 
-    ``engine`` selects the execution path: ``"kernel"`` (default) runs the
-    hand-derived backward kernels of :mod:`repro.core.grad_kernels` on raw
-    arrays; ``"autograd"`` runs the original taped loop; ``"lanes"`` runs
-    the lane-batched engine as a width-1 stack (bitwise equal to
-    ``"kernel"``; variation overrides are not supported there).  All
-    engines consume the same variation stream and agree to float64
-    rounding.
+    ``engine`` selects the execution path: ``"kernel"`` (default) is a
+    one-lane run of :func:`repro.core.lanes.train_pnn_lanes`, overrides
+    included; ``"autograd"`` runs the original taped loop (multiplicative
+    non-idealities only).  Both consume the same variation stream and
+    agree to float64 rounding.
     """
-    if engine not in ("kernel", "autograd", "lanes"):
-        raise ValueError(
-            f"unknown engine {engine!r}; expected 'kernel', 'autograd' or 'lanes'"
-        )
-    if engine == "lanes":
-        if variation is not None or val_variation is not None:
-            raise ValueError(
-                "engine='lanes' does not support variation overrides; "
-                "use engine='kernel' for aging-aware training"
-            )
+    if engine == "kernel":
+        # Deferred: repro.core.lanes imports this module's types.
         from repro.core.lanes import train_pnn_lanes
 
         return train_pnn_lanes(
-            [pnn], x_train, y_train, x_val, y_val, [config]
+            [pnn], x_train, y_train, x_val, y_val, [config],
+            variations=[variation], val_variations=[val_variation],
         )[0]
+    if engine != "autograd":
+        raise ValueError(f"unknown engine {engine!r}; expected 'kernel' or 'autograd'")
 
     train_variation = variation
     if train_variation is None:
         train_variation = _training_variation(config)
-    if engine == "autograd" and (
-        model_has_overrides(train_variation) or model_has_overrides(val_variation)
-    ):
+    if model_has_overrides(train_variation) or model_has_overrides(val_variation):
         raise ValueError(
             "engine='autograd' supports multiplicative non-idealities only; "
-            "override-carrying models (stuck-at defects) need engine='kernel' "
-            "or engine='lanes'"
+            "override-carrying models (stuck-at defects) need engine='kernel'"
         )
     n_mc = 1
     if train_variation is not None and not train_variation.is_nominal:
         n_mc = config.n_mc_train
-
     val_epsilons = _validation_epsilons(pnn, config, val_variation)
-
-    if engine == "autograd":
-        return _train_autograd(
-            pnn, x_train, y_train, x_val, y_val, config, train_variation, n_mc,
-            val_epsilons,
-        )
-    return _train_kernel(
+    return _train_autograd(
         pnn, x_train, y_train, x_val, y_val, config, train_variation, n_mc,
         val_epsilons,
-    )
-
-
-# --------------------------------------------------------------------- #
-# kernel engine (default)                                               #
-# --------------------------------------------------------------------- #
-
-
-def _train_kernel(
-    pnn: PrintedNeuralNetwork,
-    x_train: np.ndarray,
-    y_train: np.ndarray,
-    x_val: np.ndarray,
-    y_val: np.ndarray,
-    config: TrainConfig,
-    train_variation,
-    n_mc: int,
-    val_epsilons,
-) -> TrainResult:
-    """The autograd-free epoch loop over raw parameter arrays.
-
-    The module is read once up front (structure + parameter values) and
-    written once at the end (the best epoch's state) — the steady-state
-    epoch touches only ndarrays.
-    """
-    net = KernelNetwork.from_pnn(pnn)
-    theta_params: List[RawParameter] = []
-    omega_params: List[RawParameter] = []
-    for index, (theta, w_act, w_neg) in enumerate(KernelNetwork.extract_arrays(pnn)):
-        theta_name, act_name, neg_name = KernelNetwork.state_names(index)
-        theta_params.append(RawParameter(theta, theta_name))
-        omega_params.append(RawParameter(w_act, act_name))
-        omega_params.append(RawParameter(w_neg, neg_name))
-
-    learn_omega = config.learnable_nonlinear and config.lr_omega > 0
-    groups = [{"params": theta_params, "lr": config.lr_theta}]
-    if learn_omega:
-        groups.append({"params": omega_params, "lr": config.lr_omega})
-    optimizer = Adam(groups)
-    stopper = EarlyStopping(patience=config.patience)
-
-    def layer_arrays():
-        # Adam rebinds ``param.data`` on every step, so the flat array view
-        # is re-derived from the parameters each time it is needed.
-        return [
-            [theta_params[i].data, omega_params[2 * i].data, omega_params[2 * i + 1].data]
-            for i in range(len(net.layers))
-        ]
-
-    def capture_state():
-        params = theta_params + omega_params
-        return {p.name: p.data.copy() for p in params}
-
-    sample_variation = train_variation is not None and not train_variation.is_nominal
-    history: List[Tuple[int, float, float]] = []
-    epochs_run = 0
-
-    # Per-epoch phase timings (pure observation; gated so the disabled
-    # cost is one bool check per epoch).
-    tel = telemetry.get()
-    trace = tel.enabled
-    t_fwd_bwd = t_opt = t_val = 0.0
-    m_fwd_bwd = m_opt = m_val = 0.0
-    train_start = perf_counter()
-
-    for epoch in range(config.max_epochs):
-        epochs_run = epoch + 1
-        optimizer.zero_grad()
-        epsilons = None
-        if sample_variation:
-            epsilons = draw_epoch_epsilons(train_variation, n_mc, pnn)
-        arrays = layer_arrays()
-        if trace:
-            t0 = perf_counter()
-        train_loss, grads = net.loss_and_grads(
-            arrays, x_train, y_train, loss=config.loss, epsilons=epsilons,
-            need_omega_grads=learn_omega,
-        )
-        for i, layer_grads in enumerate(grads):
-            theta_params[i].grad = layer_grads.theta
-            omega_params[2 * i].grad = layer_grads.w_act
-            omega_params[2 * i + 1].grad = layer_grads.w_neg
-        if trace:
-            t1 = perf_counter()
-        optimizer.step()
-        if trace:
-            t2 = perf_counter()
-
-        val_loss = net.loss_value(
-            layer_arrays(), x_val, y_val, loss=config.loss, epsilons=val_epsilons,
-            tag="val",
-        )
-        if trace:
-            t3 = perf_counter()
-            dt = t1 - t0
-            t_fwd_bwd += dt
-            m_fwd_bwd = max(m_fwd_bwd, dt)
-            dt = t2 - t1
-            t_opt += dt
-            m_opt = max(m_opt, dt)
-            dt = t3 - t2
-            t_val += dt
-            m_val = max(m_val, dt)
-        history.append((epoch, train_loss, val_loss))
-        stopper.update(val_loss, epoch, state_fn=capture_state)
-        if config.verbose and epoch % 100 == 0:
-            print(f"[train] epoch {epoch}: train {train_loss:.4f} val {val_loss:.4f}")
-        if stopper.should_stop:
-            if trace:
-                tel.event(
-                    "train.early_stop",
-                    epoch=epoch,
-                    best_epoch=stopper.best_epoch,
-                    patience=config.patience,
-                )
-            break
-
-    if trace:
-        tel.event(
-            "train.run",
-            engine="kernel",
-            epochs_run=epochs_run,
-            best_epoch=stopper.best_epoch,
-            best_val_loss=stopper.best_value,
-            dur_s=perf_counter() - train_start,
-            fwd_bwd_s=t_fwd_bwd,
-            optimizer_s=t_opt,
-            validation_s=t_val,
-            fwd_bwd_max_s=m_fwd_bwd,
-            optimizer_max_s=m_opt,
-            validation_max_s=m_val,
-        )
-        tel.count("train.epochs", epochs_run)
-
-    # Write the winning design back into the live module (falling back to
-    # the final arrays when no epoch ever improved, e.g. NaN losses).
-    state = stopper.best_state if stopper.best_state is not None else capture_state()
-    pnn.load_state_dict(state)
-    return TrainResult(
-        best_epoch=stopper.best_epoch,
-        best_val_loss=stopper.best_value,
-        epochs_run=epochs_run,
-        history=history,
     )
 
 
@@ -426,8 +258,6 @@ def _train_autograd(
         )
         history.append((epoch, loss.item(), val_loss))
         stopper.update(val_loss, epoch, state_fn=pnn.state_dict)
-        if config.verbose and epoch % 100 == 0:
-            print(f"[train] epoch {epoch}: train {loss.item():.4f} val {val_loss:.4f}")
         if stopper.should_stop:
             break
 

@@ -10,9 +10,9 @@
   plus the lane tier stacking same-group seeds for lockstep training.
 - :mod:`~repro.experiments.cache` — SHA-256-keyed on-disk result cache
   plus the JSONL run journal.
-- :mod:`~repro.experiments.parallel` — two-tier scheduler (lane batches
-  first, process pool across batches); bit-for-bit identical to the
-  serial runner at any worker count and lane width.
+- :mod:`~repro.experiments.parallel` — the Table-II scheduler: lane batches
+  first, process pool across batches; bit-for-bit identical results at
+  any worker count and lane width.
 - :mod:`~repro.experiments.tables` — renders Table II and Table III.
 - :mod:`~repro.experiments.report` — aggregate summary of a recorded
   :mod:`repro.telemetry` run (slowest jobs, cache hit ratio, SPICE
@@ -32,14 +32,11 @@ from repro.experiments.runner import (
     CellResult,
     mc_evaluation_seed,
     run_cell,
-    run_dataset,
-    run_table2,
 )
 from repro.experiments.jobs import (
     JobKey,
     JobOutcome,
     enumerate_jobs,
-    execute_job,
     execute_job_lanes,
     group_jobs_into_lanes,
 )
@@ -59,7 +56,6 @@ __all__ = [
     "JobKey",
     "JobOutcome",
     "enumerate_jobs",
-    "execute_job",
     "execute_job_lanes",
     "group_jobs_into_lanes",
     "ResultCache",
@@ -74,8 +70,6 @@ __all__ = [
     "profile_from_env",
     "CellResult",
     "run_cell",
-    "run_dataset",
-    "run_table2",
     "render_table2",
     "render_table3",
     "render_scenario_grid",

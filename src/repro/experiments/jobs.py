@@ -9,18 +9,18 @@ the result.  This module defines the unit of work:
   ``(dataset, setup, train ϵ, seed, scenario)`` for one training run;
 - :func:`enumerate_jobs` — the deduplicated job list for a set of
   datasets (nominal setups train once with ϵ = 0 and are shared across
-  both test ϵ columns, exactly like the serial runner's ``trained`` dict);
-- :func:`execute_job` — train one pNN and return a picklable
-  :class:`JobOutcome` carrying the frozen
-  :class:`~repro.core.params.PNNParams` inference snapshot (plain arrays
-  and metadata, no live module or surrogate objects);
+  both test ϵ columns, exactly like :func:`~repro.experiments.runner.run_cell`'s
+  ``trained`` memo);
 - :func:`group_jobs_into_lanes` / :func:`execute_job_lanes` — the lane
   tier: all seeds of one training group (same dataset, setup and
   training ϵ — see :attr:`JobKey.group`) are stacked on a leading lane
   axis and trained in lockstep by
-  :func:`repro.core.lanes.train_pnn_lanes`, producing outcomes *bitwise*
-  identical to per-job :func:`execute_job` calls at a fraction of the
-  dispatch cost.
+  :func:`repro.core.lanes.train_pnn_lanes`.  Each key comes back as a
+  picklable :class:`JobOutcome` carrying the frozen
+  :class:`~repro.core.params.PNNParams` inference snapshot (plain arrays
+  and metadata, no live module or surrogate objects), *bitwise*
+  identical whatever the batch width — one key alone is a one-lane
+  batch.
 
 The snapshot *is* the design artifact: the parent process evaluates it
 directly through the autograd-free kernel path
@@ -40,7 +40,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.core import PrintedNeuralNetwork, TrainConfig, train_pnn
+from repro.core import PrintedNeuralNetwork, TrainConfig
 from repro.core.lanes import train_pnn_lanes
 from repro.core.params import PNNParams, snapshot_params
 from repro.core.variation import DEFAULT_SCENARIO
@@ -48,8 +48,7 @@ from repro.datasets import load_splits
 from repro.datasets.base import DatasetSplits
 from repro.experiments.config import SETUPS, TEST_EPSILONS, ExperimentConfig, Setup
 
-#: The dataset split seed used by the whole Table-II protocol
-#: (``run_dataset`` has always called ``load_splits(dataset, seed=0)``).
+#: The dataset split seed used by the whole Table-II protocol.
 SPLIT_SEED = 0
 
 
@@ -96,8 +95,8 @@ class JobKey:
     def group(self) -> Tuple[str, bool, bool, float, str]:
         """Training-group key: all seeds of one ``(dataset, setup, train ϵ, scenario)``.
 
-        The best-of-seeds selection and the serial runner's ``trained``
-        dict both operate at this granularity.
+        The best-of-seeds selection and ``run_cell``'s ``trained`` memo
+        both operate at this granularity.
         """
         return (
             self.dataset, self.learnable, self.variation_aware,
@@ -165,8 +164,10 @@ def train_epsilon(setup: Setup, eps_test: float) -> float:
 def iter_cells(datasets: List[str]) -> Iterator[Tuple[str, Setup, float]]:
     """Yield Table-II cells ``(dataset, setup, test ϵ)`` in render order.
 
-    The order matches the serial :func:`~repro.experiments.runner.run_table2`
-    exactly, so results assembled from job outcomes line up row for row.
+    :func:`~repro.experiments.parallel.run_table2_parallel` assembles its
+    results in this order, so a loop of
+    :func:`~repro.experiments.runner.run_cell` over these cells lines up
+    with it row for row.
     """
     for dataset in datasets:
         for setup in SETUPS:
@@ -182,8 +183,8 @@ def enumerate_jobs(
     """The deduplicated training jobs behind a Table-II run.
 
     Nominal setups share a single ϵ = 0 training across both test ϵ
-    columns — the on-disk analogue of the serial runner's ``trained``
-    dict — so 4 setups × 2 test ϵ collapse to 6 training groups per
+    columns — the on-disk analogue of ``run_cell``'s ``trained`` memo —
+    so 4 setups × 2 test ϵ collapse to 6 training groups per
     dataset, each fanned out over ``config.seeds``.  Each scenario gets
     its own full grid (scenario-major order), since a scenario changes
     what the training optimizes against.
@@ -223,11 +224,7 @@ def enumerate_jobs(
 
 
 def _train_config(key: JobKey, config: ExperimentConfig) -> TrainConfig:
-    """The :class:`TrainConfig` a job trains with (single source of truth).
-
-    Shared by :func:`execute_job` and :func:`execute_job_lanes` so the
-    serial and lane tiers can never drift apart on hyperparameters.
-    """
+    """The :class:`TrainConfig` a job trains with (single source of truth)."""
     return TrainConfig(
         lr_theta=config.lr_theta,
         lr_omega=config.lr_omega,
@@ -242,102 +239,6 @@ def _train_config(key: JobKey, config: ExperimentConfig) -> TrainConfig:
     )
 
 
-def execute_job(
-    key: JobKey,
-    config: ExperimentConfig,
-    surrogates,
-    splits: Optional[DatasetSplits] = None,
-    engine: str = "kernel",
-) -> JobOutcome:
-    """Train one pNN for ``key`` — bit-identical to the serial runner.
-
-    The network is seeded with ``default_rng(key.seed)`` and trained with
-    the same :class:`~repro.core.training.TrainConfig` the serial
-    ``_train_best`` loop builds, so executing jobs out of order (or in
-    other processes) reproduces the serial results exactly.
-
-    Parameters
-    ----------
-    key:
-        The job identity.
-    config:
-        The experiment profile; only its training fields (see
-        :meth:`ExperimentConfig.training_fingerprint`) influence the
-        outcome.
-    surrogates:
-        Surrogate bundle or analytic pair; *read-only* during training.
-    splits:
-        Optional pre-loaded dataset splits; when ``None`` they are loaded
-        with the protocol's fixed :data:`SPLIT_SEED`.
-    engine:
-        Training execution engine, forwarded to
-        :func:`~repro.core.training.train_pnn` (``"kernel"`` fast path by
-        default, ``"autograd"`` as the cross-check).  Both engines consume
-        the same RNG streams and agree to float64 rounding, so the engine
-        choice is deliberately *not* part of the cache fingerprint
-        (:meth:`ExperimentConfig.training_fingerprint`) — switching it must
-        not invalidate recorded results.
-
-    Returns
-    -------
-    JobOutcome
-        With the trained design's frozen ``params`` snapshot attached.
-    """
-    if splits is None:
-        splits = load_splits(key.dataset, seed=SPLIT_SEED, max_train=config.max_train)
-    topology = (splits.n_features, config.hidden, splits.n_classes)
-    tel = telemetry.get()
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    with tel.span(
-        "job.execute",
-        dataset=key.dataset,
-        learnable=key.learnable,
-        variation_aware=key.variation_aware,
-        train_eps=key.train_eps,
-        seed=key.seed,
-        scenario=key.scenario,
-        engine=engine,
-    ):
-        pnn = PrintedNeuralNetwork(
-            list(topology),
-            surrogates,
-            per_neuron_activation=config.per_neuron_activation,
-            rng=np.random.default_rng(key.seed),
-        )
-        train_config = _train_config(key, config)
-        result = train_pnn(
-            pnn, splits.x_train, splits.y_train, splits.x_val, splits.y_val,
-            train_config, engine=engine,
-        )
-    wall_time = time.perf_counter() - start
-    if tel.enabled:
-        tel.event(
-            "job.done",
-            dataset=key.dataset,
-            learnable=key.learnable,
-            variation_aware=key.variation_aware,
-            train_eps=key.train_eps,
-            seed=key.seed,
-            scenario=key.scenario,
-            wall_s=wall_time,
-            cpu_s=time.process_time() - cpu_start,
-            epochs_run=result.epochs_run,
-            best_epoch=result.best_epoch,
-            val_loss=result.best_val_loss,
-        )
-    return JobOutcome(
-        key=key,
-        topology=topology,
-        per_neuron_activation=config.per_neuron_activation,
-        val_loss=result.best_val_loss,
-        best_epoch=result.best_epoch,
-        epochs_run=result.epochs_run,
-        wall_time=wall_time,
-        params=snapshot_params(pnn),
-    )
-
-
 def group_jobs_into_lanes(
     jobs: List[JobKey], lane_width: int
 ) -> List[List[JobKey]]:
@@ -348,9 +249,9 @@ def group_jobs_into_lanes(
     lane-compatible; they are batched in input order, and batches are
     emitted in first-appearance order of their group, so the schedule is
     deterministic for a deterministic job list.  ``lane_width <= 1``
-    degenerates to one singleton batch per job (the serial tier).
+    degenerates to one one-lane batch per job.
 
-    Because lane execution is bitwise identical to serial execution, the
+    Because every lane is bitwise identical to its one-lane run, the
     chunking policy affects wall time only — never results.
     """
     if lane_width <= 1:
@@ -377,22 +278,25 @@ def execute_job_lanes(
     surrogates,
     splits: Optional[DatasetSplits] = None,
 ) -> List[JobOutcome]:
-    """Train one lane batch in lockstep — bitwise equal to serial jobs.
+    """Train one lane batch in lockstep; one outcome per key, in order.
 
     All ``keys`` must share a :attr:`JobKey.group`; each key becomes one
-    lane of a :func:`repro.core.lanes.train_pnn_lanes` run.  Every lane's
-    network is seeded with ``default_rng(key.seed)`` exactly as
-    :func:`execute_job` does, and the lane engine is bitwise equal to the
-    serial kernel engine per lane, so the returned outcomes carry the
-    same losses, epochs and parameter snapshots as ``L`` separate
-    :func:`execute_job` calls (pinned by
-    ``tests/experiments/test_lane_jobs.py``).
+    lane of a :func:`repro.core.lanes.train_pnn_lanes` run, its network
+    seeded with ``default_rng(key.seed)`` and trained with the same
+    :class:`~repro.core.training.TrainConfig` ``run_cell``'s
+    ``_train_best`` loop builds.  Every lane is bitwise equal to its
+    one-lane run, so the outcomes carry the same losses, epochs and
+    parameter snapshots at any batch width (pinned by
+    ``tests/experiments/test_lane_jobs.py``) — executing jobs out of
+    order, in other processes or in other batches reproduces them
+    exactly.
 
-    A width-1 batch falls through to :func:`execute_job` unchanged.  The
+    ``splits`` optionally supplies pre-loaded dataset splits; ``None``
+    loads them with the protocol's fixed :data:`SPLIT_SEED`.  The
     reported ``wall_time`` is the batch wall time divided evenly across
     lanes (the scheduler-visible amortized cost); telemetry gets one
-    ``job.lanes`` span for the batch plus the usual per-job ``job.done``
-    events tagged with ``lanes=len(keys)``.
+    ``job.lanes`` span for the batch plus one ``job.done`` event per
+    key, tagged with ``lanes=len(keys)``.
     """
     keys = list(keys)
     if not keys:
@@ -402,9 +306,6 @@ def execute_job_lanes(
         raise ValueError("lane batch must share one training group")
     if splits is None:
         splits = load_splits(first.dataset, seed=SPLIT_SEED, max_train=config.max_train)
-    if len(keys) == 1:
-        return [execute_job(first, config, surrogates, splits=splits)]
-
     topology = (splits.n_features, config.hidden, splits.n_classes)
     tel = telemetry.get()
     start = time.perf_counter()

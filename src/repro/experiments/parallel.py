@@ -1,13 +1,13 @@
 """Parallel, cache-aware execution of the Table-II protocol.
 
-:func:`run_table2_parallel` is the scaled-up counterpart of
-:func:`repro.experiments.runner.run_table2`: it enumerates the protocol's
-independent training jobs (:mod:`repro.experiments.jobs`), serves
-already-solved jobs from the persistent result cache
+:func:`run_table2_parallel` runs the Table-II grid: it enumerates the
+protocol's independent training jobs (:mod:`repro.experiments.jobs`),
+serves already-solved jobs from the persistent result cache
 (:mod:`repro.experiments.cache`), packs the remainder into lane batches,
 fans the batches out over a ``ProcessPoolExecutor``, and assembles the
-exact same ordered list of :class:`~repro.experiments.runner.CellResult`
-the serial runner produces.
+ordered list of :class:`~repro.experiments.runner.CellResult` — the same
+cells :func:`~repro.experiments.runner.run_cell` produces one at a
+time.
 
 Three tiers of parallelism
 --------------------------
@@ -15,11 +15,10 @@ The **first tier is lane batching**: all seeds of one training group
 (same dataset, setup and training ϵ) are stacked on a leading lane axis
 and trained in lockstep by :func:`repro.core.lanes.train_pnn_lanes` —
 one numpy kernel call sequence per epoch instead of one Python epoch
-loop per seed, bitwise identical per lane to the serial run.  The
+loop per seed, bitwise identical per lane to the one-lane run.  The
 **process pool is the second tier**: it spreads whole lane *batches*
-(i.e. different groups/datasets) across cores, instead of individual
-seed jobs as it did before lanes existed.  ``lane_width=1`` disables the
-first tier and recovers the historical per-job pool exactly.  The
+(i.e. different groups/datasets) across cores.  ``lane_width=1`` trains
+every job as its own one-lane batch.  The
 **third tier is MC-evaluation sharding** (``mc_shards``): after training,
 the assembly pass splits each cell's ``n_test`` fabrications into
 ε-block-aligned shards, pooled when ``workers > 1`` — bitwise identical
@@ -79,10 +78,7 @@ def _forked_execute_batch(keys: List[JobKey]) -> List[JobOutcome]:
 
     Reads config/surrogates from :data:`_FORK_STATE`, which the child
     inherited from the parent at fork time — avoiding a per-task pickle
-    of the surrogate bundle.  A width-1 batch falls through to
-    :func:`~repro.experiments.jobs.execute_job` inside
-    :func:`execute_job_lanes`, so the pool handles mixed batch widths
-    with one code path.
+    of the surrogate bundle.
     """
     return execute_job_lanes(keys, _FORK_STATE["config"], _FORK_STATE["surrogates"])
 
@@ -118,11 +114,10 @@ def run_table2_parallel(
         The experiment profile (budget + protocol knobs).
     surrogates:
         Surrogate bundle or analytic pair; defaults to the calibration-free
-        analytic fallback, like the serial runner.
+        analytic fallback, like :func:`~repro.experiments.runner.run_cell`.
     workers:
-        Number of training processes.  ``1`` executes in-process and is
-        bit-identical to :func:`~repro.experiments.runner.run_table2`;
-        higher counts change only the wall time, never the results.
+        Number of training processes.  ``1`` executes in-process, with no
+        pool; higher counts change only the wall time, never the results.
     cache:
         Optional :class:`~repro.experiments.cache.ResultCache`.  When
         given, solved jobs are loaded instead of re-trained and fresh
@@ -138,9 +133,8 @@ def run_table2_parallel(
     lane_width:
         Maximum number of same-group jobs stacked into one lockstep lane
         batch (first-tier parallelism; see the module docstring).  ``1``
-        disables lane batching and recovers the historical per-job
-        scheduling exactly.  Any width produces bit-identical results —
-        only the wall time changes.
+        trains every job as its own one-lane batch.  Any width produces
+        bit-identical results — only the wall time changes.
     scenarios:
         Non-ideality scenarios to sweep
         (:data:`repro.core.variation.SCENARIOS` names).  Each scenario
@@ -169,8 +163,8 @@ def run_table2_parallel(
     Returns
     -------
     list of CellResult
-        In the exact order of the serial runner, scenario-major:
-        scenario → dataset → setup → test ϵ.
+        Scenario-major: scenario → dataset → setup → test ϵ
+        (:func:`~repro.experiments.jobs.iter_cells` order per scenario).
     """
     surrogates = surrogates if surrogates is not None else default_surrogates()
     fingerprint = surrogate_fingerprint(surrogates)
@@ -225,18 +219,13 @@ def run_table2_parallel(
 
     batches = group_jobs_into_lanes(pending, lane_width)
     if tel.enabled and pending:
-        widths = [len(batch) for batch in batches]
-        serial_jobs = sum(w for w in widths if w == 1)
         tel.event(
             "lanes.plan",
             lane_width=int(lane_width),
             n_jobs=len(pending),
             n_batches=len(batches),
-            widths=widths,
-            serial_jobs=serial_jobs,
+            widths=[len(batch) for batch in batches],
         )
-        tel.count("lanes.jobs", n=len(pending) - serial_jobs)
-        tel.count("lanes.serial_jobs", n=serial_jobs)
 
     if workers <= 1 or len(batches) <= 1:
         for batch in batches:
@@ -329,12 +318,12 @@ def _assemble(
     deploy_tile: Optional[Tuple[int, int]] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[CellResult]:
-    """Best-of-seeds selection + MC evaluation, in serial-runner order.
+    """Best-of-seeds selection + MC evaluation, in :func:`iter_cells` order.
 
     Seeds are scanned in ``config.seeds`` order with a strict ``<`` on the
-    validation loss — the same tie-breaking as the serial ``_train_best``
-    loop — so the selected designs (and hence the reported cells) match
-    the serial run exactly.  Each scenario assembles its own grid, and
+    validation loss — the same tie-breaking as ``run_cell``'s
+    ``_train_best`` loop — so the selected designs (and hence the
+    reported cells) match ``run_cell`` exactly.  Each scenario assembles its own grid, and
     the MC test evaluation draws from that scenario's model (the default
     scenario's ``VariationModel`` draws the historical ε stream).
 

@@ -194,13 +194,8 @@ def _lanes_section(events: List[Dict], counters: Dict[str, float]) -> List[str]:
              if e.get("kind") == "event" and e.get("name") == "lanes.plan"]
     if not runs and not plans:
         return []
-    laned = int(counters.get("lanes.jobs", 0))
-    serial = int(counters.get("lanes.serial_jobs", 0))
     trained = int(counters.get("lanes.trained", 0))
-    lines = [
-        f"lanes: {len(runs)} lane batches, {trained} jobs trained in lanes "
-        f"({laned} planned laned, {serial} planned serial)",
-    ]
+    lines = [f"lanes: {len(runs)} lane batches, {trained} jobs trained in lanes"]
     if runs:
         epochs = sum(int(e["attrs"].get("epochs_run", 0)) for e in runs)
         lane_epochs = sum(int(e["attrs"].get("lane_epochs", 0)) for e in runs)

@@ -9,12 +9,16 @@ For each (dataset, setup) cell:
    printed");
 3. evaluate it on the test split with ``N_test`` Monte-Carlo fabrication
    samples and report mean ± std accuracy.
+
+:func:`run_cell` runs one such cell in-process.  The whole grid runs
+through :func:`repro.experiments.parallel.run_table2_parallel`, which
+produces the same cells (``workers=1`` runs in-process, without a pool).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from repro.core import (
 from repro.core.variation import DEFAULT_SCENARIO
 from repro.datasets import load_splits
 from repro.datasets.base import DatasetSplits
-from repro.experiments.config import SETUPS, TEST_EPSILONS, ExperimentConfig, Setup
+from repro.experiments.config import ExperimentConfig, Setup
 from repro.surrogate.analytic import AnalyticSurrogate
 from repro.surrogate.pipeline import SurrogateBundle
 
@@ -40,9 +44,10 @@ class CellResult:
     """One Table-II cell: a setup evaluated at one test ϵ.
 
     ``scenario`` names the non-ideality scenario the cell was trained and
-    evaluated under (:data:`repro.core.variation.SCENARIOS`); the serial
-    runner only produces the default ε-only scenario, the parallel engine
-    can sweep a scenario grid.
+    evaluated under (:data:`repro.core.variation.SCENARIOS`); :func:`run_cell`
+    only produces the default ε-only scenario,
+    :func:`~repro.experiments.parallel.run_table2_parallel` can sweep a
+    scenario grid.
     """
 
     dataset: str
@@ -76,7 +81,7 @@ def mc_evaluation_seed(best_seed: int) -> int:
     *training* seed, so (a) re-evaluating a design always reproduces the
     same accuracy distribution, and (b) the parallel engine
     (:mod:`repro.experiments.parallel`), the persistent result cache and
-    this serial runner all agree bit-for-bit on every Table-II cell.
+    :func:`run_cell` all agree bit-for-bit on every Table-II cell.
 
     The derivation is currently the identity.  It is factored out so any
     future change to the evaluation-noise stream happens in exactly one
@@ -140,7 +145,7 @@ def run_cell(
         ``(learnable, variation_aware, train ϵ)``.  Nominal setups train
         once with ϵ = 0 and share that training across both test ϵ
         columns, so passing the same dict to all cells of one dataset
-        (as :func:`run_dataset` does) avoids redundant trainings.
+        avoids redundant trainings.
 
         This memo lives and dies with one Python process.  Its
         *persistent* counterpart is the on-disk result cache
@@ -180,41 +185,3 @@ def run_cell(
         best_seed=seed,
         best_val_loss=val_loss,
     )
-
-
-def run_dataset(
-    dataset: str,
-    config: ExperimentConfig,
-    surrogates: Optional[Surrogates] = None,
-    progress: Optional[Callable[[str], None]] = None,
-) -> List[CellResult]:
-    """All 8 Table-II cells (4 setups × 2 test ϵ) for one dataset."""
-    surrogates = surrogates if surrogates is not None else default_surrogates()
-    splits = load_splits(dataset, seed=0, max_train=config.max_train)
-    results: List[CellResult] = []
-    trained: Dict = {}
-    for setup in SETUPS:
-        for eps_test in TEST_EPSILONS:
-            if progress is not None:
-                progress(f"{dataset}: {setup.label} @ ϵ={eps_test:.0%}")
-            results.append(
-                run_cell(
-                    dataset, setup, eps_test, config,
-                    surrogates=surrogates, splits=splits, trained=trained,
-                )
-            )
-    return results
-
-
-def run_table2(
-    datasets: List[str],
-    config: ExperimentConfig,
-    surrogates: Optional[Surrogates] = None,
-    progress: Optional[Callable[[str], None]] = None,
-) -> List[CellResult]:
-    """Run the full Table-II grid over ``datasets``."""
-    surrogates = surrogates if surrogates is not None else default_surrogates()
-    results: List[CellResult] = []
-    for dataset in datasets:
-        results.extend(run_dataset(dataset, config, surrogates=surrogates, progress=progress))
-    return results

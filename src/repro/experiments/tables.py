@@ -73,8 +73,8 @@ def render_table2(results: List[CellResult]) -> str:
 def split_by_scenario(results: List[CellResult]) -> Dict[str, List[CellResult]]:
     """Partition cell results by scenario, preserving first-appearance order.
 
-    Results produced before scenarios existed (or by the serial runner)
-    all carry the default scenario and land in one bucket, so the split
+    Results produced before scenarios existed (or by ``run_cell``) all
+    carry the default scenario and land in one bucket, so the split
     is a no-op for historical result sets.
     """
     buckets: Dict[str, List[CellResult]] = {}

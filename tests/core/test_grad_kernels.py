@@ -2,10 +2,12 @@
 
 The contract of :mod:`repro.core.grad_kernels` is *agreement*: for every
 point in the {learnable} × {nominal, ε>0} × {shared, per-neuron} ×
-{analytic, MLP surrogate} × {margin, ce} grid, the kernel engine's loss
-must equal the autograd loss and its raw-parameter gradients must match the
-taped backward pass to ~1e-8 (observed agreement is float64 rounding).
-Finite differences pin the same gradients independently of both engines.
+{analytic, MLP surrogate} × {margin, ce} grid, the loss of
+:class:`~repro.core.grad_kernels.KernelNetwork` (the serial reference
+executor the lane executor is checked against) must equal the autograd
+loss and its raw-parameter gradients must match the taped backward pass to
+~1e-8 (observed agreement is float64 rounding).  Finite differences pin
+the same gradients independently of both.
 """
 
 import numpy as np

@@ -1,20 +1,38 @@
-"""Lane-batched lockstep training vs serial kernel runs, bit for bit.
+"""The lane training loop, bit for bit: step level and run level.
 
-These tests pin the lane engine's central contract (see
-``docs/TRAINING.md``): lane ``l`` of ``train_pnn_lanes`` reproduces the
-serial ``train_pnn(engine="kernel")`` run for the same seed **bitwise** —
-the exact per-epoch ``(train_loss, val_loss)`` history (``==``, no
-tolerance), the exact early-stop epoch, and byte-identical trained
-parameters — including when lanes early-stop at different epochs and the
-active stack shrinks mid-run.
+These tests pin the lane loop's two contracts (see ``docs/TRAINING.md``):
+
+- **step level** — one :meth:`LaneNetwork.loss_and_grads` /
+  :meth:`LaneNetwork.loss_values` call on an ``L``-lane stack equals, per
+  lane and bitwise, :class:`~repro.core.grad_kernels.KernelNetwork` on
+  that lane's arrays alone.  ``KernelNetwork`` is the serial reference
+  executor that ``test_grad_kernels.py`` checks against autograd and
+  finite differences, so the chain lanes == serial executor == autograd
+  holds without a second training loop;
+- **run level** — lane ``l`` of an ``L``-lane ``train_pnn_lanes`` run
+  reproduces the one-lane run for the same seed **bitwise** — the exact
+  per-epoch ``(train_loss, val_loss)`` history (``==``, no tolerance),
+  the exact early-stop epoch, and byte-identical trained parameters —
+  including when lanes early-stop at different epochs and the active
+  stack shrinks mid-run.  That is the ``lane_width`` invariance Table II
+  relies on; ``train_pnn(engine="kernel")`` is the one-lane run.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import PrintedNeuralNetwork, TrainConfig, train_pnn, train_pnn_lanes
-from repro.core.aging import AgingModel
-from repro.core.lanes import LaneNetwork
+from repro.core import (
+    KernelNetwork,
+    PrintedNeuralNetwork,
+    TrainConfig,
+    train_pnn,
+    train_pnn_lanes,
+)
+from repro.core import lanes as lanes_module
+from repro.core.aging import AgingModel, CompositeVariation
+from repro.core.lanes import LANE_SHARED_FIELDS, LaneNetwork, stack_epsilons
+from repro.core.training import VALIDATION_SEED_OFFSET, draw_epoch_epsilons
+from repro.core.variation import VariationModel, build_scenario_model
 
 SEEDS = (1, 2, 3)
 
@@ -37,38 +55,101 @@ def make_config(seed, **overrides):
     return TrainConfig(seed=seed, **defaults)
 
 
-def run_serial(surrogates, blob_data, configs, per_neuron=False):
+def run_one_lane_each(surrogates, blob_data, configs, per_neuron=False, **overrides):
+    """``L`` separate one-lane runs (``train_pnn``'s kernel engine)."""
     x_train, y_train, x_val, y_val = blob_data
     results, states = [], []
-    for config in configs:
+    for lane, config in enumerate(configs):
         pnn = make_pnn(surrogates, config.seed, per_neuron)
         results.append(
-            train_pnn(pnn, x_train, y_train, x_val, y_val, config, engine="kernel")
+            train_pnn(
+                pnn, x_train, y_train, x_val, y_val, config, engine="kernel",
+                **{name: models[lane] for name, models in overrides.items()},
+            )
         )
         states.append(pnn.state_dict())
     return results, states
 
 
-def run_lanes(surrogates, blob_data, configs, per_neuron=False):
+def run_stacked(surrogates, blob_data, configs, per_neuron=False, **overrides):
+    """One ``L``-lane run of the same networks and configs."""
     x_train, y_train, x_val, y_val = blob_data
     pnns = [make_pnn(surrogates, config.seed, per_neuron) for config in configs]
-    results = train_pnn_lanes(pnns, x_train, y_train, x_val, y_val, configs)
+    results = train_pnn_lanes(pnns, x_train, y_train, x_val, y_val, configs, **overrides)
     return results, [pnn.state_dict() for pnn in pnns]
 
 
-def assert_bitwise_equal(serial, lanes):
-    serial_results, serial_states = serial
-    lane_results, lane_states = lanes
-    assert len(serial_results) == len(lane_results)
-    for s, l in zip(serial_results, lane_results):
+def assert_bitwise_equal(one_lane, stacked):
+    one_results, one_states = one_lane
+    lane_results, lane_states = stacked
+    assert len(one_results) == len(lane_results)
+    for s, l in zip(one_results, lane_results):
         assert l.history == s.history          # exact float equality, per epoch
         assert l.best_epoch == s.best_epoch
         assert l.epochs_run == s.epochs_run
         assert l.best_val_loss == s.best_val_loss
-    for s, l in zip(serial_states, lane_states):
+    for s, l in zip(one_states, lane_states):
         assert s.keys() == l.keys()
         for name in s:
             np.testing.assert_array_equal(l[name], s[name], err_msg=name)
+
+
+#: Variation settings of the step-level grid: nominal, the default ε
+#: family, override-carrying stuck-at defects, and the two override
+#: models aging-aware training passes in (seed -> model).
+STEP_VARIATIONS = {
+    "nominal": None,
+    "eps0.1": lambda seed: build_scenario_model("default", 0.1, seed=seed),
+    "stuck-1pct": lambda seed: build_scenario_model("stuck-1pct", 0.05, seed=seed),
+    "aging": lambda seed: AgingModel(drift_rate=0.15, spread=0.02, time_horizon=2.0, seed=seed),
+    "composite": lambda seed: CompositeVariation(
+        VariationModel(0.1, seed=seed),
+        AgingModel(drift_rate=0.05, time_horizon=2.0, seed=seed + 50),
+    ),
+}
+
+
+@pytest.mark.slow
+class TestStepLevelReference:
+    """LaneNetwork on a 3-lane stack == KernelNetwork per lane, bitwise."""
+
+    @pytest.mark.parametrize("variation", sorted(STEP_VARIATIONS))
+    @pytest.mark.parametrize("loss", ["margin", "ce"])
+    @pytest.mark.parametrize("per_neuron", [False, True])
+    @pytest.mark.parametrize("surrogate", ["analytic", "mlp"])
+    def test_loss_and_grads_equal_serial_executor_per_lane(
+        self, surrogate, per_neuron, loss, variation,
+        analytic_surrogates, tiny_bundle, blob_data,
+    ):
+        x, y, x_val, y_val = blob_data
+        surrogates = analytic_surrogates if surrogate == "analytic" else tiny_bundle
+        pnns = [make_pnn(surrogates, seed, per_neuron) for seed in SEEDS]
+        epsilons = [None] * len(pnns)
+        if STEP_VARIATIONS[variation] is not None:
+            epsilons = [
+                draw_epoch_epsilons(STEP_VARIATIONS[variation](seed), 4, pnns[0])
+                for seed in SEEDS
+            ]
+        stacked_eps = None if epsilons[0] is None else stack_epsilons(epsilons)
+
+        lane_net = LaneNetwork.from_pnns(pnns)
+        stacked = LaneNetwork.stack_arrays(pnns)
+        values, grads = lane_net.loss_and_grads(stacked, x, y, loss=loss, epsilons=stacked_eps)
+        val_values = lane_net.loss_values(stacked, x_val, y_val, loss=loss, epsilons=stacked_eps)
+
+        for lane, pnn in enumerate(pnns):
+            net = KernelNetwork.from_pnn(pnn)
+            arrays = KernelNetwork.extract_arrays(pnn)
+            value, ref_grads = net.loss_and_grads(arrays, x, y, loss=loss, epsilons=epsilons[lane])
+            assert values[lane] == value
+            assert val_values[lane] == net.loss_value(
+                arrays, x_val, y_val, loss=loss, epsilons=epsilons[lane]
+            )
+            for mine, ref in zip(grads, ref_grads):
+                for name in ("theta", "w_act", "w_neg"):
+                    np.testing.assert_array_equal(
+                        getattr(mine, name)[lane], getattr(ref, name), err_msg=name
+                    )
 
 
 @pytest.mark.slow
@@ -93,8 +174,8 @@ class TestLaneBitIdentity:
             for seed in SEEDS
         ]
         assert_bitwise_equal(
-            run_serial(analytic_surrogates, blob_data, configs, per_neuron),
-            run_lanes(analytic_surrogates, blob_data, configs, per_neuron),
+            run_one_lane_each(analytic_surrogates, blob_data, configs, per_neuron),
+            run_stacked(analytic_surrogates, blob_data, configs, per_neuron),
         )
 
     @pytest.mark.parametrize(
@@ -106,20 +187,20 @@ class TestLaneBitIdentity:
     ):
         configs = [make_config(seed, loss=loss, max_epochs=15) for seed in SEEDS]
         assert_bitwise_equal(
-            run_serial(tiny_bundle, blob_data, configs, per_neuron),
-            run_lanes(tiny_bundle, blob_data, configs, per_neuron),
+            run_one_lane_each(tiny_bundle, blob_data, configs, per_neuron),
+            run_stacked(tiny_bundle, blob_data, configs, per_neuron),
         )
 
     def test_staggered_early_stops(self, analytic_surrogates, blob_data):
         """Lanes stopping at different epochs shrink the stack mid-run and
-        still finish bitwise equal to their serial counterparts."""
+        still finish bitwise equal to their one-lane runs."""
         configs = [
             make_config(seed, max_epochs=120, patience=5, loss="ce") for seed in SEEDS
         ]
-        serial = run_serial(analytic_surrogates, blob_data, configs)
-        lanes = run_lanes(analytic_surrogates, blob_data, configs)
-        assert_bitwise_equal(serial, lanes)
-        epochs = {result.epochs_run for result in serial[0]}
+        one_lane = run_one_lane_each(analytic_surrogates, blob_data, configs)
+        stacked = run_stacked(analytic_surrogates, blob_data, configs)
+        assert_bitwise_equal(one_lane, stacked)
+        epochs = {result.epochs_run for result in one_lane[0]}
         assert len(epochs) > 1, (
             "fixture regression: staggered-stop test needs lanes stopping at "
             f"different epochs, got {epochs}"
@@ -128,8 +209,8 @@ class TestLaneBitIdentity:
     def test_gather_invariance(self, analytic_surrogates, blob_data):
         """A lane's result must not depend on its stack mates."""
         configs = [make_config(seed, max_epochs=20) for seed in SEEDS]
-        full = run_lanes(analytic_surrogates, blob_data, configs)
-        pair = run_lanes(analytic_surrogates, blob_data, configs[:2])
+        full = run_stacked(analytic_surrogates, blob_data, configs)
+        pair = run_stacked(analytic_surrogates, blob_data, configs[:2])
         assert_bitwise_equal(
             (full[0][:2], full[1][:2]),
             pair,
@@ -138,42 +219,104 @@ class TestLaneBitIdentity:
     def test_single_lane_equals_serial(self, analytic_surrogates, blob_data):
         configs = [make_config(7, max_epochs=15)]
         assert_bitwise_equal(
-            run_serial(analytic_surrogates, blob_data, configs),
-            run_lanes(analytic_surrogates, blob_data, configs),
+            run_one_lane_each(analytic_surrogates, blob_data, configs),
+            run_stacked(analytic_surrogates, blob_data, configs),
         )
+
+
+def aging(seed):
+    return AgingModel(drift_rate=0.05, time_horizon=2.0, seed=seed)
 
 
 class TestLaneEngineDispatch:
-    def test_engine_lanes_matches_engine_kernel(self, analytic_surrogates, blob_data):
+    def test_kernel_engine_is_a_one_lane_run(self, analytic_surrogates, blob_data, monkeypatch):
         x_train, y_train, x_val, y_val = blob_data
         config = make_config(4, max_epochs=10)
-        reference = make_pnn(analytic_surrogates, 4)
-        ref_result = train_pnn(
-            reference, x_train, y_train, x_val, y_val, config, engine="kernel"
-        )
-        pnn = make_pnn(analytic_surrogates, 4)
-        result = train_pnn(
-            pnn, x_train, y_train, x_val, y_val, config, engine="lanes"
-        )
-        assert result.history == ref_result.history
-        assert result.best_epoch == ref_result.best_epoch
-        for name, value in reference.state_dict().items():
-            np.testing.assert_array_equal(pnn.state_dict()[name], value)
+        widths = []
+        real = lanes_module.train_pnn_lanes
 
-    def test_engine_lanes_rejects_variation_overrides(
-        self, analytic_surrogates, blob_data
+        def spy(pnns, *args, **kwargs):
+            widths.append(len(pnns))
+            return real(pnns, *args, **kwargs)
+
+        monkeypatch.setattr(lanes_module, "train_pnn_lanes", spy)
+        pnn = make_pnn(analytic_surrogates, 4)
+        result = train_pnn(pnn, x_train, y_train, x_val, y_val, config, engine="kernel")
+        assert widths == [1]
+        assert result.epochs_run == len(result.history) == 10
+
+    def test_variation_overrides_run_through_lanes(self, analytic_surrogates, blob_data):
+        """Per-lane aging overrides: a 3-lane stack equals 3 one-lane runs."""
+        configs = [make_config(seed, max_epochs=12, patience=3, epsilon=0.0) for seed in SEEDS]
+
+        def train_models():
+            return [aging(seed) for seed in SEEDS]
+
+        def val_models():
+            return [aging(100 + seed) for seed in SEEDS]
+
+        one_lane = run_one_lane_each(
+            analytic_surrogates, blob_data, configs,
+            variation=train_models(), val_variation=val_models(),
+        )
+        stacked = run_stacked(
+            analytic_surrogates, blob_data, configs,
+            variations=train_models(), val_variations=val_models(),
+        )
+        assert_bitwise_equal(one_lane, stacked)
+        assert len({r.epochs_run for r in one_lane[0]}) > 1, "lanes should stop apart"
+
+    @pytest.mark.parametrize("scenario,epsilon", [("default", 0.1), ("stuck-1pct", 0.05)])
+    def test_explicit_scenario_models_equal_config_built(
+        self, analytic_surrogates, blob_data, scenario, epsilon
     ):
-        x_train, y_train, x_val, y_val = blob_data
-        pnn = make_pnn(analytic_surrogates, 0)
-        aging = AgingModel(drift_rate=0.05, time_horizon=2.0, seed=9)
-        with pytest.raises(ValueError, match="variation"):
-            train_pnn(
-                pnn, x_train, y_train, x_val, y_val,
-                TrainConfig(max_epochs=2), variation=aging, engine="lanes",
-            )
+        """Passing the models a config would build is the same run: the
+        override channel and the config channel are one mechanism."""
+        configs = [
+            make_config(seed, max_epochs=12, epsilon=epsilon, scenario=scenario)
+            for seed in SEEDS
+        ]
+        built = run_stacked(analytic_surrogates, blob_data, configs)
+        explicit = run_stacked(
+            analytic_surrogates, blob_data, configs,
+            variations=[build_scenario_model(scenario, epsilon, seed=c.seed) for c in configs],
+            val_variations=[
+                build_scenario_model(scenario, epsilon, seed=c.seed + VALIDATION_SEED_OFFSET)
+                for c in configs
+            ],
+        )
+        assert_bitwise_equal(built, explicit)
+        none_entries = run_stacked(
+            analytic_surrogates, blob_data, configs,
+            variations=[None] * len(configs), val_variations=[None] * len(configs),
+        )
+        assert_bitwise_equal(built, none_entries)
+
+
+#: A second value for every field lanes must share.
+OTHER_SHARED_VALUES = {
+    "lr_theta": 0.2,
+    "lr_omega": 0.01,
+    "learnable_nonlinear": False,
+    "epsilon": 0.2,
+    "scenario": "stuck-1pct",
+    "n_mc_train": 6,
+    "max_epochs": 26,
+    "patience": 26,
+    "loss": "ce",
+}
 
 
 class TestLaneValidation:
+    @pytest.mark.parametrize("field", LANE_SHARED_FIELDS)
+    def test_shared_field_disagreement_rejected(self, analytic_surrogates, blob_data, field):
+        x_train, y_train, x_val, y_val = blob_data
+        pnns = [make_pnn(analytic_surrogates, seed) for seed in (1, 2)]
+        configs = [make_config(1), make_config(2, **{field: OTHER_SHARED_VALUES[field]})]
+        assert getattr(configs[0], field) != getattr(configs[1], field)
+        with pytest.raises(ValueError, match=field):
+            train_pnn_lanes(pnns, x_train, y_train, x_val, y_val, configs)
+
     def test_mismatched_configs_rejected(self, analytic_surrogates, blob_data):
         x_train, y_train, x_val, y_val = blob_data
         pnns = [make_pnn(analytic_surrogates, seed) for seed in (1, 2)]
@@ -206,3 +349,22 @@ class TestLaneValidation:
     def test_empty_lane_list_returns_empty(self, blob_data):
         x_train, y_train, x_val, y_val = blob_data
         assert train_pnn_lanes([], x_train, y_train, x_val, y_val, []) == []
+
+    def test_lanes_disagreeing_on_sampling_rejected(self, analytic_surrogates, blob_data):
+        x_train, y_train, x_val, y_val = blob_data
+        pnns = [make_pnn(analytic_surrogates, seed) for seed in (1, 2)]
+        configs = [make_config(seed, epsilon=0.0) for seed in (1, 2)]
+        with pytest.raises(ValueError, match="training variation"):
+            train_pnn_lanes(pnns, x_train, y_train, x_val, y_val, configs,
+                            variations=[aging(1), None])
+        with pytest.raises(ValueError, match="validation variation"):
+            train_pnn_lanes(pnns, x_train, y_train, x_val, y_val, configs,
+                            val_variations=[None, aging(2)])
+
+    def test_variation_entry_count_mismatch_rejected(self, analytic_surrogates, blob_data):
+        x_train, y_train, x_val, y_val = blob_data
+        pnns = [make_pnn(analytic_surrogates, seed) for seed in (1, 2)]
+        configs = [make_config(seed) for seed in (1, 2)]
+        with pytest.raises(ValueError, match="variation model entry"):
+            train_pnn_lanes(pnns, x_train, y_train, x_val, y_val, configs,
+                            variations=[aging(1)])

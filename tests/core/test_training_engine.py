@@ -1,9 +1,9 @@
 """The kernel training engine vs the autograd engine, epoch for epoch.
 
-``train_pnn(engine="kernel")`` must reproduce the taped loop exactly: the
-same train/validation loss at every epoch (≤1e-9 relative — observed
-agreement is float64 rounding), the same early-stopping decision, and the
-same restored best-epoch parameters.  Both engines share one variation RNG
+``train_pnn(engine="kernel")`` — a one-lane run of the lane loop — must
+reproduce the taped loop exactly: the same train/validation loss at every
+epoch (≤1e-9 relative — observed agreement is float64 rounding), the same
+early-stopping decision, and the same restored best-epoch parameters.  Both engines share one variation RNG
 stream contract (canonical per-layer θ/act/neg draws, one 3-cycle per
 layer per epoch), which these tests pin as well.
 """
@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from repro.core import PrintedNeuralNetwork, TrainConfig, train_pnn
-from repro.core.aging import AgingModel
+from repro.core.aging import AgingModel, CompositeVariation
 from repro.core.losses import make_loss
 from repro.core.training import (
     VALIDATION_SEED_OFFSET,
     _validation_loss,
     draw_epoch_epsilons,
 )
-from repro.core.variation import VariationModel
+from repro.core.variation import VariationModel, build_scenario_model
 
 HISTORY_RTOL = 1e-9
 
@@ -30,13 +30,13 @@ def make_pnn(analytic_surrogates, seed=7):
     )
 
 
-def train_both(analytic_surrogates, blob_data, config):
+def train_both(analytic_surrogates, blob_data, config, overrides=lambda: {}):
     x_train, y_train, x_val, y_val = blob_data
     results, networks = {}, {}
     for engine in ("autograd", "kernel"):
         pnn = make_pnn(analytic_surrogates)
         results[engine] = train_pnn(
-            pnn, x_train, y_train, x_val, y_val, config, engine=engine
+            pnn, x_train, y_train, x_val, y_val, config, engine=engine, **overrides()
         )
         networks[engine] = pnn
     return results, networks
@@ -88,13 +88,60 @@ class TestTrajectoryEquivalence:
         assert_histories_match(results)
 
 
+def aging(seed, drift_rate=0.15):
+    return AgingModel(drift_rate=drift_rate, spread=0.02, time_horizon=2.0, seed=seed)
+
+
+#: Multiplicative override cases the taped loop also runs:
+#: case -> (config ε, () -> train_pnn override kwargs).
+OVERRIDE_CASES = {
+    "aging": (0.0, lambda: dict(variation=aging(3), val_variation=aging(99))),
+    "aging-train-only": (0.05, lambda: dict(variation=aging(3))),
+    "composite": (0.0, lambda: dict(
+        variation=CompositeVariation(VariationModel(0.1, seed=5), aging(4, 0.05)),
+        val_variation=CompositeVariation(VariationModel(0.1, seed=7), aging(6, 0.05)),
+    )),
+    "nominal-aging": (0.0, lambda: dict(
+        variation=AgingModel(drift_rate=0.1, spread=0.0, fixed_time=0.0, seed=0),
+        val_variation=AgingModel(drift_rate=0.1, spread=0.0, fixed_time=0.0, seed=1),
+    )),
+}
+
+
+@pytest.mark.slow
+class TestOverrideTrajectoryEquivalence:
+    """Aging-aware training runs through lanes and still tracks the taped loop."""
+
+    @pytest.mark.parametrize("case", sorted(OVERRIDE_CASES))
+    def test_override_histories_agree(self, analytic_surrogates, blob_data, case):
+        epsilon, overrides = OVERRIDE_CASES[case]
+        config = TrainConfig(max_epochs=25, patience=25, epsilon=epsilon, n_mc_train=6, seed=5)
+        results, _ = train_both(analytic_surrogates, blob_data, config, overrides)
+        assert_histories_match(results)
+        assert results["kernel"].epochs_run == results["autograd"].epochs_run == 25
+
+
 class TestKernelEngineBehaviour:
     def test_unknown_engine_rejected(self, analytic_surrogates, blob_data):
         x_train, y_train, x_val, y_val = blob_data
         pnn = make_pnn(analytic_surrogates)
-        with pytest.raises(ValueError, match="engine"):
-            train_pnn(pnn, x_train, y_train, x_val, y_val, TrainConfig(max_epochs=1),
-                      engine="numpy")
+        # "lanes" was a second spelling of the kernel engine's one-lane run.
+        for engine in ("numpy", "lanes"):
+            with pytest.raises(ValueError, match="engine"):
+                train_pnn(pnn, x_train, y_train, x_val, y_val, TrainConfig(max_epochs=1),
+                          engine=engine)
+
+    def test_autograd_rejects_override_carrying_models(self, analytic_surrogates, blob_data):
+        x_train, y_train, x_val, y_val = blob_data
+        stuck = build_scenario_model("stuck-1pct", 0.05, seed=3)
+        with pytest.raises(ValueError, match="override-carrying"):
+            train_pnn(make_pnn(analytic_surrogates), x_train, y_train, x_val, y_val,
+                      TrainConfig(max_epochs=1), variation=stuck, engine="autograd")
+
+    def test_train_config_has_no_verbose_field(self):
+        # The lane loop never printed progress, so the flag is gone.
+        with pytest.raises(TypeError):
+            TrainConfig(verbose=True)
 
     def test_non_learnable_keeps_w_fixed(self, analytic_surrogates, blob_data):
         x_train, y_train, x_val, y_val = blob_data

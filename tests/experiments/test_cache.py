@@ -10,7 +10,7 @@ from repro.experiments import (
     ExperimentConfig,
     ResultCache,
     RunJournal,
-    execute_job,
+    execute_job_lanes,
     job_digest,
 )
 from repro.experiments.jobs import JobKey
@@ -19,6 +19,12 @@ MICRO = ExperimentConfig(
     seeds=(1,), max_epochs=12, patience=12, n_mc_train=2, n_test=4, max_train=50,
 )
 KEY = JobKey("iris", True, True, 0.05, 1)
+
+
+def execute_key(surrogates):
+    """Train :data:`KEY` as a one-lane batch."""
+    (outcome,) = execute_job_lanes([KEY], MICRO, surrogates)
+    return outcome
 
 
 class TestDigest:
@@ -52,7 +58,7 @@ class TestDigest:
 class TestRoundTrip:
     @pytest.fixture(scope="class")
     def outcome(self, analytic_surrogates):
-        return execute_job(KEY, MICRO, analytic_surrogates)
+        return execute_key(analytic_surrogates)
 
     def test_miss_then_hit(self, tmp_path, analytic_surrogates, outcome):
         cache = ResultCache(tmp_path / "cache")
@@ -144,7 +150,7 @@ class TestRoundTrip:
 
 class TestJournal:
     def test_records_round_trip(self, tmp_path, analytic_surrogates):
-        outcome = execute_job(KEY, MICRO, analytic_surrogates)
+        outcome = execute_key(analytic_surrogates)
         outcome.digest = "abc123"
         journal = RunJournal(tmp_path / "journal.jsonl")
         journal.record(outcome)
@@ -168,7 +174,7 @@ class TestJournal:
         assert RunJournal.read(tmp_path / "nope.jsonl") == []
 
     def test_read_skips_truncated_final_line(self, tmp_path, analytic_surrogates):
-        outcome = execute_job(KEY, MICRO, analytic_surrogates)
+        outcome = execute_key(analytic_surrogates)
         journal = RunJournal(tmp_path / "journal.jsonl")
         journal.record(outcome)
         journal.record(outcome)
@@ -182,7 +188,7 @@ class TestJournal:
         assert all(r["dataset"] == "iris" for r in records)
 
     def test_lines_are_plain_json(self, tmp_path, analytic_surrogates):
-        outcome = execute_job(KEY, MICRO, analytic_surrogates)
+        outcome = execute_key(analytic_surrogates)
         journal = RunJournal(tmp_path / "journal.jsonl")
         journal.record(outcome)
         line = (tmp_path / "journal.jsonl").read_text().strip()

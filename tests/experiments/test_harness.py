@@ -13,9 +13,9 @@ from repro.experiments import (
     render_table2,
     render_table3,
     run_cell,
-    run_dataset,
     summarize_table3,
 )
+from repro.experiments.jobs import iter_cells
 
 
 def make_cell(dataset, learnable, va, eps, mean, std):
@@ -104,11 +104,19 @@ class TestRunner:
         # Nominal training shared across test epsilons → still one entry.
         assert len(trained) == 1
 
-    def test_run_dataset_produces_full_grid(self, micro_config, analytic_surrogates):
-        cells = run_dataset("iris", micro_config, surrogates=analytic_surrogates)
+    def test_run_cell_over_iter_cells_produces_full_grid(
+        self, micro_config, analytic_surrogates
+    ):
+        trained = {}
+        cells = [
+            run_cell(dataset, setup, eps_test, micro_config,
+                     surrogates=analytic_surrogates, trained=trained)
+            for dataset, setup, eps_test in iter_cells(["iris"])
+        ]
         assert len(cells) == 8     # 4 setups × 2 epsilons
         keys = {(c.setup.learnable, c.setup.variation_aware, c.eps_test) for c in cells}
         assert len(keys) == 8
+        assert len(trained) == 6   # nominal setups train once for both epsilons
 
 
 class TestTables:

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.core.params import PNNParams
-from repro.experiments import ExperimentConfig, enumerate_jobs, execute_job
+from repro.experiments import ExperimentConfig, enumerate_jobs, execute_job_lanes
 from repro.experiments.config import SETUPS, TEST_EPSILONS, Setup
 from repro.experiments.jobs import (
     SPLIT_SEED,
@@ -12,6 +12,12 @@ from repro.experiments.jobs import (
     train_epsilon,
 )
 from repro.experiments.runner import mc_evaluation_seed
+
+
+def execute_one(key, config, surrogates):
+    """Train one job as a one-lane batch."""
+    (outcome,) = execute_job_lanes([key], config, surrogates)
+    return outcome
 
 
 MICRO = ExperimentConfig(
@@ -68,8 +74,8 @@ class TestEnumeration:
 class TestExecution:
     def test_execute_matches_rerun_bitwise(self, analytic_surrogates):
         key = JobKey("iris", False, False, 0.0, 1)
-        first = execute_job(key, MICRO, analytic_surrogates)
-        second = execute_job(key, MICRO, analytic_surrogates)
+        first = execute_one(key, MICRO, analytic_surrogates)
+        second = execute_one(key, MICRO, analytic_surrogates)
         assert first.val_loss == second.val_loss
         assert first.epochs_run == second.epochs_run
         for a, b in zip(first.params.layers, second.params.layers):
@@ -81,13 +87,13 @@ class TestExecution:
         from repro.datasets import load_splits
 
         key = JobKey("iris", True, True, 0.05, 1)
-        outcome = execute_job(key, MICRO, analytic_surrogates)
+        outcome = execute_one(key, MICRO, analytic_surrogates)
         assert isinstance(outcome.params, PNNParams)
         assert outcome.params.layer_sizes == outcome.topology
         splits = load_splits("iris", seed=SPLIT_SEED, max_train=MICRO.max_train)
         np.testing.assert_array_equal(
             outcome.params.predict(splits.x_test),
-            execute_job(key, MICRO, analytic_surrogates).params.predict(splits.x_test),
+            execute_one(key, MICRO, analytic_surrogates).params.predict(splits.x_test),
         )
 
 

@@ -4,29 +4,66 @@ Pins the contracts documented in ``docs/TRAINING.md``:
 
 - :func:`group_jobs_into_lanes` chunks same-group jobs deterministically
   and never mixes groups in one batch;
-- :func:`execute_job_lanes` returns outcomes **bitwise identical** to
-  per-job :func:`execute_job` calls (losses, epochs, parameter snapshots
-  and cache digests);
+- :func:`execute_job_lanes` on an ``L``-key batch returns outcomes
+  **bitwise identical** to ``L`` one-key (one-lane) batches — losses,
+  epochs, parameter snapshots and cache digests — which is the
+  ``lane_width`` invariance Table II relies on;
+- a one-key batch, and every lane of a wider batch, reproduces the
+  outcomes recorded from the per-job serial executor it replaced;
 - :func:`run_table2_parallel` produces identical cells at any lane width.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
+from repro.core import PrintedNeuralNetwork, snapshot_params, surrogate_fingerprint, train_pnn
+from repro.datasets import load_splits
 from repro.experiments import (
     ExperimentConfig,
+    JobKey,
     enumerate_jobs,
-    execute_job,
     execute_job_lanes,
     group_jobs_into_lanes,
     job_digest,
     run_table2_parallel,
 )
-from repro.core import surrogate_fingerprint
+from repro.experiments.jobs import SPLIT_SEED, _train_config
 
 MICRO = ExperimentConfig(
     seeds=(1, 2, 3), max_epochs=15, patience=15, n_mc_train=2, n_test=6, max_train=50,
 )
+
+#: Width-1 outcomes of the iris learnable + variation-aware group (ϵ = 5 %)
+#: under MICRO and the analytic surrogates, recorded from the per-job
+#: serial executor before width-1 batches became one-lane batches:
+#: ``(val_loss.hex(), best_epoch, epochs_run, params sha256)``.
+RECORDED_WIDTH_ONE = {
+    ("default", 1): ("0x1.6b806808b63fep-3", 14, 15,
+                     "b9437696fa0c9ec5d2da9f34e8a5f19d04abf6c4eee618efd2fd2a71f16266b2"),
+    ("default", 2): ("0x1.df1cab02fd89ap-5", 12, 15,
+                     "6e52375c85120b60bb46c36dcb1a35412563a0712f97cf2bbe309606f7ef77a5"),
+    ("default", 3): ("0x1.3855fda87aa43p-4", 14, 15,
+                     "49b67d2ff25b7f9106710a55cf957122a6b08d105f97a167a61449735ad34b13"),
+    ("stuck-1pct", 1): ("0x1.68b9172b7b065p-3", 14, 15,
+                        "62e57917e22cc3e4a92806136c72a6c6e0683793e9bbda669ba73dfe2d5dcac8"),
+    ("stuck-1pct", 2): ("0x1.ff51ca53a7ed0p-5", 14, 15,
+                        "391b86687959cf896c82a710925ce97f2a2a5baaa69e55e32d4dc573065475fd"),
+    ("stuck-1pct", 3): ("0x1.b7e3f300c721cp-3", 13, 15,
+                        "e8cb809c3ace5dcf1a2420e9e775a71188b27f32b7a58aa52992a1048fcc1011"),
+}
+
+
+def params_sha256(params):
+    digest = hashlib.sha256()
+    for layer in params.layers:
+        for array in (layer.theta, layer.act_omega, layer.neg_omega):
+            array = np.ascontiguousarray(array)
+            digest.update(array.dtype.str.encode())
+            digest.update(repr(array.shape).encode())
+            digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 class TestGrouping:
@@ -71,11 +108,11 @@ class TestLaneExecutionBitIdentity:
         return next(b for b in batches if b[0].learnable and b[0].variation_aware)
 
     def test_outcomes_bitwise_equal_serial(self, analytic_surrogates, batch):
-        serial = [execute_job(key, MICRO, analytic_surrogates) for key in batch]
+        one_lane = [execute_job_lanes([key], MICRO, analytic_surrogates)[0] for key in batch]
         laned = execute_job_lanes(batch, MICRO, analytic_surrogates)
         fingerprint = surrogate_fingerprint(analytic_surrogates)
-        assert len(laned) == len(serial)
-        for s, l in zip(serial, laned):
+        assert len(laned) == len(one_lane)
+        for s, l in zip(one_lane, laned):
             assert l.key == s.key
             assert l.topology == s.topology
             assert l.val_loss == s.val_loss       # exact — no tolerance
@@ -85,19 +122,52 @@ class TestLaneExecutionBitIdentity:
                 np.testing.assert_array_equal(ll.theta, sl.theta)
                 np.testing.assert_array_equal(ll.act_omega, sl.act_omega)
                 np.testing.assert_array_equal(ll.neg_omega, sl.neg_omega)
-            # The cache digest is engine-independent by design, so lane
-            # outcomes land on the same cache entries as serial ones.
+            # The cache digest ignores the batch width, so every width
+            # lands on the same cache entries.
             assert (
                 job_digest(l.key, MICRO, fingerprint)
                 == job_digest(s.key, MICRO, fingerprint)
             )
 
-    def test_width_one_batch_falls_through_to_serial(self, analytic_surrogates, batch):
-        single = execute_job_lanes(batch[:1], MICRO, analytic_surrogates)
-        reference = execute_job(batch[0], MICRO, analytic_surrogates)
-        assert len(single) == 1
-        assert single[0].val_loss == reference.val_loss
-        assert single[0].epochs_run == reference.epochs_run
+    def test_width_one_matches_recording(self, analytic_surrogates):
+        """One-key batches and ``train_pnn`` both reproduce the recording."""
+        splits = load_splits("iris", seed=SPLIT_SEED, max_train=MICRO.max_train)
+        topology = [splits.n_features, MICRO.hidden, splits.n_classes]
+        for (scenario, seed), recorded in RECORDED_WIDTH_ONE.items():
+            key = JobKey("iris", True, True, 0.05, seed, scenario)
+            (outcome,) = execute_job_lanes([key], MICRO, analytic_surrogates)
+            assert (
+                outcome.val_loss.hex(), outcome.best_epoch, outcome.epochs_run,
+                params_sha256(outcome.params),
+            ) == recorded, key
+
+            pnn = PrintedNeuralNetwork(
+                topology, analytic_surrogates,
+                per_neuron_activation=MICRO.per_neuron_activation,
+                rng=np.random.default_rng(seed),
+            )
+            result = train_pnn(
+                pnn, splits.x_train, splits.y_train, splits.x_val, splits.y_val,
+                _train_config(key, MICRO),
+            )
+            assert (
+                result.best_val_loss.hex(), result.best_epoch, result.epochs_run,
+                params_sha256(snapshot_params(pnn)),
+            ) == recorded, key
+
+    @pytest.mark.parametrize("width", [2, 3])
+    @pytest.mark.parametrize("scenario", ["default", "stuck-1pct"])
+    def test_wider_batches_match_recording(self, analytic_surrogates, scenario, width):
+        """Each lane of a wider batch reproduces the serial recording too."""
+        keys = [JobKey("iris", True, True, 0.05, seed, scenario) for seed in MICRO.seeds]
+        batches = group_jobs_into_lanes(keys, width)
+        assert max(len(batch) for batch in batches) == width
+        for batch in batches:
+            for outcome in execute_job_lanes(batch, MICRO, analytic_surrogates):
+                assert (
+                    outcome.val_loss.hex(), outcome.best_epoch, outcome.epochs_run,
+                    params_sha256(outcome.params),
+                ) == RECORDED_WIDTH_ONE[(scenario, outcome.key.seed)], outcome.key
 
     def test_mixed_group_batch_rejected(self, analytic_surrogates):
         jobs = enumerate_jobs(["iris"], MICRO)

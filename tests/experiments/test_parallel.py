@@ -6,10 +6,11 @@ from repro.experiments import (
     ExperimentConfig,
     ResultCache,
     RunJournal,
-    run_table2,
+    run_cell,
     run_table2_parallel,
 )
 from repro.experiments import cli, parallel
+from repro.experiments.jobs import iter_cells
 
 MICRO = ExperimentConfig(
     seeds=(1, 2), max_epochs=15, patience=15, n_mc_train=2, n_test=6, max_train=50,
@@ -28,7 +29,13 @@ def cells_signature(results):
 class TestEquivalence:
     @pytest.fixture(scope="class")
     def serial(self, analytic_surrogates):
-        return run_table2(["iris"], MICRO, surrogates=analytic_surrogates)
+        """``run_cell`` over every iris cell, sharing one ``trained`` memo."""
+        trained = {}
+        return [
+            run_cell(dataset, setup, eps_test, MICRO,
+                     surrogates=analytic_surrogates, trained=trained)
+            for dataset, setup, eps_test in iter_cells(["iris"])
+        ]
 
     def test_workers1_no_cache_matches_serial(self, serial, analytic_surrogates):
         par = run_table2_parallel(["iris"], MICRO, surrogates=analytic_surrogates, workers=1)

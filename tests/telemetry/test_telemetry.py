@@ -8,6 +8,7 @@ import pytest
 
 from repro import telemetry
 from repro.experiments import ExperimentConfig, enumerate_jobs, run_table2_parallel
+from repro.experiments.report import render_telemetry_report
 from repro.telemetry import (
     EVENT_KINDS,
     NullTelemetry,
@@ -257,3 +258,40 @@ class TestRunIdentity:
         assert summary["events"]["job.done"] == len(enumerate_jobs(["iris"], MICRO))
         assert summary["events"]["table2.done"] == 1
         assert (tmp_path / "tel" / "events.jsonl").exists()
+
+
+class TestLaneTelemetry:
+    """A one-seed profile plans only width-1 batches; each is a lane run."""
+
+    @pytest.fixture(scope="class")
+    def traced(self, analytic_surrogates, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("lanes") / "tel"
+        telemetry.enable(directory)
+        try:
+            run_table2_parallel(["iris"], MICRO, surrogates=analytic_surrogates, workers=1)
+        finally:
+            telemetry.disable()
+        return directory, read_events(directory)
+
+    def test_width_one_batches_train_in_lanes(self, traced):
+        _, events = traced
+        n_jobs = len(enumerate_jobs(["iris"], MICRO))
+        summary = summarize_events(events)
+        assert summary["events"]["lanes.run"] == n_jobs
+        assert summary["counters"]["lanes.trained"] == n_jobs
+
+    def test_plan_event_carries_widths_only(self, traced):
+        _, events = traced
+        (plan,) = [e for e in events if e.get("name") == "lanes.plan"]
+        n_jobs = len(enumerate_jobs(["iris"], MICRO))
+        assert plan["attrs"]["widths"] == [1] * n_jobs
+        assert "serial_jobs" not in plan["attrs"]
+        counters = summarize_events(events)["counters"]
+        assert "lanes.jobs" not in counters and "lanes.serial_jobs" not in counters
+
+    def test_report_lanes_section(self, traced):
+        directory, _ = traced
+        n_jobs = len(enumerate_jobs(["iris"], MICRO))
+        report = render_telemetry_report(directory)
+        assert f"lanes: {n_jobs} lane batches, {n_jobs} jobs trained in lanes" in report
+        assert "planned serial" not in report
