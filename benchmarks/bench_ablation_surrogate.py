@@ -42,9 +42,9 @@ def test_ablation_surrogate_kind(benchmark, output_dir, profile, bundle):
 
     # Surrogate fidelity on a fresh simulated sample.
     reference = build_surrogate_dataset("ptanh", n_points=64, sweep_points=21, seed=17)
-    nn_error = np.mean((bundle.ptanh.eta_numpy(reference.omega) - reference.eta) ** 2)
+    nn_error = np.mean((bundle.ptanh.eta_from_omega(reference.omega) - reference.eta) ** 2)
     calibrated = AnalyticSurrogate("ptanh").calibrate(reference)
-    analytic_error = np.mean((calibrated.eta_numpy(reference.omega) - reference.eta) ** 2)
+    analytic_error = np.mean((calibrated.eta_from_omega(reference.omega) - reference.eta) ** 2)
 
     lines = [
         f"dataset: {DATASET}, ϵ = 5% (variation-aware training)",

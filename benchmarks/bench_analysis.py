@@ -42,7 +42,7 @@ def test_analysis_cost_and_sensitivity(benchmark, output_dir, profile, bundle):
     )
     assert cost.n_transistors / n_neurons < 10
 
-    omega = pnn.layers[0].activation.printable_omega().numpy()[0]
+    omega = pnn.layers[0].activation.printable_omega()[0]
     lines.append("")
     lines.append("η sensitivity to relative component changes (layer 0 activation):")
     lines.append(format_sensitivity(eta_sensitivity(pnn.layers[0].activation.surrogate, omega)))

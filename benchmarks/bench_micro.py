@@ -14,7 +14,6 @@ from repro.circuits.ptanh import build_ptanh_netlist
 from repro.core import PrintedNeuralNetwork, VariationModel, kernels, snapshot_params
 from repro.core.evaluation import draw_variation_samples
 from repro.core.grad_kernels import KernelNetwork, transfer_fwd
-from repro.core.losses import MarginLoss
 from repro.spice import solve_dc
 from repro.surrogate import AnalyticSurrogate, sample_design_points
 
@@ -52,31 +51,10 @@ def pnn():
     return PrintedNeuralNetwork([8, 3, 3], surrogates, rng=np.random.default_rng(0))
 
 
-def test_micro_pnn_nominal_forward(benchmark, pnn):
-    x = np.random.default_rng(1).uniform(size=(256, 8))
-    out = benchmark(lambda: pnn.forward(x))
-    assert out.shape == (1, 256, 3)
-
-
-def test_micro_pnn_variation_forward_backward(benchmark, pnn):
-    x = np.random.default_rng(2).uniform(size=(128, 8))
-    y = np.random.default_rng(3).integers(0, 3, size=128)
-    loss_fn = MarginLoss()
-
-    def step():
-        pnn.zero_grad()
-        out = pnn.forward(x, variation=VariationModel(0.1, seed=0), n_mc=20)
-        loss = loss_fn(out, y)
-        loss.backward()
-        return loss
-
-    benchmark(step)
-
-
 def test_micro_surrogate_eta(benchmark):
     surrogate = AnalyticSurrogate("ptanh")
     omega = sample_design_points(64, seed=0)
-    eta = benchmark(lambda: surrogate.eta_numpy(omega))
+    eta = benchmark(lambda: surrogate.eta_from_omega(omega))
     assert eta.shape == (64, 4)
 
 

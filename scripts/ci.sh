@@ -18,86 +18,6 @@ fi
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
-echo "== kernel-equivalence smoke (module vs stateless path) =="
-python - <<'EOF'
-import numpy as np
-from repro.autograd.tensor import no_grad
-from repro.core import PrintedNeuralNetwork, kernels, snapshot_params
-from repro.core.variation import VariationModel
-from repro.experiments.runner import default_surrogates
-
-pnn = PrintedNeuralNetwork([4, 3, 3], default_surrogates(),
-                           rng=np.random.default_rng(7))
-params = snapshot_params(pnn)
-x = np.random.default_rng(42).uniform(0.0, 1.0, size=(11, 4))
-for eps in (0.0, 0.05, 0.10):
-    n_mc = 4 if eps > 0 else 1
-    with no_grad():
-        module_out = pnn.forward(x, variation=VariationModel(eps, seed=5),
-                                 n_mc=n_mc).data
-    kernel_out = kernels.network_forward(params, x,
-                                         variation=VariationModel(eps, seed=5),
-                                         n_mc=n_mc)
-    diff = float(np.abs(kernel_out - module_out).max())
-    assert diff <= 1e-9, f"kernel/module divergence {diff:.2e} at eps={eps}"
-print("kernel smoke OK: module and stateless paths agree (<= 1e-9)")
-EOF
-
-echo "== kernel-gradient smoke (hand-derived VJPs vs autograd) =="
-python - <<'EOF'
-import numpy as np
-from repro.core import KernelNetwork, PrintedNeuralNetwork, TrainConfig, train_pnn
-from repro.core.losses import make_loss
-from repro.core.variation import VariationModel
-from repro.experiments.runner import default_surrogates
-
-rng = np.random.default_rng(3)
-pnn = PrintedNeuralNetwork([4, 3, 3], default_surrogates(),
-                           rng=np.random.default_rng(7))
-x = rng.uniform(0.0, 1.0, size=(9, 4))
-y = rng.integers(0, 3, size=9)
-vm = VariationModel(0.1, seed=11)
-epsilons = [
-    (vm.sample(5, (layer.in_features + 2, layer.out_features)),
-     vm.sample(5, (layer.activation.n_circuits, 7)),
-     vm.sample(5, (layer.negation.n_circuits, 7)))
-    for layer in pnn.layers
-]
-
-# One gradcheck: taped backward vs hand-derived kernels, same point.
-loss = make_loss("margin")(pnn.forward(x, epsilons=epsilons), y)
-loss.backward()
-net = KernelNetwork.from_pnn(pnn)
-arrays = KernelNetwork.extract_arrays(pnn)
-value, grads = net.loss_and_grads(arrays, x, y, loss="margin", epsilons=epsilons)
-assert abs(value - loss.item()) <= 1e-9 * abs(loss.item())
-for i, layer in enumerate(pnn.layers):
-    for ref, mine in ((layer.theta.grad, grads[i].theta),
-                      (layer.activation.w_raw.grad, grads[i].w_act),
-                      (layer.negation.w_raw.grad, grads[i].w_neg)):
-        scale = max(float(np.abs(ref).max()), 1e-12)
-        diff = float(np.abs(ref - mine).max())
-        assert diff / scale <= 1e-8, f"layer {i}: grad divergence {diff/scale:.2e}"
-
-# Five epochs of training must produce identical loss histories.
-gen = np.random.default_rng(0)
-x_train = gen.uniform(0.0, 1.0, size=(24, 4))
-y_train = gen.integers(0, 3, size=24)
-x_val = gen.uniform(0.0, 1.0, size=(12, 4))
-y_val = gen.integers(0, 3, size=12)
-config = TrainConfig(max_epochs=5, patience=5, epsilon=0.1, n_mc_train=4, seed=1)
-histories = {}
-for engine in ("autograd", "kernel"):
-    trainee = PrintedNeuralNetwork([4, 3, 3], default_surrogates(),
-                                   rng=np.random.default_rng(7))
-    result = train_pnn(trainee, x_train, y_train, x_val, y_val, config,
-                       engine=engine)
-    histories[engine] = np.array([(t, v) for _, t, v in result.history])
-np.testing.assert_allclose(histories["kernel"], histories["autograd"],
-                           rtol=1e-9, atol=0)
-print("gradient smoke OK: VJPs <= 1e-8, 5-epoch trajectories <= 1e-9 rel")
-EOF
-
 echo "== surrogate-builder smoke (batched vs scalar, telemetry-audited) =="
 # CI sets CI_SMOKE_KEEP_DIR to a workspace path so the telemetry event
 # streams survive the run and can be uploaded as build artifacts; local

@@ -4,8 +4,9 @@ Two questions a circuit designer asks of the learned nonlinear circuits:
 
 1. *What does each physical component actually control?*
    :func:`eta_sensitivity` differentiates the surrogate's η outputs w.r.t.
-   the printable component values ω — the exact Jacobian the optimizer
-   descends — giving a per-component, per-parameter sensitivity matrix.
+   the printable component values ω — the Jacobian of the VJP the
+   optimizer descends — giving a per-component, per-parameter sensitivity
+   matrix.
 
 2. *Which component tolerance limits yield?*
    :func:`variation_attribution` perturbs one component group at a time
@@ -21,8 +22,9 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
 from repro.core.evaluation import evaluate_mc
+from repro.core.grad_kernels import surrogate_eta_bwd, surrogate_eta_fwd
+from repro.core.params import snapshot_surrogate
 from repro.core.pnn import PrintedNeuralNetwork
 from repro.core.variation import VariationModel
 from repro.surrogate.design_space import OMEGA_NAMES
@@ -31,25 +33,23 @@ ETA_NAMES = ("eta1", "eta2", "eta3", "eta4")
 
 
 def eta_sensitivity(surrogate, omega: np.ndarray) -> np.ndarray:
-    """Jacobian ∂η/∂ω̃ at one design point, via reverse-mode autodiff.
+    """Jacobian ∂η/∂ω̃ at one design point, from the surrogate's VJP.
 
-    Sensitivities are reported w.r.t. *relative* component changes
-    (``∂η / ∂ln ω`` = ω · ∂η/∂ω), which is the scale printing variation
-    acts on and makes rows comparable across components of very different
-    magnitudes.
+    Each row is one :func:`~repro.core.grad_kernels.surrogate_eta_bwd`
+    call — the VJP pNN training descends.  Sensitivities are reported
+    w.r.t. *relative* component changes (``∂η / ∂ln ω`` = ω · ∂η/∂ω),
+    which is the scale printing variation acts on and makes rows
+    comparable across components of very different magnitudes.
 
     Returns
     -------
     Array of shape ``(4, 7)``: rows η1..η4, columns R1..L.
     """
-    omega = np.asarray(omega, dtype=np.float64).reshape(7)
-    jacobian = np.zeros((4, 7))
-    for i in range(4):
-        omega_t = Tensor(omega[None, :], requires_grad=True)
-        eta = surrogate.eta_from_omega(omega_t)
-        eta[0, i].backward(np.ones(()))
-        jacobian[i] = omega_t.grad[0] * omega
-    return jacobian
+    omega = np.asarray(omega, dtype=np.float64).reshape(1, 7)
+    snapshot = snapshot_surrogate(surrogate)
+    _, ctx = surrogate_eta_fwd(omega, snapshot)
+    rows = [surrogate_eta_bwd(d_eta[None], ctx, snapshot)[0] for d_eta in np.eye(4)]
+    return np.stack(rows) * omega[0]
 
 
 def format_sensitivity(jacobian: np.ndarray) -> str:
@@ -115,9 +115,9 @@ def variation_attribution(
     all-groups reference, and reports the accuracy drop vs. nominal.
 
     The design is snapshotted once and every evaluation runs through the
-    autograd-free kernel path; the kernels preserve the per-layer
-    θ → activation → negweight sampling cycle :class:`_SelectiveVariation`
-    keys on.
+    snapshot drivers of :mod:`repro.core.kernels`, which preserve the
+    per-layer θ → activation → negweight sampling cycle
+    :class:`_SelectiveVariation` keys on.
     """
     from repro.core.params import PNNParams, snapshot_params
 

@@ -1,8 +1,8 @@
 """Differentiable functions on :class:`~repro.autograd.tensor.Tensor`.
 
 These complement the arithmetic operators defined on the tensor class with
-the nonlinearities, projections and reductions used by the printed neural
-network and the surrogate models.  Every function records the appropriate
+the nonlinearities, projections and reductions used by the surrogate
+models.  Every function records the appropriate
 adjoint on the tape; the test suite verifies each against finite differences.
 """
 
@@ -164,43 +164,6 @@ def clip(x: Tensor, low: Scalar, high: Scalar) -> Tensor:
     return Tensor._from_op(data, (x,), backward, "clip")
 
 
-def clip_ste(x: Tensor, low: Scalar, high: Scalar) -> Tensor:
-    """Clamp with a straight-through gradient estimator.
-
-    Forward: values are projected into ``[low, high]``.  Backward: the
-    gradient passes through unchanged, as if no projection had happened.
-    This is the technique the paper uses (citing Bengio et al. [13]) to keep
-    infeasible conductances trainable.
-    """
-    x = _wrap(x)
-    data = np.clip(x.data, low, high)
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad)
-
-    return Tensor._from_op(data, (x,), backward, "clip_ste")
-
-
-def project_printable_ste(x: Tensor, g_min: Scalar, g_max: Scalar) -> Tensor:
-    """Project surrogate conductances into the printable set, STE backward.
-
-    The printable set from the paper is
-    ``[-g_max, -g_min] ∪ {0} ∪ [g_min, g_max]``: magnitudes above ``g_max``
-    saturate, magnitudes below ``g_min`` snap to the nearer of ``0`` and
-    ``±g_min``.  The backward pass is the identity (straight-through).
-    """
-    x = _wrap(x)
-    magnitude = np.abs(x.data)
-    sign_data = np.sign(x.data)
-    snapped = np.where(magnitude < g_min / 2.0, 0.0, np.clip(magnitude, g_min, g_max))
-    data = sign_data * snapped
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad)
-
-    return Tensor._from_op(data, (x,), backward, "project_printable_ste")
-
-
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Select elementwise from ``a`` where ``condition`` else ``b``.
 
@@ -322,24 +285,9 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, axis: int = -1) -> Tensor
     batch_shape = logits.data.shape[:-1]
     if targets.shape != batch_shape:
         targets = np.broadcast_to(targets, batch_shape)
-    gathered = take_along_last_axis(log_probs, targets)
-    return -gathered.mean()
-
-
-def take_along_last_axis(x: Tensor, indices: np.ndarray) -> Tensor:
-    """Differentiable ``np.take_along_axis`` over the last axis."""
-    x = _wrap(x)
-    indices = np.asarray(indices, dtype=np.int64)
-    expanded = np.expand_dims(indices, axis=-1)
-    data = np.take_along_axis(x.data, expanded, axis=-1).squeeze(-1)
-    shape = x.data.shape
-
-    def backward(grad: np.ndarray) -> None:
-        full = np.zeros(shape, dtype=np.float64)
-        np.put_along_axis(full, expanded, np.expand_dims(grad, -1), axis=-1)
-        x._accumulate(full)
-
-    return Tensor._from_op(data, (x,), backward, "take_along_last_axis")
+    one_hot = np.zeros(log_probs.shape)
+    np.put_along_axis(one_hot, targets[..., None], 1.0, axis=-1)
+    return -(log_probs * Tensor(one_hot)).sum(axis=-1).mean()
 
 
 def mse_loss(prediction: Tensor, target: Union[Tensor, np.ndarray]) -> Tensor:
@@ -348,37 +296,3 @@ def mse_loss(prediction: Tensor, target: Union[Tensor, np.ndarray]) -> Tensor:
     target = _wrap(target)
     diff = prediction - target
     return (diff * diff).mean()
-
-
-# --------------------------------------------------------------------- #
-# kernel ops backend                                                     #
-# --------------------------------------------------------------------- #
-
-
-class _TensorOps:
-    """Autograd backend for the :mod:`repro.core.kernels` ops protocol.
-
-    The stateless circuit kernels take an ``ops`` adapter for their handful
-    of non-operator primitives; passing this one makes them record the
-    gradient tape, so the training modules and the autograd-free inference
-    path share one implementation of the circuit equations.
-    """
-
-    const = staticmethod(Tensor)
-
-    @staticmethod
-    def raw(x) -> np.ndarray:
-        return x.data if isinstance(x, Tensor) else np.asarray(x)
-
-    abs = staticmethod(abs)
-    tanh = staticmethod(tanh)
-    sigmoid = staticmethod(sigmoid)
-    sqrt = staticmethod(sqrt)
-    clip = staticmethod(clip)
-    clip_ste = staticmethod(clip_ste)
-    concatenate = staticmethod(concatenate)
-    broadcast_to = staticmethod(broadcast_to)
-
-
-#: Module-level singleton, mirroring ``repro.core.kernels.NUMPY_OPS``.
-TENSOR_OPS = _TensorOps()

@@ -5,7 +5,8 @@ the conductance to print, the sign selects whether the input passes through
 the negative-weight circuit first.  Printable conductances live in
 ``{0} ∪ [G_min, G_max]``, so θ must lie in
 ``[−G_max, −G_min] ∪ {0} ∪ [G_min, G_max]``; infeasible values are
-projected in the forward pass with a straight-through gradient.
+projected in the forward pass with a straight-through gradient
+(:func:`repro.core.grad_kernels.project_printable`).
 
 Because the crossbar weights ``g_i / G`` are scale-invariant (multiplying a
 whole column by a constant cancels), the surrogate conductances are treated
@@ -19,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.autograd import functional as F
-from repro.autograd.tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -42,10 +41,6 @@ class ConductanceConfig:
             raise ValueError("need 0 < g_min < g_max")
         if not 0 <= self.init_negative_fraction <= 1:
             raise ValueError("init_negative_fraction must be in [0, 1]")
-
-    def project(self, theta: Tensor) -> Tensor:
-        """Project θ into the printable set, straight-through backward."""
-        return F.project_printable_ste(theta, self.g_min, self.g_max)
 
     def init_theta(self, shape, rng: np.random.Generator) -> np.ndarray:
         """Random θ init: uniform magnitudes, mostly-positive signs."""

@@ -6,9 +6,9 @@ nonlinear-circuit components), classifies the whole test set, and yields
 one accuracy.  Table II reports the mean and standard deviation over these
 samples — the standard deviation is the paper's robustness measure.
 
-Evaluation runs through the autograd-free kernel path
-(:mod:`repro.core.kernels` over a :class:`~repro.core.params.PNNParams`
-snapshot): inference-heavy MC testing has no use for a gradient tape.
+Evaluation runs the forward kernels training runs, through the snapshot
+drivers of :mod:`repro.core.kernels` over a
+:class:`~repro.core.params.PNNParams` design.
 
 **Sampling stream.**  The ε factors for all ``n_test`` fabrications are
 drawn *up front*, in fixed blocks of :data:`SAMPLE_BLOCK` samples (per
@@ -32,12 +32,7 @@ from repro import telemetry
 from repro.core import kernels
 from repro.core.params import PNNParams, snapshot_params
 from repro.core.pnn import PrintedNeuralNetwork
-from repro.core.variation import (
-    DEFAULT_SCENARIO,
-    VariationModel,
-    active_scenario_model,
-    eps_concat,
-)
+from repro.core.variation import DEFAULT_SCENARIO, active_scenario_model, eps_concat
 
 #: Frozen width of the ε pre-draw blocks (see the module docstring).
 SAMPLE_BLOCK = 20
@@ -113,9 +108,10 @@ def draw_variation_samples(
     remaining = n_test
     while remaining > 0:
         chunk = min(block, remaining)
-        for index, layer in enumerate(params.layers):
-            triple = kernels.sample_layer_epsilons(variation, chunk, layer)
-            for slot, eps in zip(per_layer[index], triple):
+        for slots, triple in zip(
+            per_layer, kernels.sample_params_epsilons(variation, chunk, params)
+        ):
+            for slot, eps in zip(slots, triple):
                 slot.append(eps)
         remaining -= chunk
     return [
@@ -313,44 +309,3 @@ def evaluate_mc_sharded(
             rows = [future.result() for future in futures]
     return MonteCarloAccuracy(accuracies=np.concatenate(rows))
 
-
-def evaluate_mc_autograd(
-    pnn: PrintedNeuralNetwork,
-    x: np.ndarray,
-    y: np.ndarray,
-    epsilon: float,
-    n_test: int = 100,
-    seed: int = 0,
-    batch_mc: int = 20,
-) -> MonteCarloAccuracy:
-    """Reference MC evaluation through the autograd ``Module`` forward.
-
-    Kept as the slow, independent cross-check for :func:`evaluate_mc` (the
-    equivalence tests and ``benchmarks/bench_inference_path.py`` compare
-    the two).  Matches the kernel path bit for bit when
-    ``batch_mc == SAMPLE_BLOCK``, because then both consume the variation
-    stream in the same blocks.
-    """
-    from repro.autograd.tensor import no_grad
-
-    y = np.asarray(y, dtype=np.int64)
-    if epsilon == 0.0:
-        with no_grad():
-            voltages = pnn.forward(x)
-        predictions = np.argmax(voltages.data, axis=-1)   # (1, B)
-        accuracy = float((predictions[0] == y).mean())
-        return MonteCarloAccuracy(accuracies=np.asarray([accuracy]))
-
-    variation = VariationModel(epsilon, seed=seed)
-    # Accumulate into one preallocated row per fabrication, like the
-    # kernel path — not through a Python float list.
-    accuracies = np.empty(n_test, dtype=np.float64)
-    start = 0
-    while start < n_test:
-        stop = min(start + batch_mc, n_test)
-        with no_grad():
-            voltages = pnn.forward(x, variation=variation, n_mc=stop - start)
-        predictions = np.argmax(voltages.data, axis=-1)   # (stop-start, B)
-        np.mean(predictions == y, axis=1, out=accuracies[start:stop])
-        start = stop
-    return MonteCarloAccuracy(accuracies=accuracies)

@@ -1,18 +1,21 @@
-"""Hand-derived backward kernels: the pNN gradient path without autograd.
+"""The pNN equations as forward kernels with hand-derived backward kernels.
 
-:mod:`repro.core.kernels` made *inference* autograd-free; this module does
-the same for *training*.  Every forward kernel gets a hand-derived
-vector–Jacobian product (VJP), so one variation-aware training epoch — the
-Monte-Carlo expected loss of Sec. III-C over ``n_mc`` fabricated circuit
-instances — runs as a handful of plain-``numpy`` array operations instead
-of a dynamically-taped autograd graph:
+Every equation of the paper's differentiable chain is implemented once,
+here, as a plain-``numpy`` forward kernel paired with its hand-derived
+vector–Jacobian product (VJP).  Training descends these VJPs; Monte-Carlo
+evaluation, analysis, export and deploy verification run the same forward
+kernels through the snapshot drivers of :mod:`repro.core.kernels`.  One
+variation-aware training epoch — the Monte-Carlo expected loss of
+Sec. III-C over ``n_mc`` fabricated circuit instances — is a handful of
+array operations:
 
 - Eq. 1 crossbar routing (:func:`crossbar_fwd` / :func:`crossbar_bwd`),
   including the normalization denominator and the sign-based routing mask
-  (which, like the autograd path, carries no gradient);
+  (which carries no gradient);
 - the Fig. 5 ω-reassembly chain (:func:`reassemble_omega_fwd` /
   :func:`reassemble_omega_bwd`) with the straight-through gradient of the
-  ``R2 = k1·R1`` / ``R4 = k2·R3`` feasibility clips;
+  ``R2 = k1·R1`` / ``R4 = k2·R3`` feasibility clips, and the printable-θ
+  projection (:func:`project_printable`, straight-through backward);
 - both ω → η surrogate backends: the ratio-extend → normalize → MLP →
   denormalize chain (:func:`mlp_eta_fwd` / :func:`mlp_eta_bwd`; surrogate
   weights are frozen during pNN training, so only the input VJP is needed)
@@ -20,28 +23,26 @@ of a dynamically-taped autograd graph:
   :func:`analytic_eta_bwd`);
 - the Eq. 2/3 tanh-like transfer (:func:`transfer_fwd` /
   :func:`transfer_bwd`);
-- the chain rule through the multiplicative printing-variation factors onto
-  the printable θ and ω (inside :class:`KernelNetwork`);
+- the printing non-idealities applied to the printable θ and ω
+  (:func:`apply_nonideality` / :func:`apply_nonideality_bwd`);
 - the margin and voltage-cross-entropy losses (:func:`margin_loss_fwd` /
   :func:`margin_loss_bwd`, :func:`ce_loss_fwd` / :func:`ce_loss_bwd`).
 
-The formulas mirror :mod:`repro.autograd.functional` adjoint for adjoint
-(same straight-through estimators, same strict ReLU mask, same stable
-sigmoid), so gradients agree with the taped reference to float64 rounding —
-pinned by ``tests/core/test_grad_kernels.py`` against both finite
-differences and the autograd engine.
+The VJPs are checked against central finite differences over the whole
+configuration grid, and the forward values and gradients against
+recordings of the taped autograd path this module replaced
+(``tests/core/test_grad_kernels.py``, ``tests/core/golden/taped_reference.json``).
 
 :class:`KernelNetwork` packages the kernels into the serial reference
 executor over one network's raw parameter arrays: it freezes the static
 structure (surrogate snapshots, design-space bounds, conductance limits)
-of a live :class:`~repro.core.pnn.PrintedNeuralNetwork` and keeps the
+of a :class:`~repro.core.pnn.PrintedNeuralNetwork` and keeps the
 augmented inputs and crossbar products in :class:`Workspace` buffers.
 Training runs through :class:`repro.core.lanes.LaneNetwork`, which reuses
 that frozen structure over lane-stacked arrays; ``KernelNetwork``'s own
 ``forward``/``backward``/``loss_and_grads``/``loss_value`` are the
-per-lane reference that ``tests/core/test_grad_kernels.py`` checks
-against autograd and finite differences, and that
-``tests/core/test_lane_engine.py`` checks the lane executor against.
+per-lane reference that ``tests/core/test_lane_engine.py`` checks the lane
+executor against.
 
 Shape convention — the leading lane axis
 ----------------------------------------
@@ -71,12 +72,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.kernels import (
-    BIAS_VOLTAGE,
-    apply_nonideality,
-    positive_route_mask,
-    stable_sigmoid,
-)
 from repro.core.params import (
     LayerParams,
     PNNParams,
@@ -87,12 +82,51 @@ from repro.core.variation import EpsilonLike, Perturbation
 
 Epsilons = Optional[Sequence[Tuple[Optional[EpsilonLike], ...]]]
 
+#: Voltage of the bias rail feeding the crossbar bias row (the paper's V_b).
+BIAS_VOLTAGE = 1.0
+
+
+def stable_sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function computed without overflow for any magnitude."""
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+# --------------------------------------------------------------------- #
+# printing non-idealities                                               #
+# --------------------------------------------------------------------- #
+
+
+def apply_nonideality(nominal: np.ndarray, eps: EpsilonLike) -> np.ndarray:
+    """Apply one sampled non-ideality draw to nominal printed values.
+
+    The single variation-application kernel shared by the crossbar θ and
+    circuit ω paths (training, lanes and evaluation alike):
+
+    - a bare ``ndarray`` is a pure multiplicative factor — exactly the
+      pre-refactor ``nominal * eps`` instruction, which is what keeps the
+      default ε-only scenario bit-identical to recorded results;
+    - a :class:`~repro.core.variation.Perturbation` multiplies by its
+      ``scale`` and then pins overridden devices to ``sign(nominal) *
+      override_value`` (a stuck conductance keeps the crossbar routing
+      sign; a zero nominal entry stays zero).
+    """
+    if isinstance(eps, Perturbation):
+        effective = nominal * eps.scale
+        if eps.override_mask is not None:
+            effective = np.where(
+                eps.override_mask, np.sign(nominal) * eps.override_value, effective
+            )
+        return effective
+    return nominal * eps
+
 
 def apply_nonideality_bwd(
     d_effective: np.ndarray, eps: EpsilonLike, axis: int = 0
 ) -> np.ndarray:
-    """VJP of :func:`repro.core.kernels.apply_nonideality` onto the nominal
-    printed values, reducing the Monte-Carlo ``axis``.
+    """VJP of :func:`apply_nonideality` onto the nominal printed values,
+    reducing the Monte-Carlo ``axis``.
 
     For a bare multiplicative draw this is exactly the pre-refactor
     ``(d_eff * ε).sum(axis)`` instruction.  For a
@@ -147,13 +181,16 @@ class Workspace:
 
 
 def project_printable(theta: np.ndarray, g_min: float, g_max: float) -> np.ndarray:
-    """Forward of the printable-conductance projection (STE backward).
+    """Project surrogate conductances into the printable set (Sec. II-C).
 
-    Identical to :func:`repro.autograd.functional.project_printable_ste`'s
-    forward; the backward pass is the identity, so no companion ``_bwd``
-    function exists — callers pass the printable-θ gradient straight
-    through to the raw θ.  Elementwise, so ``theta`` may carry any
-    leading axes: ``(I, O)`` serial or ``(L, I, O)`` lane-stacked.
+    The printable set is ``[-g_max, -g_min] ∪ {0} ∪ [g_min, g_max]``:
+    magnitudes above ``g_max`` saturate, magnitudes below ``g_min`` snap
+    to the nearer of ``0`` and ``±g_min``.  The backward pass is the
+    identity (straight-through, as the paper does citing Bengio et al.),
+    so no companion ``_bwd`` function exists — callers pass the
+    printable-θ gradient straight through to the raw θ.  Elementwise, so
+    ``theta`` may carry any leading axes: ``(I, O)`` serial or
+    ``(L, I, O)`` lane-stacked.
     """
     magnitude = np.abs(theta)
     snapped = np.where(magnitude < g_min / 2.0, 0.0, np.clip(magnitude, g_min, g_max))
@@ -163,11 +200,14 @@ def project_printable(theta: np.ndarray, g_min: float, g_max: float) -> np.ndarr
 def reassemble_omega_fwd(w_raw: np.ndarray, space) -> Tuple[np.ndarray, tuple]:
     """Fig. 5 steps 1–3 forward: raw 𝔴 ``(..., C, 7)`` → printable ω.
 
-    Accepts the serial ``(C, 7)`` component matrix or any leading stack of
-    them (e.g. ``(L, C, 7)`` lane-stacked parameters); all arithmetic is
-    elementwise over the trailing component axis.  Returns the printable
-    component matrix (same shape) and the context needed by the VJP
-    :func:`reassemble_omega_bwd`.
+    A sigmoid squashes 𝔴 into (0, 1); the first five entries denormalize
+    into their Table-I ranges while the divider ratios stay in (0, 1); then
+    ``R2 = k1·R1`` and ``R4 = k2·R3`` are reassembled and clipped into
+    their feasible ranges.  Accepts the serial ``(C, 7)`` component matrix
+    or any leading stack of them (e.g. ``(L, C, 7)`` lane-stacked
+    parameters); all arithmetic is elementwise over the trailing component
+    axis.  Returns the printable component matrix (same shape) and the
+    context needed by the VJP :func:`reassemble_omega_bwd`.
     """
     squashed = stable_sigmoid(w_raw)
     lower = space.reduced_lower
@@ -191,9 +231,9 @@ def reassemble_omega_bwd(d_omega: np.ndarray, ctx: tuple) -> np.ndarray:
     """VJP of :func:`reassemble_omega_fwd`: dω ``(..., C, 7)`` → d𝔴.
 
     Shapes mirror the forward (optional leading lane/stack axes).  The
-    feasibility clips on R2/R4 use the straight-through estimator
-    (matching ``clip_ste``), so their gradient reaches ``k1·R1`` / ``k2·R3``
-    unchanged even when the product is clipped.
+    feasibility clips on R2/R4 use the straight-through estimator, so
+    their gradient reaches ``k1·R1`` / ``k2·R3`` unchanged even when the
+    product is clipped (the ratios keep training while clipped).
     """
     squashed, span, r1, r3, k1, k2 = ctx
     d_r1 = d_omega[..., 0:1].copy()
@@ -216,6 +256,21 @@ def reassemble_omega_bwd(d_omega: np.ndarray, ctx: tuple) -> np.ndarray:
 # --------------------------------------------------------------------- #
 
 
+def extend_with_ratios(omega: np.ndarray) -> np.ndarray:
+    """Append the critical ratio features [k1, k2, k3] to ω (Sec. III-A c).
+
+    ``k1 = R2/R1``, ``k2 = R4/R3`` and ``k3 = W/L``, over any leading
+    axes: ``(..., 7)`` → ``(..., 10)``.
+    """
+    r1 = omega[..., 0:1]
+    r2 = omega[..., 1:2]
+    r3 = omega[..., 2:3]
+    r4 = omega[..., 3:4]
+    width = omega[..., 5:6]
+    length = omega[..., 6:7]
+    return np.concatenate([omega, r2 / r1, r4 / r3, width / length], axis=-1)
+
+
 def mlp_eta_fwd(omega: np.ndarray, sp: SurrogateParams) -> Tuple[np.ndarray, tuple]:
     """NN-surrogate forward ω ``(..., 7)`` → η ``(..., 4)`` with context.
 
@@ -227,16 +282,7 @@ def mlp_eta_fwd(omega: np.ndarray, sp: SurrogateParams) -> Tuple[np.ndarray, tup
     lane-stacked — the MLP matmuls batch over them.  VJP:
     :func:`mlp_eta_bwd`.
     """
-    r1 = omega[..., 0:1]
-    r2 = omega[..., 1:2]
-    r3 = omega[..., 2:3]
-    r4 = omega[..., 3:4]
-    width = omega[..., 5:6]
-    length = omega[..., 6:7]
-    extended = np.concatenate(
-        [omega, r2 / r1, r4 / r3, width / length], axis=-1
-    )
-    hidden = (extended - sp.input_min) / sp.input_span
+    hidden = (extend_with_ratios(omega) - sp.input_min) / sp.input_span
     activations: List[np.ndarray] = []
     for weight, bias in zip(sp.weights[:-1], sp.biases[:-1]):
         hidden = np.tanh(hidden @ weight + bias)
@@ -276,11 +322,13 @@ def mlp_eta_bwd(d_eta: np.ndarray, ctx: tuple, sp: SurrogateParams) -> np.ndarra
 def analytic_eta_fwd(omega: np.ndarray, sp: SurrogateParams) -> Tuple[np.ndarray, tuple]:
     """Analytic-surrogate forward ω ``(..., 7)`` → η ``(..., 4)`` + context.
 
-    Mirrors :func:`repro.core.kernels.analytic_eta` (first-order circuit
-    analysis) followed by the per-η affine calibration
-    ``η = raw · scale + shift``.  Purely elementwise over the trailing
-    component axis, so leading axes (MC, lane) are arbitrary.  VJP:
-    :func:`analytic_eta_bwd`.
+    First-order circuit analysis followed by the per-η affine calibration
+    ``η = raw · scale + shift``: divider ratios attenuate the input, the
+    stage-1 trip point sits where the EGT sinks ``VDD/2`` through its
+    effective load, small-signal gains set the steepness, and the output
+    swing rolls off smoothly when the trip point leaves the 0..1 V input
+    window.  Purely elementwise over the trailing component axis, so
+    leading axes (MC, lane) are arbitrary.  VJP: :func:`analytic_eta_bwd`.
     """
     r1 = omega[..., 0:1]
     r2 = omega[..., 1:2]
@@ -318,6 +366,7 @@ def analytic_eta_fwd(omega: np.ndarray, sp: SurrogateParams) -> Tuple[np.ndarray
         slope = k1 * gain1 * k2 * gain2 * 0.25
     else:
         amplitude = 0.5 * vdd * k2 * visibility
+        # Negative-weight target is −inv(V) = VDD − k2·V_d1 (Eq. 3 fit).
         centre = vdd - k2 * (0.5 * vdd) + 0.0 * trip
         slope = k1 * gain1 * 0.5
 
@@ -337,9 +386,9 @@ def analytic_eta_fwd(omega: np.ndarray, sp: SurrogateParams) -> Tuple[np.ndarray
 def analytic_eta_bwd(d_eta: np.ndarray, ctx: tuple, sp: SurrogateParams) -> np.ndarray:
     """VJP of :func:`analytic_eta_fwd`: dη ``(..., 4)`` → dω ``(..., 7)``.
 
-    The exact-clip on the steepness contributes zero gradient outside
-    ``[0.5, 200]`` (matching ``ops.clip``, not the straight-through
-    variant), and the constant part of the centre carries no gradient.
+    The exact clip on the steepness contributes zero gradient outside
+    ``[0.5, 200]`` (not straight-through), and the constant part of the
+    centre carries no gradient.
     """
     (omega, s1, k1, s2, k2, beta, divider_chain, load_den, load1, bl,
      overdrive, k1_eps, trip, gain1, gain2, sig_hi, sig_lo, visibility,
@@ -512,6 +561,22 @@ def transfer_bwd(
 # --------------------------------------------------------------------- #
 
 
+def positive_route_mask(theta_eff: np.ndarray) -> np.ndarray:
+    """Routing mask of Eq. 1: 1 where the input feeds the crossbar directly.
+
+    Negative surrogate conductances route their input through the
+    negative-weight circuit.  The "down" row (second-to-last axis, last
+    index) is a grounding resistor: its 0 V input must never be routed
+    through the negative-weight circuit (its sign only matters for the
+    denominator, where the magnitude is used anyway).  ``theta_eff`` may
+    carry any leading axes (MC, lane): the row axis is addressed from the
+    trailing end.
+    """
+    mask = (np.asarray(theta_eff) >= 0.0).astype(np.float64)
+    mask[..., -1, :] = 1.0
+    return mask
+
+
 def crossbar_fwd(
     x_aug: np.ndarray,
     inverted: np.ndarray,
@@ -525,8 +590,7 @@ def crossbar_fwd(
     ``(..., N | 1, in+2, out)`` — serially ``(N, B, I)`` with θ
     ``(N | 1, I, O)``, lane-stacked ``(L, N, B, I)`` with θ
     ``(L, N | 1, I, O)``.  The routing mask follows the *sign* of the
-    effective conductances and carries no gradient (exactly like the
-    autograd path, where it is a constant tensor).  VJP:
+    effective conductances and carries no gradient.  VJP:
     :func:`crossbar_bwd`.
     """
     ws = ws or Workspace()
@@ -592,17 +656,22 @@ def crossbar_bwd(
 
 
 def margin_loss_fwd(voltages: np.ndarray, targets: np.ndarray, margin: float = 0.3):
-    """Mean squared hinge on voltage margins (numpy mirror of MarginLoss).
+    """Mean squared hinge on voltage margins (Weller et al.).
 
-    ``voltages`` is ``(n_mc, batch, classes)`` serially — returning a
-    ``float`` — or lane-stacked ``(L, n_mc, batch, classes)``, returning a
-    per-lane ``(L,)`` array.  Each lane's loss is the mean over its own
+    For a sample with true class ``c`` the loss is
+    ``Σ_{j ≠ c} max(0, m − (V_c − V_j))²``, averaged over batch and
+    Monte-Carlo samples — the Monte-Carlo estimate of the expected loss of
+    Sec. III-C.  ``voltages`` is ``(n_mc, batch, classes)`` serially —
+    returning a ``float`` — or lane-stacked ``(L, n_mc, batch, classes)``,
+    returning a per-lane ``(L,)`` array.  Each lane's loss is the mean over its own
     (contiguous) ``n_mc·batch`` per-sample hinge sums, so lane ``l``'s
     value is bitwise equal to the serial call on ``voltages[l]``.  VJP:
     :func:`margin_loss_bwd`.
     """
     if voltages.ndim not in (3, 4):
         raise ValueError("expected (n_mc, batch, classes) or (L, n_mc, batch, classes) voltages")
+    if margin <= 0:
+        raise ValueError("margin must be positive")
     *lead, batch, _ = voltages.shape
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != (batch,):
@@ -631,7 +700,7 @@ def margin_loss_bwd(ctx: tuple) -> np.ndarray:
     pre, shortfall, mask, expanded, shape = ctx
     scale = 1.0 / (shape[-3] * shape[-2])
     d_shortfall = 2.0 * shortfall * mask * scale
-    d_pre = d_shortfall * (pre > 0.0)          # strict ReLU mask, as autograd
+    d_pre = d_shortfall * (pre > 0.0)          # strict ReLU mask
     d_voltages = d_pre.copy()
     d_true = -d_pre.sum(axis=-1, keepdims=True)
     scattered = np.zeros(shape)
@@ -641,7 +710,7 @@ def margin_loss_bwd(ctx: tuple) -> np.ndarray:
 
 
 def ce_loss_fwd(voltages: np.ndarray, targets: np.ndarray, temperature: float = 0.1):
-    """Softmax cross-entropy on scaled voltages (mirror of VoltageCrossEntropy).
+    """Softmax cross-entropy on voltages scaled by ``1/temperature``.
 
     Accepts ``(n_mc, batch, classes)`` (returns ``float``) or lane-stacked
     ``(L, n_mc, batch, classes)`` (returns ``(L,)`` per-lane losses, each
@@ -650,6 +719,8 @@ def ce_loss_fwd(voltages: np.ndarray, targets: np.ndarray, temperature: float = 
     """
     if voltages.ndim not in (3, 4):
         raise ValueError("expected (n_mc, batch, classes) or (L, n_mc, batch, classes) voltages")
+    if temperature <= 0:
+        raise ValueError("temperature must be positive")
     *lead, batch, _ = voltages.shape
     targets = np.broadcast_to(np.asarray(targets, dtype=np.int64), (*lead, batch))
     logits = voltages * (1.0 / temperature)
@@ -1021,8 +1092,9 @@ class KernelNetwork:
     def snapshot(self, arrays: Sequence[Sequence[np.ndarray]]) -> PNNParams:
         """Freeze the current raw arrays into a :class:`PNNParams` design.
 
-        Equivalent to :func:`repro.core.params.snapshot_params` on a module
-        holding the same raw values, but without touching autograd.
+        The same projection and reassembly kernels
+        :func:`repro.core.params.snapshot_params` runs on a network holding
+        these raw values, so both snapshots are bitwise equal.
         """
         layers = []
         for meta, (theta_raw, w_act, w_neg) in zip(self.layers, arrays):

@@ -56,11 +56,14 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.grad_kernels import (
+    BIAS_VOLTAGE,
     LOSS_KERNELS,
     KernelNetwork,
     LayerGrads,
     Workspace,
     _LayerTape,
+    apply_nonideality,
+    apply_nonideality_bwd,
     crossbar_bwd,
     crossbar_fwd,
     project_printable,
@@ -71,8 +74,6 @@ from repro.core.grad_kernels import (
     transfer_bwd,
     transfer_fwd,
 )
-from repro.core.grad_kernels import apply_nonideality_bwd
-from repro.core.kernels import BIAS_VOLTAGE, apply_nonideality
 from repro.core.params import PNNParams
 from repro.core.pnn import PrintedNeuralNetwork
 from repro.core.training import (

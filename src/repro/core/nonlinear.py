@@ -16,9 +16,11 @@ exactly:
    statistics, pushed through the surrogate NN and denormalized into η.
 
 The resulting η parameterize the tanh-like transfer (Eq. 2) or its negated
-form (Eq. 3).  The module supports one shared circuit per layer (the
-default, matching the paper's per-layer bespoke activation) or one circuit
-per neuron.
+form (Eq. 3).  Steps 1–3 are
+:func:`repro.core.grad_kernels.reassemble_omega_fwd`; steps 4–5 and the
+transfer run in the kernels too.  This module owns the learnable 𝔴 of one
+shared circuit per layer (the default, matching the paper's per-layer
+bespoke activation) or of one circuit per neuron.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.autograd.functional import TENSOR_OPS
-from repro.autograd.tensor import Tensor
-from repro.core import kernels
+from repro.core.grad_kernels import reassemble_omega_fwd
 from repro.nn.module import Module, Parameter
 from repro.surrogate.analytic import AnalyticSurrogate
 from repro.surrogate.design_space import DesignSpace
@@ -44,7 +44,7 @@ class LearnableNonlinearCircuit(Module):
     Parameters
     ----------
     surrogate:
-        Differentiable ω → η map (NN surrogate or analytic baseline).
+        The ω → η map (NN surrogate or analytic baseline).
     space:
         The Table-I design space (supplies denormalization bounds).
     kind:
@@ -78,52 +78,11 @@ class LearnableNonlinearCircuit(Module):
         noise = 0.01 * rng.standard_normal((self.n_circuits, 7)) if self.n_circuits > 1 else 0.0
         self.w_raw = Parameter(np.zeros((self.n_circuits, 7)) + noise)
 
-    # ------------------------------------------------------------------ #
-    # Fig. 5 processing chain                                            #
-    # ------------------------------------------------------------------ #
-
-    def printable_omega(self) -> Tensor:
+    def printable_omega(self) -> np.ndarray:
         """Component values to print: shape ``(n_circuits, 7)``.
 
-        Differentiable w.r.t. :attr:`w_raw`; this is the tensor printing
-        variation multiplies (step 4 in the module docstring).
+        Fig. 5 steps 1–3 applied to :attr:`w_raw`; this is the matrix
+        printing variation multiplies (step 4 in the module docstring).
         """
-        return kernels.reassemble_printable_omega(self.w_raw, self.space, ops=TENSOR_OPS)
-
-    def eta(self, epsilon_omega: Optional[np.ndarray] = None) -> Tensor:
-        """Auxiliary tanh parameters, optionally under printing variation.
-
-        Parameters
-        ----------
-        epsilon_omega:
-            Multiplicative variation factors of shape
-            ``(n_mc, n_circuits, 7)``; ``None`` means nominal (n_mc = 1).
-
-        Returns
-        -------
-        Tensor of shape ``(n_mc, n_circuits, 4)``.
-        """
-        omega = self.printable_omega()                     # (C, 7)
-        omega = omega.reshape(1, self.n_circuits, 7)
-        if epsilon_omega is not None:
-            eps = np.asarray(epsilon_omega, dtype=np.float64)
-            if eps.ndim != 3 or eps.shape[1:] != (self.n_circuits, 7):
-                raise ValueError("epsilon_omega must be (n_mc, n_circuits, 7)")
-            omega = omega * Tensor(eps)
-        return self.surrogate.eta_from_omega(omega)        # (N, C, 4)
-
-    # ------------------------------------------------------------------ #
-    # transfer functions                                                 #
-    # ------------------------------------------------------------------ #
-
-    def transfer(self, voltage: Tensor, eta: Tensor) -> Tensor:
-        """Apply the circuit transfer to voltages of shape ``(n_mc, B, F)``.
-
-        With a shared circuit the same η applies to every column; with
-        per-neuron circuits ``F`` must equal :attr:`n_circuits`.
-        """
-        return kernels.circuit_transfer(voltage, eta, self.kind, ops=TENSOR_OPS)
-
-    def forward(self, voltage: Tensor, epsilon_omega: Optional[np.ndarray] = None) -> Tensor:
-        """Convenience: compute η then apply the transfer."""
-        return self.transfer(voltage, self.eta(epsilon_omega))
+        omega, _ = reassemble_omega_fwd(self.w_raw.data, self.space)
+        return omega

@@ -3,9 +3,8 @@
 A trained :class:`~repro.core.pnn.PrintedNeuralNetwork` is, at heart, a
 circuit design: printable conductances θ per layer, printable nonlinear
 component vectors ω per circuit, and the two ω → η surrogates.  This module
-freezes exactly that — nothing learnable, nothing autograd-aware — into a
-:class:`PNNParams` struct that the stateless kernels
-(:mod:`repro.core.kernels`) execute directly.
+freezes exactly that — nothing learnable — into a :class:`PNNParams` struct
+that the snapshot drivers (:mod:`repro.core.kernels`) execute directly.
 
 ``PNNParams`` is what crosses process boundaries in the experiment engine
 and what the on-disk result cache stores (see
@@ -115,7 +114,7 @@ class LayerParams:
 
 @dataclass(frozen=True)
 class PNNParams:
-    """A complete, immutable pNN design ready for autograd-free execution.
+    """A complete, immutable pNN design, ready to execute.
 
     The struct carries everything :func:`repro.core.kernels.network_forward`
     needs: the per-layer printable parameters and the two surrogate
@@ -237,32 +236,27 @@ def snapshot_surrogate(surrogate) -> SurrogateParams:
 def snapshot_params(pnn) -> PNNParams:
     """Snapshot a :class:`~repro.core.pnn.PrintedNeuralNetwork` for inference.
 
-    Runs the projection / reassembly chains once (under ``no_grad``) and
-    freezes the results: θ through the printable-conductance projection,
-    each circuit's 𝔴 through the Fig. 5 steps 1–3 into printable ω.  The
-    snapshot is decoupled from the module — later training steps do not
-    leak into it.
+    Runs the projection / reassembly kernels once and freezes the
+    results: θ through the printable-conductance projection, each
+    circuit's 𝔴 through the Fig. 5 steps 1–3 into printable ω — the same
+    kernels :meth:`repro.core.grad_kernels.KernelNetwork.snapshot` runs.
+    The snapshot is decoupled from the module — later training steps do
+    not leak into it.
     """
-    from repro.autograd.tensor import no_grad
-
-    layers = []
-    with no_grad():
-        for layer in pnn.layers:
-            layers.append(
-                LayerParams(
-                    theta=layer.printable_theta(),
-                    act_omega=layer.activation.printable_omega().numpy(),
-                    neg_omega=layer.negation.printable_omega().numpy(),
-                    apply_activation=layer.apply_activation,
-                )
-            )
-        act_surrogate = snapshot_surrogate(pnn.layers[0].activation.surrogate)
-        neg_surrogate = snapshot_surrogate(pnn.layers[0].negation.surrogate)
+    layers = tuple(
+        LayerParams(
+            theta=layer.printable_theta(),
+            act_omega=layer.activation.printable_omega(),
+            neg_omega=layer.negation.printable_omega(),
+            apply_activation=layer.apply_activation,
+        )
+        for layer in pnn.layers
+    )
     return PNNParams(
         layer_sizes=tuple(int(s) for s in pnn.layer_sizes),
         per_neuron_activation=bool(pnn.per_neuron_activation),
         activation_on_output=bool(pnn.layers[-1].apply_activation),
-        layers=tuple(layers),
-        act_surrogate=act_surrogate,
-        neg_surrogate=neg_surrogate,
+        layers=layers,
+        act_surrogate=snapshot_surrogate(pnn.layers[0].activation.surrogate),
+        neg_surrogate=snapshot_surrogate(pnn.layers[0].negation.surrogate),
     )

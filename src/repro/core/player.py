@@ -1,21 +1,15 @@
-"""One printed layer: crossbar weighted sum + nonlinear circuits (Sec. II-C).
+"""One printed layer: crossbar conductances + nonlinear circuits (Sec. II-C).
 
 The layer owns a surrogate-conductance matrix θ of shape
 ``(in_features + 2, out_features)``: one row per input line plus a bias row
-(driven by the 1 V rail) and a "down" row (driven by ground).  The forward
-pass implements Eq. 1 with negative weights routed through the learned
-negative-weight circuit:
+(driven by the 1 V rail) and a "down" row (driven by ground).  Eq. 1
+routes negative weights through the learned negative-weight circuit:
 
     V_z,j = [ Σ_{i: θ_ij ≥ 0} |θ_ij| V_i + Σ_{i: θ_ij < 0} |θ_ij| inv(V_i) ]
             / Σ_i |θ_ij|
 
-followed by the (learned) ptanh activation.  All tensors carry an explicit
-leading Monte-Carlo axis so nominal and variation-aware forward passes share
-one code path (nominal is simply ``n_mc = 1``).
-
-The circuit math itself lives in :mod:`repro.core.kernels`; this module
-owns the learnable state and calls the generic kernels with the autograd
-ops backend so gradients flow through the shared equations.
+followed by the (learned) ptanh activation.  The equations live in
+:mod:`repro.core.grad_kernels`; this module owns the learnable state.
 """
 
 from __future__ import annotations
@@ -24,11 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.autograd.functional import TENSOR_OPS
-from repro.autograd.tensor import Tensor
-from repro.core import kernels
 from repro.core.conductance import ConductanceConfig
-from repro.core.kernels import BIAS_VOLTAGE  # noqa: F401 - re-exported
+from repro.core.grad_kernels import project_printable
 from repro.core.nonlinear import LearnableNonlinearCircuit
 from repro.nn.module import Module, Parameter
 
@@ -62,49 +53,8 @@ class PrintedLayer(Module):
         self.activation = activation
         self.negation = negation
 
-    # ------------------------------------------------------------------ #
-    # forward                                                            #
-    # ------------------------------------------------------------------ #
-
-    def augment(self, x: Tensor) -> Tensor:
-        """Append the bias (1 V) and down (0 V) input lines."""
-        return kernels.augment_inputs(x, ops=TENSOR_OPS)
-
-    def forward(
-        self,
-        x: Tensor,
-        epsilon_theta: Optional[np.ndarray] = None,
-        epsilon_act: Optional[np.ndarray] = None,
-        epsilon_neg: Optional[np.ndarray] = None,
-    ) -> Tensor:
-        """Forward voltages of shape ``(n_mc, batch, out_features)``.
-
-        The optional ε arrays inject printing variation: ``epsilon_theta``
-        multiplies the printable conductances, ``epsilon_act`` and
-        ``epsilon_neg`` multiply the printable component values of the two
-        nonlinear circuits (shapes per :meth:`LearnableNonlinearCircuit.eta`).
-        """
-        if x.ndim != 3:
-            raise ValueError("expected (n_mc, batch, features) input")
-        x_aug = self.augment(x)                               # (N, B, I+2)
-
-        printable = self.conductance.project(self.theta)      # (I+2, O)
-        theta_eff = printable.reshape(1, *printable.shape)
-        if epsilon_theta is not None:
-            eps = np.asarray(epsilon_theta, dtype=np.float64)
-            if eps.ndim != 3 or eps.shape[1:] != printable.shape:
-                raise ValueError("epsilon_theta must be (n_mc, in+2, out)")
-            theta_eff = theta_eff * Tensor(eps)               # (N, I+2, O)
-
-        inverted = self.negation.forward(x_aug, epsilon_omega=epsilon_neg)
-        v_z = kernels.crossbar_output(x_aug, inverted, theta_eff, ops=TENSOR_OPS)
-        if not self.apply_activation:
-            return v_z
-        return self.activation.forward(v_z, epsilon_omega=epsilon_act)
-
     def printable_theta(self) -> np.ndarray:
         """The projected conductance matrix that would be printed."""
-        from repro.autograd.tensor import no_grad
-
-        with no_grad():
-            return self.conductance.project(self.theta).numpy()
+        return project_printable(
+            self.theta.data, self.conductance.g_min, self.conductance.g_max
+        )

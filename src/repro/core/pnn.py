@@ -2,9 +2,10 @@
 
 The experiments use the topology ``#input – 3 – #output`` (one hidden layer
 of three printed neurons).  Each layer owns its own learnable activation
-circuit and negative-weight circuit; a single network-level forward draws
-all variation samples consistently so the Monte-Carlo loss of Sec. III-C is
-an average over complete, self-consistent circuit instances.
+circuit and negative-weight circuit.  The network is a container of the
+learnable parameters (θ and 𝔴 per layer, with their ``state_dict``);
+training runs the kernels of :mod:`repro.core.grad_kernels` over its raw
+arrays, and inference runs a frozen :meth:`PrintedNeuralNetwork.snapshot`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
 from repro.core.conductance import ConductanceConfig
 from repro.core.nonlinear import LearnableNonlinearCircuit
 from repro.core.params import PNNParams, snapshot_params
@@ -115,61 +115,6 @@ class PrintedNeuralNetwork(Module):
         return params
 
     # ------------------------------------------------------------------ #
-    # forward                                                            #
-    # ------------------------------------------------------------------ #
-
-    def forward(
-        self,
-        x: Union[np.ndarray, Tensor],
-        variation: Optional[VariationModel] = None,
-        n_mc: int = 1,
-        epsilons: Optional[Sequence[tuple]] = None,
-    ) -> Tensor:
-        """Output voltages of shape ``(n_mc, batch, n_classes)``.
-
-        ``variation=None`` (or ϵ = 0) runs the nominal forward pass with a
-        single Monte-Carlo sample.  ``epsilons`` optionally supplies
-        pre-drawn variation factors — one ``(ε_θ, ε_act, ε_neg)`` triple per
-        layer with leading axis ``n_mc``, the same convention as
-        :func:`repro.core.kernels.network_forward` — bypassing ``variation``
-        sampling entirely; this is how the kernel-gradient tests drive both
-        execution paths with identical draws.
-        """
-        data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-        if data.ndim != 2:
-            raise ValueError("expected a (batch, features) input")
-        if data.shape[1] != self.layer_sizes[0]:
-            raise ValueError(
-                f"input has {data.shape[1]} features, network expects {self.layer_sizes[0]}"
-            )
-        if epsilons is not None:
-            if len(epsilons) != len(self.layers):
-                raise ValueError("need one epsilon triple per layer")
-            n_mc = int(epsilons[0][0].shape[0]) if epsilons[0][0] is not None else 1
-        elif variation is None or variation.is_nominal:
-            n_mc = 1
-
-        hidden = x if isinstance(x, Tensor) else Tensor(data)
-        hidden = hidden.reshape(1, *data.shape)
-        if n_mc > 1:
-            from repro.autograd import functional as F
-
-            hidden = F.broadcast_to(hidden, (n_mc, *data.shape))
-
-        for index, layer in enumerate(self.layers):
-            eps_theta = eps_act = eps_neg = None
-            if epsilons is not None:
-                eps_theta, eps_act, eps_neg = epsilons[index]
-            elif variation is not None and not variation.is_nominal:
-                eps_theta = variation.sample(n_mc, (layer.in_features + 2, layer.out_features))
-                eps_act = variation.sample(n_mc, (layer.activation.n_circuits, 7))
-                eps_neg = variation.sample(n_mc, (layer.negation.n_circuits, 7))
-            hidden = layer.forward(
-                hidden, epsilon_theta=eps_theta, epsilon_act=eps_act, epsilon_neg=eps_neg
-            )
-        return hidden
-
-    # ------------------------------------------------------------------ #
     # inference helpers                                                  #
     # ------------------------------------------------------------------ #
 
@@ -181,12 +126,11 @@ class PrintedNeuralNetwork(Module):
     ) -> np.ndarray:
         """Class predictions of shape ``(n_mc, batch)`` (argmax voltage).
 
-        Runs through the autograd-free kernel path: the network is
-        snapshotted into a :class:`~repro.core.params.PNNParams` and
-        executed by :func:`repro.core.kernels.predict` — no gradient tape,
-        same equations, same variation-sampling order as :meth:`forward`.
-        For repeated inference, snapshot once with
-        :func:`~repro.core.params.snapshot_params` and reuse it.
+        The network is snapshotted into a
+        :class:`~repro.core.params.PNNParams` and executed by
+        :func:`repro.core.kernels.predict`.  For repeated inference,
+        snapshot once with :func:`~repro.core.params.snapshot_params` and
+        reuse it.
         """
         return self.snapshot().predict(x, variation=variation, n_mc=n_mc)
 

@@ -24,15 +24,12 @@ key, wall time, epochs run, best validation loss and whether the job was
 a cache hit, so later benchmarking/monitoring work can consume it
 directly.
 
-**Entry format.**  New entries store the frozen
+**Entry format.**  Entries store the frozen
 :class:`~repro.core.params.PNNParams` inference snapshot
 (:func:`repro.core.serialization.save_params`, format stamped with
-``PNN_PARAMS_VERSION``).  Entries written before the kernel refactor hold
-the legacy module state (``save_pnn``); :meth:`ResultCache.load_design`
-detects those, rebuilds the module and snapshots it — numerically
-identical, so legacy caches keep replaying bit-for-bit without
-re-training.  Digests are unchanged by the migration: the cache key never
-covered the payload format, only what determines the trained design.
+``PNN_PARAMS_VERSION``).  An entry written before that format (legacy
+module state, ``save_pnn``) fails :meth:`ResultCache.load_design` with an
+error naming the archive; delete the cache directory to re-train.
 """
 
 from __future__ import annotations
@@ -45,10 +42,8 @@ import warnings
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-import numpy as np
-
 from repro import telemetry
-from repro.core import load_params, load_pnn, save_params, snapshot_params
+from repro.core import load_params, save_params
 from repro.core.params import PNNParams
 from repro.core.variation import DEFAULT_SCENARIO
 from repro.experiments.config import ExperimentConfig
@@ -186,20 +181,11 @@ class ResultCache:
 
         The surrogate fingerprint recorded at save time is checked
         strictly — the digest already encodes it, so a mismatch means the
-        cache directory was tampered with or mixed between setups.
-
-        Legacy entries (pre-``PNNParams`` module state) are rebuilt
-        through :func:`~repro.core.serialization.load_pnn` against the
-        given surrogates and snapshotted — numerically identical to the
-        design the job trained.
+        cache directory was tampered with or mixed between setups.  An
+        entry from before ``PNNParams`` snapshots (module state) fails
+        loudly, naming the archive, instead of being rebuilt.
         """
-        path = self.design_path(digest)
-        with np.load(path) as archive:
-            legacy = "params_version" not in archive.files
-        if legacy:
-            pnn = load_pnn(path, surrogates, strict_fingerprint=True)
-            return snapshot_params(pnn)
-        return load_params(path, surrogates, strict_fingerprint=True)
+        return load_params(self.design_path(digest), surrogates, strict_fingerprint=True)
 
     def store(self, digest: str, outcome: JobOutcome, surrogates) -> None:
         """Persist a finished job: design ``.npz`` first, then metadata.

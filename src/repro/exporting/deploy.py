@@ -34,7 +34,7 @@ paper's designs rely on, far above solver noise.
 Modeling assumptions, stated explicitly: negation circuits are ideal
 transfer functions (the surrogate assumption the whole stack shares), so
 each negated row is driven by an ideal source carrying the kernel's
-``circuit_transfer(·, 'negweight')`` value computed from the *SPICE
+``transfer_fwd(·, 'negweight')`` value computed from the *SPICE
 chain's own* propagated voltages; crossbar routing is fixed at print time
 from the nominal θ signs, so an effective-θ sign flip under variation
 (possible only at ε ≥ ~0.58, outside the paper's range) is counted in
@@ -51,15 +51,17 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import telemetry
-from repro.core.kernels import (
+from repro.core.grad_kernels import (
     BIAS_VOLTAGE,
+    apply_nonideality,
+    crossbar_fwd,
+    transfer_fwd,
+)
+from repro.core.kernels import (
     augment_inputs,
     circuit_eta,
-    circuit_transfer,
-    crossbar_output,
-    apply_nonideality,
     network_forward,
-    sample_layer_epsilons,
+    sample_params_epsilons,
 )
 from repro.core.params import PNNParams, snapshot_params
 from repro.core.pnn import PrintedNeuralNetwork
@@ -232,7 +234,7 @@ def _scenario_epsilons(name: str, params: PNNParams, epsilon: float,
     if name == "nominal":
         return None
     model = build_scenario_model(name, epsilon, seed=seed)
-    return [sample_layer_epsilons(model, n_mc, layer) for layer in params.layers]
+    return sample_params_epsilons(model, n_mc, params)
 
 
 def _effective_theta(layer, eps_theta) -> np.ndarray:
@@ -285,7 +287,7 @@ def _run_scenario(
 
         inv_eta = circuit_eta(layer.neg_omega, params.neg_surrogate, eps_neg)
         x_aug = augment_inputs(hidden)                          # (N, B, I+2)
-        inverted = circuit_transfer(x_aug, inv_eta, "negweight")
+        inverted, _ = transfer_fwd(x_aug, inv_eta, "negweight")
 
         # Per-lane effective resistances: lanes are (draw d, sample b),
         # draw-major, matching the vin lane layout below.  Each device
@@ -338,14 +340,14 @@ def _run_scenario(
         # Kernel-side crossbar at the same effective θ, fed by the kernel's
         # own propagated chain — per-stage diagnostic of the gmin floor.
         ref_aug = augment_inputs(ref_hidden)
-        ref_inverted = circuit_transfer(ref_aug, inv_eta, "negweight")
-        ref_v_z = crossbar_output(ref_aug, ref_inverted, theta_eff)
+        ref_inverted, _ = transfer_fwd(ref_aug, inv_eta, "negweight")
+        ref_v_z, _ = crossbar_fwd(ref_aug, ref_inverted, theta_eff)
         crossbar_div.append(float(np.max(np.abs(v_z - ref_v_z))))
 
         if layer.apply_activation:
             act_eta = circuit_eta(layer.act_omega, params.act_surrogate, eps_act)
-            hidden = circuit_transfer(v_z, act_eta, "ptanh")
-            ref_hidden = circuit_transfer(ref_v_z, act_eta, "ptanh")
+            hidden, _ = transfer_fwd(v_z, act_eta, "ptanh")
+            ref_hidden, _ = transfer_fwd(ref_v_z, act_eta, "ptanh")
         else:
             hidden = v_z
             ref_hidden = ref_v_z

@@ -15,20 +15,15 @@ first-order circuit analysis of the synthetic topology:
 First-order analysis ignores channel-length modulation and the interaction
 between stages, so predictions are refined by an optional per-output affine
 calibration against a small simulated dataset (:meth:`AnalyticSurrogate.calibrate`).
-The physics lives in :func:`repro.core.kernels.analytic_eta` and is evaluated
-here over autograd ops, making the analytic surrogate a drop-in replacement
+The physics lives in :func:`repro.core.grad_kernels.analytic_eta_fwd`, next
+to its hand-derived VJP, making the analytic surrogate a drop-in replacement
 for the NN surrogate inside the pNN.
 """
 
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
 
-from repro.autograd.functional import TENSOR_OPS
-from repro.autograd.tensor import Tensor
-from repro.circuits.ptanh import SECOND_STAGE_LOAD, VDD
 from repro.spice.egt import EGTModel
 from repro.surrogate.dataset_builder import SurrogateDataset
 
@@ -37,7 +32,8 @@ class AnalyticSurrogate:
     """Closed-form ω → η map with optional affine calibration.
 
     Implements the same ``eta_from_omega`` interface as
-    :class:`~repro.surrogate.pipeline.CircuitSurrogate`.
+    :class:`~repro.surrogate.pipeline.CircuitSurrogate`; inside the pNN it
+    runs as a frozen :class:`~repro.core.params.SurrogateParams` snapshot.
     """
 
     def __init__(self, kind: str = "ptanh", model: EGTModel = None):
@@ -49,38 +45,13 @@ class AnalyticSurrogate:
         self.scale = np.ones(4)
         self.shift = np.zeros(4)
 
-    # ------------------------------------------------------------------ #
-    # physics                                                            #
-    # ------------------------------------------------------------------ #
-
-    def _raw_eta(self, omega: Tensor) -> Tensor:
+    def eta_from_omega(self, omega: np.ndarray) -> np.ndarray:
+        """Map printable ω ``(..., 7)`` to calibrated η ``(..., 4)``."""
         # Deferred: repro.core imports repro.surrogate during its own init.
-        from repro.core import kernels
+        from repro.core.kernels import surrogate_eta
+        from repro.core.params import snapshot_surrogate
 
-        return kernels.analytic_eta(
-            omega,
-            self.kind,
-            self.model.k_prime,
-            self.model.v_threshold,
-            VDD,
-            SECOND_STAGE_LOAD,
-            ops=TENSOR_OPS,
-        )
-
-    # ------------------------------------------------------------------ #
-    # public API                                                         #
-    # ------------------------------------------------------------------ #
-
-    def eta_from_omega(self, omega: Union[np.ndarray, Tensor]) -> Tensor:
-        omega_t = omega if isinstance(omega, Tensor) else Tensor(omega)
-        raw = self._raw_eta(omega_t)
-        return raw * Tensor(self.scale) + Tensor(self.shift)
-
-    def eta_numpy(self, omega: np.ndarray) -> np.ndarray:
-        from repro.autograd.tensor import no_grad
-
-        with no_grad():
-            return self.eta_from_omega(np.asarray(omega, dtype=np.float64)).numpy()
+        return surrogate_eta(omega, snapshot_surrogate(self))
 
     def calibrate(self, dataset: SurrogateDataset) -> "AnalyticSurrogate":
         """Fit the per-η affine correction on a simulated dataset."""
@@ -88,7 +59,7 @@ class AnalyticSurrogate:
             raise ValueError(f"dataset is for {dataset.kind!r}, surrogate for {self.kind!r}")
         self.scale = np.ones(4)
         self.shift = np.zeros(4)
-        raw = self.eta_numpy(dataset.omega)
+        raw = self.eta_from_omega(dataset.omega)
         for j in range(4):
             design = np.stack([raw[:, j], np.ones(len(raw))], axis=1)
             coeffs, *_ = np.linalg.lstsq(design, dataset.eta[:, j], rcond=None)

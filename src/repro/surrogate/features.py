@@ -14,36 +14,29 @@ the saved surrogate bundle).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Union
+from typing import Dict
 
 import numpy as np
-
-from repro.autograd.functional import TENSOR_OPS
-from repro.autograd.tensor import Tensor
-
-ArrayOrTensor = Union[np.ndarray, Tensor]
 
 #: Names of the ten extended surrogate input features.
 FEATURE_NAMES = ("R1", "R2", "R3", "R4", "R5", "W", "L", "k1", "k2", "k3")
 
 
-def extend_with_ratios(omega: ArrayOrTensor) -> ArrayOrTensor:
-    """Append [k1, k2, k3] to ω; works on arrays and autodiff tensors.
+def extend_with_ratios(omega: np.ndarray) -> np.ndarray:
+    """Append [k1, k2, k3] to ω.
 
     ``omega`` may have any number of leading batch dimensions; the last axis
-    must hold the 7 physical parameters of Table I.  The math lives in
-    :func:`repro.core.kernels.extend_with_ratios`; this wrapper dispatches
-    on the value type and validates the numpy case.  (The kernels import is
-    deferred: ``repro.core`` imports this module during its own init.)
+    must hold the 7 physical parameters of Table I.  The formula is
+    :func:`repro.core.grad_kernels.extend_with_ratios`, the one the NN
+    surrogate kernel runs inside the pNN.  (The import is deferred:
+    ``repro.core`` imports this module during its own init.)
     """
-    from repro.core import kernels
+    from repro.core.grad_kernels import extend_with_ratios as extend
 
-    if isinstance(omega, Tensor):
-        return kernels.extend_with_ratios(omega, ops=TENSOR_OPS)
     omega = np.asarray(omega, dtype=np.float64)
     if omega.shape[-1] != 7:
         raise ValueError("last axis of omega must hold the 7 Table-I parameters")
-    return kernels.extend_with_ratios(omega)
+    return extend(omega)
 
 
 @dataclass
@@ -51,8 +44,7 @@ class FeatureNormalizer:
     """Min-max normalization with stored statistics.
 
     Maps values into [0, 1] per dimension; exactly invertible through
-    :meth:`denormalize`.  Works on both numpy arrays (dataset preparation)
-    and autodiff tensors (inside the differentiable pNN forward pass).
+    :meth:`denormalize`.
     """
 
     minimum: np.ndarray
@@ -80,14 +72,10 @@ class FeatureNormalizer:
     def span(self) -> np.ndarray:
         return self.maximum - self.minimum
 
-    def normalize(self, values: ArrayOrTensor) -> ArrayOrTensor:
-        if isinstance(values, Tensor):
-            return (values - Tensor(self.minimum)) / Tensor(self.span)
+    def normalize(self, values: np.ndarray) -> np.ndarray:
         return (np.asarray(values, dtype=np.float64) - self.minimum) / self.span
 
-    def denormalize(self, values: ArrayOrTensor) -> ArrayOrTensor:
-        if isinstance(values, Tensor):
-            return values * Tensor(self.span) + Tensor(self.minimum)
+    def denormalize(self, values: np.ndarray) -> np.ndarray:
         return np.asarray(values, dtype=np.float64) * self.span + self.minimum
 
     def state(self) -> Dict[str, np.ndarray]:

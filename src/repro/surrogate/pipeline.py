@@ -2,7 +2,7 @@
 
 A bundle holds one trained surrogate per nonlinear circuit type (ptanh and
 negative weight) together with the normalization statistics, and exposes the
-differentiable map ω → η used inside the pNN forward pass (Fig. 5).
+map ω → η used inside the pNN (Fig. 5).
 
 Building a bundle runs the full Fig. 3 pipeline (QMC sampling → DC sweeps →
 η fitting → MLP training), which takes minutes at paper scale; bundles are
@@ -17,18 +17,17 @@ from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
 from repro.spice.egt import EGTModel
 from repro.surrogate.dataset_builder import build_surrogate_dataset
 from repro.surrogate.design_space import DESIGN_SPACE, DesignSpace
-from repro.surrogate.features import FeatureNormalizer, extend_with_ratios
+from repro.surrogate.features import FeatureNormalizer
 from repro.surrogate.model import PAPER_LAYER_WIDTHS, SurrogateMLP
 from repro.surrogate.training import SurrogateTrainingResult, train_surrogate
 
 
 @dataclass
 class CircuitSurrogate:
-    """Differentiable ω → η map for one nonlinear circuit type."""
+    """The trained ω → η map for one nonlinear circuit type."""
 
     model: SurrogateMLP
     input_normalizer: FeatureNormalizer
@@ -36,25 +35,18 @@ class CircuitSurrogate:
     kind: str
     test_mse: float = float("nan")
 
-    def eta_from_omega(self, omega: Union[np.ndarray, Tensor]) -> Tensor:
-        """Map physical parameters to auxiliary tanh parameters η.
+    def eta_from_omega(self, omega: np.ndarray) -> np.ndarray:
+        """Map physical parameters ω ``(..., 7)`` to tanh parameters η ``(..., 4)``.
 
-        Accepts any batch shape ``(..., 7)``; returns ``(..., 4)``.  Fully
-        differentiable, so gradients flow from the loss through η back to
-        the learnable circuit parameters.
+        Runs the frozen snapshot of this surrogate through the same
+        ratio-extend → normalize → MLP → denormalize kernel the pNN uses
+        (:func:`repro.core.grad_kernels.mlp_eta_fwd`).
         """
-        omega_t = omega if isinstance(omega, Tensor) else Tensor(omega)
-        extended = extend_with_ratios(omega_t)
-        normalized = self.input_normalizer.normalize(extended)
-        eta_norm = self.model(normalized)
-        return self.eta_normalizer.denormalize(eta_norm)
+        # Deferred: repro.core imports repro.surrogate during its own init.
+        from repro.core.kernels import surrogate_eta
+        from repro.core.params import snapshot_surrogate
 
-    def eta_numpy(self, omega: np.ndarray) -> np.ndarray:
-        """Convenience non-differentiable evaluation."""
-        from repro.autograd.tensor import no_grad
-
-        with no_grad():
-            return self.eta_from_omega(np.asarray(omega, dtype=np.float64)).numpy()
+        return surrogate_eta(omega, snapshot_surrogate(self))
 
 
 @dataclass

@@ -48,14 +48,14 @@ class TestCost:
 
 class TestEtaSensitivity:
     def test_jacobian_shape(self, pnn):
-        omega = pnn.layers[0].activation.printable_omega().numpy()[0]
+        omega = pnn.layers[0].activation.printable_omega()[0]
         jacobian = eta_sensitivity(pnn.layers[0].activation.surrogate, omega)
         assert jacobian.shape == (4, 7)
         assert np.all(np.isfinite(jacobian))
 
     def test_matches_finite_difference(self, pnn):
         surrogate = pnn.layers[0].activation.surrogate
-        omega = pnn.layers[0].activation.printable_omega().numpy()[0]
+        omega = pnn.layers[0].activation.printable_omega()[0]
         jacobian = eta_sensitivity(surrogate, omega)
         # Check one representative entry: ∂η3/∂ln R2 (the divider ratio
         # directly shifts the trip point).
@@ -64,7 +64,7 @@ class TestEtaSensitivity:
         plus[1] += h
         minus[1] -= h
         numeric = (
-            (surrogate.eta_numpy(plus[None])[0, 2] - surrogate.eta_numpy(minus[None])[0, 2])
+            (surrogate.eta_from_omega(plus[None])[0, 2] - surrogate.eta_from_omega(minus[None])[0, 2])
             / (2 * h)
             * omega[1]
         )
@@ -73,13 +73,13 @@ class TestEtaSensitivity:
     def test_trip_point_dominated_by_divider(self, pnn):
         """η3 must be most sensitive to the input divider (R1/R2)."""
         surrogate = pnn.layers[0].activation.surrogate
-        omega = pnn.layers[0].activation.printable_omega().numpy()[0]
+        omega = pnn.layers[0].activation.printable_omega()[0]
         jacobian = np.abs(eta_sensitivity(surrogate, omega))
         divider_sensitivity = jacobian[2, 0] + jacobian[2, 1]
         assert divider_sensitivity > jacobian[2, 4]   # ≫ R5's influence
 
     def test_format_table(self, pnn):
-        omega = pnn.layers[0].activation.printable_omega().numpy()[0]
+        omega = pnn.layers[0].activation.printable_omega()[0]
         jacobian = eta_sensitivity(pnn.layers[0].activation.surrogate, omega)
         text = format_sensitivity(jacobian)
         assert "eta3" in text and "R1" in text

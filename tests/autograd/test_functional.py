@@ -80,11 +80,6 @@ class TestValues:
         )
         assert np.isclose(F.cross_entropy(logits, targets).item(), manual)
 
-    def test_take_along_last_axis(self):
-        x = Tensor(np.arange(12.0).reshape(3, 4))
-        idx = np.array([0, 3, 2])
-        assert np.allclose(F.take_along_last_axis(x, idx).data, [0, 7, 10])
-
     def test_mse_loss(self):
         a, b = Tensor([1.0, 2.0]), np.array([0.0, 0.0])
         assert np.isclose(F.mse_loss(a, b).item(), 2.5)
@@ -121,11 +116,6 @@ class TestGradients:
         F.clip(x, -1.0, 1.0).sum().backward()
         assert np.allclose(x.grad, [0.0, 1.0, 0.0])
 
-    def test_clip_ste_gradient_passes_through(self):
-        x = Tensor(np.array([-2.0, 0.0, 2.0]), requires_grad=True)
-        F.clip_ste(x, -1.0, 1.0).sum().backward()
-        assert np.allclose(x.grad, [1.0, 1.0, 1.0])
-
     def test_where_gradient_routes(self):
         a = Tensor(np.array([1.0, 1.0]), requires_grad=True)
         b = Tensor(np.array([2.0, 2.0]), requires_grad=True)
@@ -151,10 +141,6 @@ class TestGradients:
         targets = np.array([0, 2, 1])
         assert gradcheck(lambda x: F.cross_entropy(x, targets), [randt(3, 3, seed=10)])
 
-    def test_take_along_gradient(self):
-        idx = np.array([1, 0])
-        assert gradcheck(lambda x: F.take_along_last_axis(x, idx), [randt(2, 3, seed=12)])
-
     def test_maximum_gradient_off_ties(self):
         a = Tensor(np.array([1.0, 5.0]))
         b = Tensor(np.array([4.0, 2.0]))
@@ -164,32 +150,3 @@ class TestGradients:
         x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
         F.sign(x).sum().backward()
         assert np.allclose(x.grad, [0.0, 0.0])
-
-
-class TestProjectPrintable:
-    def test_forward_snaps_small_to_zero(self):
-        x = Tensor(np.array([0.004, -0.004, 0.006, 0.5, 20.0, -20.0]))
-        out = F.project_printable_ste(x, 0.01, 10.0).data
-        assert np.allclose(out, [0.0, 0.0, 0.01, 0.5, 10.0, -10.0])
-
-    def test_forward_preserves_in_range(self):
-        x = Tensor(np.array([0.01, 10.0, -0.01, -10.0, 1.0]))
-        out = F.project_printable_ste(x, 0.01, 10.0).data
-        assert np.allclose(out, x.data)
-
-    def test_result_always_in_printable_set(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(scale=20.0, size=500))
-        out = np.abs(F.project_printable_ste(x, 0.01, 10.0).data)
-        nonzero = out[out > 0]
-        assert np.all((nonzero >= 0.01 - 1e-15) & (nonzero <= 10.0 + 1e-15))
-
-    def test_gradient_is_identity(self):
-        x = Tensor(np.array([0.001, 50.0, -0.3]), requires_grad=True)
-        F.project_printable_ste(x, 0.01, 10.0).sum().backward()
-        assert np.allclose(x.grad, [1.0, 1.0, 1.0])
-
-    def test_sign_preserved(self):
-        x = Tensor(np.array([-5.0, 5.0]))
-        out = F.project_printable_ste(x, 0.01, 10.0).data
-        assert out[0] < 0 < out[1]

@@ -18,6 +18,28 @@ from repro.surrogate.design_space import DESIGN_SPACE
 from repro.surrogate.training import train_surrogate
 
 
+def central_difference(func, x, step=1e-6):
+    """Central-difference gradient of the scalar ``func(x)`` w.r.t. array ``x``."""
+    x = np.array(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    flat, grad_flat = x.reshape(-1), grad.reshape(-1)
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + step
+        up = float(func(x))
+        flat[i] = original - step
+        down = float(func(x))
+        flat[i] = original
+        grad_flat[i] = (up - down) / (2.0 * step)
+    return grad
+
+
+@pytest.fixture(scope="session")
+def numeric_grad():
+    """The :func:`central_difference` helper, for finite-difference checks."""
+    return central_difference
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(1234)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.autograd import Tensor
-from repro.core import ConductanceConfig, VariationModel
+from repro.core import ConductanceConfig, KernelNetwork, PrintedNeuralNetwork, VariationModel
+from repro.core.grad_kernels import project_printable
 from repro.core.variation import PAPER_EPSILONS
+from repro.surrogate import AnalyticSurrogate
 
 
 class TestConductanceConfig:
@@ -25,22 +26,36 @@ class TestConductanceConfig:
     def test_projection_lands_in_printable_set(self, seed):
         config = ConductanceConfig()
         rng = np.random.default_rng(seed)
-        theta = Tensor(rng.normal(scale=15.0, size=64))
-        projected = np.abs(config.project(theta).data)
+        theta = rng.normal(scale=15.0, size=64)
+        projected = np.abs(project_printable(theta, config.g_min, config.g_max))
         nonzero = projected[projected > 0]
         assert np.all(nonzero >= config.g_min)
         assert np.all(nonzero <= config.g_max)
 
     def test_projection_identity_inside_band(self):
         config = ConductanceConfig()
-        theta = Tensor(np.array([0.5, -2.0, 0.01, -10.0]))
-        assert np.allclose(config.project(theta).data, theta.data)
+        theta = np.array([0.5, -2.0, 0.01, -10.0])
+        assert np.allclose(project_printable(theta, config.g_min, config.g_max), theta)
 
     def test_projection_straight_through_gradient(self):
+        """A raw θ outside the band gets the gradient of its projected value."""
         config = ConductanceConfig()
-        theta = Tensor(np.array([100.0, -0.0001]), requires_grad=True)
-        config.project(theta).sum().backward()
-        assert np.allclose(theta.grad, [1.0, 1.0])
+        pnn = PrintedNeuralNetwork(
+            [2, 2], (AnalyticSurrogate("ptanh"), AnalyticSurrogate("negweight")),
+            rng=np.random.default_rng(0),
+        )
+        net = KernelNetwork.from_pnn(pnn)
+        x = np.random.default_rng(1).uniform(size=(5, 2))
+        y = np.array([0, 1, 1, 0, 1])
+        raw = KernelNetwork.extract_arrays(pnn)
+        raw[0][0][0, 0] = 100.0
+        raw[0][0][1, 1] = -0.0001
+        projected = [[project_printable(raw[0][0], config.g_min, config.g_max), *raw[0][1:]]]
+        assert projected[0][0][0, 0] == config.g_max and projected[0][0][1, 1] == 0.0
+        _, raw_grads = net.loss_and_grads(raw, x, y)
+        _, projected_grads = net.loss_and_grads(projected, x, y)
+        np.testing.assert_array_equal(raw_grads[0].theta, projected_grads[0].theta)
+        assert raw_grads[0].theta[0, 0] != 0.0
 
     def test_init_theta_within_band(self):
         config = ConductanceConfig()

@@ -38,13 +38,13 @@ class TestGaussianVariation:
             (AnalyticSurrogate("ptanh"), AnalyticSurrogate("negweight")),
             rng=np.random.default_rng(0),
         )
-        out = pnn.forward(
+        out = pnn.snapshot().forward(
             np.random.default_rng(1).uniform(size=(4, 2)),
             variation=GaussianVariationModel(0.1, seed=3),
             n_mc=6,
         )
         assert out.shape == (6, 4, 2)
-        assert np.std(out.data, axis=0).max() > 0
+        assert np.std(out, axis=0).max() > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

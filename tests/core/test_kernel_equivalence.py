@@ -1,31 +1,55 @@
-"""Equivalence of the autograd Module path and the stateless kernel path.
+"""The snapshot kernel path against recordings of the taped Module path.
 
-The refactor's core guarantee: a frozen :class:`~repro.core.params.PNNParams`
-snapshot evaluated through :mod:`repro.core.kernels` produces the same output
-voltages as the live autograd network — across variation levels, activation
-sharing modes, and both surrogate backends — and Monte-Carlo evaluation is
+A frozen :class:`~repro.core.params.PNNParams` snapshot evaluated through
+:mod:`repro.core.kernels` must produce the output voltages the taped
+autograd network produced — across variation levels, activation sharing
+modes and both surrogate backends — and Monte-Carlo evaluation must be
 invariant to the compute chunk size ``batch_mc``.
+
+The taped path is gone; its outputs are kept in
+``golden/taped_reference.json`` as ``float.hex`` strings.  Recipe, run on
+the commit before the taped path was deleted:
+
+- ``forward/{analytic|mlp}/{shared|per_neuron}/{ε}``: ``make_pnn`` below
+  (the ``analytic_surrogates`` / ``tiny_bundle`` fixture), inputs
+  ``default_rng(42).uniform(0, 1, (11, 4))``, then
+  ``PrintedNeuralNetwork.forward(x, variation=VariationModel(ε, seed=5),
+  n_mc=4 if ε > 0 else 1)`` under ``no_grad``;
+- ``mc/sample_block`` and ``mc/nominal``: ``evaluate_mc_autograd`` of the
+  ``trained_blob_pnn`` fixture on the blob validation split, at ε = 0.1,
+  ``n_test = 2·SAMPLE_BLOCK + 3``, ``seed = 4``,
+  ``batch_mc = SAMPLE_BLOCK``, and at ε = 0.
+
+The tolerances are the ones the live comparison used: 1e-9 on voltages,
+exact equality on accuracies.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.autograd.tensor import no_grad
 from repro.core import (
     SAMPLE_BLOCK,
     PrintedNeuralNetwork,
     TrainConfig,
     evaluate_mc,
-    evaluate_mc_autograd,
     kernels,
     snapshot_params,
     train_pnn,
 )
 from repro.core.variation import VariationModel
 
-#: The property-test tolerance from the PR acceptance criteria.  In practice
-#: both paths execute the identical op sequence and agree exactly.
+#: The taped path's recorded outputs (see the module docstring).
+TAPED = json.loads((Path(__file__).parent / "golden" / "taped_reference.json").read_text())
+
+#: The property-test tolerance of the live comparison this replaces.
 TOLERANCE = 1e-9
+
+
+def recorded(entry):
+    return np.array([float.fromhex(h) for h in entry["hex"]]).reshape(entry["shape"])
 
 
 def make_pnn(surrogates, per_neuron, sizes=(4, 3, 3), seed=7):
@@ -41,32 +65,30 @@ def make_pnn(surrogates, per_neuron, sizes=(4, 3, 3), seed=7):
 
 
 class TestForwardEquivalence:
-    """Module forward vs kernel ``network_forward`` on identical ε streams."""
+    """Kernel ``network_forward`` vs the recorded Module forward, same ε stream."""
 
     @pytest.mark.parametrize("per_neuron", [False, True])
     @pytest.mark.parametrize("epsilon", [0.0, 0.05, 0.10])
     def test_analytic_surrogate(self, analytic_surrogates, per_neuron, epsilon):
-        self._check(analytic_surrogates, per_neuron, epsilon)
+        self._check(analytic_surrogates, "analytic", per_neuron, epsilon)
 
     @pytest.mark.parametrize("per_neuron", [False, True])
     @pytest.mark.parametrize("epsilon", [0.0, 0.05, 0.10])
     def test_nn_surrogate(self, tiny_bundle, per_neuron, epsilon):
-        self._check(tiny_bundle, per_neuron, epsilon)
+        self._check(tiny_bundle, "mlp", per_neuron, epsilon)
 
     @staticmethod
-    def _check(surrogates, per_neuron, epsilon):
+    def _check(surrogates, name, per_neuron, epsilon):
         pnn = make_pnn(surrogates, per_neuron)
         params = snapshot_params(pnn)
         x = np.random.default_rng(42).uniform(0.0, 1.0, size=(11, 4))
         n_mc = 4 if epsilon > 0 else 1
 
-        with no_grad():
-            module_out = pnn.forward(
-                x, variation=VariationModel(epsilon, seed=5), n_mc=n_mc
-            ).data
         kernel_out = kernels.network_forward(
             params, x, variation=VariationModel(epsilon, seed=5), n_mc=n_mc
         )
+        sharing = "per_neuron" if per_neuron else "shared"
+        module_out = recorded(TAPED[f"forward/{name}/{sharing}/{epsilon}"])
 
         assert kernel_out.shape == module_out.shape == (n_mc, 11, 3)
         assert np.abs(kernel_out - module_out).max() <= TOLERANCE
@@ -115,24 +137,21 @@ class TestChunkInvariance:
             )
             np.testing.assert_array_equal(other.accuracies, reference.accuracies)
 
-    def test_matches_autograd_reference_at_sample_block(
+    def test_matches_taped_recording_at_sample_block(
         self, trained_blob_pnn, blob_data
     ):
-        # At batch_mc == SAMPLE_BLOCK both paths consume the variation
+        # At batch_mc == SAMPLE_BLOCK both paths consumed the variation
         # stream in identical blocks, so agreement is bit-for-bit.
         _, _, x_val, y_val = blob_data
         kernel = evaluate_mc(
             trained_blob_pnn, x_val, y_val, epsilon=0.1,
             n_test=2 * SAMPLE_BLOCK + 3, seed=4, batch_mc=SAMPLE_BLOCK,
         )
-        autograd = evaluate_mc_autograd(
-            trained_blob_pnn, x_val, y_val, epsilon=0.1,
-            n_test=2 * SAMPLE_BLOCK + 3, seed=4, batch_mc=SAMPLE_BLOCK,
-        )
-        np.testing.assert_array_equal(kernel.accuracies, autograd.accuracies)
+        taped = [float.fromhex(h) for h in TAPED["mc/sample_block"]]
+        np.testing.assert_array_equal(kernel.accuracies, taped)
 
-    def test_nominal_paths_agree(self, trained_blob_pnn, blob_data):
+    def test_nominal_matches_taped_recording(self, trained_blob_pnn, blob_data):
         _, _, x_val, y_val = blob_data
         kernel = evaluate_mc(trained_blob_pnn, x_val, y_val, epsilon=0.0)
-        autograd = evaluate_mc_autograd(trained_blob_pnn, x_val, y_val, epsilon=0.0)
-        np.testing.assert_array_equal(kernel.accuracies, autograd.accuracies)
+        taped = [float.fromhex(h) for h in TAPED["mc/nominal"]]
+        np.testing.assert_array_equal(kernel.accuracies, taped)

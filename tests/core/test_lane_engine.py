@@ -6,16 +6,16 @@ These tests pin the lane loop's two contracts (see ``docs/TRAINING.md``):
   :meth:`LaneNetwork.loss_values` call on an ``L``-lane stack equals, per
   lane and bitwise, :class:`~repro.core.grad_kernels.KernelNetwork` on
   that lane's arrays alone.  ``KernelNetwork`` is the serial reference
-  executor that ``test_grad_kernels.py`` checks against autograd and
-  finite differences, so the chain lanes == serial executor == autograd
-  holds without a second training loop;
+  executor that ``test_grad_kernels.py`` checks against the recorded
+  taped engine and finite differences, so the chain lanes == serial
+  executor == taped reference holds without a second training loop;
 - **run level** — lane ``l`` of an ``L``-lane ``train_pnn_lanes`` run
   reproduces the one-lane run for the same seed **bitwise** — the exact
   per-epoch ``(train_loss, val_loss)`` history (``==``, no tolerance),
   the exact early-stop epoch, and byte-identical trained parameters —
   including when lanes early-stop at different epochs and the active
   stack shrinks mid-run.  That is the ``lane_width`` invariance Table II
-  relies on; ``train_pnn(engine="kernel")`` is the one-lane run.
+  relies on; ``train_pnn`` is the one-lane run.
 """
 
 import numpy as np
@@ -56,14 +56,14 @@ def make_config(seed, **overrides):
 
 
 def run_one_lane_each(surrogates, blob_data, configs, per_neuron=False, **overrides):
-    """``L`` separate one-lane runs (``train_pnn``'s kernel engine)."""
+    """``L`` separate one-lane runs (``train_pnn``)."""
     x_train, y_train, x_val, y_val = blob_data
     results, states = [], []
     for lane, config in enumerate(configs):
         pnn = make_pnn(surrogates, config.seed, per_neuron)
         results.append(
             train_pnn(
-                pnn, x_train, y_train, x_val, y_val, config, engine="kernel",
+                pnn, x_train, y_train, x_val, y_val, config,
                 **{name: models[lane] for name, models in overrides.items()},
             )
         )
@@ -241,7 +241,7 @@ class TestLaneEngineDispatch:
 
         monkeypatch.setattr(lanes_module, "train_pnn_lanes", spy)
         pnn = make_pnn(analytic_surrogates, 4)
-        result = train_pnn(pnn, x_train, y_train, x_val, y_val, config, engine="kernel")
+        result = train_pnn(pnn, x_train, y_train, x_val, y_val, config)
         assert widths == [1]
         assert result.epochs_run == len(result.history) == 10
 

@@ -1,98 +1,105 @@
-"""pNN losses: margin loss and voltage cross-entropy."""
+"""pNN losses: margin loss and voltage cross-entropy (the loss kernels)."""
 
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor
-from repro.core import MarginLoss, make_loss
-from repro.core.losses import VoltageCrossEntropy
+from repro.core import TrainConfig
+from repro.core.grad_kernels import (
+    LOSS_KERNELS,
+    ce_loss_bwd,
+    ce_loss_fwd,
+    margin_loss_bwd,
+    margin_loss_fwd,
+)
 
 
 def voltages(*rows):
-    """Build a (1, batch, classes) voltage tensor."""
-    return Tensor(np.asarray(rows, dtype=np.float64)[None, :, :])
+    """Build a (1, batch, classes) voltage array."""
+    return np.asarray(rows, dtype=np.float64)[None, :, :]
+
+
+def margin(v, targets, m=0.3):
+    value, _ = margin_loss_fwd(v, np.asarray(targets), margin=m)
+    return value
+
+
+def cross_entropy(v, targets, temperature=0.1):
+    value, _ = ce_loss_fwd(v, np.asarray(targets), temperature=temperature)
+    return value
 
 
 class TestMarginLoss:
     def test_zero_when_margin_satisfied(self):
-        loss = MarginLoss(margin=0.3)
-        out = loss(voltages([0.9, 0.1], [0.0, 0.8]), np.array([0, 1]))
-        assert out.item() == pytest.approx(0.0)
+        assert margin(voltages([0.9, 0.1], [0.0, 0.8]), [0, 1]) == pytest.approx(0.0)
 
     def test_penalizes_margin_violation(self):
-        loss = MarginLoss(margin=0.3)
-        out = loss(voltages([0.6, 0.5]), np.array([0]))
         # shortfall = 0.3 − 0.1 = 0.2 → squared 0.04
-        assert out.item() == pytest.approx(0.04)
+        assert margin(voltages([0.6, 0.5]), [0]) == pytest.approx(0.04)
 
     def test_wrong_prediction_costs_more_than_weak_margin(self):
-        loss = MarginLoss(margin=0.3)
-        weak = loss(voltages([0.6, 0.5]), np.array([0])).item()
-        wrong = loss(voltages([0.4, 0.7]), np.array([0])).item()
+        weak = margin(voltages([0.6, 0.5]), [0])
+        wrong = margin(voltages([0.4, 0.7]), [0])
         assert wrong > weak
 
     def test_true_class_not_self_penalized(self):
-        loss = MarginLoss(margin=0.3)
         # One class only appears via the masked diagonal; a two-class case
         # where the other voltage is far below: exact zero loss expected.
-        out = loss(voltages([0.9, 0.0]), np.array([0]))
-        assert out.item() == 0.0
+        assert margin(voltages([0.9, 0.0]), [0]) == 0.0
 
     def test_averages_over_mc_axis(self):
-        loss = MarginLoss(margin=0.3)
         good = np.array([[[0.9, 0.0]]])
         bad = np.array([[[0.4, 0.7]]])
-        stacked = Tensor(np.concatenate([good, bad], axis=0))
-        single_bad = loss(Tensor(bad), np.array([0])).item()
-        combined = loss(stacked, np.array([0])).item()
+        stacked = np.concatenate([good, bad], axis=0)
+        single_bad = margin(bad, [0])
+        combined = margin(stacked, [0])
         assert combined == pytest.approx(single_bad / 2.0)
 
     def test_gradient_pushes_true_class_up(self):
-        loss = MarginLoss(margin=0.3)
-        v = Tensor(np.array([[[0.5, 0.5]]]), requires_grad=True)
-        loss(v, np.array([0])).backward()
-        assert v.grad[0, 0, 0] < 0      # increase the true voltage
-        assert v.grad[0, 0, 1] > 0      # decrease the competitor
+        _, ctx = margin_loss_fwd(np.array([[[0.5, 0.5]]]), np.array([0]))
+        grad = margin_loss_bwd(ctx)
+        assert grad[0, 0, 0] < 0      # increase the true voltage
+        assert grad[0, 0, 1] > 0      # decrease the competitor
 
     def test_shape_validation(self):
-        loss = MarginLoss()
         with pytest.raises(ValueError):
-            loss(Tensor(np.zeros((2, 3))), np.array([0, 1]))
+            margin_loss_fwd(np.zeros((2, 3)), np.array([0, 1]))
         with pytest.raises(ValueError):
-            loss(Tensor(np.zeros((1, 2, 3))), np.array([0]))
+            margin_loss_fwd(np.zeros((1, 2, 3)), np.array([0]))
 
     def test_rejects_bad_margin(self):
         with pytest.raises(ValueError):
-            MarginLoss(margin=0.0)
+            margin_loss_fwd(voltages([0.6, 0.5]), np.array([0]), margin=0.0)
 
 
 class TestVoltageCrossEntropy:
     def test_decreases_with_separation(self):
-        loss = VoltageCrossEntropy()
-        close = loss(voltages([0.51, 0.49]), np.array([0])).item()
-        separated = loss(voltages([0.9, 0.1]), np.array([0])).item()
+        close = cross_entropy(voltages([0.51, 0.49]), [0])
+        separated = cross_entropy(voltages([0.9, 0.1]), [0])
         assert separated < close
 
     def test_temperature_sharpens(self):
-        sharp = VoltageCrossEntropy(temperature=0.05)
-        soft = VoltageCrossEntropy(temperature=0.5)
         v = voltages([0.7, 0.3])
-        assert sharp(v, np.array([0])).item() < soft(v, np.array([0])).item()
+        assert cross_entropy(v, [0], temperature=0.05) < cross_entropy(v, [0], temperature=0.5)
 
     def test_rejects_bad_temperature(self):
         with pytest.raises(ValueError):
-            VoltageCrossEntropy(temperature=0.0)
+            ce_loss_fwd(voltages([0.7, 0.3]), np.array([0]), temperature=0.0)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            VoltageCrossEntropy()(Tensor(np.zeros((2, 3))), np.array([0]))
+            ce_loss_fwd(np.zeros((2, 3)), np.array([0]))
+
+    def test_gradient_pushes_true_class_up(self):
+        _, ctx = ce_loss_fwd(np.array([[[0.5, 0.5]]]), np.array([0]))
+        grad = ce_loss_bwd(ctx)
+        assert grad[0, 0, 0] < 0 < grad[0, 0, 1]
 
 
 class TestFactory:
     def test_known_losses(self):
-        assert isinstance(make_loss("margin"), MarginLoss)
-        assert isinstance(make_loss("ce"), VoltageCrossEntropy)
+        assert LOSS_KERNELS["margin"] == (margin_loss_fwd, margin_loss_bwd)
+        assert LOSS_KERNELS["ce"] == (ce_loss_fwd, ce_loss_bwd)
 
     def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            make_loss("hinge")
+        with pytest.raises(ValueError, match="'ce', 'margin'"):
+            TrainConfig(loss="hinge")

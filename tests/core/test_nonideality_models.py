@@ -3,8 +3,7 @@
 Covers the :class:`~repro.core.variation.Perturbation` container and its
 combinators, the concrete non-ideality models (stuck-at defects,
 correlated variation, composition), the ``apply_nonideality``
-forward/backward kernels, the scenario registry, and the autograd-engine
-guard for override-carrying models.
+forward/backward kernels, and the scenario registry.
 """
 
 import numpy as np
@@ -246,17 +245,3 @@ class TestScenarioRegistry:
         for name, scenario in SCENARIOS.items():
             assert scenario.name == name
             assert scenario.description
-
-
-class TestAutogradEngineGuard:
-    def test_autograd_rejects_override_models(self, analytic_surrogates, blob_data):
-        from repro.core import PrintedNeuralNetwork, TrainConfig, train_pnn
-
-        x_train, y_train, x_val, y_val = blob_data
-        pnn = PrintedNeuralNetwork([2, 3, 2], analytic_surrogates,
-                                   rng=np.random.default_rng(0))
-        config = TrainConfig(max_epochs=2, patience=2, epsilon=0.1,
-                             n_mc_train=2, seed=0, scenario="stuck-1pct")
-        with pytest.raises(ValueError, match="multiplicative"):
-            train_pnn(pnn, x_train, y_train, x_val, y_val, config,
-                      engine="autograd")

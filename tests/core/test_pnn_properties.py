@@ -3,8 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.autograd import Tensor
-from repro.core import PrintedNeuralNetwork, VariationModel
+from repro.core import KernelNetwork, PrintedNeuralNetwork, VariationModel, kernels
 from repro.surrogate import AnalyticSurrogate
 
 SURROGATES = (AnalyticSurrogate("ptanh"), AnalyticSurrogate("negweight"))
@@ -27,7 +26,7 @@ class TestForwardInvariants:
         """Activation outputs are η1 ± η2 — within ±2 V of the rails."""
         pnn = build_pnn(n_in, 3, n_out, seed)
         x = np.random.default_rng(seed).uniform(size=(8, n_in))
-        out = pnn.forward(x).data
+        out = pnn.snapshot().forward(x)
         assert np.all(np.isfinite(out))
         assert np.all(np.abs(out) <= 2.0)
 
@@ -37,18 +36,18 @@ class TestForwardInvariants:
         """A column whose conductances all snap to zero must not blow up."""
         pnn = build_pnn(3, 3, 2, seed)
         pnn.layers[0].theta.data[:, 0] = 1e-9   # below the printable floor
-        out = pnn.forward(np.random.default_rng(seed).uniform(size=(4, 3))).data
+        out = pnn.snapshot().forward(np.random.default_rng(seed).uniform(size=(4, 3)))
         assert np.all(np.isfinite(out))
 
     @given(seed=st.integers(0, 30), epsilon=st.sampled_from([0.05, 0.1, 0.2]))
     @settings(max_examples=15, deadline=None)
     def test_variation_forward_finite(self, seed, epsilon):
         pnn = build_pnn(3, 3, 2, seed)
-        out = pnn.forward(
+        out = pnn.snapshot().forward(
             np.random.default_rng(seed).uniform(size=(5, 3)),
             variation=VariationModel(epsilon, seed=seed),
             n_mc=4,
-        ).data
+        )
         assert np.all(np.isfinite(out))
 
     @given(seed=st.integers(0, 30))
@@ -56,7 +55,7 @@ class TestForwardInvariants:
     def test_forward_deterministic_without_variation(self, seed):
         pnn = build_pnn(2, 3, 2, seed)
         x = np.random.default_rng(seed).uniform(size=(6, 2))
-        assert np.array_equal(pnn.forward(x).data, pnn.forward(x).data)
+        assert np.array_equal(pnn.snapshot().forward(x), pnn.snapshot().forward(x))
 
     @given(seed=st.integers(0, 30))
     @settings(max_examples=10, deadline=None)
@@ -64,8 +63,9 @@ class TestForwardInvariants:
         """Each row's output must not depend on the rest of the batch."""
         pnn = build_pnn(2, 3, 2, seed)
         x = np.random.default_rng(seed).uniform(size=(5, 2))
-        full = pnn.forward(x).data[0]
-        single = pnn.forward(x[2:3]).data[0, 0]
+        design = pnn.snapshot()
+        full = design.forward(x)[0]
+        single = design.forward(x[2:3])[0, 0]
         assert np.allclose(full[2], single)
 
     @given(seed=st.integers(0, 30))
@@ -77,7 +77,10 @@ class TestForwardInvariants:
         layer.theta.data = np.abs(layer.theta.data)
         layer.apply_activation = False
         x = np.random.default_rng(seed).uniform(size=(1, 7, 3))
-        v_z = layer.forward(Tensor(x)).data
+        design = pnn.snapshot()
+        v_z = kernels.layer_forward(
+            x, design.layers[0], design.act_surrogate, design.neg_surrogate
+        )
         assert np.all(v_z >= -1e-9)
         assert np.all(v_z <= 1.0 + 1e-9)
 
@@ -85,8 +88,11 @@ class TestForwardInvariants:
     @settings(max_examples=10, deadline=None)
     def test_gradients_finite(self, seed):
         pnn = build_pnn(3, 3, 2, seed)
-        out = pnn.forward(np.random.default_rng(seed).uniform(size=(6, 3)))
-        out.sum().backward()
-        for _, param in pnn.named_parameters():
-            assert param.grad is not None
-            assert np.all(np.isfinite(param.grad))
+        net = KernelNetwork.from_pnn(pnn)
+        x = np.random.default_rng(seed).uniform(size=(6, 3))
+        y = np.random.default_rng(seed).integers(0, 2, size=6)
+        _, grads = net.loss_and_grads(KernelNetwork.extract_arrays(pnn), x, y)
+        for layer in grads:
+            for grad in (layer.theta, layer.w_act, layer.w_neg):
+                assert grad is not None
+                assert np.all(np.isfinite(grad))

@@ -1,24 +1,27 @@
 """The canonical (θ, act, neg) sampling order is pinned for every model.
 
-``kernels.sample_layer_epsilons`` defines the evaluation noise stream:
-per layer it draws crossbar θ, then activation ω, then negative-weight ω,
-in that order, from one shared model.  Recorded results depend on this
-3-cycle, and :class:`repro.analysis.sensitivity._SelectiveVariation`
-identifies component groups by position in it.  These tests pin (a) the
-role order and shapes handed to protocol models, (b) the bare-``sample``
-fallback for duck-typed legacy models, and (c) the exact RNG consumption
-of every concrete model class against manual, canonical-order
-reconstructions — with exact equality throughout.
+``kernels.sample_layer_epsilons`` defines the training and evaluation
+noise streams: per layer it draws crossbar θ, then activation ω, then
+negative-weight ω, in that order, from one shared model.  Recorded
+results depend on this 3-cycle, and
+:class:`repro.analysis.sensitivity._SelectiveVariation` identifies
+component groups by position in it.  These tests pin (a) the role order
+and shapes handed to protocol models, (b) the bare-``sample`` fallback
+for duck-typed legacy models, (c) the exact RNG consumption of every
+concrete model class against manual, canonical-order reconstructions,
+and (d) that training's per-epoch draws (``training.draw_epoch_epsilons``)
+are the same stream — with exact equality throughout.
 """
 
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 from numpy.testing import assert_array_equal
 
+from repro.core import PrintedNeuralNetwork
 from repro.core.aging import AgingModel
 from repro.core.kernels import sample_layer_epsilons
+from repro.core.training import draw_epoch_epsilons
 from repro.core.variation import (
     ComposedModel,
     CorrelatedVariationModel,
@@ -35,13 +38,8 @@ N_ACT = 3
 N_NEG = 2
 
 
-def make_layer():
-    """A minimal stand-in exposing the shapes the sampler reads."""
-    return SimpleNamespace(
-        theta=np.zeros(THETA_SHAPE),
-        act_omega=np.zeros((N_ACT, 7)),
-        neg_omega=np.zeros((N_NEG, 7)),
-    )
+#: The shapes ``sample_layer_epsilons`` reads: θ shape, #act, #neg circuits.
+LAYER = (THETA_SHAPE, N_ACT, N_NEG)
 
 
 class RecordingProtocolModel(NonIdealityModel):
@@ -78,7 +76,7 @@ class RecordingLegacyModel:
 class TestCanonicalOrder:
     def test_protocol_models_get_roles_in_theta_act_neg_order(self):
         model = RecordingProtocolModel()
-        sample_layer_epsilons(model, N_MC, make_layer())
+        sample_layer_epsilons(model, N_MC, *LAYER)
         assert model.calls == [
             ("theta", THETA_SHAPE),
             ("act", (N_ACT, 7)),
@@ -87,13 +85,13 @@ class TestCanonicalOrder:
 
     def test_legacy_models_fall_back_to_bare_sample_same_order(self):
         model = RecordingLegacyModel()
-        sample_layer_epsilons(model, N_MC, make_layer())
+        sample_layer_epsilons(model, N_MC, *LAYER)
         assert model.calls == [THETA_SHAPE, (N_ACT, 7), (N_NEG, 7)]
 
     def test_two_layers_repeat_the_cycle(self):
         model = RecordingProtocolModel()
-        sample_layer_epsilons(model, N_MC, make_layer())
-        sample_layer_epsilons(model, N_MC, make_layer())
+        sample_layer_epsilons(model, N_MC, *LAYER)
+        sample_layer_epsilons(model, N_MC, *LAYER)
         roles = [role for role, _ in model.calls]
         assert roles == ["theta", "act", "neg"] * 2
 
@@ -102,7 +100,7 @@ class TestStreamConsumption:
     """Exact RNG reconstruction per model class, in canonical order."""
 
     def test_uniform_variation(self):
-        triple = sample_layer_epsilons(VariationModel(0.1, seed=5), N_MC, make_layer())
+        triple = sample_layer_epsilons(VariationModel(0.1, seed=5), N_MC, *LAYER)
         rng = np.random.default_rng(5)
         for eps, shape in zip(triple, (THETA_SHAPE, (N_ACT, 7), (N_NEG, 7))):
             assert isinstance(eps, np.ndarray)
@@ -110,7 +108,7 @@ class TestStreamConsumption:
 
     def test_gaussian_variation(self):
         model = GaussianVariationModel(0.1, seed=5)
-        triple = sample_layer_epsilons(model, N_MC, make_layer())
+        triple = sample_layer_epsilons(model, N_MC, *LAYER)
         rng = np.random.default_rng(5)
         for eps, shape in zip(triple, (THETA_SHAPE, (N_ACT, 7), (N_NEG, 7))):
             draws = rng.normal(1.0, model.sigma, size=(N_MC, *shape))
@@ -119,8 +117,8 @@ class TestStreamConsumption:
 
     def test_stuck_at_consumes_rng_only_for_theta(self):
         model = StuckAtModel(p_stuck_on=0.3, p_stuck_off=0.3, seed=5)
-        first = sample_layer_epsilons(model, N_MC, make_layer())
-        second = sample_layer_epsilons(model, N_MC, make_layer())
+        first = sample_layer_epsilons(model, N_MC, *LAYER)
+        second = sample_layer_epsilons(model, N_MC, *LAYER)
         rng = np.random.default_rng(5)
         for triple in (first, second):
             assert isinstance(triple[0], Perturbation)
@@ -135,7 +133,7 @@ class TestStreamConsumption:
 
     def test_correlated_variation(self):
         model = CorrelatedVariationModel(0.1, correlation=0.5, seed=5)
-        triple = sample_layer_epsilons(model, N_MC, make_layer())
+        triple = sample_layer_epsilons(model, N_MC, *LAYER)
         rng = np.random.default_rng(5)
         rho, sigma = 0.5, model.sigma
         for eps, shape in zip(triple, (THETA_SHAPE, (N_ACT, 7), (N_NEG, 7))):
@@ -156,7 +154,7 @@ class TestStreamConsumption:
             VariationModel(0.1, seed=5),
             StuckAtModel(p_stuck_on=0.3, p_stuck_off=0.0, seed=7),
         )
-        triple = sample_layer_epsilons(model, N_MC, make_layer())
+        triple = sample_layer_epsilons(model, N_MC, *LAYER)
         eps_rng = np.random.default_rng(5)
         defect_rng = np.random.default_rng(7)
         theta = triple[0]
@@ -176,8 +174,37 @@ class TestStreamConsumption:
 
     def test_aging_model(self):
         model = AgingModel(drift_rate=0.05, spread=0.02, seed=5)
-        triple = sample_layer_epsilons(model, N_MC, make_layer())
+        triple = sample_layer_epsilons(model, N_MC, *LAYER)
         rng = np.random.default_rng(5)
         reference = AgingModel(drift_rate=0.05, spread=0.02, rng=rng)
         for eps, shape in zip(triple, (THETA_SHAPE, (N_ACT, 7), (N_NEG, 7))):
             assert_array_equal(eps, reference.sample(N_MC, shape))
+
+
+class TestTrainingDraws:
+    """``draw_epoch_epsilons`` consumes the canonical stream, layer by layer."""
+
+    def test_epoch_draws_match_canonical_reconstruction(self, analytic_surrogates):
+        pnn = PrintedNeuralNetwork(
+            [4, 3, 2], analytic_surrogates, per_neuron_activation=True,
+            rng=np.random.default_rng(7),
+        )
+        drawn = draw_epoch_epsilons(VariationModel(0.1, seed=4), N_MC, pnn)
+        rng = np.random.default_rng(4)
+        shapes = [
+            ((4 + 2, 3), (3, 7), (1, 7)),
+            ((3 + 2, 2), (2, 7), (1, 7)),
+        ]
+        assert len(drawn) == len(shapes)
+        for triple, layer_shapes in zip(drawn, shapes):
+            for eps, shape in zip(triple, layer_shapes):
+                assert_array_equal(eps, rng.uniform(0.9, 1.1, size=(N_MC, *shape)))
+
+    def test_protocol_roles_per_layer(self, analytic_surrogates):
+        pnn = PrintedNeuralNetwork([4, 3, 2], analytic_surrogates, rng=np.random.default_rng(7))
+        model = RecordingProtocolModel()
+        draw_epoch_epsilons(model, N_MC, pnn)
+        assert model.calls == [
+            ("theta", (6, 3)), ("act", (1, 7)), ("neg", (1, 7)),
+            ("theta", (5, 2)), ("act", (1, 7)), ("neg", (1, 7)),
+        ]

@@ -25,7 +25,7 @@ class TestRoundTrip:
         path = save_pnn(pnn, tmp_path / "design.npz")
         restored = load_pnn(path, surrogates)
         x = np.random.default_rng(1).uniform(size=(6, 4))
-        assert np.allclose(pnn.forward(x).data, restored.forward(x).data)
+        assert np.allclose(pnn.snapshot().forward(x), restored.snapshot().forward(x))
 
     def test_structure_preserved(self, surrogates, tmp_path):
         original = PrintedNeuralNetwork(
@@ -65,4 +65,4 @@ class TestRoundTrip:
         path = save_pnn(pnn, tmp_path / "design.npz", surrogates=tiny_bundle)
         restored = load_pnn(path, tiny_bundle, strict_fingerprint=True)
         x = np.random.default_rng(4).uniform(size=(3, 2))
-        assert np.allclose(pnn.forward(x).data, restored.forward(x).data)
+        assert np.allclose(pnn.snapshot().forward(x), restored.snapshot().forward(x))

@@ -38,4 +38,4 @@ def test_save_load_round_trip(tmp_path_factory, n_in, n_hidden, n_out,
         assert np.array_equal(param_a.data, param_b.data)
 
     x = np.random.default_rng(seed + 1).uniform(size=(3, n_in))
-    assert np.array_equal(pnn.forward(x).data, restored.forward(x).data)
+    assert np.array_equal(pnn.snapshot().forward(x), restored.snapshot().forward(x))

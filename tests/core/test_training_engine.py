@@ -1,25 +1,48 @@
-"""The kernel training engine vs the autograd engine, epoch for epoch.
+"""The training loop vs the recorded taped engine, epoch for epoch.
 
-``train_pnn(engine="kernel")`` — a one-lane run of the lane loop — must
-reproduce the taped loop exactly: the same train/validation loss at every
-epoch (≤1e-9 relative — observed agreement is float64 rounding), the same
-early-stopping decision, and the same restored best-epoch parameters.  Both engines share one variation RNG
-stream contract (canonical per-layer θ/act/neg draws, one 3-cycle per
-layer per epoch), which these tests pin as well.
+``train_pnn`` — a one-lane run of the lane loop — must reproduce the taped
+autograd loop it replaced: the same train/validation loss at every epoch
+(≤1e-9 relative — the live comparison observed float64 rounding), the
+same early-stopping decision, and the same restored best-epoch
+parameters.
+
+The taped loop is gone; its runs are kept in
+``golden/taped_reference.json``.  Recipe, run on the commit before the
+taped path was deleted: ``make_pnn`` below (analytic surrogates, ``[2, 3,
+2]``, ``default_rng(7)``) trained on the ``blob_data`` fixture by
+``train_pnn(..., engine="autograd")`` with
+
+- ``trajectory/{ε}/{learnable|fixed}/{loss}``: ``TrainConfig(max_epochs=30,
+  patience=30, epsilon=ε, n_mc_train=8, learnable_nonlinear=...,
+  loss=..., seed=5)``;
+- ``trajectory/early_stopping``: ``TrainConfig(max_epochs=200,
+  patience=5, epsilon=0.0, seed=3)``;
+- ``override/{case}``: ``TrainConfig(max_epochs=25, patience=25,
+  epsilon=ε, n_mc_train=6, seed=5)`` plus the ``OVERRIDE_CASES``
+  overrides;
+
+recording each epoch's ``(train_loss, val_loss)`` as ``float.hex``, the
+early-stopping bookkeeping, and the restored ``state_dict``.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core import PrintedNeuralNetwork, TrainConfig, train_pnn
+from repro.core import PrintedNeuralNetwork, TrainConfig, kernels, train_pnn
 from repro.core.aging import AgingModel, CompositeVariation
-from repro.core.losses import make_loss
+from repro.core.grad_kernels import margin_loss_fwd
 from repro.core.training import (
     VALIDATION_SEED_OFFSET,
-    _validation_loss,
+    _validation_epsilons,
     draw_epoch_epsilons,
 )
-from repro.core.variation import VariationModel, build_scenario_model
+from repro.core.variation import VariationModel
+
+#: The taped loop's recorded runs (see the module docstring).
+TAPED = json.loads((Path(__file__).parent / "golden" / "taped_reference.json").read_text())
 
 HISTORY_RTOL = 1e-9
 
@@ -30,26 +53,25 @@ def make_pnn(analytic_surrogates, seed=7):
     )
 
 
-def train_both(analytic_surrogates, blob_data, config, overrides=lambda: {}):
+def train(analytic_surrogates, blob_data, config, overrides=lambda: {}):
     x_train, y_train, x_val, y_val = blob_data
-    results, networks = {}, {}
-    for engine in ("autograd", "kernel"):
-        pnn = make_pnn(analytic_surrogates)
-        results[engine] = train_pnn(
-            pnn, x_train, y_train, x_val, y_val, config, engine=engine, **overrides()
-        )
-        networks[engine] = pnn
-    return results, networks
+    pnn = make_pnn(analytic_surrogates)
+    result = train_pnn(pnn, x_train, y_train, x_val, y_val, config, **overrides())
+    return result, pnn
 
 
-def assert_histories_match(results):
-    reference = np.array([(t, v) for _, t, v in results["autograd"].history])
-    kernel = np.array([(t, v) for _, t, v in results["kernel"].history])
+def assert_history_matches_recording(result, key):
+    recorded = TAPED[key]
+    reference = np.array([
+        [float.fromhex(t), float.fromhex(v)]
+        for t, v in (line.split()[1:] for line in recorded["history"])
+    ])
+    kernel = np.array([(t, v) for _, t, v in result.history])
     assert reference.shape == kernel.shape
     np.testing.assert_allclose(kernel, reference, rtol=HISTORY_RTOL, atol=0)
-    assert results["kernel"].best_epoch == results["autograd"].best_epoch
-    assert results["kernel"].best_val_loss == pytest.approx(
-        results["autograd"].best_val_loss, rel=HISTORY_RTOL
+    assert result.best_epoch == recorded["best_epoch"]
+    assert result.best_val_loss == pytest.approx(
+        float.fromhex(recorded["best_val_loss"]), rel=HISTORY_RTOL
     )
 
 
@@ -69,30 +91,30 @@ class TestTrajectoryEquivalence:
             max_epochs=30, patience=30, epsilon=epsilon, n_mc_train=8,
             learnable_nonlinear=learnable, loss=loss, seed=5,
         )
-        results, networks = train_both(analytic_surrogates, blob_data, config)
-        assert_histories_match(results)
+        result, pnn = train(analytic_surrogates, blob_data, config)
+        key = f"trajectory/{epsilon}/{'learnable' if learnable else 'fixed'}/{loss}"
+        assert_history_matches_recording(result, key)
         # The restored best-epoch designs must match too.
-        reference = networks["autograd"].state_dict()
-        trained = networks["kernel"].state_dict()
+        trained = pnn.state_dict()
         # atol floor: coordinates with ~zero gradient wander at the 1e-10
-        # level under Adam's eps, identically-shaped noise in both engines.
-        for name in reference:
-            np.testing.assert_allclose(
-                trained[name], reference[name], rtol=1e-8, atol=1e-9
-            )
+        # level under Adam's eps, identically-shaped noise in both engines
+        # (the live comparison used the same tolerances).
+        for name, entry in TAPED[key]["state"].items():
+            reference = np.array([float.fromhex(h) for h in entry["hex"]]).reshape(entry["shape"])
+            np.testing.assert_allclose(trained[name], reference, rtol=1e-8, atol=1e-9)
 
     def test_early_stopping_same_epoch(self, analytic_surrogates, blob_data):
         config = TrainConfig(max_epochs=200, patience=5, epsilon=0.0, seed=3)
-        results, _ = train_both(analytic_surrogates, blob_data, config)
-        assert results["kernel"].epochs_run == results["autograd"].epochs_run
-        assert_histories_match(results)
+        result, _ = train(analytic_surrogates, blob_data, config)
+        assert result.epochs_run == TAPED["trajectory/early_stopping"]["epochs_run"]
+        assert_history_matches_recording(result, "trajectory/early_stopping")
 
 
 def aging(seed, drift_rate=0.15):
     return AgingModel(drift_rate=drift_rate, spread=0.02, time_horizon=2.0, seed=seed)
 
 
-#: Multiplicative override cases the taped loop also runs:
+#: Multiplicative override cases the taped loop was recorded on:
 #: case -> (config ε, () -> train_pnn override kwargs).
 OVERRIDE_CASES = {
     "aging": (0.0, lambda: dict(variation=aging(3), val_variation=aging(99))),
@@ -110,33 +132,24 @@ OVERRIDE_CASES = {
 
 @pytest.mark.slow
 class TestOverrideTrajectoryEquivalence:
-    """Aging-aware training runs through lanes and still tracks the taped loop."""
+    """Aging-aware training runs through lanes and still tracks the taped loop's recording."""
 
     @pytest.mark.parametrize("case", sorted(OVERRIDE_CASES))
     def test_override_histories_agree(self, analytic_surrogates, blob_data, case):
         epsilon, overrides = OVERRIDE_CASES[case]
         config = TrainConfig(max_epochs=25, patience=25, epsilon=epsilon, n_mc_train=6, seed=5)
-        results, _ = train_both(analytic_surrogates, blob_data, config, overrides)
-        assert_histories_match(results)
-        assert results["kernel"].epochs_run == results["autograd"].epochs_run == 25
+        result, _ = train(analytic_surrogates, blob_data, config, overrides)
+        assert_history_matches_recording(result, f"override/{case}")
+        assert result.epochs_run == TAPED[f"override/{case}"]["epochs_run"] == 25
 
 
 class TestKernelEngineBehaviour:
-    def test_unknown_engine_rejected(self, analytic_surrogates, blob_data):
+    def test_train_pnn_has_no_engine_parameter(self, analytic_surrogates, blob_data):
+        # One training loop is left, so there is nothing to select.
         x_train, y_train, x_val, y_val = blob_data
-        pnn = make_pnn(analytic_surrogates)
-        # "lanes" was a second spelling of the kernel engine's one-lane run.
-        for engine in ("numpy", "lanes"):
-            with pytest.raises(ValueError, match="engine"):
-                train_pnn(pnn, x_train, y_train, x_val, y_val, TrainConfig(max_epochs=1),
-                          engine=engine)
-
-    def test_autograd_rejects_override_carrying_models(self, analytic_surrogates, blob_data):
-        x_train, y_train, x_val, y_val = blob_data
-        stuck = build_scenario_model("stuck-1pct", 0.05, seed=3)
-        with pytest.raises(ValueError, match="override-carrying"):
+        with pytest.raises(TypeError):
             train_pnn(make_pnn(analytic_surrogates), x_train, y_train, x_val, y_val,
-                      TrainConfig(max_epochs=1), variation=stuck, engine="autograd")
+                      TrainConfig(max_epochs=1), engine="kernel")
 
     def test_train_config_has_no_verbose_field(self):
         # The lane loop never printed progress, so the flag is gone.
@@ -152,7 +165,7 @@ class TestKernelEngineBehaviour:
         ]
         theta_before = [layer.theta.data.copy() for layer in pnn.layers]
         config = TrainConfig(max_epochs=10, patience=10, learnable_nonlinear=False, seed=0)
-        train_pnn(pnn, x_train, y_train, x_val, y_val, config, engine="kernel")
+        train_pnn(pnn, x_train, y_train, x_val, y_val, config)
         for layer, (w_act, w_neg) in zip(pnn.layers, before):
             np.testing.assert_array_equal(layer.activation.w_raw.data, w_act)
             np.testing.assert_array_equal(layer.negation.w_raw.data, w_neg)
@@ -170,21 +183,27 @@ class TestKernelEngineBehaviour:
             pnn, x_train, y_train, x_val, y_val, config,
             variation=aging,
             val_variation=AgingModel(drift_rate=0.05, time_horizon=2.0, seed=10),
-            engine="kernel",
         )
         assert len(result.history) == 5
         assert np.isfinite(result.best_val_loss)
 
     def test_module_left_at_best_epoch_params(self, analytic_surrogates, blob_data):
         """The returned module must hold the best epoch's design, not the last."""
-        x_train, y_train, x_val, y_val = blob_data
+        _, _, x_val, y_val = blob_data
         config = TrainConfig(max_epochs=40, patience=40, epsilon=0.1, n_mc_train=6, seed=2)
-        results, networks = train_both(analytic_surrogates, blob_data, config)
-        loss_fn = make_loss(config.loss)
-        for engine, pnn in networks.items():
-            best = results[engine].best_val_loss
-            restored = _validation_loss(pnn, x_val, y_val, loss_fn, config)
-            assert restored == pytest.approx(best, rel=1e-9), engine
+        result, pnn = train(analytic_surrogates, blob_data, config)
+        assert result.best_epoch < result.epochs_run - 1
+        assert validation_loss(pnn, x_val, y_val, config) == pytest.approx(
+            result.best_val_loss, rel=1e-9
+        )
+
+
+def validation_loss(pnn, x_val, y_val, config):
+    """The margin loss on the run's frozen validation draws, through the kernels."""
+    epsilons = _validation_epsilons(pnn, config, None)
+    voltages = kernels.network_forward(pnn.snapshot(), x_val, epsilons=epsilons)
+    value, _ = margin_loss_fwd(voltages, y_val)
+    return value
 
 
 class TestValidationSampleHoisting:
@@ -213,36 +232,6 @@ class TestValidationSampleHoisting:
         _, _, x_val, y_val = blob_data
         pnn = make_pnn(analytic_surrogates)
         config = TrainConfig(epsilon=0.1, n_mc_train=6, seed=17)
-        loss_fn = make_loss("margin")
-        first = _validation_loss(pnn, x_val, y_val, loss_fn, config)
-        second = _validation_loss(pnn, x_val, y_val, loss_fn, config)
+        first = validation_loss(pnn, x_val, y_val, config)
+        second = validation_loss(pnn, x_val, y_val, config)
         assert first == second
-
-    def test_validation_loss_positional_signature_stable(self, analytic_surrogates, blob_data):
-        _, _, x_val, y_val = blob_data
-        pnn = make_pnn(analytic_surrogates)
-        config = TrainConfig(epsilon=0.0, seed=0)
-        value = _validation_loss(pnn, x_val, y_val, make_loss("margin"), config)
-        assert np.isfinite(value)
-
-
-class TestTrainEpsilonStream:
-    def test_kernel_engine_consumes_stream_like_module_forward(self, analytic_surrogates):
-        """draw_epoch_epsilons mirrors PrintedNeuralNetwork.forward's draws."""
-        pnn = make_pnn(analytic_surrogates)
-        reference = VariationModel(0.1, seed=4)
-        seen = []
-        original = reference.sample
-
-        def recording(n_mc, shape):
-            sample = original(n_mc, shape)
-            seen.append(sample)
-            return sample
-
-        reference.sample = recording
-        pnn.forward(np.zeros((3, 2)), variation=reference, n_mc=5)
-        drawn = draw_epoch_epsilons(VariationModel(0.1, seed=4), 5, pnn)
-        flat = [array for triple in drawn for array in triple]
-        assert len(flat) == len(seen)
-        for mine, module in zip(flat, seen):
-            np.testing.assert_array_equal(mine, module)

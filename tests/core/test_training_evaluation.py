@@ -10,6 +10,7 @@ from repro.core import (
     evaluate_mc,
     train_pnn,
 )
+from repro.core.grad_kernels import margin_loss_fwd
 from repro.surrogate import AnalyticSurrogate
 
 
@@ -40,10 +41,7 @@ class TestNominalTraining:
         pnn = make_pnn((2, 3, 2), seed=2)
         config = TrainConfig(max_epochs=150, patience=30, epsilon=0.0, seed=2)
         result = train_pnn(pnn, x_train, y_train, x_val, y_val, config)
-        from repro.core.training import _validation_loss
-        from repro.core.losses import make_loss
-
-        final_val = _validation_loss(pnn, x_val, y_val, make_loss("margin"), config)
+        final_val, _ = margin_loss_fwd(pnn.snapshot().forward(x_val), y_val)
         assert final_val == pytest.approx(result.best_val_loss, abs=1e-9)
 
     def test_early_stopping_truncates(self, blob_data):

@@ -91,12 +91,13 @@ class TestRoundTrip:
             loaded.predict(splits.x_test), outcome.params.predict(splits.x_test)
         )
 
-    def test_legacy_module_state_entry_loads(self, tmp_path, analytic_surrogates, outcome):
-        # Entries written before the PNNParams refactor hold save_pnn module
-        # state; load_design must rebuild + snapshot them transparently.
+    def test_legacy_module_state_entry_fails_naming_the_archive(
+        self, tmp_path, analytic_surrogates, outcome
+    ):
+        # Entries written before the PNNParams snapshots hold save_pnn
+        # module state; load_design refuses them loudly instead of
+        # rebuilding, and the error names the archive.
         from repro.core import PrintedNeuralNetwork, save_pnn
-        from repro.core.params import PNNParams
-        from repro.datasets import load_splits
 
         cache = ResultCache(tmp_path / "cache")
         fp = surrogate_fingerprint(analytic_surrogates)
@@ -106,14 +107,12 @@ class TestRoundTrip:
             per_neuron_activation=outcome.per_neuron_activation,
             rng=np.random.default_rng(KEY.seed),
         )
-        save_pnn(pnn, cache.design_path(digest), surrogates=analytic_surrogates)
+        path = cache.design_path(digest)
+        save_pnn(pnn, path, surrogates=analytic_surrogates)
 
-        loaded = cache.load_design(digest, analytic_surrogates)
-        assert isinstance(loaded, PNNParams)
-        splits = load_splits("iris", seed=0, max_train=MICRO.max_train)
-        np.testing.assert_array_equal(
-            loaded.predict(splits.x_test), pnn.predict(splits.x_test)
-        )
+        with pytest.raises(ValueError, match="not a PNNParams snapshot") as info:
+            cache.load_design(digest, analytic_surrogates)
+        assert str(path) in str(info.value)
 
     def test_entry_recording_a_kernel_backend_still_hits(
         self, tmp_path, analytic_surrogates, outcome

@@ -102,8 +102,7 @@ class TestScenarioTraining:
         serial = []
         for seed in (1, 2):
             pnn = build(seed)
-            result = train_pnn(pnn, x_train, y_train, x_val, y_val,
-                               config(seed), engine="kernel")
+            result = train_pnn(pnn, x_train, y_train, x_val, y_val, config(seed))
             serial.append((result, snapshot_params(pnn)))
 
         lane_pnns = [build(1), build(2)]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.autograd import Tensor, gradcheck
 from repro.surrogate import FeatureNormalizer, extend_with_ratios
 from repro.surrogate.features import FEATURE_NAMES
 
@@ -24,17 +23,6 @@ class TestExtendWithRatios:
     def test_batch_shapes_preserved(self):
         omega = np.ones((4, 3, 7))
         assert extend_with_ratios(omega).shape == (4, 3, 10)
-
-    def test_tensor_path_matches_numpy_path(self):
-        rng = np.random.default_rng(0)
-        omega = rng.uniform(1.0, 100.0, size=(5, 7))
-        from_numpy = extend_with_ratios(omega)
-        from_tensor = extend_with_ratios(Tensor(omega)).data
-        assert np.allclose(from_numpy, from_tensor)
-
-    def test_tensor_path_differentiable(self):
-        omega = Tensor(np.random.default_rng(1).uniform(1.0, 10.0, size=(3, 7)))
-        assert gradcheck(extend_with_ratios, [omega])
 
     def test_rejects_wrong_width(self):
         with pytest.raises(ValueError):
@@ -61,17 +49,6 @@ class TestFeatureNormalizer:
         normalizer = FeatureNormalizer.fit(data)
         out = normalizer.normalize(data)
         assert np.all(np.isfinite(out))
-
-    def test_tensor_path_matches_numpy(self):
-        rng = np.random.default_rng(2)
-        data = rng.uniform(0, 10, size=(20, 5))
-        normalizer = FeatureNormalizer.fit(data)
-        assert np.allclose(
-            normalizer.normalize(Tensor(data)).data, normalizer.normalize(data)
-        )
-        assert np.allclose(
-            normalizer.denormalize(Tensor(data)).data, normalizer.denormalize(data)
-        )
 
     def test_state_round_trip(self):
         normalizer = FeatureNormalizer(np.zeros(3), np.ones(3) * 2)

@@ -34,7 +34,7 @@ class TestBuildBundle:
         the paper-scale check lives in the fig4 bench)."""
         omega = sample_design_points(12, seed=5)
         for surrogate in (mini_bundle.ptanh, mini_bundle.negweight):
-            eta = surrogate.eta_numpy(omega)
+            eta = surrogate.eta_from_omega(omega)
             assert eta.shape == (12, 4)
             assert np.all(np.isfinite(eta))
 

@@ -9,9 +9,9 @@ math), ``repro.circuits`` (analytic circuit model) and ``repro.spice``
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor
 from repro.circuits import CrossbarColumn, crossbar_netlist, crossbar_output
-from repro.core import LearnableNonlinearCircuit, PrintedLayer
+from repro.core import LayerParams, LearnableNonlinearCircuit, PrintedLayer, kernels
+from repro.core.params import snapshot_surrogate
 from repro.spice import solve_dc
 from repro.surrogate import AnalyticSurrogate
 from repro.surrogate.design_space import DESIGN_SPACE
@@ -31,6 +31,21 @@ def make_layer(n_in, n_out, seed=0):
     )
 
 
+def layer_forward(layer, x):
+    """The layer's printable design through ``kernels.layer_forward``."""
+    design = LayerParams(
+        theta=layer.printable_theta(),
+        act_omega=layer.activation.printable_omega(),
+        neg_omega=layer.negation.printable_omega(),
+        apply_activation=layer.apply_activation,
+    )
+    return kernels.layer_forward(
+        x, design,
+        snapshot_surrogate(layer.activation.surrogate),
+        snapshot_surrogate(layer.negation.surrogate),
+    )
+
+
 class TestLayerVsCrossbar:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_positive_theta_matches_analytic_crossbar(self, seed):
@@ -47,7 +62,7 @@ class TestLayerVsCrossbar:
             down_conductance=theta[4],
         )
         expected = crossbar_output(column, voltages)
-        out = layer.forward(Tensor(voltages.reshape(1, 1, 3))).data[0, 0, 0]
+        out = layer_forward(layer, voltages.reshape(1, 1, 3))[0, 0, 0]
         assert out == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("seed", [0, 3])
@@ -68,7 +83,7 @@ class TestLayerVsCrossbar:
             down_conductance=theta[3] * PHYSICAL_SCALE,
         )
         solved = solve_dc(crossbar_netlist(column, voltages)).voltage("vz")
-        out = layer.forward(Tensor(voltages.reshape(1, 1, 2))).data[0, 0, 0]
+        out = layer_forward(layer, voltages.reshape(1, 1, 2))[0, 0, 0]
         assert out == pytest.approx(solved, abs=1e-6)
 
     def test_scale_invariance_of_the_weighted_sum(self):
@@ -76,11 +91,11 @@ class TestLayerVsCrossbar:
         the physical reason surrogate conductances are dimensionless."""
         layer = make_layer(3, 2, seed=5)
         layer.theta.data = np.abs(layer.theta.data)
-        x = Tensor(np.random.default_rng(0).uniform(size=(1, 4, 3)))
-        before = layer.forward(x).data
+        x = np.random.default_rng(0).uniform(size=(1, 4, 3))
+        before = layer_forward(layer, x)
         layer.theta.data = layer.theta.data * 3.7
         layer.theta.data = np.clip(layer.theta.data, 0.01, 10.0)  # stay printable
-        after = layer.forward(x).data
+        after = layer_forward(layer, x)
         assert np.allclose(before, after, atol=1e-9)
 
 
@@ -102,10 +117,10 @@ class TestActivationVsCircuitSim:
         rng = np.random.default_rng(1)
         activation = LearnableNonlinearCircuit(surrogate, DESIGN_SPACE, "ptanh", rng=rng)
 
-        omega = activation.printable_omega().numpy()[0]
+        omega = activation.printable_omega()[0]
         v_in, v_out = simulate_ptanh_curve(omega, n_points=21)
         fitted = fit_ptanh(v_in, v_out).eta
-        predicted = activation.eta().data[0, 0]
+        predicted = surrogate.eta_from_omega(omega[None])[0]
         # Calibrated first-order physics: centre and amplitude within ~0.2 V.
         assert predicted[0] == pytest.approx(fitted[0], abs=0.2)
         assert predicted[1] == pytest.approx(fitted[1], abs=0.2)
