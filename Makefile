@@ -1,7 +1,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test test-all lint verify bench bench-e2e bench-surrogate bench-scenarios bench-sharding bench-export
+.PHONY: test test-all lint verify bench bench-e2e bench-scenarios bench-sharding bench-export
 
 test:              ## fast tier: everything not marked @pytest.mark.slow
 	python -m pytest -x -q -m "not slow"
@@ -20,9 +20,6 @@ bench:             ## regenerate every table & figure at $(REPRO_BENCH_PROFILE)
 
 bench-e2e:         ## end-to-end benchmark: four workloads, golden-checked (BENCHMARK.json)
 	python3 benchmarks/e2e/run.py
-
-bench-surrogate:   ## scalar-vs-batched surrogate build benchmark + artifact
-	python -m pytest benchmarks/bench_surrogate_build.py -q -s
 
 bench-scenarios:   ## non-ideality scenario grid benchmark + artifact
 	python -m pytest benchmarks/bench_scenario_grid.py -q -s

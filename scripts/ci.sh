@@ -18,10 +18,12 @@ fi
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
-echo "== surrogate-builder smoke (batched vs scalar, telemetry-audited) =="
-# CI sets CI_SMOKE_KEEP_DIR to a workspace path so the telemetry event
-# streams survive the run and can be uploaded as build artifacts; local
-# runs keep the self-cleaning mktemp behaviour.
+# The smoke stages below share one workspace.  CI sets CI_SMOKE_KEEP_DIR
+# to a workspace path so the telemetry event streams survive the run and
+# can be uploaded as build artifacts; local runs keep the self-cleaning
+# mktemp behaviour.  (The surrogate build is checked against its recorded
+# slice, with telemetry on and off, by tier-1:
+# tests/surrogate/test_characterization_reference.py.)
 if [ -n "${CI_SMOKE_KEEP_DIR:-}" ]; then
     SMOKE_ROOT="$CI_SMOKE_KEEP_DIR"
     mkdir -p "$SMOKE_ROOT"
@@ -30,47 +32,8 @@ else
     trap 'rm -rf "$SMOKE_ROOT"' EXIT
 fi
 CACHE_DIR="$SMOKE_ROOT/table2_cache"
-TEL_BUILD="$SMOKE_ROOT/telemetry_build"
 TEL_RUN="$SMOKE_ROOT/telemetry_run"
 TEL_RESUME="$SMOKE_ROOT/telemetry_resume"
-TEL_BUILD="$TEL_BUILD" python - <<'EOF'
-import os
-import numpy as np
-from repro import telemetry
-from repro.surrogate.dataset_builder import build_surrogate_dataset
-
-# The scalar reference runs without telemetry; the batched engine runs
-# with it — proving instrumentation never touches the numbers.
-scalars = {}
-for kind in ("ptanh", "negweight"):
-    scalars[kind] = build_surrogate_dataset(kind, n_points=32, sweep_points=21,
-                                            seed=3, engine="scalar")
-tel = telemetry.enable(os.environ["TEL_BUILD"], manifest={"command": "ci-smoke"})
-for kind in ("ptanh", "negweight"):
-    batched = build_surrogate_dataset(kind, n_points=32, sweep_points=21,
-                                      seed=3, engine="batched", chunk_size=16)
-    scalar = scalars[kind]
-    np.testing.assert_array_equal(batched.omega, scalar.omega)
-    np.testing.assert_array_equal(batched.eta, scalar.eta)
-    np.testing.assert_array_equal(batched.rmse, scalar.rmse)
-    assert batched.stats == scalar.stats, (batched.stats, scalar.stats)
-    s = batched.stats
-    print(f"{kind}: engines identical ({s.n_kept}/{s.n_sampled} kept)")
-telemetry.disable()
-
-# Telemetry gate: the smoke build must never hit the scalar-fallback
-# path — a regression in batched Newton convergence fails CI here.
-events = telemetry.read_events(os.environ["TEL_BUILD"])
-counters = telemetry.summarize_events(events)["counters"]
-solves = [e for e in events if e["kind"] == "event"
-          and e["name"] == "spice.solve_dc_batch"]
-assert solves, "no spice.solve_dc_batch events recorded"
-fallbacks = int(counters.get("spice.scalar_fallbacks", 0))
-assert fallbacks == 0, f"{fallbacks} lanes fell back to the scalar solver!"
-lanes = int(counters.get("spice.lanes_solved", 0))
-print(f"surrogate smoke OK: engines identical; telemetry audited "
-      f"{len(solves)} solves / {lanes} lanes, 0 scalar fallbacks")
-EOF
 
 echo "== lane-equality smoke (3-lane batch vs one-lane batches, telemetry-gated) =="
 TEL_LANES="$SMOKE_ROOT/telemetry_lanes"

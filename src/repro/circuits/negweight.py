@@ -23,32 +23,12 @@ import numpy as np
 from repro.circuits.ptanh import (
     PTANH_NODES,
     VDD,
-    build_ptanh_netlist,
     ptanh_param_batch,
     ptanh_stamp_plan,
+    sweep_one_design,
 )
 from repro.spice.egt import EGTModel
-from repro.spice.sweep import dc_sweep, dc_sweep_batch
-
-
-def simulate_negweight_curve(
-    omega: np.ndarray,
-    n_points: int = 41,
-    model: Optional[EGTModel] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sweep the negative-weight circuit; return ``(V_in, inv(V_in))``.
-
-    Uses the same physical netlist as the ptanh circuit (the paper's
-    shortcut) with the output taken after the first, inverting stage and
-    referenced to the supply rail, so the returned values are negative and
-    fall with the input.
-    """
-    netlist = build_ptanh_netlist(omega, model=model)
-    values = np.linspace(0.0, VDD, n_points)
-    xs, stage1 = dc_sweep(netlist, "Vin", values, output_node=PTANH_NODES["gate2"])
-    # Reference to the rail: the divider-tapped inverter output, shifted so
-    # the curve expresses subtraction in the crossbar reformulation.
-    return xs, stage1 - VDD
+from repro.spice.sweep import dc_sweep_batch
 
 
 def simulate_negweight_curve_batch(
@@ -58,9 +38,12 @@ def simulate_negweight_curve_batch(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sweep many negative-weight designs per DC solve.
 
-    Returns ``(V_in, inv(V_in), ok)`` with ``(B, n_points)`` curves and a
-    ``(B,)`` success mask; converged lanes match
-    :func:`simulate_negweight_curve` bit for bit.
+    Uses the same physical netlist as the ptanh circuit (the paper's
+    shortcut) with the output taken after the first, inverting stage and
+    referenced to the supply rail, so the curves are negative and fall
+    with the input.  Returns ``(V_in, inv(V_in), ok)`` with
+    ``(B, n_points)`` curves and a ``(B,)`` success mask, as
+    :func:`~repro.circuits.ptanh.simulate_ptanh_curve_batch` does.
     """
     plan = ptanh_stamp_plan(model)
     params = ptanh_param_batch(omega_batch, plan)
@@ -68,4 +51,18 @@ def simulate_negweight_curve_batch(
     xs, stage1, ok = dc_sweep_batch(
         plan, params, "Vin", values, output_node=PTANH_NODES["gate2"]
     )
+    # Reference to the rail: the divider-tapped inverter output, shifted so
+    # the curve expresses subtraction in the crossbar reformulation.
     return xs, stage1 - VDD, ok
+
+
+def simulate_negweight_curve(
+    omega: np.ndarray,
+    n_points: int = 41,
+    model: Optional[EGTModel] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sweep one negative-weight design; return ``(V_in, inv(V_in))``.
+
+    A batch of one through :func:`simulate_negweight_curve_batch`.
+    """
+    return sweep_one_design(simulate_negweight_curve_batch, omega, n_points, model)

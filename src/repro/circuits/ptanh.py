@@ -22,14 +22,15 @@ of Fig. 2 (left).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.spice.egt import EGTModel
+from repro.spice.mna import ConvergenceError
 from repro.spice.netlist import GROUND, Netlist
 from repro.spice.plan import ParamBatch, StampPlan, compile_netlist
-from repro.spice.sweep import dc_sweep, dc_sweep_batch
+from repro.spice.sweep import dc_sweep_batch
 
 #: Supply voltage of the printed circuits (the paper works on a 1 V rail).
 VDD = 1.0
@@ -98,23 +99,8 @@ def build_ptanh_netlist(
     return netlist
 
 
-def simulate_ptanh_curve(
-    omega: np.ndarray,
-    n_points: int = 41,
-    model: Optional[EGTModel] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sweep the ptanh circuit input and return ``(V_in, V_out)`` arrays.
-
-    This is the reproduction's stand-in for a Cadence DC sweep: the output
-    rises tanh-like from near 0 V to near VDD as the input sweeps 0..VDD.
-    """
-    netlist = build_ptanh_netlist(omega, model=model)
-    values = np.linspace(0.0, VDD, n_points)
-    return dc_sweep(netlist, "Vin", values, output_node=PTANH_NODES["output"])
-
-
 # --------------------------------------------------------------------- #
-# batched simulation (Fig. 3 hot path)                                  #
+# transfer-curve sweeps                                                 #
 # --------------------------------------------------------------------- #
 
 #: A representative mid-space design used only to compile the topology.
@@ -166,10 +152,13 @@ def simulate_ptanh_curve_batch(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sweep many ptanh designs per DC solve (Fig. 3 hot path).
 
+    This is the reproduction's stand-in for a Cadence DC sweep: each output
+    rises tanh-like from near 0 V to near VDD as the input sweeps 0..VDD.
     Returns ``(V_in, V_out, ok)``: the shared ``(n_points,)`` input axis,
     the ``(B, n_points)`` output curves, and the ``(B,)`` success mask
-    (``False`` where the scalar path would raise ``ConvergenceError``).
-    Converged lanes match :func:`simulate_ptanh_curve` bit for bit.
+    (``False`` where a lane's Newton iteration failed; its curve is NaN
+    from that sweep step on).  A lane's curve does not depend on its batch
+    mates.
     """
     plan = ptanh_stamp_plan(model)
     params = ptanh_param_batch(omega_batch, plan)
@@ -177,3 +166,35 @@ def simulate_ptanh_curve_batch(
     return dc_sweep_batch(
         plan, params, "Vin", values, output_node=PTANH_NODES["output"]
     )
+
+
+def simulate_ptanh_curve(
+    omega: np.ndarray,
+    n_points: int = 41,
+    model: Optional[EGTModel] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sweep one ptanh design; return ``(V_in, V_out)`` arrays.
+
+    A batch of one through :func:`simulate_ptanh_curve_batch`.
+    """
+    return sweep_one_design(simulate_ptanh_curve_batch, omega, n_points, model)
+
+
+def sweep_one_design(
+    curve_batch: Callable[..., Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    omega: np.ndarray,
+    n_points: int,
+    model: Optional[EGTModel],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Run a batched curve sweep on the single design ``omega``.
+
+    Returns ``(V_in, curve)``; raises
+    :class:`~repro.spice.mna.ConvergenceError` when the lane fails.
+    """
+    omega = np.asarray(omega, dtype=np.float64)
+    if omega.shape != (7,):
+        raise ValueError("omega must be [R1, R2, R3, R4, R5, W, L]")
+    xs, curves, ok = curve_batch(omega[None, :], n_points=n_points, model=model)
+    if not ok[0]:
+        raise ConvergenceError(f"DC sweep did not converge for omega={omega}")
+    return xs, curves[0]

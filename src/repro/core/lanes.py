@@ -657,17 +657,6 @@ def train_pnn_lanes(
             optimizer_s=t_opt,
             validation_s=t_val,
         )
-        tel.event(
-            "train.run",
-            engine="lanes",
-            epochs_run=epoch + 1,
-            best_epoch=max(s.best_epoch for s in stoppers),
-            best_val_loss=min(s.best_value for s in stoppers),
-            dur_s=perf_counter() - train_start,
-            fwd_bwd_s=t_fwd_bwd,
-            optimizer_s=t_opt,
-            validation_s=t_val,
-        )
         tel.count("train.epochs", lane_epochs)
         tel.count("lanes.trained", n_lanes)
 

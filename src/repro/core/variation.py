@@ -152,11 +152,6 @@ class NonIdealityModel(ABC):
         """
         return self.sample(n_mc, shape)
 
-    @property
-    def has_overrides(self) -> bool:
-        """True when draws may carry ``override_mask`` entries."""
-        return False
-
 
 def sample_role(model, n_mc: int, shape: Sequence[int], role: str) -> EpsilonLike:
     """Draw one (θ | act | neg) slot from ``model``.
@@ -169,11 +164,6 @@ def sample_role(model, n_mc: int, shape: Sequence[int], role: str) -> EpsilonLik
     if fn is None:
         return model.sample(n_mc, shape)
     return fn(n_mc, shape, role=role)
-
-
-def model_has_overrides(model) -> bool:
-    """Whether ``model`` may emit override-carrying perturbations."""
-    return bool(getattr(model, "has_overrides", False))
 
 
 class _EpsilonFamilyModel(NonIdealityModel):
@@ -280,10 +270,6 @@ class StuckAtModel(NonIdealityModel):
     def is_nominal(self) -> bool:
         return self.p_stuck_on == 0.0 and self.p_stuck_off == 0.0
 
-    @property
-    def has_overrides(self) -> bool:
-        return not self.is_nominal
-
     def sample(self, n_mc: int, shape: Sequence[int]) -> np.ndarray:
         raise TypeError(
             "stuck-at defects are not expressible as multiplicative factors; "
@@ -387,10 +373,6 @@ class ComposedModel(NonIdealityModel):
     @property
     def is_nominal(self) -> bool:
         return all(model.is_nominal for model in self.models)
-
-    @property
-    def has_overrides(self) -> bool:
-        return any(model_has_overrides(model) for model in self.models)
 
     def sample(self, n_mc: int, shape: Sequence[int]) -> np.ndarray:
         """Product of the component factor draws (legacy composition)."""

@@ -16,7 +16,7 @@
 - :mod:`~repro.experiments.tables` — renders Table II and Table III.
 - :mod:`~repro.experiments.report` — aggregate summary of a recorded
   :mod:`repro.telemetry` run (slowest jobs, cache hit ratio, SPICE
-  fallback rates).
+  Newton health).
 - :mod:`~repro.experiments.figures` — data series for Fig. 2 and Fig. 4.
 - :mod:`~repro.experiments.ablation` — the §IV-D improvement summary.
 """

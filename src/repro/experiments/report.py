@@ -3,8 +3,8 @@
 :func:`render_telemetry_report` turns the JSONL event stream of one run
 (``repro.telemetry``) into the operational summary the engine work has
 been missing: which jobs were slowest, how the wall time split between
-workers, the cache hit ratio, the Newton/fallback health of the SPICE
-engine and where the training epochs spent their time.
+workers, the cache hit ratio, the Newton health of the SPICE engine and
+where the training epochs spent their time.
 
 Exposed on the command line as::
 
@@ -116,17 +116,18 @@ def _spice_section(events: List[Dict], counters: Dict[str, float]) -> List[str]:
     if not solves and not lanes:
         return ["spice: no batched solves recorded"]
     iters = int(counters.get("spice.newton_lane_iters", 0))
-    fallbacks = int(counters.get("spice.scalar_fallbacks", 0))
+    unconverged = sum(
+        int(e["attrs"].get("batch", 0)) - int(e["attrs"].get("n_converged", 0))
+        for e in solves
+    )
     damped = sum(int(e["attrs"].get("n_damped_steps", 0)) for e in solves)
     singular = sum(int(e["attrs"].get("n_singular", 0)) for e in solves)
-    recovered = sum(int(e["attrs"].get("n_fallback_recovered", 0)) for e in solves)
-    rate = fallbacks / lanes if lanes else 0.0
     mean_iters = iters / lanes if lanes else 0.0
     return [
         f"spice: {len(solves)} batched solves, {lanes} lanes, "
         f"{mean_iters:.1f} mean Newton iters/lane",
-        f"       scalar fallbacks {fallbacks} ({rate:.2%} of lanes, "
-        f"{recovered} recovered), damped steps {damped}, singular lanes {singular}",
+        f"       unconverged lanes {unconverged}, damped steps {damped}, "
+        f"singular lanes {singular}",
     ]
 
 
@@ -141,7 +142,6 @@ def _surrogate_section(events: List[Dict]) -> List[str]:
         a = event["attrs"]
         rows.append([
             str(a.get("kind")),
-            str(a.get("engine")),
             f"{float(a.get('dur_s', 0.0)):.2f}s",
             f"{a.get('n_kept')}/{a.get('n_sampled')}",
             str(a.get("n_convergence_error")),
@@ -150,7 +150,7 @@ def _surrogate_section(events: List[Dict]) -> List[str]:
             str(a.get("n_out_of_bounds")),
         ])
     lines.extend(_rows_to_table(
-        ["kind", "engine", "dur", "kept", "conv", "swing", "rmse", "bounds"],
+        ["kind", "dur", "kept", "conv", "swing", "rmse", "bounds"],
         rows,
     ))
     return lines
@@ -158,7 +158,7 @@ def _surrogate_section(events: List[Dict]) -> List[str]:
 
 def _training_section(events: List[Dict], counters: Dict[str, float]) -> List[str]:
     runs = [e for e in events
-            if e.get("kind") == "event" and e.get("name") == "train.run"]
+            if e.get("kind") == "event" and e.get("name") == "lanes.run"]
     if not runs:
         return []
     epochs = int(counters.get("train.epochs", 0))

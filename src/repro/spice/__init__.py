@@ -11,13 +11,13 @@ required subset from scratch:
   electrolyte-gated transistors (synthetic pPDK, calibrated so that the
   two-inverter circuit of the paper produces tanh-like transfer curves).
 - :mod:`~repro.spice.mna` — modified nodal analysis with Newton-Raphson
-  iteration for the nonlinear devices.
+  iteration for the nonlinear devices, one operating point per call.
 - :mod:`~repro.spice.plan` — compiled stamp plans: a netlist lowered once
   into index arrays so hot loops never touch strings or dicts.
 - :mod:`~repro.spice.batch` — vectorized Newton-Raphson over ``(B, n, n)``
-  stacked MNA systems (bit-identical to the scalar solver per lane).
-- :mod:`~repro.spice.sweep` — DC sweeps with warm starting (scalar and
-  batched).
+  stacked MNA systems (bit-identical to the one-point solver per lane).
+- :mod:`~repro.spice.sweep` — warm-started DC sweeps of ``B`` lanes at
+  once; every transfer curve in the reproduction comes from here.
 - :mod:`~repro.spice.validate` — connectivity checks (networkx based).
 """
 
@@ -27,7 +27,7 @@ from repro.spice.egt import EGTModel, id_gm_gds
 from repro.spice.mna import ConvergenceError, OperatingPoint, solve_dc
 from repro.spice.plan import ParamBatch, StampPlan, compile_netlist
 from repro.spice.batch import BatchOperatingPoint, solve_dc_batch
-from repro.spice.sweep import dc_sweep, dc_sweep_batch
+from repro.spice.sweep import dc_sweep_batch
 from repro.spice.validate import validate_netlist, NetlistError
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "compile_netlist",
     "BatchOperatingPoint",
     "solve_dc_batch",
-    "dc_sweep",
     "dc_sweep_batch",
     "validate_netlist",
     "NetlistError",

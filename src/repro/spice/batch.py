@@ -11,8 +11,9 @@ Every floating-point operation mirrors the scalar solver
 (:func:`repro.spice.mna.solve_dc`) in the same order — stamps accumulate
 device-by-device, the EGT model routes through the same numpy kernels —
 so a batched lane reproduces the scalar solution *bit for bit*, not just
-to tolerance.  Lanes that exhaust ``max_iter`` are retried through the
-scalar path (``fallback=True``) and reported in ``converged``.
+to tolerance.  A lane that exhausts ``max_iter`` is reported
+``converged=False``: the scalar solver, started from the same point with
+the same tolerance, damping and cap, would exhaust it too.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.spice.egt import id_gm_gds
-from repro.spice.mna import ConvergenceError, OperatingPoint, solve_dc
+from repro.spice.mna import ConvergenceError, OperatingPoint
 from repro.spice.netlist import GROUND
 from repro.spice.plan import ParamBatch, StampPlan
 
@@ -168,7 +169,6 @@ def solve_dc_batch(
     tol: float = 1e-10,
     max_iter: int = 200,
     damping: float = 0.5,
-    fallback: bool = True,
     batch_size: Optional[int] = None,
 ) -> BatchOperatingPoint:
     """Solve ``B`` DC operating points of ``plan`` in lockstep.
@@ -184,9 +184,6 @@ def solve_dc_batch(
     tol / max_iter / damping:
         As in :func:`~repro.spice.mna.solve_dc`; ``damping`` may also be a
         ``(B,)`` array for per-lane step limits.
-    fallback:
-        Retry lanes that exhaust ``max_iter`` through the scalar solver
-        before reporting them unconverged.
     """
     batch = _infer_batch_size(plan, param_batch, vin_batch, initial, batch_size)
     n_nodes, n_sources = plan.n_nodes, plan.n_sources
@@ -199,8 +196,6 @@ def solve_dc_batch(
     total_lane_iters = 0
     n_damped_steps = 0
     n_singular = 0
-    n_fallback = 0
-    n_fallback_recovered = 0
 
     # --- per-lane element values --------------------------------------- #
     if param_batch is not None and param_batch.resistances is not None:
@@ -353,45 +348,6 @@ def solve_dc_batch(
             act_base, act_rhs, act_v = act_base[keep], act_rhs[keep], act_v[keep]
             act_betas, act_damping = act_betas[keep], act_damping[keep]
 
-    if len(active) and fallback:
-        # Scalar retry for lanes that exhausted max_iter, under identical
-        # conditions (same warm start, tolerances and damping).
-        n_fallback = int(len(active))
-        for lane in active:
-            netlist = plan.realize(
-                param_batch,
-                lane=int(lane),
-                source_voltages={
-                    name: source_voltages[lane, k]
-                    for k, name in enumerate(plan.source_names)
-                },
-            )
-            warm = None
-            if initial is not None:
-                warm = {
-                    name: float(initial[lane, i])
-                    for i, name in enumerate(plan.nodes)
-                }
-            try:
-                point = solve_dc(
-                    netlist,
-                    initial=warm,
-                    gmin=plan.gmin,
-                    tol=tol,
-                    max_iter=max_iter,
-                    damping=float(np.broadcast_to(damping, (batch,))[lane]),
-                    validate=False,
-                )
-            except ConvergenceError:
-                continue
-            out_voltages[lane] = [point.voltages[name] for name in plan.nodes]
-            out_currents[lane] = [
-                point.source_currents[name] for name in plan.source_names
-            ]
-            out_iterations[lane] = point.iterations
-            out_converged[lane] = True
-            n_fallback_recovered += 1
-
     if trace:
         tel.event(
             "spice.solve_dc_batch",
@@ -402,13 +358,9 @@ def solve_dc_batch(
             active_trajectory=active_trajectory,
             n_damped_steps=n_damped_steps,
             n_singular=n_singular,
-            n_fallback=n_fallback,
-            n_fallback_recovered=n_fallback_recovered,
         )
         tel.count("spice.lanes_solved", int(batch))
         tel.count("spice.newton_lane_iters", total_lane_iters)
-        if n_fallback:
-            tel.count("spice.scalar_fallbacks", n_fallback)
 
     return BatchOperatingPoint(
         plan=plan,

@@ -11,19 +11,16 @@ never touches a string or a dict.
 
 A :class:`ParamBatch` carries per-lane element overrides (resistances and
 EGT geometries) for ``B`` independent operating points sharing the plan's
-topology; :meth:`StampPlan.realize` reconstructs an ordinary ``Netlist``
-for any single lane, which is how the batched solver falls back to the
-scalar path.
+topology.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.spice.egt import EGTModel
 from repro.spice.netlist import GROUND, Netlist
 from repro.spice.validate import validate_netlist
 
@@ -68,12 +65,6 @@ class StampPlan:
     egt_v_threshold: np.ndarray  # (n_egt,)
     egt_phi: np.ndarray        # (n_egt,)
     egt_channel_lambda: np.ndarray  # (n_egt,)
-    egt_models: Tuple[EGTModel, ...]
-
-    # original node names per device, kept for realize()
-    res_nodes: Tuple[Tuple[str, str], ...]
-    src_nodes: Tuple[Tuple[str, str], ...]
-    egt_nodes: Tuple[Tuple[str, str, str], ...]
 
     @property
     def n_nodes(self) -> int:
@@ -112,41 +103,6 @@ class StampPlan:
             return self.resistor_names.index(name)
         except ValueError:
             raise KeyError(f"no resistor named {name!r}") from None
-
-    # ------------------------------------------------------------------ #
-    # lane realization (scalar fallback)                                 #
-    # ------------------------------------------------------------------ #
-
-    def realize(
-        self,
-        params: Optional["ParamBatch"] = None,
-        lane: int = 0,
-        source_voltages: Optional[Mapping[str, float]] = None,
-    ) -> Netlist:
-        """Reconstruct a scalar ``Netlist`` for one lane of a batch."""
-        netlist = Netlist(self.title)
-        for k, name in enumerate(self.source_names):
-            voltage = float(self.src_voltage[k])
-            if source_voltages is not None and name in source_voltages:
-                voltage = float(source_voltages[name])
-            plus, minus = self.src_nodes[k]
-            netlist.add_voltage_source(name, plus, minus, voltage)
-        for j, name in enumerate(self.resistor_names):
-            value = float(self.res_resistance[j])
-            if params is not None and params.resistances is not None:
-                value = float(params.resistances[lane, j])
-            a, b = self.res_nodes[j]
-            netlist.add_resistor(name, a, b, value)
-        for k, name in enumerate(self.egt_names):
-            width = float(self.egt_width[k])
-            length = float(self.egt_length[k])
-            if params is not None and params.widths is not None:
-                width = float(params.widths[lane, k])
-            if params is not None and params.lengths is not None:
-                length = float(params.lengths[lane, k])
-            d, g, s = self.egt_nodes[k]
-            netlist.add_egt(name, d, g, s, width, length, self.egt_models[k])
-        return netlist
 
     def __repr__(self) -> str:
         return (
@@ -206,7 +162,7 @@ def compile_netlist(
     """Lower ``netlist`` into a :class:`StampPlan` (strings → index arrays).
 
     ``gmin`` is baked into the plan because it is part of the constant
-    linear stamps; use the same value as the scalar solves being replaced.
+    linear stamps; use the same value as any ``solve_dc`` it must match.
     """
     if validate:
         validate_netlist(netlist)
@@ -255,8 +211,4 @@ def compile_netlist(
         egt_channel_lambda=np.array(
             [t.model.channel_lambda for t in netlist.transistors], dtype=np.float64
         ),
-        egt_models=tuple(t.model for t in netlist.transistors),
-        res_nodes=tuple((r.node_a, r.node_b) for r in netlist.resistors),
-        src_nodes=tuple((s.node_plus, s.node_minus) for s in netlist.sources),
-        egt_nodes=tuple((t.drain, t.gate, t.source) for t in netlist.transistors),
     )

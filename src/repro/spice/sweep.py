@@ -1,55 +1,14 @@
-"""DC sweeps with warm-started Newton iterations (scalar and batched)."""
+"""Batched DC sweeps: many circuits through one source sweep, warm-started."""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.spice.mna import OperatingPoint, solve_dc
-from repro.spice.netlist import GROUND, Netlist
+from repro.spice.netlist import GROUND
 from repro.spice.batch import solve_dc_batch
 from repro.spice.plan import ParamBatch, StampPlan
-
-
-def dc_sweep(
-    netlist: Netlist,
-    source_name: str,
-    values: Iterable[float],
-    output_node: Optional[str] = None,
-    **solver_kwargs,
-):
-    """Sweep a voltage source and solve the DC operating point at each step.
-
-    Each solve is warm-started from the previous solution, which makes the
-    sweep both faster and more robust near high-gain transitions.
-
-    Returns
-    -------
-    If ``output_node`` is given: ``(values, outputs)`` as float arrays.
-    Otherwise: the list of :class:`OperatingPoint` objects.
-    """
-    values = [float(v) for v in values]
-    source = netlist.source(source_name)
-    original = source.voltage
-    points: List[OperatingPoint] = []
-    warm = None
-    validated = False
-    try:
-        for value in values:
-            source.voltage = value
-            point = solve_dc(netlist, initial=warm, validate=not validated, **solver_kwargs)
-            validated = True
-            warm = point.voltages
-            points.append(point)
-    finally:
-        source.voltage = original
-
-    if output_node is None:
-        return points
-    xs = np.asarray(values, dtype=np.float64)
-    ys = np.asarray([p.voltage(output_node) for p in points], dtype=np.float64)
-    return xs, ys
 
 
 def dc_sweep_batch(
@@ -64,11 +23,12 @@ def dc_sweep_batch(
     """Sweep one voltage source across ``B`` lanes simultaneously.
 
     All lanes advance through the sweep in lockstep; each sweep column is
-    warm-started from the previous column's solutions, exactly like the
-    scalar :func:`dc_sweep`.  Lanes whose Newton iteration fails at some
-    column are dropped from the remaining columns (the scalar path would
-    have raised :class:`~repro.spice.mna.ConvergenceError` there) and
-    reported in the returned mask.
+    warm-started from the previous column's solutions, which makes the
+    sweep both faster and more robust near high-gain transitions.  Lanes
+    whose Newton iteration fails at some column (where
+    :func:`~repro.spice.mna.solve_dc` would raise
+    :class:`~repro.spice.mna.ConvergenceError`) are dropped from the
+    remaining columns and reported in the returned mask.
 
     Returns
     -------

@@ -7,16 +7,13 @@ whose curves carry too little swing to identify η (or whose fit quality is
 poor) are filtered out, mirroring the paper's restriction of the design
 space to "tanh-like characteristic curves".
 
-Two execution engines produce element-wise identical datasets:
-
-- ``engine="batched"`` (default) sweeps design points in chunks through the
-  stacked MNA solver (:func:`repro.spice.solve_dc_batch`) and fits the
-  surviving curves in lockstep (:func:`repro.surrogate.fitting.fit_ptanh_batch`).
-  Curves whose output swing cannot clear ``min_swing`` are dropped before
-  fitting — the swing depends only on the simulated curve, so the filter
-  decision matches the scalar path exactly while skipping useless fits.
-- ``engine="scalar"`` is the original one-design-at-a-time loop, kept as
-  the reference implementation and for the equality tests.
+Design points are swept in chunks through the stacked MNA solver
+(:func:`repro.spice.solve_dc_batch`) and the surviving curves are fitted in
+lockstep (:func:`repro.surrogate.fitting.fit_ptanh_batch`).  Curves whose
+output swing cannot clear ``min_swing`` are dropped before fitting: the
+swing depends only on the simulated curve, so classifying first skips
+useless fits without changing which points are kept.  Results do not
+depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -28,19 +25,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro import telemetry
-from repro.circuits.negweight import simulate_negweight_curve, simulate_negweight_curve_batch
-from repro.circuits.ptanh import simulate_ptanh_curve, simulate_ptanh_curve_batch
+from repro.circuits.negweight import simulate_negweight_curve_batch
+from repro.circuits.ptanh import simulate_ptanh_curve_batch
 from repro.spice.egt import EGTModel
-from repro.spice.mna import ConvergenceError
 from repro.surrogate.design_space import DESIGN_SPACE, DesignSpace
-from repro.surrogate.fitting import fit_ptanh, fit_ptanh_batch
+from repro.surrogate.fitting import fit_ptanh_batch
 from repro.surrogate.sampling import sample_design_points
 
 #: Circuit kinds understood by the builder.
 CIRCUIT_KINDS = ("ptanh", "negweight")
-
-#: Execution engines understood by the builder.
-ENGINES = ("batched", "scalar")
 
 
 @dataclass
@@ -48,9 +41,9 @@ class BuildStats:
     """Where the sampled design points went during a dataset build.
 
     Every sampled ω lands in exactly one bucket, so the four drop counters
-    plus ``n_kept`` always sum to ``n_sampled``.  Drop classification uses
-    the same priority as the scalar filter chain: convergence failure,
-    then insufficient swing, then fit RMSE, then the η bounds box.
+    plus ``n_kept`` always sum to ``n_sampled``.  Drops are classified in
+    priority order: convergence failure, then insufficient swing, then fit
+    RMSE, then the η bounds box.
     """
 
     n_sampled: int = 0
@@ -88,15 +81,6 @@ class SurrogateDataset:
         return len(self.omega)
 
 
-def simulate_curve(omega: np.ndarray, kind: str, n_points: int, model: Optional[EGTModel]):
-    """Dispatch to the right circuit sweep for ``kind``."""
-    if kind == "ptanh":
-        return simulate_ptanh_curve(omega, n_points=n_points, model=model)
-    if kind == "negweight":
-        return simulate_negweight_curve(omega, n_points=n_points, model=model)
-    raise ValueError(f"unknown circuit kind {kind!r}; expected one of {CIRCUIT_KINDS}")
-
-
 def simulate_curve_batch(
     omega_batch: np.ndarray, kind: str, n_points: int, model: Optional[EGTModel]
 ):
@@ -118,7 +102,6 @@ def build_surrogate_dataset(
     min_swing: float = 0.02,
     max_rmse: float = 0.05,
     progress: Optional[Callable[[int, int], None]] = None,
-    engine: str = "batched",
     chunk_size: int = 512,
 ) -> SurrogateDataset:
     """Sample, simulate and fit; return the filtered regression dataset.
@@ -136,19 +119,11 @@ def build_surrogate_dataset(
         worse fit RMSE than ``max_rmse`` are dropped (their η are not
         identifiable and would only add label noise).
     progress:
-        Optional ``progress(done, total)`` callback; called per design in
-        the scalar engine and per chunk in the batched engine, plus one
-        final ``progress(total, total)`` tick in both.
-    engine:
-        ``"batched"`` (stacked solves + lockstep fits, the default) or
-        ``"scalar"`` (the reference loop).  Both produce element-wise
-        identical datasets.
+        Optional ``progress(done, total)`` callback; called before each
+        chunk, plus one final ``progress(total, total)`` tick.
     chunk_size:
-        Designs per stacked solve in the batched engine; results are
-        chunk-size invariant.
+        Designs per stacked solve; results are chunk-size invariant.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if kind not in CIRCUIT_KINDS:
         raise ValueError(f"unknown circuit kind {kind!r}; expected one of {CIRCUIT_KINDS}")
     if chunk_size < 1:
@@ -163,64 +138,40 @@ def build_surrogate_dataset(
     tel = telemetry.get()
     build_start = perf_counter()
 
-    if engine == "batched":
-        for start in range(0, total, chunk_size):
-            if progress is not None:
-                progress(start, total)
-            chunk = omegas[start : start + chunk_size]
-            with tel.span("surrogate.chunk", kind=kind, start=start,
-                          size=int(len(chunk))):
-                v_in, curves, ok = simulate_curve_batch(
-                    chunk, kind, sweep_points, model
-                )
-                stats.n_convergence_error += int(np.sum(~ok))
+    for start in range(0, total, chunk_size):
+        if progress is not None:
+            progress(start, total)
+        chunk = omegas[start : start + chunk_size]
+        with tel.span("surrogate.chunk", kind=kind, start=start,
+                      size=int(len(chunk))):
+            v_in, curves, ok = simulate_curve_batch(
+                chunk, kind, sweep_points, model
+            )
+            stats.n_convergence_error += int(np.sum(~ok))
 
-                # Swing pre-filter: the swing is a function of the curve
-                # alone, so low-swing designs are classified before paying
-                # for a fit.
-                targets = -curves if negated else curves
-                swings = targets.max(axis=1) - targets.min(axis=1)
-                low_swing = ok & (swings < min_swing)
-                stats.n_low_swing += int(np.sum(low_swing))
-                fit_lanes = np.nonzero(ok & ~low_swing)[0]
-                if fit_lanes.size == 0:
+            # Swing pre-filter: the swing is a function of the curve
+            # alone, so low-swing designs are classified before paying
+            # for a fit.
+            targets = -curves if negated else curves
+            swings = targets.max(axis=1) - targets.min(axis=1)
+            low_swing = ok & (swings < min_swing)
+            stats.n_low_swing += int(np.sum(low_swing))
+            fit_lanes = np.nonzero(ok & ~low_swing)[0]
+            if fit_lanes.size == 0:
+                continue
+
+            fits = fit_ptanh_batch(v_in, curves[fit_lanes], negated=negated)
+            for lane, fit in zip(fit_lanes, fits):
+                if fit.rmse > max_rmse:
+                    stats.n_high_rmse += 1
                     continue
-
-                fits = fit_ptanh_batch(v_in, curves[fit_lanes], negated=negated)
-                for lane, fit in zip(fit_lanes, fits):
-                    if fit.rmse > max_rmse:
-                        stats.n_high_rmse += 1
-                        continue
-                    if not fit.in_bounds:
-                        stats.n_out_of_bounds += 1
-                        continue
-                    stats.n_kept += 1
-                    kept_omega.append(chunk[lane])
-                    kept_eta.append(fit.eta)
-                    kept_rmse.append(fit.rmse)
-    else:
-        for i, omega in enumerate(omegas):
-            if progress is not None:
-                progress(i, total)
-            try:
-                v_in, v_out = simulate_curve(omega, kind, sweep_points, model)
-            except ConvergenceError:
-                stats.n_convergence_error += 1
-                continue
-            fit = fit_ptanh(v_in, v_out, negated=negated)
-            if fit.swing < min_swing:
-                stats.n_low_swing += 1
-                continue
-            if fit.rmse > max_rmse:
-                stats.n_high_rmse += 1
-                continue
-            if not fit.in_bounds:
-                stats.n_out_of_bounds += 1
-                continue
-            stats.n_kept += 1
-            kept_omega.append(omega)
-            kept_eta.append(fit.eta)
-            kept_rmse.append(fit.rmse)
+                if not fit.in_bounds:
+                    stats.n_out_of_bounds += 1
+                    continue
+                stats.n_kept += 1
+                kept_omega.append(chunk[lane])
+                kept_eta.append(fit.eta)
+                kept_rmse.append(fit.rmse)
 
     if progress is not None:
         progress(total, total)
@@ -240,8 +191,7 @@ def build_surrogate_dataset(
         tel.event(
             "surrogate.build",
             kind=kind,
-            engine=engine,
-            chunk_size=chunk_size if engine == "batched" else 1,
+            chunk_size=chunk_size,
             dur_s=perf_counter() - build_start,
             n_sampled=stats.n_sampled,
             n_kept=stats.n_kept,

@@ -36,20 +36,6 @@ def ptanh_curve_batch(eta: np.ndarray, v_in: np.ndarray) -> np.ndarray:
     )
 
 
-def ptanh_jacobian(eta: np.ndarray, v_in: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of :func:`ptanh_curve` w.r.t. η."""
-    v_in = np.asarray(v_in, dtype=np.float64)
-    arg = (v_in - eta[2]) * eta[3]
-    t = np.tanh(arg)
-    sech2 = 1.0 - t * t
-    jac = np.empty((v_in.size, 4))
-    jac[:, 0] = 1.0
-    jac[:, 1] = t
-    jac[:, 2] = -eta[1] * eta[3] * sech2
-    jac[:, 3] = eta[1] * (v_in - eta[2]) * sech2
-    return jac
-
-
 def ptanh_jacobian_batch(eta: np.ndarray, v_in: np.ndarray) -> np.ndarray:
     """Stacked ``(B, n, 4)`` Jacobian of :func:`ptanh_curve_batch`."""
     eta = np.asarray(eta, dtype=np.float64)
@@ -88,35 +74,17 @@ class FitResult:
             np.all(self.eta >= ETA_BOUNDS_LOW) and np.all(self.eta <= ETA_BOUNDS_HIGH)
         )
 
-    @property
-    def is_tanh_like(self) -> bool:
-        """Whether the curve has enough swing to identify all four η."""
-        return self.swing >= 0.02 and self.rmse <= 0.05 and self.in_bounds
-
-
-def initial_guess(v_in: np.ndarray, v_out: np.ndarray) -> np.ndarray:
-    """Geometry-based initial η for a monotone tanh-like curve."""
-    v_in = np.asarray(v_in, dtype=np.float64)
-    v_out = np.asarray(v_out, dtype=np.float64)
-    lo, hi = float(v_out.min()), float(v_out.max())
-    eta1 = 0.5 * (lo + hi)
-    rising = v_out[-1] >= v_out[0]
-    eta2 = 0.5 * (hi - lo) if rising else -0.5 * (hi - lo)
-    slopes = np.gradient(v_out, v_in)
-    steepest = int(np.argmax(np.abs(slopes)))
-    eta3 = float(v_in[steepest])
-    swing = max(hi - lo, 1e-6)
-    # tanh'(0) = 1, so slope at the midpoint ≈ η2 · η4.
-    eta4 = float(np.clip(abs(slopes[steepest]) / (abs(eta2) + 1e-9), 0.5, 200.0))
-    if swing < 1e-3:
-        # Degenerate flat curve: any centre/steepness is unidentifiable;
-        # pick neutral values so the fit stays well conditioned.
-        return np.array([eta1, 0.0, 0.5, 1.0])
-    return np.array([eta1, eta2, eta3, eta4])
-
 
 def initial_guess_batch(v_in: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`initial_guess` for a ``(B, n)`` target stack."""
+    """Geometry-based initial η for a ``(B, n)`` stack of tanh-like curves.
+
+    Per row: η1 is the midpoint of the output range and η2 its half-swing,
+    signed by whether the curve rises; η3 is the input of the steepest
+    finite-difference slope, and η4 that slope over |η2| (tanh'(0) = 1),
+    clipped to [0.5, 200].  A degenerate flat row (swing below 1 mV) has no
+    identifiable centre or steepness and gets the neutral
+    ``[η1, 0, 0.5, 1]`` so its fit stays well conditioned.
+    """
     v_in = np.asarray(v_in, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     lo = targets.min(axis=1)

@@ -5,107 +5,20 @@ Used to extract the auxiliary parameters η from simulated transfer curves
 and is used as a cross-check in the tests, but the reproduction ships its
 own so the fitting step is fully transparent and dependency-light.
 
-Two entry points:
-
-- :func:`levenberg_marquardt` — one problem at a time (the original).
-- :func:`levenberg_marquardt_batch` — B independent problems advanced in
-  lockstep with stacked linear algebra; lanes that stall or converge are
-  retired from the active set.  Every per-lane operation is gather
-  invariant, so a lane's trajectory does not depend on which other lanes
-  share the batch — batch-of-1 results match large-batch results bit for
-  bit.
+:func:`levenberg_marquardt_batch` advances B independent problems in
+lockstep with stacked linear algebra; lanes that stall or converge are
+retired from the active set.  Every per-lane operation is gather
+invariant, so a lane's trajectory does not depend on which other lanes
+share the batch — batch-of-1 results match large-batch results bit for
+bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
-
-
-@dataclass
-class LMResult:
-    """Outcome of a Levenberg-Marquardt run."""
-
-    x: np.ndarray
-    cost: float
-    iterations: int
-    converged: bool
-
-
-def levenberg_marquardt(
-    residual: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    max_iter: int = 200,
-    tol: float = 1e-10,
-    lambda_init: float = 1e-3,
-    lambda_factor: float = 10.0,
-) -> LMResult:
-    """Minimize ``0.5 * ||residual(x)||²`` with damped Gauss-Newton steps.
-
-    Parameters
-    ----------
-    residual:
-        Maps parameters ``x`` to a residual vector.
-    x0:
-        Initial parameter guess.
-    jacobian:
-        Optional analytic Jacobian ``∂residual/∂x``; forward differences
-        are used when omitted.
-    tol:
-        Convergence threshold on both the step norm and the cost decrease.
-    """
-    x = np.asarray(x0, dtype=np.float64).copy()
-    lam = lambda_init
-    res = residual(x)
-    cost = 0.5 * float(res @ res)
-
-    def numeric_jacobian(point: np.ndarray, base: np.ndarray) -> np.ndarray:
-        jac = np.empty((base.size, point.size))
-        for j in range(point.size):
-            step = 1e-7 * max(1.0, abs(point[j]))
-            shifted = point.copy()
-            shifted[j] += step
-            jac[:, j] = (residual(shifted) - base) / step
-        return jac
-
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        jac = jacobian(x) if jacobian is not None else numeric_jacobian(x, res)
-        gradient = jac.T @ res
-        hessian = jac.T @ jac
-
-        improved = False
-        for _ in range(30):
-            try:
-                step = np.linalg.solve(
-                    hessian + lam * np.diag(np.maximum(np.diag(hessian), 1e-12)),
-                    -gradient,
-                )
-            except np.linalg.LinAlgError:
-                lam *= lambda_factor
-                continue
-            candidate = x + step
-            candidate_res = residual(candidate)
-            candidate_cost = 0.5 * float(candidate_res @ candidate_res)
-            if candidate_cost < cost:
-                improvement = cost - candidate_cost
-                x, res, cost = candidate, candidate_res, candidate_cost
-                lam = max(lam / lambda_factor, 1e-12)
-                improved = True
-                if improvement < tol and float(np.linalg.norm(step)) < tol:
-                    converged = True
-                break
-            lam *= lambda_factor
-
-        if not improved or converged:
-            converged = converged or not improved
-            break
-
-    return LMResult(x=x, cost=cost, iterations=iterations, converged=converged)
 
 
 @dataclass
@@ -125,8 +38,8 @@ def _solve_damped(
 
     Returns ``(steps, ok)``; lanes whose damped normal matrix is singular
     get ``ok=False`` and a zero step (the caller raises their λ and
-    retries).  The scalar per-lane fallback is bitwise identical to the
-    stacked solve, so mixing paths never perturbs healthy lanes.
+    retries).  The per-lane re-solve is bitwise identical to the stacked
+    solve, so a singular lane never perturbs healthy ones.
     """
     try:
         steps = np.linalg.solve(matrices, rhs[..., None])[..., 0]
@@ -165,14 +78,19 @@ def levenberg_marquardt_batch(
         ``(B, k)`` stack of initial guesses.
     jacobian:
         ``jacobian(x_subset, lanes)`` returns the ``(P, n, k)`` stacked
-        Jacobian (analytic; the batch path has no numeric fallback).
+        Jacobian (analytic; there is no finite-difference Jacobian).
     tol:
         Per-lane convergence threshold on both the step norm and the cost
-        decrease, as in :func:`levenberg_marquardt`.
+        decrease.
 
-    Each lane follows the same accept/reject λ schedule as the scalar
-    optimizer; finished lanes are removed from the active set so slow
-    problems do not keep paying for fast ones.
+    Each lane takes damped Gauss-Newton steps ``(JᵀJ + λ·diag(JᵀJ)) δ =
+    −Jᵀr``: an accepted step (lower cost) divides λ by ``lambda_factor``,
+    a rejected one multiplies it, for up to 30 tries per iteration.  A lane
+    finishes when a step improves the cost by less than ``tol`` with a
+    step norm below ``tol``, or when no try improves it; both count as
+    converged, and a lane still running at ``max_iter`` does not.  Finished
+    lanes are removed from the active set so slow problems do not keep
+    paying for fast ones.
     """
     x = np.array(x0, dtype=np.float64)
     if x.ndim != 2:

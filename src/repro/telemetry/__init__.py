@@ -1,9 +1,9 @@
 """Structured runtime telemetry for the reproduction stack.
 
 The engines built so far (parallel Table-II runner, autograd-free
-training kernels, batched SPICE) are fast but opaque: Newton fallback
-rates, cache hit ratios, per-epoch timings and surrogate-build drop
-accounting were either printed ad hoc or invisible.  This package makes
+training kernels, batched SPICE) are fast but opaque: Newton convergence,
+cache hit ratios, per-epoch timings and surrogate-build drop accounting
+were either printed ad hoc or invisible.  This package makes
 them observable without touching the numbers:
 
 - :func:`span` — context manager recording monotonic wall time (and
@@ -24,7 +24,8 @@ how forked/spawned workers inherit the destination).  Instrumented code
 guards any non-trivial bookkeeping behind ``tel.enabled``, so the
 disabled cost is a single attribute check.  Telemetry only *reads*
 numerical state — results are bit-identical with telemetry on or off,
-and ``scripts/ci.sh`` asserts exactly that.
+and the tests assert exactly that for a Table-II run and for a recorded
+surrogate-dataset build.
 """
 
 from repro.telemetry.core import (

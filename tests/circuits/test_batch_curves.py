@@ -1,4 +1,8 @@
-"""Batched transfer-curve sweeps vs. the scalar reference loops."""
+"""Batched transfer-curve sweeps vs. the recorded scalar sweeps.
+
+The reference curves were recorded from the deleted one-``solve_dc``-per-
+step sweep (recipe in ``tests/surrogate/test_characterization_reference.py``).
+"""
 
 import numpy as np
 import pytest
@@ -11,26 +15,56 @@ from repro.circuits import (
     simulate_ptanh_curve,
     simulate_ptanh_curve_batch,
 )
+from repro.spice import ConvergenceError
 from repro.surrogate.sampling import sample_design_points
 
 
-class TestBatchedCurves:
-    def test_ptanh_batch_is_bitwise_identical_to_scalar(self):
-        omegas = sample_design_points(12, seed=7)
-        xs_b, ys_b, ok = simulate_ptanh_curve_batch(omegas, n_points=17)
+def assert_matches_recorded_curves(kind, seed, curve_batch, curve_one, recorded):
+    omegas = sample_design_points(12, seed=seed)
+    for n_points in (21, 41):
+        xs_b, ys_b, ok = curve_batch(omegas, n_points=n_points)
         assert ok.all()
-        for lane, omega in enumerate(omegas):
-            xs, ys = simulate_ptanh_curve(omega, n_points=17)
+        assert np.array_equal(xs_b, recorded[f"curves/{kind}/{n_points}/v_in"])
+        assert np.array_equal(ys_b, recorded[f"curves/{kind}/{n_points}/v_out"])
+        # A batch of one equals its row in the larger batch.
+        for lane in (0, 5, 11):
+            xs, ys = curve_one(omegas[lane], n_points=n_points)
             assert np.array_equal(xs, xs_b)
             assert np.array_equal(ys, ys_b[lane])
 
-    def test_negweight_batch_is_bitwise_identical_to_scalar(self):
-        omegas = sample_design_points(12, seed=9)
-        xs_b, ys_b, ok = simulate_negweight_curve_batch(omegas, n_points=17)
-        assert ok.all()
-        for lane, omega in enumerate(omegas):
-            xs, ys = simulate_negweight_curve(omega, n_points=17)
-            assert np.array_equal(ys, ys_b[lane])
+
+class TestBatchedCurves:
+    def test_ptanh_batch_is_bitwise_identical_to_scalar(self, characterization_reference):
+        assert_matches_recorded_curves(
+            "ptanh", 7, simulate_ptanh_curve_batch, simulate_ptanh_curve,
+            characterization_reference,
+        )
+
+    def test_negweight_batch_is_bitwise_identical_to_scalar(
+        self, characterization_reference
+    ):
+        assert_matches_recorded_curves(
+            "negweight", 9, simulate_negweight_curve_batch, simulate_negweight_curve,
+            characterization_reference,
+        )
+
+    def test_single_curve_raises_when_its_lane_fails(self, monkeypatch):
+        """A batch of one reports a failed lane as ConvergenceError."""
+        from repro.circuits import ptanh
+
+        def failing(omega_batch, n_points, model):
+            xs = np.linspace(0.0, 1.0, n_points)
+            return xs, np.full((len(omega_batch), n_points), np.nan), np.zeros(
+                len(omega_batch), dtype=bool
+            )
+
+        monkeypatch.setattr(ptanh, "simulate_ptanh_curve_batch", failing)
+        with pytest.raises(ConvergenceError):
+            ptanh.simulate_ptanh_curve(sample_design_points(1, seed=7)[0])
+
+    def test_single_curve_rejects_a_batch(self):
+        with pytest.raises(ValueError, match="R1, R2"):
+            simulate_ptanh_curve(sample_design_points(2, seed=7))
 
     def test_negweight_curves_are_negative_and_falling(self):
         omegas = sample_design_points(4, seed=1)

@@ -7,6 +7,9 @@ exercising the genuine pipeline.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,25 @@ def central_difference(func, x, step=1e-6):
 def numeric_grad():
     """The :func:`central_difference` helper, for finite-difference checks."""
     return central_difference
+
+
+@pytest.fixture(scope="session")
+def characterization_reference():
+    """Recorded characterization values, keyed as in the golden file.
+
+    Array entries are stored as ``float.hex`` with their shape and decode
+    to float64 arrays; other entries (build stats, sha256 digests) are
+    returned as stored.  The recipe for every entry is in the docstring
+    of ``tests/surrogate/test_characterization_reference.py``.
+    """
+    path = Path(__file__).parent / "surrogate" / "golden" / "characterization_reference.json"
+    decoded = {}
+    for key, value in json.loads(path.read_text()).items():
+        if isinstance(value, dict) and "hex" in value:
+            flat = np.array([float.fromhex(h) for h in value["hex"]], dtype=np.float64)
+            value = flat.reshape(value["shape"])
+        decoded[key] = value
+    return decoded
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,6 @@ from repro.core.variation import (
     build_scenario_model,
     eps_concat,
     eps_stack,
-    model_has_overrides,
     sample_role,
     scenario_names,
 )
@@ -97,7 +96,7 @@ class TestStuckAtModel:
 
     def test_nominal_when_probabilities_zero(self):
         model = StuckAtModel(p_stuck_on=0.0, p_stuck_off=0.0, seed=0)
-        assert model.is_nominal and not model.has_overrides
+        assert model.is_nominal
         out = model.sample_perturbation(3, (2, 2), role="theta")
         assert isinstance(out, np.ndarray)
         assert_array_equal(out, np.ones((3, 2, 2)))
@@ -165,7 +164,9 @@ class TestComposedModel:
         composed = ComposedModel(VariationModel(0.0, seed=1), StuckAtModel(seed=2))
         assert isinstance(composed, NonIdealityModel)
         assert not composed.is_nominal           # defects fire even at ε=0
-        assert model_has_overrides(composed)
+        draw = composed.sample_perturbation(2, (3, 3), role="theta")
+        assert isinstance(draw, Perturbation)
+        assert draw.override_mask.shape == (2, 3, 3)
         nominal = ComposedModel(VariationModel(0.0), StuckAtModel(0.0, 0.0))
         assert nominal.is_nominal
 
@@ -233,7 +234,9 @@ class TestScenarioRegistry:
                           GaussianVariationModel)
         stuck = build_scenario_model("stuck-1pct", 0.1, seed=0)
         assert isinstance(stuck, ComposedModel)
-        assert model_has_overrides(stuck)
+        draw = stuck.sample_perturbation(2, (3, 3), role="theta")
+        assert isinstance(draw, Perturbation)
+        assert draw.override_mask.shape == (2, 3, 3)
         assert isinstance(build_scenario_model("correlated", 0.1, seed=0),
                           CorrelatedVariationModel)
 

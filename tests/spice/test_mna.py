@@ -7,7 +7,8 @@ from repro.spice import (
     EGTModel,
     Netlist,
     NetlistError,
-    dc_sweep,
+    compile_netlist,
+    dc_sweep_batch,
     solve_dc,
 )
 
@@ -91,19 +92,12 @@ class TestNonlinearCircuits:
         assert warm.iterations <= cold.iterations
 
     def test_sweep_monotone_falling(self):
-        netlist = self._inverter(0.0)
-        xs, ys = dc_sweep(netlist, "Vin", np.linspace(0, 1, 21), output_node="d")
-        assert np.all(np.diff(ys) <= 1e-9)
-
-    def test_sweep_restores_source_value(self):
-        netlist = self._inverter(0.33)
-        dc_sweep(netlist, "Vin", [0.0, 0.5, 1.0], output_node="d")
-        assert netlist.source("Vin").voltage == 0.33
-
-    def test_sweep_accepts_generator(self):
-        netlist = self._inverter(0.0)
-        xs, ys = dc_sweep(netlist, "Vin", (v / 4 for v in range(5)), output_node="d")
-        assert len(xs) == 5 and len(ys) == 5
+        plan = compile_netlist(self._inverter(0.0))
+        xs, ys, ok = dc_sweep_batch(
+            plan, None, "Vin", np.linspace(0, 1, 21), output_node="d", batch_size=1
+        )
+        assert ok.all()
+        assert np.all(np.diff(ys[0]) <= 1e-9)
 
 
 class TestValidation:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuits import simulate_negweight_curve, simulate_ptanh_curve
-from repro.circuits.ptanh import build_ptanh_netlist, ptanh_param_batch, ptanh_stamp_plan
-from repro.spice import ConvergenceError, dc_sweep, dc_sweep_batch
+from repro.circuits.ptanh import ptanh_param_batch, ptanh_stamp_plan
+from repro.spice import dc_sweep_batch
 from repro.spice import sweep as sweep_module
 from repro.surrogate.design_space import DESIGN_SPACE
 
@@ -51,54 +51,44 @@ class TestSweepInvariants:
 OMEGA = np.array([200.0, 80.0, 100e3, 40e3, 100e3, 500.0, 30.0])
 
 
-class TestScalarSweepMechanics:
-    def test_each_step_warm_starts_from_the_previous_solution(self, monkeypatch):
-        """The sweep must pass step j's voltages as step j+1's initial."""
+class TestBatchedSweepMechanics:
+    def test_each_column_warm_starts_from_the_previous_one(self, monkeypatch):
+        """Column j's solved voltages are column j+1's initial guess."""
+        plan = ptanh_stamp_plan()
+        params = ptanh_param_batch(np.broadcast_to(OMEGA, (2, 7)), plan)
         seen_initials = []
-        real_solve = sweep_module.solve_dc
+        real_solve = sweep_module.solve_dc_batch
 
-        def spying_solve(netlist, initial=None, **kwargs):
-            seen_initials.append(None if initial is None else dict(initial))
-            return real_solve(netlist, initial=initial, **kwargs)
+        def spying_solve(plan, params, initial=None, **kwargs):
+            seen_initials.append(None if initial is None else initial.copy())
+            return real_solve(plan, params, initial=initial, **kwargs)
 
-        monkeypatch.setattr(sweep_module, "solve_dc", spying_solve)
-        netlist = build_ptanh_netlist(OMEGA)
-        points = dc_sweep(netlist, "Vin", [0.0, 0.5, 1.0])
+        monkeypatch.setattr(sweep_module, "solve_dc_batch", spying_solve)
+        _, volts, ok = dc_sweep_batch(plan, params, "Vin", [0.0, 0.5, 1.0])
 
+        assert ok.all()
         assert seen_initials[0] is None
-        assert seen_initials[1] == points[0].voltages
-        assert seen_initials[2] == points[1].voltages
-
-    def test_sweep_restores_the_source_voltage(self):
-        netlist = build_ptanh_netlist(OMEGA, vin=0.25)
-        dc_sweep(netlist, "Vin", [0.0, 1.0], output_node="out")
-        assert netlist.source("Vin").voltage == 0.25
-
-    def test_sweep_restores_voltage_even_when_a_step_diverges(self, monkeypatch):
-        def exploding_solve(netlist, initial=None, **kwargs):
-            raise ConvergenceError("synthetic divergence")
-
-        monkeypatch.setattr(sweep_module, "solve_dc", exploding_solve)
-        netlist = build_ptanh_netlist(OMEGA, vin=0.25)
-        with pytest.raises(ConvergenceError):
-            dc_sweep(netlist, "Vin", [0.0, 1.0])
-        assert netlist.source("Vin").voltage == 0.25
+        assert np.array_equal(seen_initials[1], volts[:, 0])
+        assert np.array_equal(seen_initials[2], volts[:, 1])
 
     def test_values_accept_any_iterable_once(self):
-        netlist = build_ptanh_netlist(OMEGA)
-        xs, ys = dc_sweep(netlist, "Vin", iter([0.0, 0.5, 1.0]), output_node="out")
+        plan = ptanh_stamp_plan()
+        xs, ys, ok = dc_sweep_batch(
+            plan, None, "Vin", iter([0.0, 0.5, 1.0]), output_node="out", batch_size=1
+        )
         assert np.array_equal(xs, [0.0, 0.5, 1.0])
-        assert ys.shape == (3,)
+        assert ys.shape == (1, 3) and ok.all()
 
-
-class TestBatchedSweepMechanics:
     def test_failed_lane_is_masked_and_others_continue(self, monkeypatch):
         """A lane diverging mid-sweep maps to ok=False with NaN from there on,
-        while the surviving lanes still match the scalar sweep."""
+        while the surviving lanes still match an undisturbed sweep."""
         plan = ptanh_stamp_plan()
         omegas = np.broadcast_to(OMEGA, (3, 7)).copy()
         params = ptanh_param_batch(omegas, plan)
         values = [0.0, 0.5, 1.0]
+        reference = dc_sweep_batch(
+            plan, ptanh_param_batch(omegas[:1], plan), "Vin", values, output_node="out"
+        )[1][0]
 
         real_solve = sweep_module.solve_dc_batch
         calls = []
@@ -117,7 +107,6 @@ class TestBatchedSweepMechanics:
         assert list(ok) == [True, False, True]
         assert not np.isnan(outputs[1, 0])        # column before the failure
         assert np.isnan(outputs[1, 1:]).all()     # failed column onward
-        reference = dc_sweep(build_ptanh_netlist(OMEGA), "Vin", values, output_node="out")[1]
         assert np.array_equal(outputs[0], reference)
         assert np.array_equal(outputs[2], reference)
 

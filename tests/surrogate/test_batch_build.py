@@ -1,25 +1,23 @@
-"""Lockstep η fitting and the two dataset-builder engines.
+"""Lockstep η fitting and the dataset builder's chunked loop.
 
-The headline property of the batched pipeline is *element-wise identity*:
-``engine="batched"`` must reproduce the scalar reference loop exactly, not
-merely to tolerance, for any chunk size.
+The builder's output is pinned to the recorded scalar reference loop in
+``test_characterization_reference.py``; here it must not depend on the
+chunk size, and its quality gates must keep and drop exactly at their
+thresholds.
 """
 
 import numpy as np
 import pytest
 
-from repro.spice.mna import ConvergenceError
 from repro.surrogate import dataset_builder
 from repro.surrogate.dataset_builder import BuildStats, build_surrogate_dataset
 from repro.surrogate.fitting import (
     FitResult,
     fit_ptanh,
     fit_ptanh_batch,
-    initial_guess,
     initial_guess_batch,
     ptanh_curve,
     ptanh_curve_batch,
-    ptanh_jacobian,
     ptanh_jacobian_batch,
 )
 from repro.surrogate.lm import levenberg_marquardt_batch
@@ -33,14 +31,20 @@ class TestBatchedCurveEvaluation:
         for b, eta in enumerate(etas):
             assert np.array_equal(stacked[b], ptanh_curve(eta, v_in))
 
-    def test_jacobian_batch_matches_scalar_rows(self):
+    def test_jacobian_batch_matches_central_differences(self, numeric_grad):
         v_in = np.linspace(0, 1, 21)
         etas = np.array([[0.5, 0.4, 0.5, 8.0], [0.2, -0.1, 0.7, 30.0]])
         stacked = ptanh_jacobian_batch(etas, v_in)
+        assert stacked.shape == (2, 21, 4)
         for b, eta in enumerate(etas):
-            assert np.array_equal(stacked[b], ptanh_jacobian(eta, v_in))
+            for i in range(len(v_in)):
+                numeric = numeric_grad(
+                    lambda e: ptanh_curve(e, v_in)[i], eta, step=1e-7
+                )
+                assert np.allclose(stacked[b, i], numeric, rtol=1e-6, atol=1e-7)
 
-    def test_initial_guess_batch_matches_scalar_rows(self):
+    def test_initial_guess_batch_matches_scalar_rows(self, characterization_reference):
+        """Rows equal the recorded scalar start points (flat branch included)."""
         v_in = np.linspace(0, 1, 21)
         targets = np.stack([
             0.5 + 0.4 * np.tanh((v_in - 0.5) * 9.0),
@@ -48,8 +52,8 @@ class TestBatchedCurveEvaluation:
             np.full(21, 0.73),                      # flat branch
         ])
         stacked = initial_guess_batch(v_in, targets)
-        for b in range(len(targets)):
-            assert np.array_equal(stacked[b], initial_guess(v_in, targets[b]))
+        assert np.array_equal(stacked, characterization_reference["initial_guess"])
+        assert np.array_equal(stacked[2, 1:], [0.0, 0.5, 1.0])
 
 
 class TestBatchedFit:
@@ -105,53 +109,8 @@ class TestBatchedFit:
         assert np.allclose(result.x, targets, atol=1e-8)
 
 
-class TestQualityGateThresholds:
-    """Exactly-at-threshold curves must be *kept* (gates are strict)."""
-
-    def test_swing_exactly_at_threshold_is_tanh_like(self):
-        fit = FitResult(
-            eta=np.array([0.5, 0.01, 0.5, 5.0]), rmse=0.0, swing=0.02, converged=True
-        )
-        assert fit.is_tanh_like
-
-    def test_rmse_exactly_at_threshold_is_tanh_like(self):
-        fit = FitResult(
-            eta=np.array([0.5, 0.3, 0.5, 5.0]), rmse=0.05, swing=0.6, converged=True
-        )
-        assert fit.is_tanh_like
-
-    def test_just_past_either_threshold_is_rejected(self):
-        low_swing = FitResult(
-            eta=np.array([0.5, 0.3, 0.5, 5.0]),
-            rmse=0.0,
-            swing=np.nextafter(0.02, 0.0),
-            converged=True,
-        )
-        high_rmse = FitResult(
-            eta=np.array([0.5, 0.3, 0.5, 5.0]),
-            rmse=np.nextafter(0.05, 1.0),
-            swing=0.6,
-            converged=True,
-        )
-        assert not low_swing.is_tanh_like
-        assert not high_rmse.is_tanh_like
-
-
 @pytest.mark.slow
-class TestBuilderEngines:
-    @pytest.mark.parametrize("kind", ["ptanh", "negweight"])
-    def test_batched_engine_reproduces_scalar_exactly(self, kind):
-        batched = build_surrogate_dataset(
-            kind, n_points=48, sweep_points=21, seed=3, engine="batched"
-        )
-        scalar = build_surrogate_dataset(
-            kind, n_points=48, sweep_points=21, seed=3, engine="scalar"
-        )
-        assert np.array_equal(batched.omega, scalar.omega)
-        assert np.array_equal(batched.eta, scalar.eta)
-        assert np.array_equal(batched.rmse, scalar.rmse)
-        assert batched.stats == scalar.stats
-
+class TestBuilder:
     def test_results_are_chunk_size_invariant(self):
         reference = build_surrogate_dataset(
             "ptanh", n_points=40, sweep_points=21, seed=3, chunk_size=512
@@ -170,15 +129,13 @@ class TestBuilderEngines:
         assert stats.n_kept == len(dataset)
         assert stats.n_kept + stats.n_dropped == stats.n_sampled
 
-    @pytest.mark.parametrize("engine", ["batched", "scalar"])
-    def test_progress_emits_final_tick(self, engine):
+    def test_progress_emits_final_tick(self):
         ticks = []
         build_surrogate_dataset(
             "ptanh",
             n_points=24,
             sweep_points=21,
             seed=3,
-            engine=engine,
             chunk_size=10,
             progress=lambda done, total: ticks.append((done, total)),
         )
@@ -187,10 +144,6 @@ class TestBuilderEngines:
         done_values = [d for d, _ in ticks]
         assert done_values == sorted(done_values)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            build_surrogate_dataset("ptanh", n_points=8, engine="gpu")
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown circuit kind"):
             build_surrogate_dataset("sigmoid", n_points=8)
@@ -198,24 +151,6 @@ class TestBuilderEngines:
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ValueError, match="chunk_size"):
             build_surrogate_dataset("ptanh", n_points=8, chunk_size=0)
-
-    def test_convergence_errors_are_counted_and_skipped(self, monkeypatch):
-        """Scalar engine: a design whose sweep diverges is dropped, not fatal."""
-        real = dataset_builder.simulate_curve
-        doomed = []
-
-        def flaky(omega, kind, n_points, model):
-            if not doomed:
-                doomed.append(True)
-                raise ConvergenceError("synthetic divergence")
-            return real(omega, kind, n_points, model)
-
-        monkeypatch.setattr(dataset_builder, "simulate_curve", flaky)
-        dataset = build_surrogate_dataset(
-            "ptanh", n_points=24, sweep_points=21, seed=3, engine="scalar"
-        )
-        assert dataset.stats.n_convergence_error == 1
-        assert dataset.stats.n_sampled == 24
 
     def test_failed_lanes_are_counted_in_batched_engine(self, monkeypatch):
         real = dataset_builder.simulate_curve_batch
@@ -228,11 +163,78 @@ class TestBuilderEngines:
 
         monkeypatch.setattr(dataset_builder, "simulate_curve_batch", flaky)
         dataset = build_surrogate_dataset(
-            "ptanh", n_points=24, sweep_points=21, seed=3,
-            engine="batched", chunk_size=12,
+            "ptanh", n_points=24, sweep_points=21, seed=3, chunk_size=12,
         )
         assert dataset.stats.n_convergence_error == 2  # one per chunk
         assert dataset.stats.n_kept + dataset.stats.n_dropped == 24
+
+
+class TestQualityGateThresholds:
+    """The builder keeps a point exactly at a threshold and drops one ulp past it.
+
+    The sweep and the fit are replaced by stand-ins that hand the builder
+    chosen swings and RMSEs, one design per lane.
+    """
+
+    MIN_SWING = 0.02
+    MAX_RMSE = 0.05
+    ETA = np.array([0.5, 0.3, 0.5, 5.0])          # inside the η box
+
+    def build(self, monkeypatch, swings, rmses, etas=None):
+        n = len(swings)
+        etas = [self.ETA] * n if etas is None else etas
+        v_in = np.linspace(0.0, 1.0, 9)
+        # Ramps from 0 to v_in[-1] = 1: lane i swings exactly swings[i].
+        curves = np.asarray(swings)[:, None] * v_in[None, :]
+        fitted = []
+
+        def sweep(omega_batch, kind, n_points, model):
+            assert len(omega_batch) == n
+            return v_in, curves, np.ones(n, dtype=bool)
+
+        def fit(v, rows, negated=False):
+            lanes = [int(np.flatnonzero((curves == row).all(axis=1))[0]) for row in rows]
+            fitted.extend(lanes)
+            return [
+                FitResult(eta=etas[lane], rmse=rmses[lane],
+                          swing=float(swings[lane]), converged=True)
+                for lane in lanes
+            ]
+
+        monkeypatch.setattr(dataset_builder, "simulate_curve_batch", sweep)
+        monkeypatch.setattr(dataset_builder, "fit_ptanh_batch", fit)
+        dataset = build_surrogate_dataset(
+            "ptanh", n_points=n, seed=3, min_swing=self.MIN_SWING,
+            max_rmse=self.MAX_RMSE,
+        )
+        return dataset, fitted
+
+    def test_swing_exactly_at_threshold_is_kept(self, monkeypatch):
+        swings = [self.MIN_SWING, np.nextafter(self.MIN_SWING, 0.0)]
+        dataset, fitted = self.build(monkeypatch, swings, rmses=[0.0, 0.0])
+        assert fitted == [0]                 # the low-swing lane is never fitted
+        assert len(dataset) == 1
+        assert dataset.stats == BuildStats(n_sampled=2, n_kept=1, n_low_swing=1)
+
+    def test_rmse_exactly_at_threshold_is_kept(self, monkeypatch):
+        rmses = [self.MAX_RMSE, np.nextafter(self.MAX_RMSE, 1.0)]
+        dataset, fitted = self.build(monkeypatch, [0.6, 0.5], rmses)
+        assert fitted == [0, 1]
+        assert list(dataset.rmse) == [self.MAX_RMSE]
+        assert dataset.stats == BuildStats(n_sampled=2, n_kept=1, n_high_rmse=1)
+
+    def test_drops_land_in_priority_order(self, monkeypatch):
+        """Swing before RMSE before the η box; each point in one bucket."""
+        out_of_box = np.array([0.5, 0.3, 0.5, 1e3])
+        etas = [self.ETA, self.ETA, out_of_box, out_of_box]
+        swings = [0.6, np.nextafter(self.MIN_SWING, 0.0), 0.5, 0.4]
+        rmses = [0.0, 1.0, np.nextafter(self.MAX_RMSE, 1.0), 0.0]
+        dataset, fitted = self.build(monkeypatch, swings, rmses, etas=etas)
+        assert fitted == [0, 2, 3]
+        assert dataset.stats == BuildStats(
+            n_sampled=4, n_kept=1, n_low_swing=1, n_high_rmse=1, n_out_of_bounds=1
+        )
+        assert np.array_equal(dataset.eta, [self.ETA])
 
 
 class TestBuildStats:

@@ -9,7 +9,7 @@ from repro.surrogate import (
     SurrogateMLP,
     train_surrogate,
 )
-from repro.surrogate.dataset_builder import SurrogateDataset, simulate_curve
+from repro.surrogate.dataset_builder import SurrogateDataset, simulate_curve_batch
 from repro.surrogate.model import TINY_LAYER_WIDTHS
 from repro.surrogate.training import r_squared, split_indices
 
@@ -104,12 +104,14 @@ class TestDatasetBuilder:
         assert np.all(ptanh_dataset.eta <= ETA_BOUNDS_HIGH)
 
     def test_simulate_curve_dispatch(self):
-        omega = np.array([200, 80, 100e3, 40e3, 100e3, 500, 30.0])
-        x1, y1 = simulate_curve(omega, "ptanh", 9, None)
-        x2, y2 = simulate_curve(omega, "negweight", 9, None)
-        assert len(y1) == 9 and len(y2) == 9
+        omegas = np.array([[200, 80, 100e3, 40e3, 100e3, 500, 30.0]])
+        x1, y1, ok1 = simulate_curve_batch(omegas, "ptanh", 9, None)
+        x2, y2, ok2 = simulate_curve_batch(omegas, "negweight", 9, None)
+        assert y1.shape == (1, 9) and y2.shape == (1, 9)
+        assert ok1.all() and ok2.all()
+        assert y1[0, -1] > y1[0, 0] and (y2 <= 0).all()   # rising ptanh, negative inv
         with pytest.raises(ValueError):
-            simulate_curve(omega, "mystery", 9, None)
+            simulate_curve_batch(omegas, "mystery", 9, None)
 
     def test_mismatched_pair_rejected(self):
         with pytest.raises(ValueError):

@@ -4,11 +4,15 @@ import json
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.circuits.ptanh import ptanh_param_batch, ptanh_stamp_plan
 from repro.experiments import ExperimentConfig, enumerate_jobs, run_table2_parallel
 from repro.experiments.report import render_telemetry_report
+from repro.spice import solve_dc_batch
+from repro.surrogate.sampling import sample_design_points
 from repro.telemetry import (
     EVENT_KINDS,
     NullTelemetry,
@@ -99,6 +103,21 @@ class TestSchema:
             events = read_events(tel.directory)
         names = [e["name"] for e in events]
         assert "ok" in names and "torn" not in names
+
+
+class TestSpiceReport:
+    def test_lanes_that_exhaust_max_iter_are_reported(self, tel):
+        """A capped solve's unconverged lanes show up in the spice line."""
+        plan = ptanh_stamp_plan()
+        params = ptanh_param_batch(sample_design_points(12, seed=2), plan)
+        iters = solve_dc_batch(plan, params).iterations
+        cap = int((iters.min() + iters.max()) // 2)
+        capped = solve_dc_batch(plan, params, max_iter=cap)
+        n_failed = int(np.sum(~capped.converged))
+        assert n_failed == int(np.sum(iters > cap)) > 0
+        report = render_telemetry_report(tel.directory)
+        assert "spice: 2 batched solves, 24 lanes" in report
+        assert f"unconverged lanes {n_failed}," in report
 
 
 class TestSpans:
@@ -295,3 +314,22 @@ class TestLaneTelemetry:
         report = render_telemetry_report(directory)
         assert f"lanes: {n_jobs} lane batches, {n_jobs} jobs trained in lanes" in report
         assert "planned serial" not in report
+
+    def test_report_training_line_sums_lane_runs(self, traced):
+        """One record per lane run: the training line sums ``lanes.run``."""
+        directory, events = traced
+        names = [e.get("name") for e in events if e.get("kind") == "event"]
+        assert "train.run" not in names
+        runs = [e["attrs"] for e in events
+                if e.get("kind") == "event" and e.get("name") == "lanes.run"]
+        fwd = sum(a["fwd_bwd_s"] for a in runs)
+        opt = sum(a["optimizer_s"] for a in runs)
+        val = sum(a["validation_s"] for a in runs)
+        total = fwd + opt + val
+        epochs = int(summarize_events(events)["counters"]["train.epochs"])
+        report = render_telemetry_report(directory)
+        assert (f"training: {len(runs)} runs, {epochs} epochs total, "
+                f"{names.count('train.early_stop')} early-stopped") in report
+        assert (f"fwd+bwd {fwd:.2f}s ({fwd / total:.0%}), "
+                f"optimizer {opt:.2f}s ({opt / total:.0%}), "
+                f"validation {val:.2f}s ({val / total:.0%})") in report
