@@ -73,8 +73,10 @@ from repro.core.evaluation import (
 )
 from repro.core.aging import AgingModel, CompositeVariation, evaluate_lifetime
 from repro.core.serialization import (
+    load_design,
     load_params,
     load_pnn,
+    save_design,
     save_params,
     save_pnn,
     surrogate_fingerprint,
@@ -117,8 +119,10 @@ __all__ = [
     "evaluate_mc",
     "evaluate_mc_sharded",
     "plan_shards",
+    "load_design",
     "load_params",
     "load_pnn",
+    "save_design",
     "save_params",
     "save_pnn",
     "surrogate_fingerprint",

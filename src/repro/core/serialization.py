@@ -1,6 +1,6 @@
 """Saving and loading trained pNN designs.
 
-Two on-disk formats live here:
+Three on-disk forms of a design live here:
 
 - :func:`save_pnn` / :func:`load_pnn` persist the *learnable* module state
   (raw θ and 𝔴 parameters) so training can resume; the surrogate models
@@ -13,7 +13,14 @@ Two on-disk formats live here:
   plus the surrogate snapshots, i.e. everything the autograd-free kernel
   path needs, self-contained.  The format is stamped with
   :data:`~repro.core.params.PNN_PARAMS_VERSION`; loading any other version
-  raises.  This is the artifact the experiment result cache stores.
+  raises.  This is what ``cli export --params`` reads.
+- :func:`save_design` / :func:`load_design` persist the same archive
+  without the surrogate snapshots: the design members (version, sizes,
+  flags, per-layer θ and ω) and the fingerprint of the surrogates, which
+  loading re-attaches from the live ones the fingerprint names.  This is
+  what the experiment result cache stores.  Both pairs share one design
+  codec, so :func:`load_design` also reads a :func:`save_params` archive
+  that carries a fingerprint.
 """
 
 from __future__ import annotations
@@ -30,8 +37,16 @@ from repro.core.params import (
     LayerParams,
     PNNParams,
     SurrogateParams,
+    snapshot_surrogate,
 )
 from repro.core.pnn import PrintedNeuralNetwork
+
+
+def _surrogate_pair(surrogates) -> tuple:
+    """``(activation, negation)`` of a bundle or of a plain pair."""
+    if hasattr(surrogates, "ptanh"):
+        return surrogates.ptanh, surrogates.negweight
+    return tuple(surrogates)
 
 
 def surrogate_fingerprint(surrogates) -> str:
@@ -45,12 +60,7 @@ def surrogate_fingerprint(surrogates) -> str:
     digest into every cache key.
     """
     hasher = hashlib.sha256()
-    pair = (
-        (surrogates.ptanh, surrogates.negweight)
-        if hasattr(surrogates, "ptanh")
-        else tuple(surrogates)
-    )
-    for surrogate in pair:
+    for surrogate in _surrogate_pair(surrogates):
         if hasattr(surrogate, "model"):
             state = getattr(surrogate.model, "state_dict", None)
             if callable(state):
@@ -191,15 +201,12 @@ def _surrogate_from_archive(prefix: str, archive) -> SurrogateParams:
     )
 
 
-def save_params(params: PNNParams, path: Union[str, Path], surrogates=None) -> Path:
-    """Write a frozen inference snapshot to ``path`` (``.npz``).
+def _design_payload(params: PNNParams, surrogates=None) -> dict:
+    """The design members of a snapshot archive.
 
-    The snapshot is self-contained (surrogate snapshots included); passing
-    the live ``surrogates`` additionally records their fingerprint so
-    :func:`load_params` can verify provenance strictly.
+    ``params_version``, the sizes and flags and every layer's θ, activation
+    ω and negation ω, plus the fingerprint of ``surrogates`` when given.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "params_version": np.asarray(params.version, dtype=np.int64),
         "layer_sizes": np.asarray(params.layer_sizes, dtype=np.int64),
@@ -211,12 +218,75 @@ def save_params(params: PNNParams, path: Union[str, Path], surrogates=None) -> P
         payload[f"layer{i}.act_omega"] = layer.act_omega
         payload[f"layer{i}.neg_omega"] = layer.neg_omega
         payload[f"layer{i}.apply_activation"] = np.asarray(layer.apply_activation, dtype=np.int64)
-    payload.update(_surrogate_payload("surrogate.act", params.act_surrogate))
-    payload.update(_surrogate_payload("surrogate.neg", params.neg_surrogate))
     if surrogates is not None:
         payload["surrogate_fingerprint"] = np.frombuffer(
             surrogate_fingerprint(surrogates).encode(), dtype=np.uint8
         )
+    return payload
+
+
+def _design_from_archive(path, archive, surrogates, strict_fingerprint: bool) -> dict:
+    """Check the design members and read them as :class:`PNNParams` fields.
+
+    Returns every field but the two surrogate snapshots.  Refuses archives
+    without a ``params_version`` (legacy module state, naming ``path``) and
+    of any other :data:`PNN_PARAMS_VERSION`; with ``strict_fingerprint``
+    the recorded fingerprint must match ``surrogates``.
+    """
+    if "params_version" not in archive.files:
+        raise ValueError(
+            f"{path} is not a PNNParams snapshot "
+            "(legacy module state? use load_pnn)"
+        )
+    version = int(archive["params_version"])
+    if version != PNN_PARAMS_VERSION:
+        raise ValueError(
+            f"snapshot has params version {version}, "
+            f"this build expects {PNN_PARAMS_VERSION}"
+        )
+    if strict_fingerprint:
+        if surrogates is None:
+            raise ValueError("strict_fingerprint requires surrogates")
+        if "surrogate_fingerprint" not in archive.files:
+            raise ValueError("snapshot was saved without a surrogate fingerprint")
+        recorded = bytes(archive["surrogate_fingerprint"]).decode()
+        current = surrogate_fingerprint(surrogates)
+        if recorded != current:
+            raise ValueError(
+                f"surrogate mismatch: snapshot taken against {recorded}, "
+                f"got {current}"
+            )
+    layer_sizes = tuple(int(s) for s in archive["layer_sizes"])
+    layers = tuple(
+        LayerParams(
+            theta=archive[f"layer{i}.theta"],
+            act_omega=archive[f"layer{i}.act_omega"],
+            neg_omega=archive[f"layer{i}.neg_omega"],
+            apply_activation=bool(archive[f"layer{i}.apply_activation"]),
+        )
+        for i in range(len(layer_sizes) - 1)
+    )
+    return dict(
+        layer_sizes=layer_sizes,
+        per_neuron_activation=bool(archive["per_neuron_activation"]),
+        activation_on_output=bool(archive["activation_on_output"]),
+        layers=layers,
+        version=version,
+    )
+
+
+def save_params(params: PNNParams, path: Union[str, Path], surrogates=None) -> Path:
+    """Write a frozen inference snapshot to ``path`` (``.npz``).
+
+    The snapshot is self-contained (surrogate snapshots included); passing
+    the live ``surrogates`` additionally records their fingerprint so
+    :func:`load_params` can verify provenance strictly.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    payload = _design_payload(params, surrogates)
+    payload.update(_surrogate_payload("surrogate.act", params.act_surrogate))
+    payload.update(_surrogate_payload("surrogate.neg", params.neg_surrogate))
     np.savez(path, **payload)
     return path
 
@@ -229,50 +299,55 @@ def load_params(
     """Rebuild an inference snapshot saved with :func:`save_params`.
 
     Refuses snapshots of any other :data:`PNN_PARAMS_VERSION` (the struct
-    they describe would be interpreted wrongly).  With
+    they describe would be interpreted wrongly), and design-only archives
+    (:func:`save_design`), which hold no surrogate snapshots.  With
     ``strict_fingerprint=True`` the surrogate fingerprint recorded at save
     time must match ``surrogates``.
     """
     with np.load(Path(path)) as archive:
-        if "params_version" not in archive.files:
+        design = _design_from_archive(path, archive, surrogates, strict_fingerprint)
+        if "surrogate.act.kind" not in archive.files:
             raise ValueError(
-                f"{path} is not a PNNParams snapshot "
-                "(legacy module state? use load_pnn)"
+                f"{path} is a design without surrogate snapshots "
+                "(a result-cache entry? load it with load_design and the "
+                "surrogates it was trained against)"
             )
-        version = int(archive["params_version"])
-        if version != PNN_PARAMS_VERSION:
-            raise ValueError(
-                f"snapshot has params version {version}, "
-                f"this build expects {PNN_PARAMS_VERSION}"
-            )
-        if strict_fingerprint:
-            if surrogates is None:
-                raise ValueError("strict_fingerprint requires surrogates")
-            if "surrogate_fingerprint" not in archive.files:
-                raise ValueError("snapshot was saved without a surrogate fingerprint")
-            recorded = bytes(archive["surrogate_fingerprint"]).decode()
-            current = surrogate_fingerprint(surrogates)
-            if recorded != current:
-                raise ValueError(
-                    f"surrogate mismatch: snapshot taken against {recorded}, "
-                    f"got {current}"
-                )
-        layer_sizes = tuple(int(s) for s in archive["layer_sizes"])
-        layers = tuple(
-            LayerParams(
-                theta=archive[f"layer{i}.theta"],
-                act_omega=archive[f"layer{i}.act_omega"],
-                neg_omega=archive[f"layer{i}.neg_omega"],
-                apply_activation=bool(archive[f"layer{i}.apply_activation"]),
-            )
-            for i in range(len(layer_sizes) - 1)
-        )
         return PNNParams(
-            layer_sizes=layer_sizes,
-            per_neuron_activation=bool(archive["per_neuron_activation"]),
-            activation_on_output=bool(archive["activation_on_output"]),
-            layers=layers,
+            **design,
             act_surrogate=_surrogate_from_archive("surrogate.act", archive),
             neg_surrogate=_surrogate_from_archive("surrogate.neg", archive),
-            version=version,
         )
+
+
+def save_design(params: PNNParams, path: Union[str, Path], surrogates) -> Path:
+    """Write only the design of ``params`` to ``path`` (``.npz``).
+
+    The archive holds the members :func:`save_params` writes minus the
+    surrogate snapshots: the fingerprint of ``surrogates`` names them
+    instead, and :func:`load_design` re-attaches them from the live
+    surrogates.  ``params`` must have been snapshotted against
+    ``surrogates``.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    np.savez(path, **_design_payload(params, surrogates))
+    return path
+
+
+def load_design(path: Union[str, Path], surrogates) -> PNNParams:
+    """Rebuild a design saved with :func:`save_design` (or :func:`save_params`).
+
+    Reads only the design members, requires the recorded surrogate
+    fingerprint to match ``surrogates`` and attaches snapshots of the live
+    ``surrogates`` — the ones the fingerprint names.  A
+    :func:`save_params` archive with a fingerprint loads the same way; its
+    surrogate members are never read.
+    """
+    with np.load(Path(path)) as archive:
+        design = _design_from_archive(path, archive, surrogates, strict_fingerprint=True)
+    act, neg = _surrogate_pair(surrogates)
+    return PNNParams(
+        **design,
+        act_surrogate=snapshot_surrogate(act),
+        neg_surrogate=snapshot_surrogate(neg),
+    )

@@ -24,12 +24,20 @@ key, wall time, epochs run, best validation loss and whether the job was
 a cache hit, so later benchmarking/monitoring work can consume it
 directly.
 
-**Entry format.**  Entries store the frozen
-:class:`~repro.core.params.PNNParams` inference snapshot
-(:func:`repro.core.serialization.save_params`, format stamped with
-``PNN_PARAMS_VERSION``).  An entry written before that format (legacy
-module state, ``save_pnn``) fails :meth:`ResultCache.load_design` with an
-error naming the archive; delete the cache directory to re-train.
+**Entry format.**  An entry is the design only
+(:func:`repro.core.serialization.save_design`): ``params_version``
+(``PNN_PARAMS_VERSION``), the layer sizes and flags, every layer's θ,
+activation ω and negation ω, and the surrogate fingerprint — 13 ``.npz``
+members, about 4 KB for a two-layer design.  The surrogate snapshots are
+not stored: the fingerprint, which the digest also covers, names them, and
+:meth:`ResultCache.load_design` attaches snapshots of the live surrogates
+whose fingerprint matched.  Entries written in the full
+:func:`~repro.core.serialization.save_params` format (79 members, about
+34 KB with the MLP bundle) load the same way; their surrogate members are
+never read.  An entry written before ``PNNParams`` snapshots (legacy module
+state, ``save_pnn``) or a corrupt archive fails
+:meth:`ResultCache.load_design` with an error naming the archive; delete
+the entry (or the cache directory) to re-train.
 """
 
 from __future__ import annotations
@@ -39,11 +47,12 @@ import json
 import os
 import time
 import warnings
+import zipfile
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro import telemetry
-from repro.core import load_params, save_params
+from repro.core import load_design, save_design
 from repro.core.params import PNNParams
 from repro.core.variation import DEFAULT_SCENARIO
 from repro.experiments.config import ExperimentConfig
@@ -179,18 +188,30 @@ class ResultCache:
     def load_design(self, digest: str, surrogates) -> PNNParams:
         """Load the trained design for ``digest`` as a frozen snapshot.
 
-        The surrogate fingerprint recorded at save time is checked
-        strictly — the digest already encodes it, so a mismatch means the
-        cache directory was tampered with or mixed between setups.  An
-        entry from before ``PNNParams`` snapshots (module state) fails
-        loudly, naming the archive, instead of being rebuilt.
+        Reads the design members only and attaches snapshots of the live
+        ``surrogates``.  The surrogate fingerprint recorded at save time is
+        checked strictly — the digest already encodes it, so a mismatch
+        means the cache directory was tampered with or mixed between
+        setups.  An entry from before ``PNNParams`` snapshots (module
+        state) or a corrupt archive fails loudly, naming the archive,
+        instead of being rebuilt.
         """
-        return load_params(self.design_path(digest), surrogates, strict_fingerprint=True)
+        path = self.design_path(digest)
+        try:
+            return load_design(path, surrogates)
+        except (zipfile.BadZipFile, EOFError) as exc:
+            raise ValueError(
+                f"corrupt result-cache entry {path} ({exc}); delete "
+                f"{digest}.npz and {digest}.json from {self.root} so the next "
+                "run retrains the job"
+            ) from exc
 
     def store(self, digest: str, outcome: JobOutcome, surrogates) -> None:
         """Persist a finished job: design ``.npz`` first, then metadata.
 
-        The design is the outcome's frozen ``params`` snapshot.  Both
+        The design is the outcome's frozen ``params`` snapshot without its
+        surrogate snapshots, which must be those of ``surrogates`` (see
+        *Entry format* in the module docstring).  Both
         files are staged under temporary names and moved into place with
         ``os.replace`` so concurrent readers never observe a partial
         entry.
@@ -200,7 +221,7 @@ class ResultCache:
         # Stage under a dotted name that keeps the .npz suffix (np.savez
         # appends it otherwise) and stays invisible to the *.npz glob.
         design_tmp = self.root / f".{digest}.tmp.npz"
-        save_params(outcome.params, design_tmp, surrogates=surrogates)
+        save_design(outcome.params, design_tmp, surrogates)
         os.replace(design_tmp, self.design_path(digest))
 
         meta = {

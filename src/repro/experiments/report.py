@@ -156,55 +156,41 @@ def _surrogate_section(events: List[Dict]) -> List[str]:
     return lines
 
 
-def _training_section(events: List[Dict], counters: Dict[str, float]) -> List[str]:
-    runs = [e for e in events
+def _training_section(events: List[Dict]) -> List[str]:
+    """Summarize lane training: batches, epochs, time split, shrinks.
+
+    Reads the per-batch ``lanes.run`` events, the ``train.early_stop``
+    events and the ``lanes.shrink`` active-set trajectory emitted by
+    :func:`repro.core.lanes.train_pnn_lanes`; every training run is a lane
+    batch, so each is stated once.
+    """
+    runs = [e["attrs"] for e in events
             if e.get("kind") == "event" and e.get("name") == "lanes.run"]
     if not runs:
         return []
-    epochs = int(counters.get("train.epochs", 0))
-    fwd = sum(float(e["attrs"].get("fwd_bwd_s", 0.0)) for e in runs)
-    opt = sum(float(e["attrs"].get("optimizer_s", 0.0)) for e in runs)
-    val = sum(float(e["attrs"].get("validation_s", 0.0)) for e in runs)
+    trained = sum(int(a.get("n_lanes", 0)) for a in runs)
+    epochs = sum(int(a.get("epochs_run", 0)) for a in runs)
+    lane_epochs = sum(int(a.get("lane_epochs", 0)) for a in runs)
+    shrinks = sum(int(a.get("shrink_events", 0)) for a in runs)
+    fwd = sum(float(a.get("fwd_bwd_s", 0.0)) for a in runs)
+    opt = sum(float(a.get("optimizer_s", 0.0)) for a in runs)
+    val = sum(float(a.get("validation_s", 0.0)) for a in runs)
     total = fwd + opt + val
     early = sum(1 for e in events
                 if e.get("kind") == "event" and e.get("name") == "train.early_stop")
+    saved = lane_epochs / epochs if epochs else 0.0
     lines = [
-        f"training: {len(runs)} runs, {epochs} epochs total, "
+        f"training: {len(runs)} lane batches, {trained} jobs trained in lanes, "
         f"{early} early-stopped",
+        f"          {epochs} lockstep epochs covering {lane_epochs} "
+        f"lane-epochs ({saved:.1f}x amortization), "
+        f"{shrinks} active-set shrinks",
     ]
     if total > 0:
         lines.append(
             f"          fwd+bwd {fwd:.2f}s ({fwd / total:.0%}), "
             f"optimizer {opt:.2f}s ({opt / total:.0%}), "
             f"validation {val:.2f}s ({val / total:.0%})"
-        )
-    return lines
-
-
-def _lanes_section(events: List[Dict], counters: Dict[str, float]) -> List[str]:
-    """Summarize the lockstep lane tier: widths, shrink trajectory, timing.
-
-    Reads the ``lanes.plan`` scheduling event, the per-batch ``lanes.run``
-    events and the ``lanes.shrink`` active-set trajectory emitted by
-    :func:`repro.core.lanes.train_pnn_lanes`.
-    """
-    runs = [e for e in events
-            if e.get("kind") == "event" and e.get("name") == "lanes.run"]
-    plans = [e for e in events
-             if e.get("kind") == "event" and e.get("name") == "lanes.plan"]
-    if not runs and not plans:
-        return []
-    trained = int(counters.get("lanes.trained", 0))
-    lines = [f"lanes: {len(runs)} lane batches, {trained} jobs trained in lanes"]
-    if runs:
-        epochs = sum(int(e["attrs"].get("epochs_run", 0)) for e in runs)
-        lane_epochs = sum(int(e["attrs"].get("lane_epochs", 0)) for e in runs)
-        shrinks = sum(int(e["attrs"].get("shrink_events", 0)) for e in runs)
-        saved = lane_epochs / epochs if epochs else 0.0
-        lines.append(
-            f"       {epochs} lockstep epochs covering {lane_epochs} "
-            f"lane-epochs ({saved:.1f}x amortization), "
-            f"{shrinks} active-set shrinks"
         )
     shrink_events = [e for e in events
                      if e.get("kind") == "event" and e.get("name") == "lanes.shrink"]
@@ -215,7 +201,7 @@ def _lanes_section(events: List[Dict], counters: Dict[str, float]) -> List[str]:
             for e in shrink_events[:8]
         )
         suffix = ", ..." if len(shrink_events) > 8 else ""
-        lines.append(f"       shrink trajectory: {trajectory}{suffix}")
+        lines.append(f"          shrink trajectory: {trajectory}{suffix}")
     return lines
 
 
@@ -406,8 +392,7 @@ def render_telemetry_report(
         _cache_section(counters),
         _spice_section(events, counters),
         _surrogate_section(events),
-        _training_section(events, counters),
-        _lanes_section(events, counters),
+        _training_section(events),
         _sharding_section(events),
         _scenario_section(events, counters),
         _export_section(events, counters),

@@ -27,6 +27,14 @@ def execute_key(surrogates):
     return outcome
 
 
+def store_entry(tmp_path, surrogates, outcome):
+    """A fresh cache holding ``outcome`` under its digest: ``(cache, digest)``."""
+    cache = ResultCache(tmp_path / "cache")
+    digest = job_digest(KEY, MICRO, surrogate_fingerprint(surrogates))
+    cache.store(digest, outcome, surrogates)
+    return cache, digest
+
+
 class TestDigest:
     def test_stable(self, analytic_surrogates):
         fp = surrogate_fingerprint(analytic_surrogates)
@@ -77,19 +85,86 @@ class TestRoundTrip:
         assert restored.val_loss == outcome.val_loss
         assert restored.epochs_run == outcome.epochs_run
 
-    def test_design_roundtrip_is_exact(self, tmp_path, analytic_surrogates, outcome):
+    @pytest.fixture(scope="class")
+    def mlp_outcome(self, tiny_bundle):
+        return execute_key(tiny_bundle)
+
+    @pytest.mark.parametrize(
+        "surrogates_name, outcome_name",
+        [("analytic_surrogates", "outcome"), ("tiny_bundle", "mlp_outcome")],
+    )
+    def test_design_roundtrip_is_exact(self, request, tmp_path, surrogates_name, outcome_name):
         from repro.datasets import load_splits
 
-        cache = ResultCache(tmp_path / "cache")
-        fp = surrogate_fingerprint(analytic_surrogates)
-        digest = job_digest(KEY, MICRO, fp)
-        cache.store(digest, outcome, analytic_surrogates)
+        surrogates = request.getfixturevalue(surrogates_name)
+        outcome = request.getfixturevalue(outcome_name)
+        cache, digest = store_entry(tmp_path, surrogates, outcome)
 
-        loaded = cache.load_design(digest, analytic_surrogates)
+        # The surrogate snapshots come from the live surrogates, not the entry.
+        loaded = cache.load_design(digest, surrogates)
+        assert loaded.content_digest() == outcome.params.content_digest()
         splits = load_splits("iris", seed=0, max_train=MICRO.max_train)
         np.testing.assert_array_equal(
             loaded.predict(splits.x_test), outcome.params.predict(splits.x_test)
         )
+
+    def test_stored_entry_is_the_design_only(self, tmp_path, tiny_bundle, mlp_outcome):
+        cache, digest = store_entry(tmp_path, tiny_bundle, mlp_outcome)
+        with np.load(cache.design_path(digest)) as archive:
+            members = set(archive.files)
+        assert not any(name.startswith("surrogate.") for name in members)
+        layers = {f"layer{i}.{field}"
+                  for i in range(len(mlp_outcome.topology) - 1)
+                  for field in ("theta", "act_omega", "neg_omega", "apply_activation")}
+        assert members == layers | {
+            "params_version", "layer_sizes", "per_neuron_activation",
+            "activation_on_output", "surrogate_fingerprint",
+        }
+
+    def test_full_format_entry_still_loads(self, tmp_path, tiny_bundle, mlp_outcome):
+        # Entries written before design-only entries hold the whole
+        # save_params archive, surrogate snapshots included.
+        from repro.core import save_params
+
+        cache, digest = store_entry(tmp_path, tiny_bundle, mlp_outcome)
+        save_params(mlp_outcome.params, cache.design_path(digest), surrogates=tiny_bundle)
+        with np.load(cache.design_path(digest)) as archive:
+            assert "surrogate.act.kind" in archive.files
+
+        assert cache.load_outcome(digest).val_loss == mlp_outcome.val_loss
+        loaded = cache.load_design(digest, tiny_bundle)
+        assert loaded.content_digest() == mlp_outcome.params.content_digest()
+
+    def test_fingerprint_mismatch_raises(self, tmp_path, analytic_surrogates, tiny_bundle, outcome):
+        cache, digest = store_entry(tmp_path, analytic_surrogates, outcome)
+        with pytest.raises(ValueError, match="mismatch"):
+            cache.load_design(digest, tiny_bundle)
+
+    def test_load_params_refuses_an_entry_naming_it(self, tmp_path, analytic_surrogates, outcome):
+        from repro.core import load_params
+
+        cache, digest = store_entry(tmp_path, analytic_surrogates, outcome)
+        path = cache.design_path(digest)
+        with pytest.raises(ValueError, match="without surrogate snapshots") as info:
+            load_params(path, analytic_surrogates)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("kept", [0.5, 0.0], ids=["half", "empty"])
+    def test_truncated_entry_fails_naming_it(self, tmp_path, analytic_surrogates, outcome, kept):
+        # Fault injection: a write cut short leaves half an archive, or an
+        # empty file when a crash follows the rename before the data is on disk.
+        cache, digest = store_entry(tmp_path, analytic_surrogates, outcome)
+        path = cache.design_path(digest)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: int(len(blob) * kept)])
+
+        assert cache.load_outcome(digest) is not None
+        with pytest.raises(ValueError, match="corrupt result-cache entry") as info:
+            cache.load_design(digest, analytic_surrogates)
+        message = str(info.value)
+        assert str(path) in message
+        assert f"delete {digest}.npz and {digest}.json" in message
+        assert "retrains" in message
 
     def test_legacy_module_state_entry_fails_naming_the_archive(
         self, tmp_path, analytic_surrogates, outcome

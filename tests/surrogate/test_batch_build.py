@@ -55,6 +55,25 @@ class TestBatchedCurveEvaluation:
         assert np.array_equal(stacked, characterization_reference["initial_guess"])
         assert np.array_equal(stacked[2, 1:], [0.0, 0.5, 1.0])
 
+    @pytest.mark.parametrize(
+        "v_in, curve, raw, eta4",
+        [
+            # A straight line: steepest slope 0.1 over |η2| = 0.5.
+            (np.linspace(0, 10, 21), lambda v: 0.1 * v, 0.2, 0.5),
+            # A unit step: central difference 1 / (2 · 0.5 mV) over 0.5.
+            (np.linspace(0, 0.01, 21), lambda v: (v >= 0.005).astype(float), 2000.0, 200.0),
+        ],
+        ids=["shallow-line", "unit-step"],
+    )
+    def test_initial_guess_batch_clips_the_steepness_start(self, v_in, curve, raw, eta4):
+        """η4 starts at a bound of [0.5, 200] when the slope ratio leaves it."""
+        targets = curve(v_in)[None, :]
+        slopes = np.gradient(targets[0], v_in)
+        assert np.isclose(np.abs(slopes).max() / 0.5, raw)
+        (guess,) = initial_guess_batch(v_in, targets)
+        assert guess[3] == eta4
+        assert abs(guess[1]) == 0.5
+
 
 class TestBatchedFit:
     def test_fit_batch_is_batch_size_invariant(self):

@@ -309,14 +309,17 @@ class TestLaneTelemetry:
         assert "lanes.jobs" not in counters and "lanes.serial_jobs" not in counters
 
     def test_report_lanes_section(self, traced):
+        """The lane counts live in the one training section."""
         directory, _ = traced
         n_jobs = len(enumerate_jobs(["iris"], MICRO))
         report = render_telemetry_report(directory)
-        assert f"lanes: {n_jobs} lane batches, {n_jobs} jobs trained in lanes" in report
+        assert (f"training: {n_jobs} lane batches, {n_jobs} jobs trained in lanes"
+                in report)
+        assert "lanes: " not in report
         assert "planned serial" not in report
 
     def test_report_training_line_sums_lane_runs(self, traced):
-        """One record per lane run: the training line sums ``lanes.run``."""
+        """One record per lane run: the training section sums ``lanes.run``."""
         directory, events = traced
         names = [e.get("name") for e in events if e.get("kind") == "event"]
         assert "train.run" not in names
@@ -326,10 +329,14 @@ class TestLaneTelemetry:
         opt = sum(a["optimizer_s"] for a in runs)
         val = sum(a["validation_s"] for a in runs)
         total = fwd + opt + val
-        epochs = int(summarize_events(events)["counters"]["train.epochs"])
+        counters = summarize_events(events)["counters"]
+        epochs = int(counters["train.epochs"])
+        trained = int(counters["lanes.trained"])
         report = render_telemetry_report(directory)
-        assert (f"training: {len(runs)} runs, {epochs} epochs total, "
+        assert report.count("training: ") == 1
+        assert (f"training: {len(runs)} lane batches, {trained} jobs trained in lanes, "
                 f"{names.count('train.early_stop')} early-stopped") in report
+        assert f"covering {epochs} lane-epochs" in report
         assert (f"fwd+bwd {fwd:.2f}s ({fwd / total:.0%}), "
                 f"optimizer {opt:.2f}s ({opt / total:.0%}), "
                 f"validation {val:.2f}s ({val / total:.0%})") in report
