@@ -26,7 +26,7 @@ from repro.core.evaluation import evaluate_mc
 from repro.core.grad_kernels import surrogate_eta_bwd, surrogate_eta_fwd
 from repro.core.params import snapshot_surrogate
 from repro.core.pnn import PrintedNeuralNetwork
-from repro.core.variation import VariationModel
+from repro.core.variation import EpsilonLike, NonIdealityModel, VariationModel
 from repro.surrogate.design_space import OMEGA_NAMES
 
 ETA_NAMES = ("eta1", "eta2", "eta3", "eta4")
@@ -70,32 +70,33 @@ class AttributionResult:
     accuracy_drop: float
 
 
-class _SelectiveVariation:
-    """VariationModel wrapper that perturbs only one component group.
+class _SelectiveVariation(NonIdealityModel):
+    """Printing variation on one component group only.
 
-    Every printed layer requests ε samples in a strict order — crossbar θ,
-    activation circuit ω, negative-weight circuit ω — so the group of each
-    request is identified by its position in that 3-cycle.  This keeps the
-    layer code unaware of the analysis.
+    Every printed layer draws its ε triple by role — ``"theta"`` for the
+    crossbar, ``"act"``/``"neg"`` for the activation and negative-weight
+    circuits — so the group's role selects the draws to perturb.  The
+    other roles get exact ones and consume no RNG.
     """
 
-    _CYCLE = ("theta", "activation", "negweight")
+    _ROLES = {"theta": "theta", "activation": "act", "negweight": "neg"}
 
     def __init__(self, epsilon: float, group: str, seed: int):
-        if group not in self._CYCLE:
-            raise ValueError(f"group must be one of {self._CYCLE}")
+        if group not in self._ROLES:
+            raise ValueError(f"group must be one of {tuple(self._ROLES)}")
         self.inner = VariationModel(epsilon, seed=seed)
-        self.group = group
-        self._call_index = 0
+        self.role = self._ROLES[group]
 
     @property
     def is_nominal(self) -> bool:
         return False
 
     def sample(self, n_mc: int, shape: Sequence[int]) -> np.ndarray:
-        kind = self._CYCLE[self._call_index % 3]
-        self._call_index += 1
-        if kind == self.group:
+        raise TypeError("a selective draw depends on its role; use sample_perturbation()")
+
+    def sample_perturbation(self, n_mc: int, shape: Sequence[int],
+                            role: str = "theta") -> EpsilonLike:
+        if role == self.role:
             return self.inner.sample(n_mc, shape)
         return np.ones((n_mc, *tuple(shape)))
 
@@ -115,9 +116,8 @@ def variation_attribution(
     all-groups reference, and reports the accuracy drop vs. nominal.
 
     The design is snapshotted once and every evaluation runs through the
-    snapshot drivers of :mod:`repro.core.kernels`, which preserve the
-    per-layer θ → activation → negweight sampling cycle
-    :class:`_SelectiveVariation` keys on.
+    snapshot drivers of :mod:`repro.core.kernels`, which draw each
+    layer's ε triple by the role :class:`_SelectiveVariation` keys on.
     """
     from repro.core.params import PNNParams, snapshot_params
 

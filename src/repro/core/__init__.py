@@ -17,8 +17,9 @@ This package is the paper's primary contribution (Sec. III):
   composition, and the named scenario registry;
 - :mod:`~repro.core.grad_kernels` — the one implementation of the pNN
   equations (Eqs. 1–3, Fig. 5, the surrogates, the losses): forward
-  kernels with hand-derived VJPs, plus :class:`KernelNetwork`, the serial
-  reference executor the lane executor is checked against;
+  kernels with hand-derived VJPs, plus :class:`KernelNetwork`, the frozen
+  structure of one network, whose one-network loss calls run the lane
+  executor with one lane;
 - :mod:`~repro.core.kernels` — the forward drivers over a frozen design
   and the canonical variation-sampling order;
 - :mod:`~repro.core.params` — immutable :class:`PNNParams` snapshots, the
@@ -26,10 +27,11 @@ This package is the paper's primary contribution (Sec. III):
 - :mod:`~repro.core.training` — nominal and variation-aware training
   (Monte-Carlo expected loss, N_train = 20): ``train_pnn`` is a one-lane
   run of the lane loop;
-- :mod:`~repro.core.lanes` — the training loop: ``L`` compatible jobs
-  stacked on a leading lane axis, one lockstep epoch loop, per-lane early
-  stopping with a shrinking active set — every lane bitwise equal to its
-  one-lane run;
+- :mod:`~repro.core.lanes` — the training loop and :class:`LaneNetwork`,
+  the one forward/backward executor over raw parameter arrays: ``L``
+  compatible jobs stacked on a leading lane axis, one lockstep epoch loop,
+  per-lane early stopping with a shrinking active set — every lane bitwise
+  equal to its one-lane run;
 - :mod:`~repro.core.evaluation` — Monte-Carlo test evaluation
   (N_test = 100) reporting mean ± std accuracy as in Table II, serially
   (``evaluate_mc``) or sharded across a process pool
@@ -71,7 +73,7 @@ from repro.core.evaluation import (
     evaluate_mc_sharded,
     plan_shards,
 )
-from repro.core.aging import AgingModel, CompositeVariation, evaluate_lifetime
+from repro.core.aging import AgingModel, evaluate_lifetime
 from repro.core.serialization import (
     load_design,
     load_params,
@@ -84,7 +86,6 @@ from repro.core.serialization import (
 
 __all__ = [
     "AgingModel",
-    "CompositeVariation",
     "evaluate_lifetime",
     "ConductanceConfig",
     "LearnableNonlinearCircuit",

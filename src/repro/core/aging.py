@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.pnn import PrintedNeuralNetwork
-from repro.core.variation import ComposedModel, NonIdealityModel
+from repro.core.variation import NonIdealityModel
 
 
 class AgingModel(NonIdealityModel):
@@ -120,17 +120,6 @@ class AgingModel(NonIdealityModel):
             rng=np.random.default_rng(self.rng.integers(2**32)),
             fixed_time=float(time),
         )
-
-
-class CompositeVariation(ComposedModel):
-    """Product of independent disturbance models (back-compat name).
-
-    Historically this class hand-rolled the multiplicative composition;
-    it is now :class:`~repro.core.variation.ComposedModel` under its
-    original name — same constructor, same ``.models`` attribute, same
-    sample product (combining e.g. printing variation with aging), plus
-    the generalized override-aware composition inherited from the base.
-    """
 
 
 @dataclass

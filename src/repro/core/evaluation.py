@@ -96,9 +96,9 @@ def draw_variation_samples(
     Consumes the model's stream in blocks of ``block`` samples (each block
     draws θ, activation ω, negative-weight ω per layer, in order) and
     concatenates per layer.  Works for any
-    :class:`~repro.core.variation.NonIdealityModel` (or duck-typed legacy
-    sampler): bare ε arrays concatenate exactly as before, override-bearing
-    perturbations concatenate field-wise.  Returns one
+    :class:`~repro.core.variation.NonIdealityModel`: bare ε arrays
+    concatenate exactly as before, override-bearing perturbations
+    concatenate field-wise.  Returns one
     :data:`~repro.core.kernels.LayerEpsilons` triple per layer, each with
     leading axis ``n_test``.
     """

@@ -33,27 +33,25 @@ configuration grid, and the forward values and gradients against
 recordings of the taped autograd path this module replaced
 (``tests/core/test_grad_kernels.py``, ``tests/core/golden/taped_reference.json``).
 
-:class:`KernelNetwork` packages the kernels into the serial reference
-executor over one network's raw parameter arrays: it freezes the static
-structure (surrogate snapshots, design-space bounds, conductance limits)
-of a :class:`~repro.core.pnn.PrintedNeuralNetwork` and keeps the
-augmented inputs and crossbar products in :class:`Workspace` buffers.
-Training runs through :class:`repro.core.lanes.LaneNetwork`, which reuses
-that frozen structure over lane-stacked arrays; ``KernelNetwork``'s own
-``forward``/``backward``/``loss_and_grads``/``loss_value`` are the
-per-lane reference that ``tests/core/test_lane_engine.py`` checks the lane
-executor against.
+:class:`KernelNetwork` freezes the static structure (surrogate snapshots,
+design-space bounds, conductance limits) of a
+:class:`~repro.core.pnn.PrintedNeuralNetwork`.  The kernels run over raw
+parameter arrays in one executor, :class:`repro.core.lanes.LaneNetwork`,
+which keeps the augmented inputs and crossbar products in
+:class:`Workspace` buffers; ``KernelNetwork.loss_and_grads`` and
+``.loss_value`` answer one-network calls as its one-lane case.
 
 Shape convention — the leading lane axis
 ----------------------------------------
 Every kernel in this module is written against *trailing* axes (ellipsis
 indexing, negative reduction axes, batched ``matmul``), so the canonical
-serial shapes
+shapes of one network
 
 - parameters θ ``(in+2, out)``, 𝔴/ω ``(C, 7)``, η ``(C, 4)``,
 - activations ``(n_mc, batch, features)``,
 
-generalize to an optional **leading lane axis** ``L`` — ``(L, in+2, out)``,
+which the snapshot drivers of :mod:`repro.core.kernels` pass, generalize
+to an optional **leading lane axis** ``L`` — ``(L, in+2, out)``,
 ``(L, n_mc, batch, features)``, … — carrying ``L`` independent training
 jobs in lockstep (:mod:`repro.core.lanes`).  The generalization is not a
 convenience: it is a *bit-identity contract*.  For 3-D inputs the exact
@@ -61,23 +59,21 @@ historical call sequence executes (negative axes coincide with the old
 positive ones), and for stacked inputs every lane's slice sees the same
 elementwise operations, the same per-slice 2-D GEMMs, and reductions whose
 memory-layout relationship to the reduced axis is unchanged — so lane ``l``
-of a stacked call is bitwise equal to a serial call on lane ``l``'s data
-alone (pinned by ``tests/core/test_lane_engine.py``).
+of a stacked call is bitwise equal to a 3-D call on lane ``l``'s data
+alone (pinned by ``tests/core/test_lane_engine.py`` against the recorded
+serial executor and by ``tests/core/test_grad_kernels.py`` against the
+snapshot drivers).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.params import (
-    LayerParams,
-    PNNParams,
-    SurrogateParams,
-    snapshot_surrogate,
-)
+from repro.core.params import SurrogateParams, snapshot_surrogate
 from repro.core.variation import EpsilonLike, Perturbation
 
 Epsilons = Optional[Sequence[Tuple[Optional[EpsilonLike], ...]]]
@@ -134,8 +130,8 @@ def apply_nonideality_bwd(
     **zeroed through overridden devices** — a stuck conductance contributes
     no gradient to the printed value it replaced, which is what makes
     defect-aware training train around defects instead of fighting them.
-    ``axis=0`` serves the serial engine; the lane engine reduces ``axis=1``
-    (its leading axis is the lane stack).
+    ``axis=0`` reduces one network's ``(n_mc, ...)`` block; the lane
+    executor reduces ``axis=1`` (its leading axis is the lane stack).
     """
     if isinstance(eps, Perturbation):
         grad = d_effective * eps.scale
@@ -758,7 +754,7 @@ LOSS_KERNELS = {
 
 
 # --------------------------------------------------------------------- #
-# the training engine                                                   #
+# the frozen network structure                                          #
 # --------------------------------------------------------------------- #
 
 
@@ -780,21 +776,6 @@ class LayerMeta:
 
 
 @dataclass
-class _LayerTape:
-    """Per-layer saved intermediates of one recorded forward pass."""
-
-    x_aug: np.ndarray
-    eps_theta: Optional[EpsilonLike]
-    eps_act: Optional[EpsilonLike]
-    eps_neg: Optional[EpsilonLike]
-    crossbar: tuple = ()
-    neg_transfer: tuple = ()
-    act_transfer: Optional[tuple] = None
-    act_chain: Optional[tuple] = None
-    neg_chain: Optional[tuple] = None
-
-
-@dataclass
 class LayerGrads:
     """Gradients of one layer's raw parameters (``None`` where not computed)."""
 
@@ -803,19 +784,20 @@ class LayerGrads:
     w_neg: Optional[np.ndarray] = None
 
 
+def _first_lane(grad: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    return None if grad is None else grad[0]
+
+
 class KernelNetwork:
-    """Autograd-free forward/backward executor over raw pNN parameter arrays.
+    """The frozen structure of one pNN, and its one-network loss calls.
 
     Freezes everything that does not change during training — surrogate
-    snapshots, design-space bounds, conductance limits, layer topology —
-    and exposes :meth:`forward` / :meth:`backward` over a flat list of raw
-    parameter arrays ``[θ, 𝔴_act, 𝔴_neg]`` per layer.  One instance owns a
-    :class:`Workspace`, so repeated calls with constant shapes reuse the
-    same large buffers.
-
-    The training loop runs :class:`repro.core.lanes.LaneNetwork`, which
-    wraps this frozen structure; the methods here are the serial
-    reference that the lane executor must equal per lane, bitwise.
+    snapshots, design-space bounds, conductance limits, layer topology.
+    :class:`repro.core.lanes.LaneNetwork`, the one executor of the kernels
+    over raw parameter arrays, runs lane-stacked arrays over this
+    structure.  :meth:`loss_and_grads` and :meth:`loss_value` take one
+    network's arrays ``[θ, 𝔴_act, 𝔴_neg]`` per layer instead: they are the
+    one-lane case of that executor.
     """
 
     def __init__(
@@ -825,15 +807,12 @@ class KernelNetwork:
         neg_surrogate: SurrogateParams,
         space,
         layer_sizes: Sequence[int],
-        per_neuron_activation: bool = False,
     ):
         self.layers = list(layers)
         self.act_surrogate = act_surrogate
         self.neg_surrogate = neg_surrogate
         self.space = space
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
-        self.per_neuron_activation = bool(per_neuron_activation)
-        self.workspace = Workspace()
 
     # ------------------------------------------------------------------ #
     # construction                                                       #
@@ -860,7 +839,6 @@ class KernelNetwork:
             neg_surrogate=snapshot_surrogate(pnn.layers[0].negation.surrogate),
             space=pnn.space,
             layer_sizes=pnn.layer_sizes,
-            per_neuron_activation=pnn.per_neuron_activation,
         )
 
     @staticmethod
@@ -885,172 +863,28 @@ class KernelNetwork:
         )
 
     # ------------------------------------------------------------------ #
-    # forward                                                            #
+    # one-network calls: the one-lane case of LaneNetwork                #
     # ------------------------------------------------------------------ #
 
-    def _eta_chain(
-        self,
-        w_raw: np.ndarray,
-        epsilon: Optional[np.ndarray],
-        sp: SurrogateParams,
-        record: bool,
-    ):
-        """𝔴 → printable ω → (× ε) → η, optionally keeping the VJP context."""
-        omega_printable, ctx_re = reassemble_omega_fwd(w_raw, self.space)
-        omega = omega_printable[None]
-        if epsilon is not None:
-            omega = apply_nonideality(omega, epsilon)
-        eta, ctx_sp = surrogate_eta_fwd(omega, sp)
-        ctx = (ctx_re, omega, epsilon, ctx_sp) if record else None
-        return eta, ctx
+    @cached_property
+    def executor(self):
+        """The :class:`~repro.core.lanes.LaneNetwork` over this structure.
 
-    def _eta_chain_bwd(self, d_eta: np.ndarray, ctx, sp: SurrogateParams) -> np.ndarray:
-        """VJP of :meth:`_eta_chain`: dη → d𝔴 (chain rule through ε)."""
-        ctx_re, _omega, epsilon, ctx_sp = ctx
-        d_omega_scaled = surrogate_eta_bwd(d_eta, ctx_sp, sp)
-        if epsilon is not None:
-            d_printable = apply_nonideality_bwd(d_omega_scaled, epsilon, axis=0)
-        else:
-            d_printable = d_omega_scaled[0]
-        return reassemble_omega_bwd(d_printable, ctx_re)
-
-    def forward(
-        self,
-        arrays: Sequence[Sequence[np.ndarray]],
-        x: np.ndarray,
-        epsilons: Epsilons = None,
-        record: bool = False,
-        tag: str = "train",
-    ) -> Tuple[np.ndarray, Optional[List[_LayerTape]]]:
-        """Run the pNN forward over raw arrays; optionally record the tape.
-
-        ``epsilons`` supplies one ``(ε_θ, ε_act, ε_neg)`` triple per layer
-        (pre-drawn, leading axis ``n_mc``) or ``None`` for the nominal
-        pass.  ``tag`` namespaces the workspace buffers so alternating
-        train/validation batches do not thrash reallocations.
+        Built on first use and kept, so repeated one-network calls of
+        constant shape reuse its workspace buffers.
         """
-        data = np.asarray(x, dtype=np.float64)
-        if data.ndim != 2:
-            raise ValueError("expected a (batch, features) input")
-        if data.shape[1] != self.layer_sizes[0]:
-            raise ValueError(
-                f"input has {data.shape[1]} features, network expects {self.layer_sizes[0]}"
-            )
-        if epsilons is not None and len(epsilons) != len(self.layers):
-            raise ValueError("need one epsilon triple per layer")
-        n_mc = 1
-        if epsilons is not None and epsilons[0][0] is not None:
-            n_mc = int(epsilons[0][0].shape[0])
+        # Deferred: repro.core.lanes imports this module.
+        from repro.core.lanes import LaneNetwork
 
-        ws = self.workspace
-        batch = data.shape[0]
-        hidden = np.broadcast_to(data[None], (n_mc, batch, data.shape[1]))
-        tape: Optional[List[_LayerTape]] = [] if record else None
+        return LaneNetwork(self)
 
-        for index, (meta, params) in enumerate(zip(self.layers, arrays)):
-            theta_raw, w_act, w_neg = params
-            eps_theta = eps_act = eps_neg = None
-            if epsilons is not None:
-                eps_theta, eps_act, eps_neg = epsilons[index]
+    @staticmethod
+    def _one_lane(arrays: Sequence[Sequence[np.ndarray]], epsilons: Epsilons):
+        """One network's arrays and ε triples with a length-1 lane axis."""
+        from repro.core.lanes import stack_epsilons
 
-            n_in = hidden.shape[-1]
-            x_aug = ws.buf(f"{tag}.l{index}.x_aug", (n_mc, batch, n_in + 2))
-            x_aug[..., :n_in] = hidden
-            x_aug[..., n_in] = BIAS_VOLTAGE
-            x_aug[..., n_in + 1] = 0.0
-
-            printable = project_printable(theta_raw, meta.g_min, meta.g_max)
-            theta_eff = printable[None]
-            if eps_theta is not None:
-                theta_eff = apply_nonideality(theta_eff, eps_theta)
-
-            eta_neg, neg_chain = self._eta_chain(
-                w_neg, eps_neg, self.neg_surrogate, record
-            )
-            inverted, ctx_neg_transfer = transfer_fwd(
-                x_aug, eta_neg, "negweight", tag=f"{tag}.l{index}.neg"
-            )
-            v_z, ctx_crossbar = crossbar_fwd(
-                x_aug, inverted, theta_eff, ws=ws, tag=f"{tag}.l{index}"
-            )
-            if meta.apply_activation:
-                eta_act, act_chain = self._eta_chain(
-                    w_act, eps_act, self.act_surrogate, record
-                )
-                hidden, ctx_act_transfer = transfer_fwd(
-                    v_z, eta_act, "ptanh", tag=f"{tag}.l{index}.act"
-                )
-            else:
-                act_chain = ctx_act_transfer = None
-                hidden = v_z
-
-            if record:
-                tape.append(
-                    _LayerTape(
-                        x_aug=x_aug,
-                        eps_theta=eps_theta,
-                        eps_act=eps_act,
-                        eps_neg=eps_neg,
-                        crossbar=ctx_crossbar,
-                        neg_transfer=ctx_neg_transfer,
-                        act_transfer=ctx_act_transfer,
-                        act_chain=act_chain,
-                        neg_chain=neg_chain,
-                    )
-                )
-        return hidden, tape
-
-    # ------------------------------------------------------------------ #
-    # backward                                                           #
-    # ------------------------------------------------------------------ #
-
-    def backward(
-        self,
-        tape: List[_LayerTape],
-        d_out: np.ndarray,
-        need_omega_grads: bool = True,
-    ) -> List[LayerGrads]:
-        """VJP of :meth:`forward` from d(output voltages) to raw parameters.
-
-        Returns one :class:`LayerGrads` per layer; 𝔴 gradients are ``None``
-        when ``need_omega_grads`` is off (the non-learnable baselines never
-        pay for them) or when a layer applies no activation circuit.
-        """
-        grads = [LayerGrads() for _ in self.layers]
-        grad = d_out
-        for index in range(len(self.layers) - 1, -1, -1):
-            meta, ctx = self.layers[index], tape[index]
-            if meta.apply_activation:
-                grad, d_eta_act = transfer_bwd(
-                    grad, ctx.act_transfer, tag=f"bwd.l{index}.act"
-                )
-                if need_omega_grads:
-                    grads[index].w_act = self._eta_chain_bwd(
-                        d_eta_act, ctx.act_chain, self.act_surrogate
-                    )
-            d_x_aug, d_inverted, d_theta_eff = crossbar_bwd(
-                grad, ctx.crossbar, ws=self.workspace, tag=f"bwd.l{index}"
-            )
-            if ctx.eps_theta is not None:
-                d_printable = apply_nonideality_bwd(d_theta_eff, ctx.eps_theta, axis=0)
-            else:
-                d_printable = d_theta_eff[0]
-            grads[index].theta = d_printable          # straight-through projection
-
-            d_x_aug2, d_eta_neg = transfer_bwd(
-                d_inverted, ctx.neg_transfer, tag=f"bwd.l{index}.neg"
-            )
-            d_x_aug += d_x_aug2
-            if need_omega_grads:
-                grads[index].w_neg = self._eta_chain_bwd(
-                    d_eta_neg, ctx.neg_chain, self.neg_surrogate
-                )
-            grad = d_x_aug[..., : meta.in_features]
-        return grads
-
-    # ------------------------------------------------------------------ #
-    # loss + gradient in one call                                        #
-    # ------------------------------------------------------------------ #
+        stacked = [[array[None] for array in layer] for layer in arrays]
+        return stacked, None if epsilons is None else stack_epsilons([epsilons])
 
     def loss_and_grads(
         self,
@@ -1061,14 +895,22 @@ class KernelNetwork:
         epsilons: Epsilons = None,
         need_omega_grads: bool = True,
     ) -> Tuple[float, List[LayerGrads]]:
-        """One full training step's math: MC loss and raw-parameter grads."""
-        loss_fwd, loss_bwd = LOSS_KERNELS[loss]
-        voltages, tape = self.forward(
-            arrays, x, epsilons=epsilons, record=True, tag="train"
+        """One full training step's math: MC loss and raw-parameter grads.
+
+        ``epsilons`` supplies one ``(ε_θ, ε_act, ε_neg)`` triple per layer
+        (pre-drawn, leading axis ``n_mc``) or ``None`` for the nominal
+        pass.  𝔴 gradients are ``None`` when ``need_omega_grads`` is off
+        or when a layer applies no activation circuit.
+        """
+        stacked, stacked_eps = self._one_lane(arrays, epsilons)
+        values, grads = self.executor.loss_and_grads(
+            stacked, x, targets, loss=loss, epsilons=stacked_eps,
+            need_omega_grads=need_omega_grads,
         )
-        value, ctx = loss_fwd(voltages, targets)
-        d_voltages = loss_bwd(ctx)
-        return value, self.backward(tape, d_voltages, need_omega_grads=need_omega_grads)
+        return float(values[0]), [
+            LayerGrads(_first_lane(g.theta), _first_lane(g.w_act), _first_lane(g.w_neg))
+            for g in grads
+        ]
 
     def loss_value(
         self,
@@ -1077,42 +919,10 @@ class KernelNetwork:
         targets: np.ndarray,
         loss: str = "margin",
         epsilons: Epsilons = None,
-        tag: str = "val",
     ) -> float:
         """Forward-only loss (validation): no tape, no gradients."""
-        loss_fwd, _ = LOSS_KERNELS[loss]
-        voltages, _ = self.forward(arrays, x, epsilons=epsilons, record=False, tag=tag)
-        value, _ = loss_fwd(voltages, targets)
-        return value
-
-    # ------------------------------------------------------------------ #
-    # snapshots                                                          #
-    # ------------------------------------------------------------------ #
-
-    def snapshot(self, arrays: Sequence[Sequence[np.ndarray]]) -> PNNParams:
-        """Freeze the current raw arrays into a :class:`PNNParams` design.
-
-        The same projection and reassembly kernels
-        :func:`repro.core.params.snapshot_params` runs on a network holding
-        these raw values, so both snapshots are bitwise equal.
-        """
-        layers = []
-        for meta, (theta_raw, w_act, w_neg) in zip(self.layers, arrays):
-            act_omega, _ = reassemble_omega_fwd(w_act, self.space)
-            neg_omega, _ = reassemble_omega_fwd(w_neg, self.space)
-            layers.append(
-                LayerParams(
-                    theta=project_printable(theta_raw, meta.g_min, meta.g_max),
-                    act_omega=act_omega,
-                    neg_omega=neg_omega,
-                    apply_activation=meta.apply_activation,
-                )
-            )
-        return PNNParams(
-            layer_sizes=self.layer_sizes,
-            per_neuron_activation=self.per_neuron_activation,
-            activation_on_output=self.layers[-1].apply_activation,
-            layers=tuple(layers),
-            act_surrogate=self.act_surrogate,
-            neg_surrogate=self.neg_surrogate,
+        stacked, stacked_eps = self._one_lane(arrays, epsilons)
+        values = self.executor.loss_values(
+            stacked, x, targets, loss=loss, epsilons=stacked_eps
         )
+        return float(values[0])

@@ -27,7 +27,7 @@ from repro.core.grad_kernels import (
     surrogate_eta_fwd,
     transfer_fwd,
 )
-from repro.core.variation import EpsilonLike, Perturbation, sample_role
+from repro.core.variation import EpsilonLike, Perturbation
 
 if TYPE_CHECKING:  # real imports would be cyclic and are not needed at runtime
     from repro.core.params import LayerParams, PNNParams, SurrogateParams
@@ -132,19 +132,18 @@ def sample_layer_epsilons(
     ``n_neg`` count the layer's activation and negative-weight circuits.
     The order — crossbar θ, then activation ω, then negative-weight ω — is
     a **contract**: it defines the training and evaluation noise streams
-    (recorded results depend on it) and analysis tools like
-    :class:`repro.analysis.sensitivity._SelectiveVariation` identify
-    component groups by their position in this 3-cycle.
+    (recorded results depend on it; pinned by
+    ``tests/core/test_sampling_order.py``).
 
-    Models implementing the :class:`~repro.core.variation.NonIdealityModel`
-    protocol are sampled through ``sample_perturbation`` with the matching
-    role hints; duck-typed legacy models fall back to bare ``sample`` —
-    either way the RNG stream is consumed in the same canonical order
-    (pinned by ``tests/core/test_sampling_order.py``).
+    ``variation`` is a :class:`~repro.core.variation.NonIdealityModel`,
+    sampled through ``sample_perturbation`` with each slot's role, which
+    is how analysis tools like
+    :class:`repro.analysis.sensitivity._SelectiveVariation` tell the
+    component groups apart.
     """
-    eps_theta = sample_role(variation, n_mc, tuple(theta_shape), "theta")
-    eps_act = sample_role(variation, n_mc, (n_act, 7), "act")
-    eps_neg = sample_role(variation, n_mc, (n_neg, 7), "neg")
+    eps_theta = variation.sample_perturbation(n_mc, tuple(theta_shape), role="theta")
+    eps_act = variation.sample_perturbation(n_mc, (n_act, 7), role="act")
+    eps_neg = variation.sample_perturbation(n_mc, (n_neg, 7), role="neg")
     return eps_theta, eps_act, eps_neg
 
 

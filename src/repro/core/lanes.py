@@ -18,9 +18,7 @@ That is the ``lane_width`` invariance Table II relies on.  It holds because
 
 - every kernel in :mod:`repro.core.grad_kernels` addresses trailing axes,
   so a lane's slice undergoes the same elementwise operations and the same
-  per-slice 2-D GEMMs as a call on the unstacked arrays of
-  :class:`~repro.core.grad_kernels.KernelNetwork`, the serial reference
-  executor;
+  per-slice 2-D GEMMs as a call on that lane's unstacked arrays;
 - reductions (batch sums, MC means) keep the reduced axis's memory layout
   unchanged when a leading lane axis is added, so numpy's pairwise
   summation produces the same partial-sum tree per lane;
@@ -34,21 +32,23 @@ That is the ``lane_width`` invariance Table II relies on.  It holds because
   (fancy-index copy), which cannot perturb surviving lanes' bytes.
 
 Pinned by ``tests/core/test_lane_engine.py`` (step-level equality with
-:class:`~repro.core.grad_kernels.KernelNetwork`, per-lane histories,
-states, stop epochs, gather invariance) and the ci.sh lane-equality smoke.
+the recorded serial executor, per-lane histories, states, stop epochs,
+gather invariance) and the ci.sh lane-equality smoke.
 
 Entry points
 ------------
 :func:`train_pnn_lanes` — train a list of networks in lockstep; returns
 one :class:`~repro.core.training.TrainResult` per lane and leaves each
 module holding its best-epoch parameters.
-:class:`LaneNetwork` — the stacked forward/backward executor over
-``(L, ...)`` raw parameter arrays, reusing the frozen structure of a
-:class:`~repro.core.grad_kernels.KernelNetwork`.
+:class:`LaneNetwork` — the one forward/backward executor over raw
+parameter arrays, lane-stacked ``(L, ...)``, reusing the frozen structure
+of a :class:`~repro.core.grad_kernels.KernelNetwork`; one-network calls
+(``KernelNetwork.loss_and_grads`` / ``.loss_value``) run it with one lane.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -61,7 +61,6 @@ from repro.core.grad_kernels import (
     KernelNetwork,
     LayerGrads,
     Workspace,
-    _LayerTape,
     apply_nonideality,
     apply_nonideality_bwd,
     crossbar_bwd,
@@ -74,7 +73,6 @@ from repro.core.grad_kernels import (
     transfer_bwd,
     transfer_fwd,
 )
-from repro.core.params import PNNParams
 from repro.core.pnn import PrintedNeuralNetwork
 from repro.core.training import (
     TrainResult,
@@ -132,16 +130,31 @@ def compact_epsilons(epsilons, keep: Sequence[int]):
     return [tuple(array[keep] for array in triple) for triple in epsilons]
 
 
+@dataclass
+class _LayerTape:
+    """Per-layer saved intermediates of one recorded forward pass."""
+
+    x_aug: np.ndarray
+    eps_theta: Optional[EpsilonLike]
+    eps_act: Optional[EpsilonLike]
+    eps_neg: Optional[EpsilonLike]
+    crossbar: tuple = ()
+    neg_transfer: tuple = ()
+    act_transfer: Optional[tuple] = None
+    act_chain: Optional[tuple] = None
+    neg_chain: Optional[tuple] = None
+
+
 class LaneNetwork:
-    """Stacked forward/backward executor over ``(L, ...)`` raw pNN arrays.
+    """The forward/backward executor over ``(L, ...)`` raw pNN arrays.
 
     Wraps a frozen :class:`~repro.core.grad_kernels.KernelNetwork` (layer
     metadata, surrogate snapshots, design space — shared by all lanes) and
-    runs the same kernel sequence over lane-stacked parameters
+    runs the kernel sequence over lane-stacked parameters
     ``[θ (L, in+2, out), 𝔴_act (L, C, 7), 𝔴_neg (L, C, 7)]`` per layer and
-    activations ``(L, n_mc, batch, features)``.  Owns its own
-    :class:`~repro.core.grad_kernels.Workspace`, namespaced separately from
-    the serial executor's.
+    activations ``(L, n_mc, batch, features)``.  Owns its
+    :class:`~repro.core.grad_kernels.Workspace`, reused across calls of
+    constant shape.
     """
 
     def __init__(self, net: KernelNetwork):
@@ -224,13 +237,14 @@ class LaneNetwork:
         record: bool = False,
         tag: str = "lanes",
     ) -> Tuple[np.ndarray, Optional[List[_LayerTape]]]:
-        """Stacked forward pass; mirrors :meth:`KernelNetwork.forward`.
+        """Stacked forward pass over raw arrays; optionally record the tape.
 
         ``x`` is the shared ``(batch, features)`` input (all lanes of a
         batch train on the same dataset); ``epsilons`` supplies one
         ``(ε_θ, ε_act, ε_neg)`` triple per layer with leading axes
         ``(L, n_mc)`` (see :func:`stack_epsilons`) or ``None`` for the
-        nominal pass.
+        nominal pass.  ``tag`` namespaces the workspace buffers so
+        alternating train/validation batches do not thrash reallocations.
         """
         data = np.asarray(x, dtype=np.float64)
         if data.ndim != 2:
@@ -313,10 +327,13 @@ class LaneNetwork:
         d_out: np.ndarray,
         need_omega_grads: bool = True,
     ) -> List[LayerGrads]:
-        """Stacked VJP; mirrors :meth:`KernelNetwork.backward` per lane.
+        """VJP of :meth:`forward` from d(output voltages) to raw parameters.
 
-        Gradients come back lane-stacked ``(L, ...)``; the ε chain rule and
-        the nominal-θ unbroadcast reduce the MC axis (now axis 1).
+        Returns one :class:`~repro.core.grad_kernels.LayerGrads` per layer,
+        lane-stacked ``(L, ...)``; the ε chain rule and the nominal-θ
+        unbroadcast reduce the MC axis (axis 1).  𝔴 gradients are ``None``
+        when ``need_omega_grads`` is off (the non-learnable baselines never
+        pay for them) or when a layer applies no activation circuit.
         """
         grads = [LayerGrads() for _ in self.net.layers]
         grad = d_out
@@ -386,18 +403,6 @@ class LaneNetwork:
         voltages, _ = self.forward(arrays, x, epsilons=epsilons, record=False, tag=tag)
         values, _ = loss_fwd(voltages, targets)
         return values
-
-    # ------------------------------------------------------------------ #
-    # snapshots                                                          #
-    # ------------------------------------------------------------------ #
-
-    def snapshot_lane(
-        self, arrays: Sequence[Sequence[np.ndarray]], lane: int
-    ) -> PNNParams:
-        """Freeze one lane's raw arrays into a :class:`PNNParams` design."""
-        return self.net.snapshot(
-            [[theta[lane], w_act[lane], w_neg[lane]] for theta, w_act, w_neg in arrays]
-        )
 
 
 # --------------------------------------------------------------------- #

@@ -238,10 +238,10 @@ def snapshot_params(pnn) -> PNNParams:
 
     Runs the projection / reassembly kernels once and freezes the
     results: θ through the printable-conductance projection, each
-    circuit's 𝔴 through the Fig. 5 steps 1–3 into printable ω — the same
-    kernels :meth:`repro.core.grad_kernels.KernelNetwork.snapshot` runs.
-    The snapshot is decoupled from the module — later training steps do
-    not leak into it.
+    circuit's 𝔴 through the Fig. 5 steps 1–3 into printable ω.  It is
+    the one snapshot path: training restores each lane's best-epoch raw
+    arrays into its module, which is then frozen here.  The snapshot is
+    decoupled from the module — later training steps do not leak into it.
     """
     layers = tuple(
         LayerParams(

@@ -166,8 +166,8 @@ def train_pnn(
 
     A one-lane run of :func:`repro.core.lanes.train_pnn_lanes`.
     ``variation`` / ``val_variation`` optionally override the scenario
-    model built from ``config`` with any object exposing the same
-    ``sample``/``is_nominal`` interface (e.g. an
+    model built from ``config`` with any
+    :class:`~repro.core.variation.NonIdealityModel` (e.g. an
     :class:`~repro.core.aging.AgingModel` for aging-aware training).
     """
     # Deferred: repro.core.lanes imports this module's types.

@@ -127,8 +127,9 @@ class NonIdealityModel(ABC):
     Implementations provide ``is_nominal`` and ``sample`` (the legacy
     multiplicative surface).  Models whose effect is not a bare
     multiplicative factor override :meth:`sample_perturbation` and raise
-    ``TypeError`` from :meth:`sample`; consumers that can apply overrides
-    (the kernel and lane engines) always call ``sample_perturbation``.
+    ``TypeError`` from :meth:`sample`; every draw of training, evaluation
+    and analysis goes through ``sample_perturbation``
+    (:func:`repro.core.kernels.sample_layer_epsilons`).
     """
 
     @property
@@ -151,19 +152,6 @@ class NonIdealityModel(ABC):
         the pipeline refactor.
         """
         return self.sample(n_mc, shape)
-
-
-def sample_role(model, n_mc: int, shape: Sequence[int], role: str) -> EpsilonLike:
-    """Draw one (θ | act | neg) slot from ``model``.
-
-    Routes through ``sample_perturbation`` when the model provides it and
-    falls back to the bare ``sample`` surface for duck-typed legacy models,
-    preserving their RNG consumption.
-    """
-    fn = getattr(model, "sample_perturbation", None)
-    if fn is None:
-        return model.sample(n_mc, shape)
-    return fn(n_mc, shape, role=role)
 
 
 class _EpsilonFamilyModel(NonIdealityModel):
@@ -361,8 +349,7 @@ class ComposedModel(NonIdealityModel):
     Multiplicative scales compose by multiplication in listed order; where
     models carry overrides, a **later model's override wins** and overrides
     always win over scales at apply time (``kernels.apply_nonideality``).
-    Subsumes the ad-hoc composition ``core.aging.CompositeVariation`` used
-    to hand-roll.
+    Combines e.g. printing variation with aging.
     """
 
     def __init__(self, *models: NonIdealityModel):
@@ -387,7 +374,7 @@ class ComposedModel(NonIdealityModel):
         mask: Optional[np.ndarray] = None
         value: Optional[np.ndarray] = None
         for model in self.models:
-            drawn = sample_role(model, n_mc, shape, role)
+            drawn = model.sample_perturbation(n_mc, shape, role=role)
             if isinstance(drawn, Perturbation):
                 part_scale = drawn.scale
                 part_mask, part_value = drawn.override_mask, drawn.override_value

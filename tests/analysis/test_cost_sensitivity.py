@@ -9,8 +9,49 @@ from repro.analysis import (
     variation_attribution,
 )
 from repro.analysis.sensitivity import _SelectiveVariation, format_sensitivity
-from repro.core import PrintedNeuralNetwork
+from repro.core import PrintedNeuralNetwork, TrainConfig, VariationModel, train_pnn
+from repro.core.kernels import sample_layer_epsilons
 from repro.surrogate import AnalyticSurrogate
+
+#: ``variation_attribution`` per group as (mean, std) ``float.hex`` on the
+#: designs of ``attribution_design``, recorded while the selective sampler
+#: still told the groups apart by counting calls around the (θ, act, neg)
+#: cycle.  Drawing by role must reproduce them exactly.
+RECORDED_ATTRIBUTION = {
+    ("analytic", False): {
+        "theta": ("0x1.c28f5c28f5c2ap-1", "0x1.ff9719b5589a6p-6"),
+        "activation": ("0x1.c666666666666p-1", "0x1.12c49dd0cc1edp-6"),
+        "negweight": ("0x1.ccccccccccccdp-1", "0x0.0p+0"),
+        "all": ("0x1.ca3d70a3d70a5p-1", "0x1.32843e22e3d01p-6"),
+    },
+    ("analytic", True): {
+        "theta": ("0x1.d5c28f5c28f5bp-1", "0x1.e65f80540e197p-6"),
+        "activation": ("0x1.bd70a3d70a3d8p-1", "0x1.3fe867550ee58p-4"),
+        "negweight": ("0x1.dc28f5c28f5c3p-1", "0x1.eb851eb851ea6p-7"),
+        "all": ("0x1.bd70a3d70a3d6p-1", "0x1.56155c7c0ba02p-4"),
+    },
+    ("mlp", True): {
+        "theta": ("0x1.ccccccccccccep-1", "0x1.c0b1bee5a6d8bp-6"),
+        "activation": ("0x1.c666666666666p-1", "0x1.1ee71dd3a9b5cp-4"),
+        "negweight": ("0x1.c000000000000p-1", "0x0.0p+0"),
+        "all": ("0x1.ca3d70a3d70a3p-1", "0x1.2cfe48e1d3e95p-5"),
+    },
+}
+
+
+def attribution_design(surrogates, per_neuron):
+    """A [3, 3, 2] network briefly trained on a linearly separable split."""
+    rng = np.random.default_rng(4)
+    x = rng.uniform(size=(60, 3))
+    y = (x[:, 0] + 0.5 * x[:, 1] > 0.8).astype(np.int64)
+    pnn = PrintedNeuralNetwork(
+        [3, 3, 2], surrogates, per_neuron_activation=per_neuron, rng=np.random.default_rng(0)
+    )
+    train_pnn(
+        pnn, x[:40], y[:40], x[40:], y[40:],
+        TrainConfig(max_epochs=30, patience=30, epsilon=0.05, n_mc_train=4, seed=2),
+    )
+    return pnn
 
 
 @pytest.fixture
@@ -105,12 +146,23 @@ class TestVariationAttribution:
 
     def test_selective_variation_cycle(self):
         selective = _SelectiveVariation(0.1, "activation", seed=0)
-        theta = selective.sample(3, (4, 2))       # call 0 → theta
-        act = selective.sample(3, (1, 7))          # call 1 → activation
-        neg = selective.sample(3, (1, 7))          # call 2 → negweight
+        theta, act, neg = sample_layer_epsilons(selective, 3, (4, 2), 1, 1)
         assert np.all(theta == 1.0)
         assert np.any(act != 1.0)
         assert np.all(neg == 1.0)
+        # Only the group's draws consume the stream.
+        np.testing.assert_array_equal(act, VariationModel(0.1, seed=0).sample(3, (1, 7)))
+
+    @pytest.mark.parametrize("surrogate,per_neuron", sorted(RECORDED_ATTRIBUTION))
+    def test_matches_recording(self, analytic_surrogates, tiny_bundle, surrogate, per_neuron):
+        surrogates = analytic_surrogates if surrogate == "analytic" else tiny_bundle
+        pnn = attribution_design(surrogates, per_neuron)
+        x = np.random.default_rng(0).uniform(size=(40, 3))
+        y = (x[:, 0] + 0.5 * x[:, 1] > 0.8).astype(np.int64)
+        results = variation_attribution(pnn, x, y, epsilon=0.1, n_test=10, seed=0)
+        assert {r.group: (r.mean.hex(), r.std.hex()) for r in results} == (
+            RECORDED_ATTRIBUTION[(surrogate, per_neuron)]
+        )
 
     def test_selective_rejects_unknown_group(self):
         with pytest.raises(ValueError):

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import PrintedNeuralNetwork, TrainConfig, train_pnn
-from repro.core.aging import (
-    AgingModel,
-    CompositeVariation,
-    evaluate_lifetime,
-)
-from repro.core.variation import VariationModel
+from repro.core.aging import AgingModel, evaluate_lifetime
+from repro.core.variation import ComposedModel, VariationModel
 from repro.surrogate import AnalyticSurrogate
 
 
@@ -70,7 +66,7 @@ class TestCompositeVariation:
     def test_combines_models(self):
         aging = AgingModel(drift_rate=0.2, spread=0.0, fixed_time=1.0, seed=0)
         variation = VariationModel(0.0, seed=0)
-        composite = CompositeVariation(aging, variation)
+        composite = ComposedModel(aging, variation)
         sample = composite.sample(4, (2,))
         expected = aging.decay_factor(np.array(1.0))
         assert np.allclose(sample, expected)
@@ -78,12 +74,12 @@ class TestCompositeVariation:
     def test_nominal_only_if_all_nominal(self):
         nominal = VariationModel(0.0, seed=0)
         noisy = VariationModel(0.1, seed=0)
-        assert CompositeVariation(nominal, nominal).is_nominal
-        assert not CompositeVariation(nominal, noisy).is_nominal
+        assert ComposedModel(nominal, nominal).is_nominal
+        assert not ComposedModel(nominal, noisy).is_nominal
 
     def test_requires_models(self):
         with pytest.raises(ValueError):
-            CompositeVariation()
+            ComposedModel()
 
 
 @pytest.mark.slow

@@ -3,10 +3,10 @@
 The contract of :mod:`repro.core.grad_kernels` is *agreement*: for every
 point in the {learnable} × {nominal, ε>0} × {shared, per-neuron} ×
 {analytic, MLP surrogate} × {margin, ce} grid, the loss of
-:class:`~repro.core.grad_kernels.KernelNetwork` (the serial reference
-executor the lane executor is checked against) must equal the loss of the
-taped autograd engine it replaced, and its raw-parameter gradients must
-match the taped backward pass to ~1e-8.  Central finite differences pin
+:meth:`~repro.core.grad_kernels.KernelNetwork.loss_and_grads` (the one-lane
+case of the lane executor) must equal the loss of the taped autograd
+engine it replaced, and its raw-parameter gradients must match the taped
+backward pass to ~1e-8.  Central finite differences pin
 the same gradients independently, over the same grid plus a stuck-at
 defect draw.
 
@@ -48,6 +48,7 @@ from repro.core.grad_kernels import (
     surrogate_eta_bwd,
     surrogate_eta_fwd,
 )
+from repro.core.lanes import LaneNetwork, stack_epsilons
 from repro.core.params import snapshot_surrogate
 from repro.core.training import draw_epoch_epsilons
 from repro.core.variation import Perturbation, VariationModel, build_scenario_model
@@ -229,11 +230,9 @@ def assert_matches_finite_differences(pnn, loss_name, epsilons):
     arrays = KernelNetwork.extract_arrays(pnn)
     x = rng.uniform(0, 1, (6, 4))
     y = rng.integers(0, 3, 6)
-    loss_fwd = {"margin": margin_loss_fwd, "ce": ce_loss_fwd}[loss_name]
 
     def loss_of(flat_arrays):
-        value, _ = loss_fwd(net.forward(flat_arrays, x, epsilons=epsilons)[0], y)
-        return value
+        return net.loss_value(flat_arrays, x, y, loss=loss_name, epsilons=epsilons)
 
     _, grads = net.loss_and_grads(arrays, x, y, loss=loss_name, epsilons=epsilons)
     step = 1e-6
@@ -377,34 +376,21 @@ class TestEngineInfrastructure:
         y = np.random.default_rng(1).integers(0, 3, 9)
         epsilons = draw_epsilons(pnn, 0.1, n_mc=5)
         net.loss_and_grads(arrays, x, y, epsilons=epsilons)
-        stable = net.workspace.nbytes()
+        stable = net.executor.workspace.nbytes()
         value1, _ = net.loss_and_grads(arrays, x, y, epsilons=epsilons)
         value2, _ = net.loss_and_grads(arrays, x, y, epsilons=epsilons)
-        assert net.workspace.nbytes() == stable
+        assert net.executor.workspace.nbytes() == stable
         assert value1 == value2
-
-    def test_snapshot_matches_module_snapshot(self, analytic_surrogates):
-        pnn = make_pnn(analytic_surrogates)
-        net = KernelNetwork.from_pnn(pnn)
-        arrays = KernelNetwork.extract_arrays(pnn)
-        reference = snapshot_params(pnn)
-        mine = net.snapshot(arrays)
-        assert mine.layer_sizes == tuple(reference.layer_sizes)
-        for a, b in zip(mine.layers, reference.layers):
-            np.testing.assert_array_equal(a.theta, b.theta)
-            np.testing.assert_array_equal(a.act_omega, b.act_omega)
-            np.testing.assert_array_equal(a.neg_omega, b.neg_omega)
-            assert a.apply_activation == b.apply_activation
 
     def test_forward_matches_kernel_inference_path(self, analytic_surrogates):
         from repro.core import kernels
 
         pnn = make_pnn(analytic_surrogates)
-        net = KernelNetwork.from_pnn(pnn)
-        arrays = KernelNetwork.extract_arrays(pnn)
         x = np.random.default_rng(5).uniform(0, 1, (11, 4))
         epsilons = draw_epsilons(pnn, 0.1, n_mc=4)
-        engine_out, _ = net.forward(arrays, x, epsilons=epsilons)
+        engine_out, _ = LaneNetwork.from_pnns([pnn]).forward(
+            LaneNetwork.stack_arrays([pnn]), x, epsilons=stack_epsilons([epsilons])
+        )
         reference = kernels.network_forward(snapshot_params(pnn), x, epsilons=epsilons)
         # Both sides run the same kernels: bitwise equal.
-        np.testing.assert_array_equal(engine_out, reference)
+        np.testing.assert_array_equal(engine_out[0], reference)

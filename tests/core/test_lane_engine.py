@@ -4,11 +4,13 @@ These tests pin the lane loop's two contracts (see ``docs/TRAINING.md``):
 
 - **step level** — one :meth:`LaneNetwork.loss_and_grads` /
   :meth:`LaneNetwork.loss_values` call on an ``L``-lane stack equals, per
-  lane and bitwise, :class:`~repro.core.grad_kernels.KernelNetwork` on
-  that lane's arrays alone.  ``KernelNetwork`` is the serial reference
-  executor that ``test_grad_kernels.py`` checks against the recorded
-  taped engine and finite differences, so the chain lanes == serial
-  executor == taped reference holds without a second training loop;
+  lane and bitwise, the serial executor that ran one network's arrays
+  alone before it became the one-lane case of ``LaneNetwork``.  Its
+  values are kept in ``golden/serial_executor.json``; that executor was
+  checked against the taped engine and finite differences, and
+  ``test_grad_kernels.py`` checks the one-lane case against the same
+  recordings, so the chain lanes == serial executor == taped reference
+  holds without a second executor;
 - **run level** — lane ``l`` of an ``L``-lane ``train_pnn_lanes`` run
   reproduces the one-lane run for the same seed **bitwise** — the exact
   per-epoch ``(train_loss, val_loss)`` history (``==``, no tolerance),
@@ -16,25 +18,42 @@ These tests pin the lane loop's two contracts (see ``docs/TRAINING.md``):
   including when lanes early-stop at different epochs and the active
   stack shrinks mid-run.  That is the ``lane_width`` invariance Table II
   relies on; ``train_pnn`` is the one-lane run.
+
+The serial executor's recording, ``golden/serial_executor.json``, was
+taken on the commit before its forward/backward was deleted.  Per key
+``{analytic|mlp}/{shared|per_neuron}/{margin|ce}/{variation}`` of the
+:data:`STEP_VARIATIONS` grid below: ``make_pnn`` for each of
+:data:`SEEDS` (the ``analytic_surrogates`` / ``tiny_bundle`` fixture),
+``draw_epoch_epsilons(STEP_VARIATIONS[variation](seed), 4, pnns[0])``
+per seed (``None`` for ``nominal``); then, per seed,
+``KernelNetwork.from_pnn(pnn)`` on ``KernelNetwork.extract_arrays(pnn)``:
+``loss_and_grads`` on the ``blob_data`` training split and
+``loss_value`` on its validation split, with that seed's ε.  ``seed1``
+holds seed 1's loss, validation loss and every layer's θ, 𝔴_act and
+𝔴_neg gradient as ``float.hex``; ``sha256`` holds :func:`lane_digest` of
+each seed, in seed order.  With ``need_omega_grads=False`` the recorded
+executor returned the same loss and θ gradients, bitwise, and no 𝔴
+gradients (checked while recording).
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    KernelNetwork,
-    PrintedNeuralNetwork,
-    TrainConfig,
-    train_pnn,
-    train_pnn_lanes,
-)
+from repro.core import PrintedNeuralNetwork, TrainConfig, train_pnn, train_pnn_lanes
 from repro.core import lanes as lanes_module
-from repro.core.aging import AgingModel, CompositeVariation
+from repro.core.aging import AgingModel
 from repro.core.lanes import LANE_SHARED_FIELDS, LaneNetwork, stack_epsilons
 from repro.core.training import VALIDATION_SEED_OFFSET, draw_epoch_epsilons
-from repro.core.variation import VariationModel, build_scenario_model
+from repro.core.variation import ComposedModel, VariationModel, build_scenario_model
 
 SEEDS = (1, 2, 3)
+
+#: The serial executor's recorded losses and gradients (module docstring).
+SERIAL = json.loads((Path(__file__).parent / "golden" / "serial_executor.json").read_text())
 
 
 def make_pnn(surrogates, seed, per_neuron=False):
@@ -102,16 +121,27 @@ STEP_VARIATIONS = {
     "eps0.1": lambda seed: build_scenario_model("default", 0.1, seed=seed),
     "stuck-1pct": lambda seed: build_scenario_model("stuck-1pct", 0.05, seed=seed),
     "aging": lambda seed: AgingModel(drift_rate=0.15, spread=0.02, time_horizon=2.0, seed=seed),
-    "composite": lambda seed: CompositeVariation(
+    "composite": lambda seed: ComposedModel(
         VariationModel(0.1, seed=seed),
         AgingModel(drift_rate=0.05, time_horizon=2.0, seed=seed + 50),
     ),
 }
 
 
-@pytest.mark.slow
+def lane_digest(loss, val_loss, grads):
+    """SHA-256 of one lane's loss, validation loss and gradient bytes."""
+    digest = hashlib.sha256()
+    digest.update(np.float64(loss).tobytes())
+    digest.update(np.float64(val_loss).tobytes())
+    for layer in grads:
+        for grad in layer:
+            digest.update(repr(tuple(grad.shape)).encode())
+            digest.update(np.ascontiguousarray(grad, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
 class TestStepLevelReference:
-    """LaneNetwork on a 3-lane stack == KernelNetwork per lane, bitwise."""
+    """LaneNetwork on a 3-lane stack == the recorded serial executor, bitwise."""
 
     @pytest.mark.parametrize("variation", sorted(STEP_VARIATIONS))
     @pytest.mark.parametrize("loss", ["margin", "ce"])
@@ -136,20 +166,34 @@ class TestStepLevelReference:
         stacked = LaneNetwork.stack_arrays(pnns)
         values, grads = lane_net.loss_and_grads(stacked, x, y, loss=loss, epsilons=stacked_eps)
         val_values = lane_net.loss_values(stacked, x_val, y_val, loss=loss, epsilons=stacked_eps)
+        lanes = [
+            (values[lane], val_values[lane],
+             [(g.theta[lane], g.w_act[lane], g.w_neg[lane]) for g in grads])
+            for lane in range(len(SEEDS))
+        ]
 
-        for lane, pnn in enumerate(pnns):
-            net = KernelNetwork.from_pnn(pnn)
-            arrays = KernelNetwork.extract_arrays(pnn)
-            value, ref_grads = net.loss_and_grads(arrays, x, y, loss=loss, epsilons=epsilons[lane])
-            assert values[lane] == value
-            assert val_values[lane] == net.loss_value(
-                arrays, x_val, y_val, loss=loss, epsilons=epsilons[lane]
-            )
-            for mine, ref in zip(grads, ref_grads):
-                for name in ("theta", "w_act", "w_neg"):
-                    np.testing.assert_array_equal(
-                        getattr(mine, name)[lane], getattr(ref, name), err_msg=name
-                    )
+        sharing = "per_neuron" if per_neuron else "shared"
+        recorded = SERIAL[f"{surrogate}/{sharing}/{loss}/{variation}"]
+        # Seed 1 in full, so a mismatch names the value that moved.
+        value, val_value, lane_grads = lanes[0]
+        assert float(value).hex() == recorded["seed1"]["loss"]
+        assert float(val_value).hex() == recorded["seed1"]["val_loss"]
+        for index, (mine, ref) in enumerate(zip(lane_grads, recorded["seed1"]["grads"])):
+            for name, grad, entry in zip(("theta", "w_act", "w_neg"), mine, ref):
+                assert list(grad.shape) == entry["shape"], f"layer {index} {name}"
+                assert [float(v).hex() for v in grad.ravel()] == entry["hex"], (
+                    f"layer {index} {name}"
+                )
+        assert [lane_digest(*lane) for lane in lanes] == recorded["sha256"]
+
+        # Without 𝔴 gradients: the same losses and θ gradients, bitwise.
+        off_values, off_grads = lane_net.loss_and_grads(
+            stacked, x, y, loss=loss, epsilons=stacked_eps, need_omega_grads=False
+        )
+        assert off_values.tobytes() == values.tobytes()
+        for on, off in zip(grads, off_grads):
+            assert off.w_act is None and off.w_neg is None
+            assert off.theta.tobytes() == on.theta.tobytes()
 
 
 @pytest.mark.slow

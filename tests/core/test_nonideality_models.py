@@ -25,7 +25,6 @@ from repro.core.variation import (
     build_scenario_model,
     eps_concat,
     eps_stack,
-    sample_role,
     scenario_names,
 )
 
@@ -225,7 +224,7 @@ class TestScenarioRegistry:
         reference = VariationModel(0.1, seed=3)
         assert type(model) is VariationModel
         for shape, role in (((5, 3), "theta"), ((2, 7), "act"), ((2, 7), "neg")):
-            assert_array_equal(sample_role(model, 4, shape, role),
+            assert_array_equal(model.sample_perturbation(4, shape, role=role),
                                reference.sample(4, shape))
 
     def test_known_scenarios(self):

@@ -11,7 +11,7 @@ override cases:
 
 - aging for training and validation;
 - aging for training only, validating on the config's ε = 0.05 draws;
-- a ``CompositeVariation`` of printing variation and aging;
+- a ``ComposedModel`` of printing variation and aging;
 - stuck-at defects (an override-carrying model) passed as objects;
 - a nominal aging model (no Monte-Carlo sampling at all).
 
@@ -33,8 +33,8 @@ import numpy as np
 import pytest
 
 from repro.core import PrintedNeuralNetwork, TrainConfig, train_pnn, train_pnn_lanes
-from repro.core.aging import AgingModel, CompositeVariation
-from repro.core.variation import VariationModel, build_scenario_model
+from repro.core.aging import AgingModel
+from repro.core.variation import ComposedModel, VariationModel, build_scenario_model
 
 RECORDED = json.loads(
     (Path(__file__).parent / "golden" / "override_training.json").read_text()
@@ -51,8 +51,8 @@ CASES = {
     "aging-train-only": lambda: (0.05, aging(3), None),
     "composite": lambda: (
         0.0,
-        CompositeVariation(VariationModel(0.1, seed=5), aging(4)),
-        CompositeVariation(VariationModel(0.1, seed=7), aging(6)),
+        ComposedModel(VariationModel(0.1, seed=5), aging(4)),
+        ComposedModel(VariationModel(0.1, seed=7), aging(6)),
     ),
     "stuck-1pct": lambda: (
         0.0,

@@ -5,12 +5,12 @@ noise streams: per layer it draws crossbar θ, then activation ω, then
 negative-weight ω, in that order, from one shared model.  Recorded
 results depend on this 3-cycle, and
 :class:`repro.analysis.sensitivity._SelectiveVariation` identifies
-component groups by position in it.  These tests pin (a) the role order
-and shapes handed to protocol models, (b) the bare-``sample`` fallback
-for duck-typed legacy models, (c) the exact RNG consumption of every
-concrete model class against manual, canonical-order reconstructions,
-and (d) that training's per-epoch draws (``training.draw_epoch_epsilons``)
-are the same stream — with exact equality throughout.
+component groups by the role of each draw.  These tests pin (a) the role
+order and shapes handed to protocol models, (b) the exact RNG consumption
+of every concrete model class against manual, canonical-order
+reconstructions, and (c) that training's per-epoch draws
+(``training.draw_epoch_epsilons``) are the same stream — with exact
+equality throughout.
 """
 
 from typing import Sequence
@@ -61,18 +61,6 @@ class RecordingProtocolModel(NonIdealityModel):
         return np.ones((n_mc, *tuple(shape)))
 
 
-class RecordingLegacyModel:
-    """Duck-typed pre-protocol sampler: only ``sample``, no roles."""
-
-    def __init__(self):
-        self.calls = []
-        self.is_nominal = False
-
-    def sample(self, n_mc, shape):
-        self.calls.append(tuple(shape))
-        return np.ones((n_mc, *tuple(shape)))
-
-
 class TestCanonicalOrder:
     def test_protocol_models_get_roles_in_theta_act_neg_order(self):
         model = RecordingProtocolModel()
@@ -82,11 +70,6 @@ class TestCanonicalOrder:
             ("act", (N_ACT, 7)),
             ("neg", (N_NEG, 7)),
         ]
-
-    def test_legacy_models_fall_back_to_bare_sample_same_order(self):
-        model = RecordingLegacyModel()
-        sample_layer_epsilons(model, N_MC, *LAYER)
-        assert model.calls == [THETA_SHAPE, (N_ACT, 7), (N_NEG, 7)]
 
     def test_two_layers_repeat_the_cycle(self):
         model = RecordingProtocolModel()

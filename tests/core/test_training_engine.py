@@ -32,14 +32,14 @@ import numpy as np
 import pytest
 
 from repro.core import PrintedNeuralNetwork, TrainConfig, kernels, train_pnn
-from repro.core.aging import AgingModel, CompositeVariation
+from repro.core.aging import AgingModel
 from repro.core.grad_kernels import margin_loss_fwd
 from repro.core.training import (
     VALIDATION_SEED_OFFSET,
     _validation_epsilons,
     draw_epoch_epsilons,
 )
-from repro.core.variation import VariationModel
+from repro.core.variation import ComposedModel, VariationModel
 
 #: The taped loop's recorded runs (see the module docstring).
 TAPED = json.loads((Path(__file__).parent / "golden" / "taped_reference.json").read_text())
@@ -120,8 +120,8 @@ OVERRIDE_CASES = {
     "aging": (0.0, lambda: dict(variation=aging(3), val_variation=aging(99))),
     "aging-train-only": (0.05, lambda: dict(variation=aging(3))),
     "composite": (0.0, lambda: dict(
-        variation=CompositeVariation(VariationModel(0.1, seed=5), aging(4, 0.05)),
-        val_variation=CompositeVariation(VariationModel(0.1, seed=7), aging(6, 0.05)),
+        variation=ComposedModel(VariationModel(0.1, seed=5), aging(4, 0.05)),
+        val_variation=ComposedModel(VariationModel(0.1, seed=7), aging(6, 0.05)),
     )),
     "nominal-aging": (0.0, lambda: dict(
         variation=AgingModel(drift_rate=0.1, spread=0.0, fixed_time=0.0, seed=0),
