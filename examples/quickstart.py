@@ -44,7 +44,7 @@ def main() -> None:
         rng=np.random.default_rng(1),
     )
     print(f"pNN topology {splits.n_features}-3-{splits.n_classes}, "
-          f"{pnn.num_parameters()} learnable parameters")
+          f"{sum(p.data.size for p in pnn.parameters())} learnable parameters")
 
     config = TrainConfig(
         epsilon=0.10,            # variation-aware training at 10%

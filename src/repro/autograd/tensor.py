@@ -6,9 +6,11 @@ its parents and a closure that accumulates gradients into them.  Calling
 :meth:`Tensor.backward` topologically sorts the recorded graph and runs the
 closures in reverse order.
 
-Broadcasting is fully supported: gradients flowing into an operand whose
-shape was broadcast are reduced back to the operand's shape by
-:func:`unbroadcast`.
+The operations are the ones the surrogate MLP records: ``+``, ``-``, ``*``,
+``@`` and the mean over all elements (:mod:`repro.autograd.functional` adds
+``tanh`` and the MSE loss).  Broadcasting is supported: gradients flowing
+into an operand whose shape was broadcast are reduced back to the operand's
+shape by :func:`unbroadcast`.
 """
 
 from __future__ import annotations
@@ -22,11 +24,6 @@ Scalar = Union[int, float]
 ArrayLike = Union[Scalar, Sequence, np.ndarray, "Tensor"]
 
 _GRAD_ENABLED = True
-
-
-def is_grad_enabled() -> bool:
-    """Return whether operations currently record the autodiff graph."""
-    return _GRAD_ENABLED
 
 
 @contextlib.contextmanager
@@ -80,9 +77,6 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_op")
-
-    # Make numpy defer to Tensor for e.g. ``np.float64(2.0) * tensor``.
-    __array_priority__ = 1000
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False):
         self.data = np.asarray(
@@ -174,10 +168,6 @@ class Tensor:
         """Clear the accumulated gradient."""
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     # ------------------------------------------------------------------ #
     # introspection                                                      #
     # ------------------------------------------------------------------ #
@@ -190,14 +180,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
     def numpy(self) -> np.ndarray:
         """Return a copy of the underlying array."""
         return self.data.copy()
@@ -209,9 +191,6 @@ class Tensor:
     @staticmethod
     def _item_error() -> float:
         raise ValueError("item() requires a one-element tensor")
-
-    def __len__(self) -> int:
-        return len(self.data)
 
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
@@ -231,9 +210,6 @@ class Tensor:
 
         return Tensor._from_op(data, (self, other), backward, "add")
 
-    def __radd__(self, other: ArrayLike) -> "Tensor":
-        return self.__add__(other)
-
     def __sub__(self, other: ArrayLike) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         data = self.data - other.data
@@ -243,9 +219,6 @@ class Tensor:
             other._accumulate(-grad)
 
         return Tensor._from_op(data, (self, other), backward, "sub")
-
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other).__sub__(self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
@@ -258,186 +231,38 @@ class Tensor:
 
         return Tensor._from_op(data, (self, other), backward, "mul")
 
-    def __rmul__(self, other: ArrayLike) -> "Tensor":
-        return self.__mul__(other)
-
-    def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        data = self.data / other.data
-        self_data, other_data = self.data, other.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / other_data)
-            other._accumulate(-grad * self_data / (other_data * other_data))
-
-        return Tensor._from_op(data, (self, other), backward, "div")
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other).__truediv__(self)
-
-    def __neg__(self) -> "Tensor":
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
-
-        return Tensor._from_op(-self.data, (self,), backward, "neg")
-
-    def __pow__(self, exponent: Scalar) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        data = self.data**exponent
-        self_data = self.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self_data ** (exponent - 1))
-
-        return Tensor._from_op(data, (self,), backward, "pow")
-
     # ------------------------------------------------------------------ #
-    # comparisons (not differentiable, return numpy bool arrays)         #
-    # ------------------------------------------------------------------ #
-
-    def __gt__(self, other: ArrayLike) -> np.ndarray:
-        return self.data > _as_array(other)
-
-    def __ge__(self, other: ArrayLike) -> np.ndarray:
-        return self.data >= _as_array(other)
-
-    def __lt__(self, other: ArrayLike) -> np.ndarray:
-        return self.data < _as_array(other)
-
-    def __le__(self, other: ArrayLike) -> np.ndarray:
-        return self.data <= _as_array(other)
-
-    # ------------------------------------------------------------------ #
-    # linear algebra and shaping                                         #
+    # linear algebra and reduction                                       #
     # ------------------------------------------------------------------ #
 
     def matmul(self, other: "Tensor") -> "Tensor":
-        """Matrix product with batch broadcasting over leading dimensions."""
+        """Matrix product of operands with at least two dimensions.
+
+        Leading (batch) dimensions broadcast as in ``numpy.matmul``; the
+        surrogate multiplies 2-D or 3-D inputs by 2-D weights.
+        """
         other = other if isinstance(other, Tensor) else Tensor(other)
-        if self.ndim < 1 or other.ndim < 1:
-            raise ValueError("matmul requires tensors with at least one dimension")
+        if self.ndim < 2 or other.ndim < 2:
+            raise ValueError("matmul requires tensors with at least two dimensions")
         data = self.data @ other.data
         self_data, other_data = self.data, other.data
 
         def backward(grad: np.ndarray) -> None:
-            a, b = self_data, other_data
-            if a.ndim == 1 and b.ndim == 1:
-                self._accumulate(grad * b)
-                other._accumulate(grad * a)
-                return
-            if a.ndim == 1:
-                # (k,) @ (..., k, n) -> (..., n)
-                grad_a = (grad[..., None, :] * b).sum(axis=-1)
-                self._accumulate(grad_a)
-                other._accumulate(a[:, None] * grad[..., None, :])
-                return
-            if b.ndim == 1:
-                # (..., m, k) @ (k,) -> (..., m)
-                self._accumulate(grad[..., :, None] * b)
-                grad_b = (grad[..., :, None] * a).sum(axis=tuple(range(a.ndim - 1)))
-                other._accumulate(grad_b)
-                return
-            grad_a = grad @ np.swapaxes(b, -1, -2)
-            grad_b = np.swapaxes(a, -1, -2) @ grad
-            self._accumulate(grad_a)
-            other._accumulate(grad_b)
+            self._accumulate(grad @ np.swapaxes(other_data, -1, -2))
+            other._accumulate(np.swapaxes(self_data, -1, -2) @ grad)
 
         return Tensor._from_op(data, (self, other), backward, "matmul")
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return self.matmul(other)
 
-    def transpose(self, *axes: int) -> "Tensor":
-        """Permute axes; with no arguments, reverse them (like ``ndarray.T``)."""
-        order = tuple(axes) if axes else tuple(reversed(range(self.ndim)))
-        inverse = tuple(int(i) for i in np.argsort(order))
-        data = self.data.transpose(order)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.transpose(inverse))
-
-        return Tensor._from_op(data, (self,), backward, "transpose")
-
-    def reshape(self, *shape: int) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        original = self.data.shape
-        data = self.data.reshape(shape)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.reshape(original))
-
-        return Tensor._from_op(data, (self,), backward, "reshape")
-
-    def __getitem__(self, index) -> "Tensor":
-        data = self.data[index]
-        original_shape = self.data.shape
-
-        def backward(grad: np.ndarray) -> None:
-            full = np.zeros(original_shape, dtype=np.float64)
-            np.add.at(full, index, grad)
-            self._accumulate(full)
-
-        return Tensor._from_op(data, (self,), backward, "getitem")
-
-    # ------------------------------------------------------------------ #
-    # reductions                                                         #
-    # ------------------------------------------------------------------ #
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.sum(axis=axis, keepdims=keepdims)
+    def mean(self) -> "Tensor":
+        """Mean over all elements."""
+        data = self.data.mean()
         shape = self.data.shape
+        count = self.data.size
 
         def backward(grad: np.ndarray) -> None:
-            grad_full = _expand_reduced(grad, shape, axis, keepdims)
-            self._accumulate(grad_full)
-
-        return Tensor._from_op(data, (self,), backward, "sum")
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.mean(axis=axis, keepdims=keepdims)
-        shape = self.data.shape
-        count = self.data.size if axis is None else _axis_size(shape, axis)
-
-        def backward(grad: np.ndarray) -> None:
-            grad_full = _expand_reduced(grad, shape, axis, keepdims) / count
-            self._accumulate(grad_full)
+            self._accumulate(np.broadcast_to(grad, shape) / count)
 
         return Tensor._from_op(data, (self,), backward, "mean")
-
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.max(axis=axis, keepdims=keepdims)
-        self_data = self.data
-
-        def backward(grad: np.ndarray) -> None:
-            expanded = _expand_reduced(data if keepdims or axis is None else data, self_data.shape, axis, keepdims)
-            mask = (self_data == expanded).astype(np.float64)
-            # Split the gradient between ties to keep the adjoint exact.
-            counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            grad_full = _expand_reduced(grad, self_data.shape, axis, keepdims)
-            self._accumulate(grad_full * mask / counts)
-
-        return Tensor._from_op(data, (self,), backward, "max")
-
-    def min(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return -((-self).max(axis=axis, keepdims=keepdims))
-
-
-def _axis_size(shape: Tuple[int, ...], axis) -> int:
-    if isinstance(axis, int):
-        return shape[axis]
-    return int(np.prod([shape[a] for a in axis]))
-
-
-def _expand_reduced(grad: np.ndarray, shape: Tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
-    """Broadcast a reduced gradient back to the pre-reduction shape."""
-    grad = np.asarray(grad, dtype=np.float64)
-    if axis is None:
-        return np.broadcast_to(grad, shape).copy() if grad.shape != shape else grad
-    if not keepdims:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        axes = tuple(a % len(shape) for a in axes)
-        for a in sorted(axes):
-            grad = np.expand_dims(grad, a)
-    return np.broadcast_to(grad, shape).copy()

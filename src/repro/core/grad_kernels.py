@@ -764,15 +764,9 @@ class LayerMeta:
 
     in_features: int
     out_features: int
-    n_act: int
-    n_neg: int
     apply_activation: bool
     g_min: float
     g_max: float
-
-    @property
-    def theta_shape(self) -> Tuple[int, int]:
-        return (self.in_features + 2, self.out_features)
 
 
 @dataclass
@@ -825,8 +819,6 @@ class KernelNetwork:
             LayerMeta(
                 in_features=layer.in_features,
                 out_features=layer.out_features,
-                n_act=layer.activation.n_circuits,
-                n_neg=layer.negation.n_circuits,
                 apply_activation=layer.apply_activation,
                 g_min=layer.conductance.g_min,
                 g_max=layer.conductance.g_max,

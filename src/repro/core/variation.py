@@ -362,11 +362,7 @@ class ComposedModel(NonIdealityModel):
         return all(model.is_nominal for model in self.models)
 
     def sample(self, n_mc: int, shape: Sequence[int]) -> np.ndarray:
-        """Product of the component factor draws (legacy composition)."""
-        combined = np.ones((n_mc, *tuple(int(s) for s in shape)))
-        for model in self.models:
-            combined = combined * model.sample(n_mc, shape)
-        return combined
+        raise TypeError("a composed draw may carry overrides; use sample_perturbation()")
 
     def sample_perturbation(self, n_mc: int, shape: Sequence[int],
                             role: str = "theta") -> EpsilonLike:

@@ -10,36 +10,3 @@ from repro.nn.module import Module
 class Tanh(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.tanh(x)
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.sigmoid(x)
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.relu(x)
-
-
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.leaky_relu(x, self.negative_slope)
-
-
-class Softplus(Module):
-    def __init__(self, beta: float = 1.0):
-        super().__init__()
-        self.beta = beta
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.softplus(x, self.beta)
-
-
-class Identity(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x

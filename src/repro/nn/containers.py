@@ -26,9 +26,3 @@ class Sequential(Module):
 
     def __iter__(self) -> Iterator[Module]:
         return (getattr(self, name) for name in self._order)
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __getitem__(self, index: int) -> Module:
-        return getattr(self, self._order[index])

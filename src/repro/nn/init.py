@@ -1,38 +1,12 @@
-"""Weight initialization schemes."""
+"""Weight initialization."""
 
 from __future__ import annotations
 
 import numpy as np
 
 
-def xavier_uniform(shape, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
+def xavier_uniform(shape, rng: np.random.Generator) -> np.ndarray:
     """Glorot/Xavier uniform initialization for a (fan_in, fan_out) matrix."""
-    fan_in, fan_out = _fans(shape)
-    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
+    fan_in, fan_out = shape
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(shape, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(shape, rng: np.random.Generator) -> np.ndarray:
-    """He uniform initialization (suited to ReLU-family activations)."""
-    fan_in, _ = _fans(shape)
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def uniform(shape, rng: np.random.Generator, low: float, high: float) -> np.ndarray:
-    return rng.uniform(low, high, size=shape)
-
-
-def _fans(shape) -> tuple:
-    if len(shape) == 1:
-        return shape[0], shape[0]
-    if len(shape) == 2:
-        return shape[0], shape[1]
-    receptive = int(np.prod(shape[2:]))
-    return shape[1] * receptive, shape[0] * receptive

@@ -22,7 +22,6 @@ class Linear(Module):
         self,
         in_features: int,
         out_features: int,
-        bias: bool = True,
         rng: Optional[np.random.Generator] = None,
     ):
         super().__init__()
@@ -32,16 +31,10 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(init.xavier_uniform((in_features, out_features), rng))
-        self.bias = Parameter(np.zeros(out_features)) if bias else None
+        self.bias = Parameter(np.zeros(out_features))
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return x @ self.weight + self.bias
 
     def __repr__(self) -> str:
-        return (
-            f"Linear(in_features={self.in_features}, out_features={self.out_features}, "
-            f"bias={self.bias is not None})"
-        )
+        return f"Linear(in_features={self.in_features}, out_features={self.out_features})"

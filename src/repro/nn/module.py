@@ -2,8 +2,7 @@
 
 :class:`Parameter` is a :class:`~repro.autograd.tensor.Tensor` that always
 requires a gradient; :class:`Module` discovers parameters and submodules
-assigned as attributes, and provides traversal, state (de)serialization and
-train/eval switching.
+assigned as attributes, and provides traversal and state (de)serialization.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ class Module:
     def __init__(self):
         object.__setattr__(self, "_parameters", OrderedDict())
         object.__setattr__(self, "_modules", OrderedDict())
-        object.__setattr__(self, "training", True)
 
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Parameter):
@@ -53,32 +51,6 @@ class Module:
     def parameters(self) -> Iterator[Parameter]:
         for _, param in self.named_parameters():
             yield param
-
-    def named_modules(self, prefix: str = "") -> Iterator[Tuple[str, "Module"]]:
-        yield (prefix.rstrip("."), self)
-        for name, module in self._modules.items():
-            yield from module.named_modules(prefix=f"{prefix}{name}.")
-
-    def num_parameters(self) -> int:
-        """Total number of scalar learnable values."""
-        return sum(p.size for p in self.parameters())
-
-    # ------------------------------------------------------------------ #
-    # training state                                                     #
-    # ------------------------------------------------------------------ #
-
-    def train(self, mode: bool = True) -> "Module":
-        object.__setattr__(self, "training", mode)
-        for module in self._modules.values():
-            module.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
-
-    def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.zero_grad()
 
     # ------------------------------------------------------------------ #
     # state (de)serialization                                            #

@@ -1,17 +1,7 @@
-"""Gradient-based optimizers, schedules and stopping criteria."""
+"""The Adam optimizer, its lane-stacked variant and early stopping."""
 
-from repro.optim.sgd import SGD, RawParameter
-from repro.optim.adam import Adam
+from repro.optim.adam import Adam, RawParameter
 from repro.optim.early_stopping import EarlyStopping
 from repro.optim.lanes import LaneAdam
-from repro.optim.schedulers import StepLR, CosineAnnealingLR
 
-__all__ = [
-    "SGD",
-    "Adam",
-    "EarlyStopping",
-    "RawParameter",
-    "LaneAdam",
-    "StepLR",
-    "CosineAnnealingLR",
-]
+__all__ = ["Adam", "EarlyStopping", "RawParameter", "LaneAdam"]

@@ -20,15 +20,12 @@ class EarlyStopping:
     patience:
         Number of consecutive non-improving epochs tolerated before
         :attr:`should_stop` becomes ``True``.
-    min_delta:
-        Minimum decrease of the metric to count as an improvement.
     """
 
-    def __init__(self, patience: int = 5000, min_delta: float = 0.0):
+    def __init__(self, patience: int = 5000):
         if patience < 1:
             raise ValueError("patience must be >= 1")
         self.patience = patience
-        self.min_delta = min_delta
         self.best_value: float = np.inf
         self.best_epoch: int = -1
         self.best_state: Optional[Dict[str, np.ndarray]] = None
@@ -38,22 +35,18 @@ class EarlyStopping:
         self,
         value: float,
         epoch: int,
-        state: Optional[Dict[str, np.ndarray]] = None,
         state_fn: Optional[Callable[[], Dict[str, np.ndarray]]] = None,
     ) -> bool:
         """Record an epoch result; return ``True`` if it is a new best.
 
-        Pass ``state`` to snapshot an already-materialized state dict, or
-        the lazy ``state_fn`` to have it called *only* on new-best epochs —
-        the vast majority of epochs during a long patience plateau then pay
-        nothing for best-state tracking.
+        ``state_fn`` is called *only* on new-best epochs and its result kept
+        as :attr:`best_state` — the vast majority of epochs during a long
+        patience plateau then pay nothing for best-state tracking.
         """
-        if state is not None and state_fn is not None:
-            raise ValueError("pass either state or state_fn, not both")
-        if value < self.best_value - self.min_delta:
+        if value < self.best_value:
             self.best_value = float(value)
             self.best_epoch = epoch
-            self.best_state = state_fn() if state_fn is not None else state
+            self.best_state = state_fn() if state_fn is not None else None
             self.epochs_since_best = 0
             return True
         self.epochs_since_best += 1

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro import nn
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, no_grad
 
 #: The exact layer widths reported in the paper (input → ... → output).
 PAPER_LAYER_WIDTHS = (10, 9, 9, 8, 8, 7, 7, 6, 6, 6, 5, 5, 5, 4)
@@ -52,7 +52,5 @@ class SurrogateMLP(nn.Module):
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Numpy-in / numpy-out convenience wrapper (no gradient tape)."""
-        from repro.autograd.tensor import no_grad
-
         with no_grad():
             return self.forward(Tensor(features)).numpy()

@@ -9,7 +9,7 @@ epoch's weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -61,13 +61,11 @@ def train_surrogate(
     max_epochs: int = 3000,
     patience: int = 300,
     lr: float = 1e-3,
-    batch_size: Optional[int] = None,
     seed: int = 0,
 ) -> SurrogateTrainingResult:
     """Train one surrogate MLP on a (ω, η) dataset.
 
-    Full-batch Adam by default (the datasets are a few thousand points);
-    pass ``batch_size`` for mini-batch training.
+    Full-batch Adam: the datasets are a few thousand points.
     """
     rng = np.random.default_rng(seed)
     features = extend_with_ratios(dataset.omega)
@@ -86,29 +84,20 @@ def train_surrogate(
     stopper = EarlyStopping(patience=patience)
     history: List[Tuple[int, float, float]] = []
 
-    x_val_t = Tensor(x_val)
+    x_train_t, x_val_t = Tensor(x_train), Tensor(x_val)
     for epoch in range(max_epochs):
-        if batch_size is None:
-            batches = [(x_train, y_train)]
-        else:
-            order = rng.permutation(len(x_train))
-            batches = [
-                (x_train[order[i : i + batch_size]], y_train[order[i : i + batch_size]])
-                for i in range(0, len(x_train), batch_size)
-            ]
-        train_loss = 0.0
-        for batch_x, batch_y in batches:
-            optimizer.zero_grad()
-            loss = F.mse_loss(model(Tensor(batch_x)), batch_y)
-            loss.backward()
-            optimizer.step()
-            train_loss += loss.item() * len(batch_x)
-        train_loss /= len(x_train)
+        optimizer.zero_grad()
+        loss = F.mse_loss(model(x_train_t), y_train)
+        loss.backward()
+        optimizer.step()
+        # The row-weighted mean over the training batch; ``loss * n / n`` can
+        # differ from ``loss`` in the last bit, and histories keep that bit.
+        train_loss = loss.item() * len(x_train) / len(x_train)
 
         with no_grad():
             val_loss = F.mse_loss(model(x_val_t), y_val).item()
         history.append((epoch, train_loss, val_loss))
-        stopper.update(val_loss, epoch, state=model.state_dict())
+        stopper.update(val_loss, epoch, state_fn=model.state_dict)
         if stopper.should_stop:
             break
 
@@ -116,7 +105,7 @@ def train_surrogate(
         model.load_state_dict(stopper.best_state)
 
     with no_grad():
-        pred_train = model(Tensor(x_train)).numpy()
+        pred_train = model(x_train_t).numpy()
         pred_val = model(x_val_t).numpy()
         pred_test = model(Tensor(x_test)).numpy() if len(x_test) else pred_val
 

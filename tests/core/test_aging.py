@@ -67,7 +67,7 @@ class TestCompositeVariation:
         aging = AgingModel(drift_rate=0.2, spread=0.0, fixed_time=1.0, seed=0)
         variation = VariationModel(0.0, seed=0)
         composite = ComposedModel(aging, variation)
-        sample = composite.sample(4, (2,))
+        sample = composite.sample_perturbation(4, (2,))
         expected = aging.decay_factor(np.array(1.0))
         assert np.allclose(sample, expected)
 

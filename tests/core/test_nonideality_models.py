@@ -142,9 +142,11 @@ class TestComposedModel:
         composed = ComposedModel(VariationModel(0.1, seed=1),
                                  GaussianVariationModel(0.05, seed=2))
         assert_array_equal(
-            composed.sample(5, (3, 3)),
-            np.ones((5, 3, 3)) * a.sample(5, (3, 3)) * b.sample(5, (3, 3)),
+            composed.sample_perturbation(5, (3, 3)),
+            a.sample(5, (3, 3)) * b.sample(5, (3, 3)),
         )
+        with pytest.raises(TypeError):
+            composed.sample(5, (3, 3))
 
     def test_later_override_wins(self):
         first = StuckAtModel(p_stuck_on=1.0, p_stuck_off=0.0, g_max=10.0, seed=0)

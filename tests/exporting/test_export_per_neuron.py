@@ -4,8 +4,6 @@ import numpy as np
 
 from repro.core import PrintedNeuralNetwork
 from repro.exporting import design_report, export_netlist_text
-from repro.optim import SGD, StepLR
-from repro.nn.module import Parameter
 from repro.surrogate import AnalyticSurrogate
 
 
@@ -32,12 +30,6 @@ class TestPerNeuronExport:
 
 
 class TestSmallAccessors:
-    def test_scheduler_current_lrs(self):
-        optimizer = SGD([Parameter(np.zeros(1))], lr=1.0)
-        scheduler = StepLR(optimizer, step_size=1, gamma=0.5)
-        scheduler.step()
-        assert scheduler.current_lrs() == [0.5]
-
     def test_netlist_devices_property(self):
         from repro.spice import Netlist
 

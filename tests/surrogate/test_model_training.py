@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, gradcheck
+from repro.autograd import Tensor
+from repro.autograd import functional as F
 from repro.surrogate import (
     PAPER_LAYER_WIDTHS,
     SurrogateMLP,
@@ -26,29 +27,44 @@ class TestSurrogateMLP:
         assert model(Tensor(np.zeros((7, 10)))).shape == (7, 4)
         assert model(Tensor(np.zeros((3, 2, 10)))).shape == (3, 2, 4)
 
-    def test_differentiable_wrt_input(self):
+    def test_input_gradient_under_mse_matches_finite_difference(self, numeric_grad):
+        model = SurrogateMLP(TINY_LAYER_WIDTHS, rng=np.random.default_rng(1))
+        x = np.random.default_rng(2).uniform(size=(4, 10))
+        target = np.random.default_rng(3).normal(size=(4, 4))
+        x_t = Tensor(x, requires_grad=True)
+        F.mse_loss(model(x_t), target).backward()
+        numeric = numeric_grad(lambda v: F.mse_loss(model(Tensor(v)), target).item(), x)
+        np.testing.assert_allclose(x_t.grad, numeric, rtol=1e-5, atol=1e-9)
+
+    def test_parameter_gradients_under_mse_match_finite_difference(self, numeric_grad):
+        """Every weight and bias, under the loss ``train_surrogate`` differentiates."""
         model = SurrogateMLP(TINY_LAYER_WIDTHS, rng=np.random.default_rng(1))
         x = Tensor(np.random.default_rng(2).uniform(size=(4, 10)))
-        assert gradcheck(lambda x: model(x), [x])
+        target = np.random.default_rng(3).normal(size=(4, 4))
+        F.mse_loss(model(x), target).backward()
+        for name, param in model.named_parameters():
+            saved = param.data
 
-    def test_parameter_gradients_match_finite_difference(self):
-        model = SurrogateMLP(TINY_LAYER_WIDTHS, rng=np.random.default_rng(1))
-        x = Tensor(np.random.default_rng(2).uniform(size=(4, 10)))
+            def loss(v, param=param):
+                param.data = v
+                return F.mse_loss(model(x), target).item()
 
-        def loss() -> float:
-            return float(model(x).sum().data)
+            numeric = numeric_grad(loss, saved)
+            param.data = saved
+            np.testing.assert_allclose(param.grad, numeric, rtol=1e-5, atol=1e-9, err_msg=name)
 
-        model.zero_grad()
-        model(x).sum().backward()
-        weight = model.net[0].weight
-        analytic = weight.grad[0, 0]
-        h = 1e-6
-        weight.data[0, 0] += h
-        plus = loss()
-        weight.data[0, 0] -= 2 * h
-        minus = loss()
-        weight.data[0, 0] += h
-        assert analytic == pytest.approx((plus - minus) / (2 * h), rel=1e-4, abs=1e-8)
+    @pytest.mark.parametrize("widths", [(10, 4), TINY_LAYER_WIDTHS, PAPER_LAYER_WIDTHS])
+    def test_tanh_between_linear_layers(self, widths):
+        model = SurrogateMLP(widths, rng=np.random.default_rng(0))
+        kinds = [type(m).__name__ for m in model.net]
+        assert kinds == ["Linear", "Tanh"] * (len(widths) - 2) + ["Linear"]
+        shapes = [m.weight.shape for m in model.net if type(m).__name__ == "Linear"]
+        assert shapes == list(zip(widths[:-1], widths[1:]))
+
+    def test_predict_matches_the_taped_forward(self):
+        model = SurrogateMLP(TINY_LAYER_WIDTHS, rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).uniform(size=(5, 10))
+        np.testing.assert_array_equal(model.predict(x), model(Tensor(x)).data)
 
     def test_predict_without_tape(self):
         model = SurrogateMLP(TINY_LAYER_WIDTHS, rng=np.random.default_rng(0))
@@ -67,6 +83,12 @@ class TestSplitsAndMetrics:
         rng = np.random.default_rng(0)
         train, val, test = split_indices(100, rng)
         assert len(train) == 70 and len(val) == 20 and len(test) == 10
+
+    @pytest.mark.parametrize("n", [10, 57, 100, 1001])
+    def test_split_partitions_every_size(self, n):
+        train, val, test = split_indices(n, np.random.default_rng(n))
+        assert len(train) == round(0.7 * n) and len(val) == round(0.2 * n)
+        assert np.array_equal(np.sort(np.concatenate([train, val, test])), np.arange(n))
 
     def test_split_partitions_disjoint_and_complete(self):
         rng = np.random.default_rng(1)
@@ -135,6 +157,57 @@ class TestTraining:
         best_recorded = min(h[2] for h in result.history)
         assert result.val_mse <= best_recorded + 1e-6
 
+    def test_deterministic_given_the_seed(self, ptanh_dataset):
+        runs = [
+            train_surrogate(ptanh_dataset, widths=TINY_LAYER_WIDTHS, max_epochs=40,
+                            patience=40, seed=2)
+            for _ in range(2)
+        ]
+        assert runs[0].history == runs[1].history
+        for name, value in runs[0].model.state_dict().items():
+            np.testing.assert_array_equal(value, runs[1].model.state_dict()[name])
+
+    def test_runs_every_epoch_while_patience_lasts(self, ptanh_dataset):
+        result = train_surrogate(
+            ptanh_dataset, widths=TINY_LAYER_WIDTHS, max_epochs=30, patience=30, seed=0
+        )
+        assert [h[0] for h in result.history] == list(range(30))
+
+    def test_stops_patience_epochs_after_the_best(self, ptanh_dataset):
+        result = train_surrogate(
+            ptanh_dataset, widths=TINY_LAYER_WIDTHS, max_epochs=400, patience=3, lr=0.05, seed=0
+        )
+        val = [h[2] for h in result.history]
+        best_epoch = int(np.argmin(val))
+        assert len(val) < 400
+        assert len(val) == best_epoch + 3 + 1
+
+    def test_best_state_captured_only_on_improving_epochs(self, ptanh_dataset, monkeypatch):
+        calls = []
+        original = SurrogateMLP.state_dict
+
+        def counting_state_dict(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(SurrogateMLP, "state_dict", counting_state_dict)
+        result = train_surrogate(
+            ptanh_dataset, widths=TINY_LAYER_WIDTHS, max_epochs=80, patience=10, lr=0.05, seed=0
+        )
+        running_best, improvements = np.inf, 0
+        for _, _, val in result.history:
+            if val < running_best:
+                running_best, improvements = val, improvements + 1
+        assert improvements < len(result.history)
+        assert len(calls) == improvements
+
+    def test_restored_weights_reproduce_the_best_validation_loss(self, ptanh_dataset):
+        result = train_surrogate(
+            ptanh_dataset, widths=TINY_LAYER_WIDTHS, max_epochs=400, patience=3, lr=0.05, seed=0
+        )
+        assert result.val_mse == pytest.approx(min(h[2] for h in result.history), rel=1e-12)
+        assert result.val_mse < result.history[-1][2]
+
     def test_metrics_reported(self, ptanh_dataset):
         result = train_surrogate(
             ptanh_dataset, widths=TINY_LAYER_WIDTHS, max_epochs=60, patience=60, seed=1
@@ -143,10 +216,3 @@ class TestTraining:
         assert np.isfinite(result.test_mse)
         assert result.r2_per_eta.shape == (4,)
         assert set(result.splits) == {"train", "val", "test"}
-
-    def test_minibatch_training_runs(self, ptanh_dataset):
-        result = train_surrogate(
-            ptanh_dataset, widths=TINY_LAYER_WIDTHS, max_epochs=20,
-            patience=20, batch_size=16, seed=0,
-        )
-        assert len(result.history) == 20
