@@ -1,7 +1,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test test-all lint verify bench bench-e2e bench-scenarios bench-sharding bench-export
+.PHONY: test test-all lint verify bench bench-e2e bench-scenarios bench-export
 
 test:              ## fast tier: everything not marked @pytest.mark.slow
 	python -m pytest -x -q -m "not slow"
@@ -23,9 +23,6 @@ bench-e2e:         ## end-to-end benchmark: four workloads, golden-checked (BENC
 
 bench-scenarios:   ## non-ideality scenario grid benchmark + artifact
 	python -m pytest benchmarks/bench_scenario_grid.py -q -s
-
-bench-sharding:    ## sharded MC evaluation benchmark + artifact
-	python -m pytest benchmarks/bench_mc_sharding.py -q -s
 
 bench-export:      ## tiling compile + closed-loop deploy verification benchmark + artifact
 	python -m pytest benchmarks/bench_export_deploy.py -q -s

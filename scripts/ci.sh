@@ -179,75 +179,13 @@ print(f"scenario smoke OK: {len(one_lane)} stuck-at lanes bitwise equal to "
       f"one-lane runs; {applied}/{sampled} devices stuck; scenarios {sorted(scen_jobs)}")
 EOF
 
-echo "== sharding smoke (bitwise-equal, telemetry-gated) =="
-TEL_SHARD="$SMOKE_ROOT/telemetry_sharding"
-TEL_SHARD="$TEL_SHARD" python - <<'EOF'
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
-
-import numpy as np
-from repro import telemetry
-from repro.core import (
-    PrintedNeuralNetwork,
-    evaluate_mc,
-    evaluate_mc_sharded,
-    snapshot_params,
-)
-from repro.experiments.runner import default_surrogates
-
-sur = default_surrogates()
-pnn = PrintedNeuralNetwork([4, 3, 3], sur, rng=np.random.default_rng(7))
-params = snapshot_params(pnn)
-rng = np.random.default_rng(2)
-x = rng.uniform(0.0, 1.0, size=(32, 4))
-y = rng.integers(0, 3, size=32)
-kwargs = dict(epsilon=0.1, n_test=60, seed=11, scenario="stuck-1pct")
-
-serial = evaluate_mc(params, x, y, **kwargs)
-
-tel = telemetry.enable(os.environ["TEL_SHARD"],
-                       manifest={"command": "ci-sharding-smoke"})
-one = evaluate_mc_sharded(params, x, y, shards=1, **kwargs)
-three = evaluate_mc_sharded(params, x, y, shards=3, **kwargs)
-method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-ctx = multiprocessing.get_context(method)
-with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as pool:
-    pooled = evaluate_mc_sharded(params, x, y, shards=3, pool=pool, **kwargs)
-telemetry.disable()
-
-# Gate 1: bitwise identity — 1 shard, 3 shards inline, 3 shards pooled
-# all equal the serial stream (assert_array_equal, never allclose).
-np.testing.assert_array_equal(one.accuracies, serial.accuracies)
-np.testing.assert_array_equal(three.accuracies, serial.accuracies)
-np.testing.assert_array_equal(pooled.accuracies, serial.accuracies)
-
-# Gate 2 (telemetry): the shard spans tile the sample range exactly, and
-# exactly one evaluation ran pooled.
-events = telemetry.read_events(os.environ["TEL_SHARD"])
-shard_spans = [e for e in events if e["kind"] == "span"
-               and e["name"] == "mc.shard"]
-spans = {(e["attrs"]["start"], e["attrs"]["stop"]) for e in shard_spans}
-assert {(0, 20), (20, 40), (40, 60)} <= spans, spans
-outer = [e for e in events if e["kind"] == "span"
-         and e["name"] == "mc.evaluate_sharded"]
-assert sum(1 for e in outer if e["attrs"].get("pooled")) == 1, outer
-print(f"sharding smoke OK: 1/3/pooled shards bitwise equal to serial; "
-      f"{len(shard_spans)} shard spans recorded")
-EOF
-
-echo "== sharding report smoke (mc sharding section renders) =="
-SHARD_REPORT="$(python -m repro.experiments.cli report --telemetry "$TEL_SHARD")"
-echo "$SHARD_REPORT" | grep -q "mc sharding:" \
-    || { echo "report missing 'mc sharding' section"; exit 1; }
-
-echo "== parallel smoke table2 (2 workers, fresh cache, 2 MC shards, telemetry on) =="
+echo "== parallel smoke table2 (2 workers, fresh cache, default lane width, telemetry on) =="
 python -m repro.experiments.cli table2 --profile smoke --datasets iris \
-    --workers 2 --mc-shards 2 --cache-dir "$CACHE_DIR" --telemetry "$TEL_RUN"
+    --workers 2 --cache-dir "$CACHE_DIR" --telemetry "$TEL_RUN"
 
-echo "== resume (must be 100% cache hits; mc_shards differs, digest must not) =="
+echo "== resume (must be 100% cache hits; lane width differs, digest must not) =="
 python -m repro.experiments.cli table2 --profile smoke --datasets iris \
-    --workers 2 --cache-dir "$CACHE_DIR" --resume --telemetry "$TEL_RESUME"
+    --workers 2 --lane-width 1 --cache-dir "$CACHE_DIR" --resume --telemetry "$TEL_RESUME"
 TEL_RUN="$TEL_RUN" TEL_RESUME="$TEL_RESUME" \
     python - "$CACHE_DIR/journal.jsonl" <<'EOF'
 import os, sys

@@ -91,9 +91,6 @@ class _SelectiveVariation(NonIdealityModel):
     def is_nominal(self) -> bool:
         return False
 
-    def sample(self, n_mc: int, shape: Sequence[int]) -> np.ndarray:
-        raise TypeError("a selective draw depends on its role; use sample_perturbation()")
-
     def sample_perturbation(self, n_mc: int, shape: Sequence[int],
                             role: str = "theta") -> EpsilonLike:
         if role == self.role:

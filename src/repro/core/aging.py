@@ -30,15 +30,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.pnn import PrintedNeuralNetwork
-from repro.core.variation import NonIdealityModel
+from repro.core.variation import MultiplicativeModel
 
 
-class AgingModel(NonIdealityModel):
-    """Lifetime drift sampler — a :class:`NonIdealityModel` implementation.
+class AgingModel(MultiplicativeModel):
+    """Lifetime drift sampler — a :class:`MultiplicativeModel`.
 
-    Purely multiplicative (``sample`` is the whole story), so it rides the
-    default ``sample_perturbation`` of the protocol and composes with any
-    other model through :class:`~repro.core.variation.ComposedModel`.
+    Purely multiplicative (``sample`` is the whole story), so its
+    ``sample_perturbation`` is ``sample`` and it composes with any other
+    model through :class:`~repro.core.variation.ComposedModel`.
     """
 
     def __init__(

@@ -13,9 +13,10 @@ printing variation (Bayat et al., "Advancing Memristive Analog Neuromorphic
 Networks") — so this module generalizes the seam:
 
 - :class:`NonIdealityModel` is the isinstance-checkable protocol every
-  model implements.  ``sample`` keeps the legacy multiplicative surface;
-  ``sample_perturbation`` is the generalized form and may return a
-  :class:`Perturbation` carrying per-device overrides.
+  model implements: ``sample_perturbation`` draws one role's
+  perturbation and may return a :class:`Perturbation` carrying
+  per-device overrides.  :class:`MultiplicativeModel` is the purely
+  multiplicative kind, whose draw is its ``sample`` factor array.
 - :class:`Perturbation` is one sampled draw: a multiplicative ``scale``
   plus an optional ``(override_mask, override_value)`` pair.  A **bare
   ndarray remains a valid draw** (a pure multiplicative perturbation) so
@@ -124,11 +125,8 @@ def eps_stack(parts: Sequence[EpsilonLike], axis: int = 0) -> EpsilonLike:
 class NonIdealityModel(ABC):
     """Protocol for sampled printed-hardware non-idealities.
 
-    Implementations provide ``is_nominal`` and ``sample`` (the legacy
-    multiplicative surface).  Models whose effect is not a bare
-    multiplicative factor override :meth:`sample_perturbation` and raise
-    ``TypeError`` from :meth:`sample`; every draw of training, evaluation
-    and analysis goes through ``sample_perturbation``
+    Implementations provide ``is_nominal`` and :meth:`sample_perturbation`,
+    the one draw every training, evaluation and analysis path makes
     (:func:`repro.core.kernels.sample_layer_epsilons`).
     """
 
@@ -138,23 +136,34 @@ class NonIdealityModel(ABC):
         """True when sampling is a deterministic no-op (exact ones)."""
 
     @abstractmethod
+    def sample_perturbation(self, n_mc: int, shape: Sequence[int],
+                            role: str = "theta") -> EpsilonLike:
+        """Draw the ``(n_mc, *shape)`` perturbation for one ``role`` slot.
+
+        ``role`` is one of :data:`EPSILON_ROLES` — ``"theta"`` for crossbar
+        conductances, ``"act"``/``"neg"`` for printable circuit component
+        values ω.
+        """
+
+
+class MultiplicativeModel(NonIdealityModel):
+    """A non-ideality that only scales devices: its draw is :meth:`sample`.
+
+    Every role draws the same way, so a multiplicative model consumes its
+    RNG stream identically through :meth:`sample` and
+    :meth:`sample_perturbation`.
+    """
+
+    @abstractmethod
     def sample(self, n_mc: int, shape: Sequence[int]) -> np.ndarray:
         """Draw ``(n_mc, *shape)`` multiplicative factors."""
 
     def sample_perturbation(self, n_mc: int, shape: Sequence[int],
-                            role: str = "theta") -> EpsilonLike:
-        """Draw the generalized perturbation for one ``role`` slot.
-
-        ``role`` is one of :data:`EPSILON_ROLES` — ``"theta"`` for crossbar
-        conductances, ``"act"``/``"neg"`` for printable circuit component
-        values ω.  The default delegates to :meth:`sample`, so purely
-        multiplicative models consume their RNG stream exactly as before
-        the pipeline refactor.
-        """
+                            role: str = "theta") -> np.ndarray:
         return self.sample(n_mc, shape)
 
 
-class _EpsilonFamilyModel(NonIdealityModel):
+class _EpsilonFamilyModel(MultiplicativeModel):
     """Shared plumbing of the multiplicative ε families.
 
     Epsilon validation, RNG setup, ``is_nominal`` and the ``sample``
@@ -258,12 +267,6 @@ class StuckAtModel(NonIdealityModel):
     def is_nominal(self) -> bool:
         return self.p_stuck_on == 0.0 and self.p_stuck_off == 0.0
 
-    def sample(self, n_mc: int, shape: Sequence[int]) -> np.ndarray:
-        raise TypeError(
-            "stuck-at defects are not expressible as multiplicative factors; "
-            "use sample_perturbation() (the kernel and lane engines do)"
-        )
-
     def sample_perturbation(self, n_mc: int, shape: Sequence[int],
                             role: str = "theta") -> EpsilonLike:
         if n_mc < 1:
@@ -285,7 +288,7 @@ class StuckAtModel(NonIdealityModel):
         return Perturbation(scale, mask, value)
 
 
-class CorrelatedVariationModel(NonIdealityModel):
+class CorrelatedVariationModel(MultiplicativeModel):
     """Spatially-correlated printing variation (shared blockwise factors).
 
     Printing heads drift slowly, so neighbouring devices err together.  A
@@ -360,9 +363,6 @@ class ComposedModel(NonIdealityModel):
     @property
     def is_nominal(self) -> bool:
         return all(model.is_nominal for model in self.models)
-
-    def sample(self, n_mc: int, shape: Sequence[int]) -> np.ndarray:
-        raise TypeError("a composed draw may carry overrides; use sample_perturbation()")
 
     def sample_perturbation(self, n_mc: int, shape: Sequence[int],
                             role: str = "theta") -> EpsilonLike:

@@ -112,11 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="non-ideality scenario to sweep (repeatable); "
                              "choices: " + ", ".join(scenario_names()) + " "
                              "(default: default ε-only)")
-    table2.add_argument("--mc-shards", type=int, default=None, metavar="S",
-                        help="split each cell's Monte-Carlo test evaluation "
-                             "into S shards, spread over worker processes "
-                             "when --workers > 1; results are bit-identical "
-                             "for any S (default: profile setting)")
     table2.add_argument("--deploy-verify", metavar="ROWSxCOLS", default=None,
                         help="after assembly, tile every selected design "
                              "onto ROWSxCOLS crossbar arrays and re-simulate "
@@ -294,9 +289,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             cache = ResultCache(cache_dir)
         lane_width = max(1, args.lane_width)
         scenarios = tuple(dict.fromkeys(args.scenarios or (DEFAULT_SCENARIO,)))
-        mc_shards = (
-            profile.mc_shards if args.mc_shards is None else max(1, args.mc_shards)
-        )
         if args.telemetry:
             telemetry.enable(args.telemetry, manifest={
                 "command": "table2",
@@ -306,7 +298,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "seeds": list(profile.seeds),
                 "lane_width": lane_width,
                 "scenarios": list(scenarios),
-                "mc_shards": mc_shards,
                 "deploy_verify": args.deploy_verify,
             })
         results = run_table2_parallel(
@@ -315,7 +306,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             progress=lambda msg: print(f"[run] {msg}", file=sys.stderr),
             lane_width=lane_width,
             scenarios=scenarios,
-            mc_shards=mc_shards,
             deploy_tile=_parse_tile(args.deploy_verify),
         )
         print(render_scenario_grid(results))

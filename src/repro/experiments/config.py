@@ -56,7 +56,6 @@ class ExperimentConfig:
     hidden: int = 3                                 # the #input-3-#output topology
     max_train: Optional[int] = None                 # subsample cap for big datasets
     per_neuron_activation: bool = False
-    mc_shards: int = 1                              # MC-evaluation shards (results invariant)
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         from dataclasses import replace
@@ -67,15 +66,12 @@ class ExperimentConfig:
         """Fields that determine the outcome of one *training* job.
 
         Used by :mod:`repro.experiments.cache` to build the on-disk cache
-        key.  Three fields are deliberately excluded:
+        key.  Two fields are deliberately excluded:
 
         - ``seeds`` — the per-job seed is part of the job key itself, so a
           run with more seeds can reuse every job already trained;
         - ``n_test`` — Monte-Carlo *evaluation* budget; it never affects
-          the trained design, only how it is measured afterwards;
-        - ``mc_shards`` — evaluation parallelism; sharded and serial MC
-          evaluation are bitwise identical, so shard counts share one
-          cache.
+          the trained design, only how it is measured afterwards.
 
         Any change to a field listed here invalidates cached designs.
         """

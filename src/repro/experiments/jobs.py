@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from typing import Iterator, List, Optional, Tuple
+from operator import attrgetter
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -175,6 +176,31 @@ def iter_cells(datasets: List[str]) -> Iterator[Tuple[str, Setup, float]]:
                 yield dataset, setup, eps_test
 
 
+def cell_jobs(
+    dataset: str,
+    setup: Setup,
+    eps_test: float,
+    config: ExperimentConfig,
+    scenario: str = DEFAULT_SCENARIO,
+) -> List[JobKey]:
+    """The training jobs behind one Table-II cell, in ``config.seeds`` order.
+
+    One key per seed of the cell's training group; the cells a nominal
+    setup shares across both test ϵ columns get the same keys.
+    """
+    return [
+        JobKey(
+            dataset=dataset,
+            learnable=setup.learnable,
+            variation_aware=setup.variation_aware,
+            train_eps=train_epsilon(setup, eps_test),
+            seed=int(seed),
+            scenario=scenario,
+        )
+        for seed in config.seeds
+    ]
+
+
 def enumerate_jobs(
     datasets: List[str],
     config: ExperimentConfig,
@@ -199,28 +225,20 @@ def enumerate_jobs(
     seen = set()
     for scenario in scenarios:
         for dataset, setup, eps_test in iter_cells(datasets):
-            group = (
-                dataset, setup.learnable, setup.variation_aware,
-                train_epsilon(setup, eps_test), scenario,
-            )
-            if group in seen:
-                continue
-            seen.add(group)
-            for seed in config.seeds:
-                key = JobKey(
-                    dataset=dataset,
-                    learnable=setup.learnable,
-                    variation_aware=setup.variation_aware,
-                    train_eps=train_epsilon(setup, eps_test),
-                    seed=int(seed),
-                    scenario=scenario,
-                )
-                assert isinstance(hash(key), int) and key.astuple() == (
-                    key.dataset, key.learnable, key.variation_aware,
-                    key.train_eps, key.seed, key.scenario,
-                ), "job keys must be hashable dataclass tuples"
-                jobs.append(key)
+            keys = cell_jobs(dataset, setup, eps_test, config, scenario)
+            if keys and keys[0].group not in seen:
+                seen.add(keys[0].group)
+                jobs.extend(keys)
     return jobs
+
+
+def best_of_seeds(outcomes: Iterable[JobOutcome]) -> JobOutcome:
+    """The design the protocol prints: the lowest validation loss.
+
+    ``outcomes`` come in ``config.seeds`` order and a later seed wins only
+    with a strictly lower loss, so ties go to the earlier seed.
+    """
+    return min(outcomes, key=attrgetter("val_loss"))
 
 
 def _train_config(key: JobKey, config: ExperimentConfig) -> TrainConfig:
@@ -282,14 +300,13 @@ def execute_job_lanes(
 
     All ``keys`` must share a :attr:`JobKey.group`; each key becomes one
     lane of a :func:`repro.core.lanes.train_pnn_lanes` run, its network
-    seeded with ``default_rng(key.seed)`` and trained with the same
-    :class:`~repro.core.training.TrainConfig` ``run_cell``'s
-    ``_train_best`` loop builds.  Every lane is bitwise equal to its
-    one-lane run, so the outcomes carry the same losses, epochs and
-    parameter snapshots at any batch width (pinned by
-    ``tests/experiments/test_lane_jobs.py``) — executing jobs out of
-    order, in other processes or in other batches reproduces them
-    exactly.
+    seeded with ``default_rng(key.seed)`` and trained with the
+    :class:`~repro.core.training.TrainConfig` of :func:`_train_config`.
+    Every lane is bitwise equal to its one-lane run, so the outcomes
+    carry the same losses, epochs and parameter snapshots at any batch
+    width (pinned by ``tests/experiments/test_lane_jobs.py``) — executing
+    jobs out of order, in other processes or in other batches reproduces
+    them exactly.
 
     ``splits`` optionally supplies pre-loaded dataset splits; ``None``
     loads them with the protocol's fixed :data:`SPLIT_SEED`.  The

@@ -9,8 +9,8 @@ ordered list of :class:`~repro.experiments.runner.CellResult` — the same
 cells :func:`~repro.experiments.runner.run_cell` produces one at a
 time.
 
-Three tiers of parallelism
---------------------------
+Two tiers of parallelism
+------------------------
 The **first tier is lane batching**: all seeds of one training group
 (same dataset, setup and training ϵ) are stacked on a leading lane axis
 and trained in lockstep by :func:`repro.core.lanes.train_pnn_lanes` —
@@ -18,11 +18,7 @@ one numpy kernel call sequence per epoch instead of one Python epoch
 loop per seed, bitwise identical per lane to the one-lane run.  The
 **process pool is the second tier**: it spreads whole lane *batches*
 (i.e. different groups/datasets) across cores.  ``lane_width=1`` trains
-every job as its own one-lane batch.  The
-**third tier is MC-evaluation sharding** (``mc_shards``): after training,
-the assembly pass splits each cell's ``n_test`` fabrications into
-ε-block-aligned shards, pooled when ``workers > 1`` — bitwise identical
-to the serial evaluation at any shard count.
+every job as its own one-lane batch.
 
 Determinism contract
 --------------------
@@ -45,10 +41,11 @@ from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import telemetry
-from repro.core import evaluate_mc, evaluate_mc_sharded, surrogate_fingerprint
+from repro.core import surrogate_fingerprint
 from repro.core.variation import DEFAULT_SCENARIO
 from repro.datasets import load_splits
 from repro.experiments.cache import ResultCache, RunJournal, job_digest
@@ -57,17 +54,14 @@ from repro.experiments.jobs import (
     SPLIT_SEED,
     JobKey,
     JobOutcome,
+    best_of_seeds,
+    cell_jobs,
     enumerate_jobs,
     execute_job_lanes,
     group_jobs_into_lanes,
     iter_cells,
-    train_epsilon,
 )
-from repro.experiments.runner import (
-    CellResult,
-    default_surrogates,
-    mc_evaluation_seed,
-)
+from repro.experiments.runner import CellResult, default_surrogates, evaluate_cell
 
 #: State inherited by forked workers (set just before the pool is created).
 _FORK_STATE: Dict[str, object] = {}
@@ -101,7 +95,6 @@ def run_table2_parallel(
     progress: Optional[Callable[[str], None]] = None,
     lane_width: int = 8,
     scenarios: Tuple[str, ...] = (DEFAULT_SCENARIO,),
-    mc_shards: Optional[int] = None,
     deploy_tile: Optional[Tuple[int, int]] = None,
 ) -> List[CellResult]:
     """Run the Table-II grid with caching and multi-process training.
@@ -118,6 +111,10 @@ def run_table2_parallel(
     workers:
         Number of training processes.  ``1`` executes in-process, with no
         pool; higher counts change only the wall time, never the results.
+        A worker that dies (killed, out of memory) fails the run with a
+        ``BrokenProcessPool`` naming the jobs that did not finish; the
+        finished ones are already in ``cache``, so a re-run trains only
+        the rest.
     cache:
         Optional :class:`~repro.experiments.cache.ResultCache`.  When
         given, solved jobs are loaded instead of re-trained and fresh
@@ -141,14 +138,6 @@ def run_table2_parallel(
         trains and evaluates its own full grid; the default
         single-scenario sweep reproduces the historical results (and
         cache digests) exactly.
-    mc_shards:
-        Shard count for the Monte-Carlo test evaluations (third-tier
-        parallelism; ``None`` takes ``config.mc_shards``).  Shards > 1
-        route every non-nominal evaluation through
-        :func:`repro.core.evaluation.evaluate_mc_sharded`, spread across
-        a pool when ``workers > 1``.  Bitwise identical to serial
-        evaluation at any count, and — like ``workers`` and
-        ``lane_width`` — outside the cache digest.
     deploy_tile:
         Optional ``(max_rows, max_cols)`` crossbar tile bound.  When set,
         every selected best-of-seeds design is additionally tiled and
@@ -171,9 +160,6 @@ def run_table2_parallel(
     if journal is None and cache is not None:
         journal = RunJournal(cache.journal_path)
 
-    mc_shards = config.mc_shards if mc_shards is None else mc_shards
-    mc_shards = max(1, int(mc_shards))
-
     tel = telemetry.get()
     scenarios = tuple(scenarios)
     jobs = enumerate_jobs(datasets, config, scenarios=scenarios)
@@ -185,7 +171,6 @@ def run_table2_parallel(
             n_jobs=len(jobs),
             cached=cache is not None,
             scenarios=list(scenarios),
-            mc_shards=mc_shards,
         )
     outcomes: Dict[JobKey, JobOutcome] = {}
     pending: List[JobKey] = []
@@ -198,8 +183,7 @@ def run_table2_parallel(
             if journal is not None:
                 journal.record(cached)
             if progress is not None:
-                progress(f"{key.dataset}: {key.setup.label} ϵ_train={key.train_eps:.0%} "
-                         f"{_scenario_tag(key.scenario)}seed {key.seed} [cache hit]")
+                progress(f"{_job_label(key)} [cache hit]")
         else:
             pending.append(key)
 
@@ -212,9 +196,7 @@ def run_table2_parallel(
             journal.record(outcome)
         outcomes[key] = outcome
         if progress is not None:
-            progress(f"{key.dataset}: {key.setup.label} ϵ_train={key.train_eps:.0%} "
-                     f"{_scenario_tag(key.scenario)}seed {key.seed} "
-                     f"[trained {outcome.epochs_run} epochs "
+            progress(f"{_job_label(key)} [trained {outcome.epochs_run} epochs "
                      f"in {outcome.wall_time:.1f}s]")
 
     batches = group_jobs_into_lanes(pending, lane_width)
@@ -241,17 +223,27 @@ def run_table2_parallel(
                 not_done = {pool.submit(_forked_execute_batch, batch) for batch in batches}
                 while not_done:
                     done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
+                    broken = None
                     for future in done:
-                        for outcome in future.result():
+                        try:
+                            batch_outcomes = future.result()
+                        except BrokenProcessPool as error:
+                            broken = error
+                            continue
+                        for outcome in batch_outcomes:
                             _finish(outcome)
+                    if broken is not None:
+                        lost = [key for key in pending if key not in outcomes]
+                        raise BrokenProcessPool(
+                            _lost_jobs_message(lost, len(jobs), cache is not None)
+                        ) from broken
             tel.event("pool.stop", workers=int(workers))
         finally:
             _FORK_STATE.clear()
 
-    with tel.span("table2.assemble", mc_shards=mc_shards):
+    with tel.span("table2.assemble"):
         results = _assemble(
             datasets, config, surrogates, outcomes, cache, scenarios,
-            mc_shards=mc_shards, eval_workers=workers,
             deploy_tile=deploy_tile, progress=progress,
         )
     if tel.enabled:
@@ -265,6 +257,22 @@ def run_table2_parallel(
 def _scenario_tag(scenario: str) -> str:
     """Progress-line tag for non-default scenarios (empty otherwise)."""
     return "" if scenario == DEFAULT_SCENARIO else f"[{scenario}] "
+
+
+def _job_label(key: JobKey) -> str:
+    """One job as progress lines and error messages name it."""
+    return (f"{key.dataset}: {key.setup.label} ϵ_train={key.train_eps:.0%} "
+            f"{_scenario_tag(key.scenario)}seed {key.seed}")
+
+
+def _lost_jobs_message(lost: List[JobKey], n_jobs: int, cached: bool) -> str:
+    """Why a run stopped when its pool broke, and which jobs it lost."""
+    lines = [f"a training worker died; {len(lost)} of {n_jobs} jobs did not finish:"]
+    lines += [f"  {_job_label(key)}" for key in lost]
+    if cached:
+        lines.append("The finished jobs are cached; rerun with --resume to "
+                     "train only the rest.")
+    return "\n".join(lines)
 
 
 #: Test samples fed to the advisory post-job deploy verification.
@@ -313,95 +321,43 @@ def _assemble(
     outcomes: Dict[JobKey, JobOutcome],
     cache: Optional[ResultCache],
     scenarios: Tuple[str, ...] = (DEFAULT_SCENARIO,),
-    mc_shards: int = 1,
-    eval_workers: int = 1,
     deploy_tile: Optional[Tuple[int, int]] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[CellResult]:
     """Best-of-seeds selection + MC evaluation, in :func:`iter_cells` order.
 
-    Seeds are scanned in ``config.seeds`` order with a strict ``<`` on the
-    validation loss — the same tie-breaking as ``run_cell``'s
-    ``_train_best`` loop — so the selected designs (and hence the
-    reported cells) match ``run_cell`` exactly.  Each scenario assembles its own grid, and
-    the MC test evaluation draws from that scenario's model (the default
-    scenario's ``VariationModel`` draws the historical ε stream).
-
-    With ``mc_shards > 1`` evaluations run through
-    :func:`~repro.core.evaluation.evaluate_mc_sharded`, over an
-    evaluation pool (``fork`` preferred) kept for the whole assembly when
-    ``eval_workers > 1`` — the third parallelism tier.  Results are
-    bitwise identical to the serial ``evaluate_mc`` path either way.
+    Each cell's winner is :func:`~repro.experiments.jobs.best_of_seeds`
+    over its group's outcomes and is scored by
+    :func:`~repro.experiments.runner.evaluate_cell` — the steps of
+    ``run_cell`` — so the reported cells match ``run_cell`` exactly.  Each
+    scenario assembles its own grid, and the MC test evaluation draws
+    from that scenario's model (the default scenario's ``VariationModel``
+    draws the historical ε stream).
     """
     results: List[CellResult] = []
-    designs: Dict[Tuple[str, bool, bool, float, str], Tuple[object, int, float]] = {}
+    winners: Dict[Tuple[str, bool, bool, float, str], JobOutcome] = {}
     splits_by_dataset: Dict[str, object] = {}
-    eval_pool: Optional[ProcessPoolExecutor] = None
-    if mc_shards > 1 and eval_workers > 1:
-        eval_pool = ProcessPoolExecutor(
-            max_workers=min(eval_workers, mc_shards),
-            mp_context=_pool_context(),
-        )
-    try:
-        for scenario in scenarios:
-            for dataset, setup, eps_test in iter_cells(datasets):
-                if dataset not in splits_by_dataset:
-                    splits_by_dataset[dataset] = load_splits(
-                        dataset, seed=SPLIT_SEED, max_train=config.max_train
-                    )
-                splits = splits_by_dataset[dataset]
-                group = (
-                    dataset, setup.learnable, setup.variation_aware,
-                    train_epsilon(setup, eps_test), scenario,
+    for scenario in scenarios:
+        for dataset, setup, eps_test in iter_cells(datasets):
+            if dataset not in splits_by_dataset:
+                splits_by_dataset[dataset] = load_splits(
+                    dataset, seed=SPLIT_SEED, max_train=config.max_train
                 )
-                if group not in designs:
-                    best: Optional[JobOutcome] = None
-                    for seed in config.seeds:
-                        outcome = outcomes[JobKey(dataset, setup.learnable,
-                                                  setup.variation_aware,
-                                                  train_epsilon(setup, eps_test),
-                                                  int(seed), scenario)]
-                        if best is None or outcome.val_loss < best.val_loss:
-                            best = outcome
-                    assert best is not None
-                    if best.params is not None:
-                        design = best.params
-                    else:
-                        assert cache is not None and best.digest is not None
-                        design = cache.load_design(best.digest, surrogates)
-                    designs[group] = (design, best.key.seed, best.val_loss)
-                    if deploy_tile is not None:
-                        _deploy_verify_design(
-                            design, splits, deploy_tile, scenario, dataset,
-                            setup, progress,
-                        )
-                design, best_seed, val_loss = designs[group]
-                if mc_shards > 1:
-                    accuracy = evaluate_mc_sharded(
-                        design, splits.x_test, splits.y_test,
-                        epsilon=eps_test, n_test=config.n_test,
-                        seed=mc_evaluation_seed(best_seed), scenario=scenario,
-                        shards=mc_shards, pool=eval_pool,
+            splits = splits_by_dataset[dataset]
+            keys = cell_jobs(dataset, setup, eps_test, config, scenario)
+            group = keys[0].group
+            if group not in winners:
+                best = best_of_seeds(outcomes[key] for key in keys)
+                if best.params is None:
+                    assert cache is not None and best.digest is not None
+                    best.params = cache.load_design(best.digest, surrogates)
+                winners[group] = best
+                if deploy_tile is not None:
+                    _deploy_verify_design(
+                        best.params, splits, deploy_tile, scenario, dataset,
+                        setup, progress,
                     )
-                else:
-                    accuracy = evaluate_mc(
-                        design, splits.x_test, splits.y_test,
-                        epsilon=eps_test, n_test=config.n_test,
-                        seed=mc_evaluation_seed(best_seed), scenario=scenario,
-                    )
-                results.append(
-                    CellResult(
-                        dataset=dataset,
-                        setup=setup,
-                        eps_test=eps_test,
-                        mean=accuracy.mean,
-                        std=accuracy.std,
-                        best_seed=best_seed,
-                        best_val_loss=val_loss,
-                        scenario=scenario,
-                    )
-                )
-    finally:
-        if eval_pool is not None:
-            eval_pool.shutdown()
+            results.append(
+                evaluate_cell(winners[group], splits, setup, eps_test, config)
+            )
     return results

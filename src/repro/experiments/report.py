@@ -247,47 +247,6 @@ def _scenario_section(events: List[Dict], counters: Dict[str, float]) -> List[st
     return lines
 
 
-def _sharding_section(events: List[Dict]) -> List[str]:
-    """Shard utilization of sharded MC evaluation.
-
-    Summarizes ``mc.evaluate_sharded`` spans and breaks the ``mc.shard``
-    worker spans down per process (shards executed, MC rows produced,
-    wall attributed).  Runs without sharded evaluations produce no
-    section.
-    """
-    sharded = [e for e in events
-               if e.get("kind") == "span" and e.get("name") == "mc.evaluate_sharded"]
-    shard_spans = [e for e in events
-                   if e.get("kind") == "span" and e.get("name") == "mc.shard"]
-    if not sharded and not shard_spans:
-        return []
-    lines = ["mc sharding:"]
-    if sharded:
-        wall = sum(float(e.get("dur_s", 0.0)) for e in sharded)
-        pooled = sum(1 for e in sharded if e["attrs"].get("pooled"))
-        counts = sorted({int(e["attrs"].get("shards", 0)) for e in sharded})
-        lines.append(
-            f"sharded evaluations: {len(sharded)} "
-            f"({pooled} pooled) wall {wall:.2f}s "
-            f"shard counts {', '.join(map(str, counts))}"
-        )
-    if shard_spans:
-        by_pid: Dict[int, List[Dict]] = {}
-        for event in shard_spans:
-            by_pid.setdefault(int(event.get("pid", 0)), []).append(event)
-        rows = []
-        for pid in sorted(by_pid):
-            spans = by_pid[pid]
-            rows_done = sum(
-                int(s["attrs"].get("stop", 0)) - int(s["attrs"].get("start", 0))
-                for s in spans
-            )
-            wall = sum(float(s.get("dur_s", 0.0)) for s in spans)
-            rows.append([str(pid), str(len(spans)), str(rows_done), f"{wall:.2f}s"])
-        lines.extend(_rows_to_table(["pid", "shards", "mc_rows", "wall"], rows))
-    return lines
-
-
 def _export_section(events: List[Dict], counters: Dict[str, float]) -> List[str]:
     """Hardware-deploy export activity: tiling, closed-loop verification.
 
@@ -393,7 +352,6 @@ def render_telemetry_report(
         _spice_section(events, counters),
         _surrogate_section(events),
         _training_section(events),
-        _sharding_section(events),
         _scenario_section(events, counters),
         _export_section(events, counters),
     ):

@@ -20,19 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
-import numpy as np
-
-from repro import telemetry
-from repro.core import (
-    PrintedNeuralNetwork,
-    TrainConfig,
-    evaluate_mc,
-    train_pnn,
-)
+from repro.core import evaluate_mc
 from repro.core.variation import DEFAULT_SCENARIO
 from repro.datasets import load_splits
 from repro.datasets.base import DatasetSplits
 from repro.experiments.config import ExperimentConfig, Setup
+from repro.experiments.jobs import (
+    SPLIT_SEED,
+    JobOutcome,
+    best_of_seeds,
+    cell_jobs,
+    execute_job_lanes,
+)
 from repro.surrogate.analytic import AnalyticSurrogate
 from repro.surrogate.pipeline import SurrogateBundle
 
@@ -90,41 +89,35 @@ def mc_evaluation_seed(best_seed: int) -> int:
     return int(best_seed)
 
 
-def _train_best(
+def evaluate_cell(
+    best: JobOutcome,
     splits: DatasetSplits,
     setup: Setup,
-    train_eps: float,
+    eps_test: float,
     config: ExperimentConfig,
-    surrogates: Surrogates,
-) -> Tuple[PrintedNeuralNetwork, int, float]:
-    """Train one pNN per seed; return the best one by validation loss."""
-    best: Optional[Tuple[PrintedNeuralNetwork, int, float]] = None
-    topology = [splits.n_features, config.hidden, splits.n_classes]
-    for seed in config.seeds:
-        pnn = PrintedNeuralNetwork(
-            topology,
-            surrogates,
-            per_neuron_activation=config.per_neuron_activation,
-            rng=np.random.default_rng(seed),
-        )
-        train_config = TrainConfig(
-            lr_theta=config.lr_theta,
-            lr_omega=config.lr_omega,
-            learnable_nonlinear=setup.learnable,
-            epsilon=train_eps,
-            n_mc_train=config.n_mc_train,
-            max_epochs=config.max_epochs,
-            patience=config.patience,
-            loss=config.loss,
-            seed=seed,
-        )
-        result = train_pnn(
-            pnn, splits.x_train, splits.y_train, splits.x_val, splits.y_val, train_config
-        )
-        if best is None or result.best_val_loss < best[2]:
-            best = (pnn, seed, result.best_val_loss)
-    assert best is not None
-    return best
+) -> CellResult:
+    """Score a cell's best-of-seeds design on ``N_test`` fabrications.
+
+    ``best.params`` holds the design.  The Monte-Carlo test draws come
+    from the winning job's scenario at ``eps_test``, seeded by
+    :func:`mc_evaluation_seed`.
+    """
+    key = best.key
+    accuracy = evaluate_mc(
+        best.params, splits.x_test, splits.y_test,
+        epsilon=eps_test, n_test=config.n_test,
+        seed=mc_evaluation_seed(key.seed), scenario=key.scenario,
+    )
+    return CellResult(
+        dataset=key.dataset,
+        setup=setup,
+        eps_test=eps_test,
+        mean=accuracy.mean,
+        std=accuracy.std,
+        best_seed=key.seed,
+        best_val_loss=best.val_loss,
+        scenario=key.scenario,
+    )
 
 
 def run_cell(
@@ -136,14 +129,20 @@ def run_cell(
     splits: Optional[DatasetSplits] = None,
     trained: Optional[Dict] = None,
 ) -> CellResult:
-    """Run one Table-II cell.
+    """Run one Table-II cell: the one-cell case of the job layer.
+
+    The cell's seeds (:func:`~repro.experiments.jobs.cell_jobs`) train as
+    one lane batch, :func:`~repro.experiments.jobs.best_of_seeds` picks
+    the winner and :func:`evaluate_cell` scores it — the steps
+    :func:`repro.experiments.parallel.run_table2_parallel` applies to
+    every cell of its grid, so both produce the same cells.
 
     Parameters
     ----------
     trained:
-        Optional *in-process* memo dict keyed by the hashable tuple
-        ``(learnable, variation_aware, train ϵ)``.  Nominal setups train
-        once with ϵ = 0 and share that training across both test ϵ
+        Optional *in-process* memo dict keyed by the training group
+        (:attr:`~repro.experiments.jobs.JobKey.group`).  Nominal setups
+        train once with ϵ = 0 and share that training across both test ϵ
         columns, so passing the same dict to all cells of one dataset
         avoids redundant trainings.
 
@@ -151,37 +150,18 @@ def run_cell(
         *persistent* counterpart is the on-disk result cache
         (:mod:`repro.experiments.cache`) used by
         :func:`repro.experiments.parallel.run_table2_parallel`: same
-        sharing rule, but keyed additionally by dataset, config
-        fingerprint, surrogate fingerprint and seed, and it survives
-        interrupted runs.  The two compose — a cache-hit design is simply
-        never re-trained, whichever layer it lands in.
+        sharing rule, but keyed additionally by config fingerprint,
+        surrogate fingerprint and seed, and it survives interrupted runs.
     """
     surrogates = surrogates if surrogates is not None else default_surrogates()
     if splits is None:
-        splits = load_splits(dataset, seed=0, max_train=config.max_train)
-    train_eps = eps_test if setup.variation_aware else 0.0
-    key = (bool(setup.learnable), bool(setup.variation_aware), float(train_eps))
-    assert isinstance(hash(key), int), "trained-memo keys must be hashable tuples"
-    tel = telemetry.get()
-    with tel.span("cell.run", dataset=dataset, setup=setup.label,
-                  eps_test=eps_test):
-        if trained is not None and key in trained:
-            pnn, seed, val_loss = trained[key]
-        else:
-            pnn, seed, val_loss = _train_best(splits, setup, train_eps, config, surrogates)
-            if trained is not None:
-                trained[key] = (pnn, seed, val_loss)
-        with tel.span("cell.evaluate_mc", dataset=dataset, eps_test=eps_test):
-            accuracy = evaluate_mc(
-                pnn, splits.x_test, splits.y_test,
-                epsilon=eps_test, n_test=config.n_test, seed=mc_evaluation_seed(seed),
-            )
-    return CellResult(
-        dataset=dataset,
-        setup=setup,
-        eps_test=eps_test,
-        mean=accuracy.mean,
-        std=accuracy.std,
-        best_seed=seed,
-        best_val_loss=val_loss,
-    )
+        splits = load_splits(dataset, seed=SPLIT_SEED, max_train=config.max_train)
+    keys = cell_jobs(dataset, setup, eps_test, config)
+    group = keys[0].group
+    if trained is not None and group in trained:
+        best = trained[group]
+    else:
+        best = best_of_seeds(execute_job_lanes(keys, config, surrogates, splits))
+        if trained is not None:
+            trained[group] = best
+    return evaluate_cell(best, splits, setup, eps_test, config)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from repro.core.aging import AgingModel
 from repro.core.grad_kernels import apply_nonideality_bwd
 from repro.core.kernels import apply_nonideality
 from repro.core.variation import (
@@ -18,6 +19,7 @@ from repro.core.variation import (
     ComposedModel,
     CorrelatedVariationModel,
     GaussianVariationModel,
+    MultiplicativeModel,
     NonIdealityModel,
     Perturbation,
     StuckAtModel,
@@ -77,11 +79,21 @@ class TestCombinators:
         assert out.shape == (4, 2, 3)
 
 
-class TestStuckAtModel:
-    def test_sample_raises_type_error(self):
-        with pytest.raises(TypeError, match="sample_perturbation"):
-            StuckAtModel(seed=0).sample(4, (2, 3))
+class TestProtocol:
+    def test_sample_perturbation_is_the_one_abstract_draw(self):
+        assert NonIdealityModel.__abstractmethods__ == {"is_nominal", "sample_perturbation"}
+        assert MultiplicativeModel.__abstractmethods__ == {"is_nominal", "sample"}
 
+    def test_only_multiplicative_models_sample(self):
+        multiplicative = (VariationModel(0.1), GaussianVariationModel(0.1),
+                          CorrelatedVariationModel(0.1), AgingModel())
+        assert all(isinstance(m, MultiplicativeModel) for m in multiplicative)
+        for model in (StuckAtModel(), ComposedModel(VariationModel(0.1))):
+            assert not isinstance(model, MultiplicativeModel)
+            assert not hasattr(model, "sample")
+
+
+class TestStuckAtModel:
     def test_defect_rates_and_values(self):
         model = StuckAtModel(p_stuck_on=0.25, p_stuck_off=0.25,
                              g_min=0.01, g_max=10.0, seed=0)
@@ -145,8 +157,6 @@ class TestComposedModel:
             composed.sample_perturbation(5, (3, 3)),
             a.sample(5, (3, 3)) * b.sample(5, (3, 3)),
         )
-        with pytest.raises(TypeError):
-            composed.sample(5, (3, 3))
 
     def test_later_override_wins(self):
         first = StuckAtModel(p_stuck_on=1.0, p_stuck_off=0.0, g_max=10.0, seed=0)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core import evaluate_mc
+from repro.datasets import load_splits
 from repro.experiments import (
     PROFILES,
     SETUPS,
@@ -15,7 +17,8 @@ from repro.experiments import (
     run_cell,
     summarize_table3,
 )
-from repro.experiments.jobs import iter_cells
+from repro.experiments.jobs import SPLIT_SEED, cell_jobs, execute_job_lanes, iter_cells
+from repro.experiments.runner import evaluate_cell, mc_evaluation_seed
 
 
 def make_cell(dataset, learnable, va, eps, mean, std):
@@ -117,6 +120,36 @@ class TestRunner:
         keys = {(c.setup.learnable, c.setup.variation_aware, c.eps_test) for c in cells}
         assert len(keys) == 8
         assert len(trained) == 6   # nominal setups train once for both epsilons
+
+    def test_run_cell_memo_keeps_datasets_apart(self, micro_config, analytic_surrogates):
+        trained = {}
+        setup = Setup(learnable=False, variation_aware=False)
+        run_cell("iris", setup, 0.05, micro_config,
+                 surrogates=analytic_surrogates, trained=trained)
+        shared = run_cell("seeds", setup, 0.05, micro_config,
+                          surrogates=analytic_surrogates, trained=trained)
+        alone = run_cell("seeds", setup, 0.05, micro_config,
+                         surrogates=analytic_surrogates)
+        assert sorted(group[0] for group in trained) == ["iris", "seeds"]
+        assert shared == alone
+
+    def test_evaluate_cell_scores_in_the_winners_scenario(
+        self, micro_config, analytic_surrogates
+    ):
+        setup = Setup(learnable=True, variation_aware=True)
+        splits = load_splits("iris", seed=SPLIT_SEED, max_train=micro_config.max_train)
+        (key,) = cell_jobs("iris", setup, 0.1, micro_config, scenario="stuck-1pct")
+        (best,) = execute_job_lanes([key], micro_config, analytic_surrogates, splits)
+        cell = evaluate_cell(best, splits, setup, 0.1, micro_config)
+        accuracy = evaluate_mc(
+            best.params, splits.x_test, splits.y_test, epsilon=0.1,
+            n_test=micro_config.n_test, seed=mc_evaluation_seed(key.seed),
+            scenario="stuck-1pct",
+        )
+        assert (cell.mean, cell.std) == (accuracy.mean, accuracy.std)
+        assert (cell.dataset, cell.setup, cell.eps_test) == ("iris", setup, 0.1)
+        assert (cell.best_seed, cell.best_val_loss, cell.scenario) == (
+            key.seed, best.val_loss, "stuck-1pct")
 
 
 class TestTables:

@@ -8,6 +8,9 @@ from repro.experiments.config import SETUPS, TEST_EPSILONS, Setup
 from repro.experiments.jobs import (
     SPLIT_SEED,
     JobKey,
+    JobOutcome,
+    best_of_seeds,
+    cell_jobs,
     iter_cells,
     train_epsilon,
 )
@@ -69,6 +72,45 @@ class TestEnumeration:
 
     def test_deterministic(self):
         assert enumerate_jobs(["iris"], MICRO) == enumerate_jobs(["iris"], MICRO)
+
+
+class TestCellJobs:
+    def test_one_key_per_seed_in_seed_order(self):
+        config = MICRO.with_overrides(seeds=(3, 1, 2))
+        setup = Setup(learnable=True, variation_aware=True)
+        keys = cell_jobs("iris", setup, 0.1, config, scenario="correlated")
+        assert keys == [JobKey("iris", True, True, 0.1, seed, "correlated")
+                        for seed in (3, 1, 2)]
+
+    def test_nominal_cells_share_their_keys(self):
+        nominal = Setup(learnable=False, variation_aware=False)
+        low, high = (cell_jobs("iris", nominal, eps, MICRO) for eps in TEST_EPSILONS)
+        assert low == high
+        assert all(key.train_eps == 0.0 for key in low)
+
+    def test_enumerate_jobs_is_the_deduplicated_cell_jobs(self):
+        expected = []
+        for cell in iter_cells(["iris", "seeds"]):
+            expected.extend(key for key in cell_jobs(*cell, MICRO) if key not in expected)
+        assert enumerate_jobs(["iris", "seeds"], MICRO) == expected
+
+
+class TestBestOfSeeds:
+    @staticmethod
+    def outcome(seed, val_loss):
+        return JobOutcome(
+            key=JobKey("iris", True, True, 0.1, seed), topology=(4, 3, 3),
+            per_neuron_activation=False, val_loss=val_loss,
+            best_epoch=0, epochs_run=1, wall_time=0.0,
+        )
+
+    def test_lowest_validation_loss_wins(self):
+        outcomes = [self.outcome(1, 0.5), self.outcome(2, 0.25), self.outcome(3, 0.75)]
+        assert best_of_seeds(iter(outcomes)) is outcomes[1]
+
+    def test_ties_go_to_the_earlier_seed(self):
+        outcomes = [self.outcome(3, 0.5), self.outcome(1, 0.25), self.outcome(2, 0.25)]
+        assert best_of_seeds(outcomes) is outcomes[1]
 
 
 class TestExecution:

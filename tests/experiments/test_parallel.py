@@ -1,11 +1,17 @@
 """Parallel engine: serial equivalence, resume-after-kill, CLI flags."""
 
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.experiments import (
     ExperimentConfig,
+    JobKey,
     ResultCache,
     RunJournal,
+    enumerate_jobs,
     run_cell,
     run_table2_parallel,
 )
@@ -100,6 +106,65 @@ class TestResume:
                             workers=1, cache=cache)
         records = RunJournal.read(cache.journal_path)[before:]
         assert all(not r["cache_hit"] for r in records)
+
+
+class TestWorkerDeath:
+    """A killed training worker fails the run and names what was lost."""
+
+    @staticmethod
+    def journaled(cache):
+        """``(JobKey, record)`` of every journal record, in order."""
+        return [
+            (JobKey(r["dataset"], r["learnable"], r["variation_aware"],
+                    r["train_eps"], r["seed"], r["scenario"]), r)
+            for r in RunJournal.read(cache.journal_path)
+        ]
+
+    def test_names_lost_jobs_and_resume_trains_only_them(
+        self, analytic_surrogates, tmp_path, monkeypatch,
+    ):
+        cache = ResultCache(tmp_path / "cache")
+        jobs = enumerate_jobs(["iris"], MICRO)
+        doomed = jobs[-1].group
+        parent = os.getpid()
+        execute = parallel.execute_job_lanes
+
+        def kill_doomed_worker(keys, config, surrogates, splits=None):
+            if os.getpid() != parent and keys[0].group == doomed:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return execute(keys, config, surrogates, splits)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(parallel, "execute_job_lanes", kill_doomed_worker)
+            with pytest.raises(BrokenProcessPool) as failure:
+                run_table2_parallel(["iris"], MICRO, surrogates=analytic_surrogates,
+                                    workers=2, cache=cache)
+
+        finished = {key for key, _ in self.journaled(cache)}
+        missing = [key for key in jobs if key not in finished]
+        assert doomed in {key.group for key in missing}
+        message = str(failure.value)
+        named = {line.strip() for line in message.splitlines() if line.startswith("  ")}
+        assert named == {parallel._job_label(key) for key in missing}
+        assert f"{len(missing)} of {len(jobs)} jobs" in message
+        assert "--resume" in message
+
+        seen = len(finished)
+        resumed = run_table2_parallel(["iris"], MICRO, surrogates=analytic_surrogates,
+                                      workers=2, cache=cache)
+        trained = [key for key, r in self.journaled(cache)[seen:] if not r["cache_hit"]]
+        assert sorted(trained) == sorted(missing)
+        uninterrupted = run_table2_parallel(["iris"], MICRO,
+                                            surrogates=analytic_surrogates, workers=1)
+        assert cells_signature(resumed) == cells_signature(uninterrupted)
+
+    def test_without_cache_the_message_offers_no_resume(self):
+        key = JobKey("iris", True, True, 0.1, 2)
+        message = parallel._lost_jobs_message([key], 12, cached=False)
+        assert message.splitlines() == [
+            "a training worker died; 1 of 12 jobs did not finish:",
+            f"  {parallel._job_label(key)}",
+        ]
 
 
 class TestCLIFlags:

@@ -6,9 +6,11 @@ and ``docs/*.md``: each line (or inline code span) holding
 ``python -m repro.experiments.cli``, with ``\\`` continuations joined, a
 closing backtick ending the command and ``#`` starting a comment.
 Commands with placeholders (``...``, ``[…]``, ``<…>``) are usage sketches,
-not commands, and are skipped by one rule.
+not commands: they are not parsed, but every ``--flag`` they name must be
+an option of some command.
 """
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -19,6 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DOCS = [ROOT / "README.md", ROOT / "EXPERIMENTS.md", *sorted((ROOT / "docs").glob("*.md"))]
 PREFIX = "python -m repro.experiments.cli"
 PLACEHOLDER = re.compile(r"\.\.\.|\[[^\]]*\]|<[^>]*>")
+FLAG = re.compile(r"--[A-Za-z][\w-]*")
 
 
 def doc_commands():
@@ -48,6 +51,23 @@ def parse_failure(text):
     return None
 
 
+def option_strings(parser):
+    """Every option string of ``parser`` and of its subcommands."""
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for command in action.choices.values():
+                options |= option_strings(command)
+    return options
+
+
+def unknown_flags(text):
+    """The ``--flags`` in ``text`` that no CLI command defines."""
+    known = option_strings(cli._build_parser())
+    return [flag for flag in FLAG.findall(text) if flag not in known]
+
+
 def test_doc_commands_parse(capsys):
     commands = doc_commands()
     runnable = [(where, text) for where, text in commands if not PLACEHOLDER.search(text)]
@@ -66,3 +86,12 @@ def test_placeholder_rule():
     assert PLACEHOLDER.search("report --telemetry <dir>")
     assert not PLACEHOLDER.search("table2 --profile smoke --datasets iris seeds")
     assert parse_failure("table2 --backend numpy") is not None
+    assert unknown_flags("table2 [--workers N] [--lane-width L]") == []
+    assert unknown_flags("table2 ... [--lane-width L] [--retired S]") == ["--retired"]
+
+
+def test_sketches_name_only_real_flags():
+    sketches = [(where, text) for where, text in doc_commands() if PLACEHOLDER.search(text)]
+    unknown = [f"{where}: {flag}" for where, text in sketches for flag in unknown_flags(text)]
+    assert not unknown, "docs sketch CLI flags that no command defines:\n" + "\n".join(unknown)
+    assert sketches, "no usage sketches found"
