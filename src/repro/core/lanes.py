@@ -14,7 +14,8 @@ Bit-identity is the spec, not tolerance
 Lane ``l`` of an ``L``-lane run must reproduce the one-lane run for the
 same seed **bitwise**: the same per-epoch ``(train_loss, val_loss)``
 history, the same early-stop epoch, and byte-identical trained parameters.
-That is the ``lane_width`` invariance Table II relies on.  It holds because
+Table II relies on it: a seed's result does not depend on which other
+seeds of its group share the batch.  It holds because
 
 - every kernel in :mod:`repro.core.grad_kernels` addresses trailing axes,
   so a lane's slice undergoes the same elementwise operations and the same
@@ -558,7 +559,6 @@ def train_pnn_lanes(
 
     tel = telemetry.get()
     trace = tel.enabled
-    t_fwd_bwd = t_opt = t_val = 0.0
     lane_epochs = 0
     shrink_events = 0
     train_start = perf_counter()
@@ -572,8 +572,6 @@ def train_pnn_lanes(
                 [draw_epoch_epsilons(variations[lane], n_mc, pnns[0]) for lane in active]
             )
         arrays = layer_arrays()
-        if trace:
-            t0 = perf_counter()
         train_losses, grads = lane_net.loss_and_grads(
             arrays, x_train, y_train, loss=base.loss, epsilons=epsilons,
             need_omega_grads=learn_omega,
@@ -582,20 +580,11 @@ def train_pnn_lanes(
             theta_params[i].grad = layer_grads.theta
             omega_params[2 * i].grad = layer_grads.w_act
             omega_params[2 * i + 1].grad = layer_grads.w_neg
-        if trace:
-            t1 = perf_counter()
         optimizer.step()
-        if trace:
-            t2 = perf_counter()
         val_losses = lane_net.loss_values(
             layer_arrays(), x_val, y_val, loss=base.loss, epsilons=val_epsilons,
             tag="lanes.val",
         )
-        if trace:
-            t3 = perf_counter()
-            t_fwd_bwd += t1 - t0
-            t_opt += t2 - t1
-            t_val += t3 - t2
         lane_epochs += len(active)
 
         stopped_positions: List[int] = []
@@ -658,9 +647,6 @@ def train_pnn_lanes(
             lane_epochs=lane_epochs,
             shrink_events=shrink_events,
             dur_s=perf_counter() - train_start,
-            fwd_bwd_s=t_fwd_bwd,
-            optimizer_s=t_opt,
-            validation_s=t_val,
         )
         tel.count("train.epochs", lane_epochs)
         tel.count("lanes.trained", n_lanes)

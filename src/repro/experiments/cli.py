@@ -103,20 +103,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="record structured telemetry (JSONL events + run "
                              "manifest) into DIR; results are bit-identical "
                              "with or without it")
-    table2.add_argument("--lane-width", type=int, default=8, metavar="L",
-                        help="max same-group seeds trained in one lockstep "
-                             "lane batch; results are bit-identical for any "
-                             "width (default: 8)")
     table2.add_argument("--scenario", action="append", dest="scenarios",
                         choices=scenario_names(), metavar="NAME", default=None,
                         help="non-ideality scenario to sweep (repeatable); "
                              "choices: " + ", ".join(scenario_names()) + " "
                              "(default: default ε-only)")
-    table2.add_argument("--deploy-verify", metavar="ROWSxCOLS", default=None,
-                        help="after assembly, tile every selected design "
-                             "onto ROWSxCOLS crossbar arrays and re-simulate "
-                             "it through the batched SPICE engine (advisory "
-                             "check; results are unchanged). Example: 8x8")
 
     export = commands.add_parser(
         "export",
@@ -174,17 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="slowest jobs to list (default: 10)")
 
     return parser
-
-
-def _parse_tile(value: Optional[str]):
-    """``"8x8"`` → ``(8, 8)``; ``None`` stays ``None``."""
-    if value is None:
-        return None
-    try:
-        rows, cols = value.lower().split("x")
-        return (int(rows), int(cols))
-    except ValueError:
-        raise SystemExit(f"error: expected ROWSxCOLS (e.g. 8x8), got {value!r}")
 
 
 def _run_export(args) -> int:
@@ -287,7 +267,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"error: --resume given but no cache at {cache_dir}", file=sys.stderr)
                 return 2
             cache = ResultCache(cache_dir)
-        lane_width = max(1, args.lane_width)
         scenarios = tuple(dict.fromkeys(args.scenarios or (DEFAULT_SCENARIO,)))
         if args.telemetry:
             telemetry.enable(args.telemetry, manifest={
@@ -296,17 +275,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "datasets": list(args.datasets),
                 "workers": args.workers,
                 "seeds": list(profile.seeds),
-                "lane_width": lane_width,
                 "scenarios": list(scenarios),
-                "deploy_verify": args.deploy_verify,
             })
         results = run_table2_parallel(
             args.datasets, profile, surrogates=bundle,
             workers=args.workers, cache=cache,
             progress=lambda msg: print(f"[run] {msg}", file=sys.stderr),
-            lane_width=lane_width,
             scenarios=scenarios,
-            deploy_tile=_parse_tile(args.deploy_verify),
         )
         print(render_scenario_grid(results))
         print()

@@ -57,6 +57,12 @@ class ExperimentConfig:
     max_train: Optional[int] = None                 # subsample cap for big datasets
     per_neuron_activation: bool = False
 
+    def __post_init__(self) -> None:
+        # Every cell prints its best seed; with no seeds there is no cell.
+        if not self.seeds:
+            raise ValueError(f"ExperimentConfig.seeds is empty ({self.seeds!r}); "
+                             "a run needs at least one seed")
+
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         from dataclasses import replace
 

@@ -9,10 +9,9 @@ the result.  This module defines the unit of work:
   ``(dataset, setup, train ϵ, seed, scenario)`` for one training run;
 - :func:`enumerate_jobs` — the deduplicated job list for a set of
   datasets (nominal setups train once with ϵ = 0 and are shared across
-  both test ϵ columns, exactly like :func:`~repro.experiments.runner.run_cell`'s
-  ``trained`` memo);
+  both test ϵ columns);
 - :func:`group_jobs_into_lanes` / :func:`execute_job_lanes` — the lane
-  tier: all seeds of one training group (same dataset, setup and
+  tier: the pending seeds of one training group (same dataset, setup and
   training ϵ — see :attr:`JobKey.group`) are stacked on a leading lane
   axis and trained in lockstep by
   :func:`repro.core.lanes.train_pnn_lanes`.  Each key comes back as a
@@ -36,7 +35,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -96,8 +95,8 @@ class JobKey:
     def group(self) -> Tuple[str, bool, bool, float, str]:
         """Training-group key: all seeds of one ``(dataset, setup, train ϵ, scenario)``.
 
-        The best-of-seeds selection and ``run_cell``'s ``trained`` memo
-        both operate at this granularity.
+        Lane batching and the best-of-seeds selection both operate at
+        this granularity.
         """
         return (
             self.dataset, self.learnable, self.variation_aware,
@@ -209,8 +208,7 @@ def enumerate_jobs(
     """The deduplicated training jobs behind a Table-II run.
 
     Nominal setups share a single ϵ = 0 training across both test ϵ
-    columns — the on-disk analogue of ``run_cell``'s ``trained`` memo —
-    so 4 setups × 2 test ϵ collapse to 6 training groups per
+    columns, so 4 setups × 2 test ϵ collapse to 6 training groups per
     dataset, each fanned out over ``config.seeds``.  Each scenario gets
     its own full grid (scenario-major order), since a scenario changes
     what the training optimizes against.
@@ -257,37 +255,22 @@ def _train_config(key: JobKey, config: ExperimentConfig) -> TrainConfig:
     )
 
 
-def group_jobs_into_lanes(
-    jobs: List[JobKey], lane_width: int
-) -> List[List[JobKey]]:
-    """Chunk a job list into lane batches of at most ``lane_width``.
+def group_jobs_into_lanes(jobs: List[JobKey]) -> List[List[JobKey]]:
+    """One lane batch per training group, in first-appearance order.
 
-    Jobs sharing a :attr:`JobKey.group` (same dataset, setup and training
-    ϵ — hence the same splits, topology and shared hyperparameters) are
-    lane-compatible; they are batched in input order, and batches are
-    emitted in first-appearance order of their group, so the schedule is
-    deterministic for a deterministic job list.  ``lane_width <= 1``
-    degenerates to one one-lane batch per job.
-
-    Because every lane is bitwise identical to its one-lane run, the
-    chunking policy affects wall time only — never results.
+    Jobs sharing a :attr:`JobKey.group` (same dataset, setup, training ϵ
+    and scenario — hence the same splits, topology and shared
+    hyperparameters) are lane-compatible and train as one batch, in input
+    order.  The scheduler passes only its pending (uncached) jobs, so a
+    group with cached seeds trains the rest as one narrower batch.  The
+    schedule is deterministic for a deterministic job list, and because
+    every lane is bitwise identical to its one-lane run, the batching
+    affects wall time only — never results.
     """
-    if lane_width <= 1:
-        return [[key] for key in jobs]
-    buckets: "dict[tuple, List[JobKey]]" = {}
-    order: List[tuple] = []
+    batches: Dict[Tuple, List[JobKey]] = {}
     for key in jobs:
-        group = key.group
-        if group not in buckets:
-            buckets[group] = []
-            order.append(group)
-        buckets[group].append(key)
-    batches: List[List[JobKey]] = []
-    for group in order:
-        members = buckets[group]
-        for start in range(0, len(members), lane_width):
-            batches.append(members[start:start + lane_width])
-    return batches
+        batches.setdefault(key.group, []).append(key)
+    return list(batches.values())
 
 
 def execute_job_lanes(

@@ -11,14 +11,13 @@ time.
 
 Two tiers of parallelism
 ------------------------
-The **first tier is lane batching**: all seeds of one training group
-(same dataset, setup and training ϵ) are stacked on a leading lane axis
-and trained in lockstep by :func:`repro.core.lanes.train_pnn_lanes` —
-one numpy kernel call sequence per epoch instead of one Python epoch
+The **first tier is lane batching**: the pending seeds of one training
+group (same dataset, setup and training ϵ) are stacked on a leading lane
+axis and trained in lockstep by :func:`repro.core.lanes.train_pnn_lanes`
+— one numpy kernel call sequence per epoch instead of one Python epoch
 loop per seed, bitwise identical per lane to the one-lane run.  The
 **process pool is the second tier**: it spreads whole lane *batches*
-(i.e. different groups/datasets) across cores.  ``lane_width=1`` trains
-every job as its own one-lane batch.
+(i.e. different groups/datasets) across cores.
 
 Determinism contract
 --------------------
@@ -91,11 +90,8 @@ def run_table2_parallel(
     surrogates=None,
     workers: int = 1,
     cache: Optional[ResultCache] = None,
-    journal: Optional[RunJournal] = None,
     progress: Optional[Callable[[str], None]] = None,
-    lane_width: int = 8,
     scenarios: Tuple[str, ...] = (DEFAULT_SCENARIO,),
-    deploy_tile: Optional[Tuple[int, int]] = None,
 ) -> List[CellResult]:
     """Run the Table-II grid with caching and multi-process training.
 
@@ -119,35 +115,20 @@ def run_table2_parallel(
         Optional :class:`~repro.experiments.cache.ResultCache`.  When
         given, solved jobs are loaded instead of re-trained and fresh
         jobs are persisted, which makes interrupted runs resumable and
-        repeated runs free.
-    journal:
-        Optional :class:`~repro.experiments.cache.RunJournal`; defaults
-        to ``<cache-dir>/journal.jsonl`` when a cache is given.  One
-        record is appended per job — cache hits included, so a
-        second invocation is auditable as "zero re-trainings".
+        repeated runs free.  Its ``journal.jsonl``
+        (:class:`~repro.experiments.cache.RunJournal`) gets one record
+        per job — cache hits included, so a second invocation is
+        auditable as "zero re-trainings".  The pending seeds of each
+        training group train as one lockstep lane batch (first-tier
+        parallelism; see the module docstring).
     progress:
         Optional callback receiving one human-readable line per job.
-    lane_width:
-        Maximum number of same-group jobs stacked into one lockstep lane
-        batch (first-tier parallelism; see the module docstring).  ``1``
-        trains every job as its own one-lane batch.  Any width produces
-        bit-identical results — only the wall time changes.
     scenarios:
         Non-ideality scenarios to sweep
         (:data:`repro.core.variation.SCENARIOS` names).  Each scenario
         trains and evaluates its own full grid; the default
         single-scenario sweep reproduces the historical results (and
         cache digests) exactly.
-    deploy_tile:
-        Optional ``(max_rows, max_cols)`` crossbar tile bound.  When set,
-        every selected best-of-seeds design is additionally tiled and
-        re-simulated through the batched SPICE engine
-        (:func:`repro.exporting.deploy.verify_deployment`) on a handful
-        of test samples, nominal + cell scenario — an advisory post-job
-        deployability check.  Pure observer: it never alters results,
-        raises, or enters the cache digest; failures surface through the
-        progress callback and the ``export.verify_failures`` telemetry
-        counter.
 
     Returns
     -------
@@ -157,8 +138,7 @@ def run_table2_parallel(
     """
     surrogates = surrogates if surrogates is not None else default_surrogates()
     fingerprint = surrogate_fingerprint(surrogates)
-    if journal is None and cache is not None:
-        journal = RunJournal(cache.journal_path)
+    journal = RunJournal(cache.journal_path) if cache is not None else None
 
     tel = telemetry.get()
     scenarios = tuple(scenarios)
@@ -199,11 +179,10 @@ def run_table2_parallel(
             progress(f"{_job_label(key)} [trained {outcome.epochs_run} epochs "
                      f"in {outcome.wall_time:.1f}s]")
 
-    batches = group_jobs_into_lanes(pending, lane_width)
+    batches = group_jobs_into_lanes(pending)
     if tel.enabled and pending:
         tel.event(
             "lanes.plan",
-            lane_width=int(lane_width),
             n_jobs=len(pending),
             n_batches=len(batches),
             widths=[len(batch) for batch in batches],
@@ -233,19 +212,24 @@ def run_table2_parallel(
                         for outcome in batch_outcomes:
                             _finish(outcome)
                     if broken is not None:
-                        lost = [key for key in pending if key not in outcomes]
-                        raise BrokenProcessPool(
-                            _lost_jobs_message(lost, len(jobs), cache is not None)
-                        ) from broken
+                        raise broken
             tel.event("pool.stop", workers=int(workers))
+        except BrokenProcessPool as error:
+            # Raised once the pool has shut down, so every worker log is
+            # complete when the failure is recorded and merged.
+            lost = [key for key in pending if key not in outcomes]
+            if tel.enabled:
+                tel.event("pool.broken", n_jobs=len(jobs), n_lost=len(lost),
+                          lost=[_job_label(key) for key in lost])
+                tel.merge()
+            raise BrokenProcessPool(
+                _lost_jobs_message(lost, len(jobs), cache is not None)
+            ) from error
         finally:
             _FORK_STATE.clear()
 
     with tel.span("table2.assemble"):
-        results = _assemble(
-            datasets, config, surrogates, outcomes, cache, scenarios,
-            deploy_tile=deploy_tile, progress=progress,
-        )
+        results = _assemble(datasets, config, surrogates, outcomes, cache, scenarios)
     if tel.enabled:
         tel.event("table2.done", n_jobs=len(jobs), n_trained=len(pending))
         # Collate the per-process worker logs into the parent run's
@@ -254,15 +238,11 @@ def run_table2_parallel(
     return results
 
 
-def _scenario_tag(scenario: str) -> str:
-    """Progress-line tag for non-default scenarios (empty otherwise)."""
-    return "" if scenario == DEFAULT_SCENARIO else f"[{scenario}] "
-
-
 def _job_label(key: JobKey) -> str:
-    """One job as progress lines and error messages name it."""
+    """One job as progress lines, error messages and telemetry name it."""
+    tag = "" if key.scenario == DEFAULT_SCENARIO else f"[{key.scenario}] "
     return (f"{key.dataset}: {key.setup.label} ϵ_train={key.train_eps:.0%} "
-            f"{_scenario_tag(key.scenario)}seed {key.seed}")
+            f"{tag}seed {key.seed}")
 
 
 def _lost_jobs_message(lost: List[JobKey], n_jobs: int, cached: bool) -> str:
@@ -275,54 +255,13 @@ def _lost_jobs_message(lost: List[JobKey], n_jobs: int, cached: bool) -> str:
     return "\n".join(lines)
 
 
-#: Test samples fed to the advisory post-job deploy verification.
-_DEPLOY_VERIFY_SAMPLES = 8
-
-
-def _deploy_verify_design(
-    design, splits, deploy_tile: Tuple[int, int], scenario: str,
-    dataset: str, setup, progress: Optional[Callable[[str], None]],
-) -> None:
-    """Advisory closed-loop SPICE check of one selected design.
-
-    Runs once per best-of-seeds design group (not per cell).  Never
-    raises and never touches the results: divergence surfaces through
-    the progress line and the ``export.verify_failures`` counter.
-    """
-    from repro.exporting import TileSpec, verify_deployment
-
-    rows, cols = deploy_tile
-    x = splits.x_test[:_DEPLOY_VERIFY_SAMPLES]
-    try:
-        verification = verify_deployment(
-            design, x, TileSpec(max_rows=rows, max_cols=cols),
-            scenarios=("nominal", scenario), n_mc=2,
-        )
-    except Exception as error:  # advisory: report, don't kill the run
-        if progress is not None:
-            progress(
-                f"{_scenario_tag(scenario)}deploy-verify {dataset}/{setup.label}: "
-                f"error: {error}"
-            )
-        return
-    if progress is not None:
-        status = "ok" if verification.passed else "FAILED"
-        progress(
-            f"{_scenario_tag(scenario)}deploy-verify {dataset}/{setup.label} "
-            f"@ {rows}x{cols}: {status} "
-            f"(max |Δv| = {verification.max_output_divergence:.3g} V)"
-        )
-
-
 def _assemble(
     datasets: List[str],
     config: ExperimentConfig,
     surrogates,
     outcomes: Dict[JobKey, JobOutcome],
     cache: Optional[ResultCache],
-    scenarios: Tuple[str, ...] = (DEFAULT_SCENARIO,),
-    deploy_tile: Optional[Tuple[int, int]] = None,
-    progress: Optional[Callable[[str], None]] = None,
+    scenarios: Tuple[str, ...],
 ) -> List[CellResult]:
     """Best-of-seeds selection + MC evaluation, in :func:`iter_cells` order.
 
@@ -352,11 +291,6 @@ def _assemble(
                     assert cache is not None and best.digest is not None
                     best.params = cache.load_design(best.digest, surrogates)
                 winners[group] = best
-                if deploy_tile is not None:
-                    _deploy_verify_design(
-                        best.params, splits, deploy_tile, scenario, dataset,
-                        setup, progress,
-                    )
             results.append(
                 evaluate_cell(winners[group], splits, setup, eps_test, config)
             )

@@ -2,9 +2,9 @@
 
 :func:`render_telemetry_report` turns the JSONL event stream of one run
 (``repro.telemetry``) into the operational summary the engine work has
-been missing: which jobs were slowest, how the wall time split between
-workers, the cache hit ratio, the Newton health of the SPICE engine and
-where the training epochs spent their time.
+been missing: whether the run failed, which jobs were slowest, how the
+wall time split between workers, the cache hit ratio, the Newton health
+of the SPICE engine and how lane training shrank its active set.
 
 Exposed on the command line as::
 
@@ -157,7 +157,7 @@ def _surrogate_section(events: List[Dict]) -> List[str]:
 
 
 def _training_section(events: List[Dict]) -> List[str]:
-    """Summarize lane training: batches, epochs, time split, shrinks.
+    """Summarize lane training: batches, epochs, shrinks.
 
     Reads the per-batch ``lanes.run`` events, the ``train.early_stop``
     events and the ``lanes.shrink`` active-set trajectory emitted by
@@ -172,10 +172,6 @@ def _training_section(events: List[Dict]) -> List[str]:
     epochs = sum(int(a.get("epochs_run", 0)) for a in runs)
     lane_epochs = sum(int(a.get("lane_epochs", 0)) for a in runs)
     shrinks = sum(int(a.get("shrink_events", 0)) for a in runs)
-    fwd = sum(float(a.get("fwd_bwd_s", 0.0)) for a in runs)
-    opt = sum(float(a.get("optimizer_s", 0.0)) for a in runs)
-    val = sum(float(a.get("validation_s", 0.0)) for a in runs)
-    total = fwd + opt + val
     early = sum(1 for e in events
                 if e.get("kind") == "event" and e.get("name") == "train.early_stop")
     saved = lane_epochs / epochs if epochs else 0.0
@@ -186,12 +182,6 @@ def _training_section(events: List[Dict]) -> List[str]:
         f"lane-epochs ({saved:.1f}x amortization), "
         f"{shrinks} active-set shrinks",
     ]
-    if total > 0:
-        lines.append(
-            f"          fwd+bwd {fwd:.2f}s ({fwd / total:.0%}), "
-            f"optimizer {opt:.2f}s ({opt / total:.0%}), "
-            f"validation {val:.2f}s ({val / total:.0%})"
-        )
     shrink_events = [e for e in events
                      if e.get("kind") == "event" and e.get("name") == "lanes.shrink"]
     if shrink_events:
@@ -313,6 +303,23 @@ def _export_section(events: List[Dict], counters: Dict[str, float]) -> List[str]
     return lines
 
 
+def _failure_lines(events: List[Dict]) -> List[str]:
+    """The header lines of a run that died: the ``pool.broken`` event.
+
+    :func:`~repro.experiments.parallel.run_table2_parallel` records it,
+    naming every job that did not finish, before it re-raises the
+    ``BrokenProcessPool``.
+    """
+    lines: List[str] = []
+    for event in events:
+        if event.get("kind") == "event" and event.get("name") == "pool.broken":
+            a = event["attrs"]
+            lines.append(f"FAILED: a training worker died; {a.get('n_lost')} of "
+                         f"{a.get('n_jobs')} jobs did not finish:")
+            lines.extend(f"  {label}" for label in a.get("lost", []))
+    return lines
+
+
 def render_telemetry_report(
     directory: Union[str, os.PathLike], top: int = 10
 ) -> str:
@@ -343,6 +350,7 @@ def render_telemetry_report(
         )
     lines.append(f"events: {len(events)} records from "
                  f"{len({e.get('pid') for e in events})} process(es)")
+    lines.extend(_failure_lines(events))
     lines.append("")
 
     for section in (

@@ -18,7 +18,7 @@ produces the same cells (``workers=1`` runs in-process, without a pool).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.core import evaluate_mc
 from repro.core.variation import DEFAULT_SCENARIO
@@ -126,8 +126,6 @@ def run_cell(
     eps_test: float,
     config: ExperimentConfig,
     surrogates: Optional[Surrogates] = None,
-    splits: Optional[DatasetSplits] = None,
-    trained: Optional[Dict] = None,
 ) -> CellResult:
     """Run one Table-II cell: the one-cell case of the job layer.
 
@@ -135,33 +133,12 @@ def run_cell(
     one lane batch, :func:`~repro.experiments.jobs.best_of_seeds` picks
     the winner and :func:`evaluate_cell` scores it — the steps
     :func:`repro.experiments.parallel.run_table2_parallel` applies to
-    every cell of its grid, so both produce the same cells.
-
-    Parameters
-    ----------
-    trained:
-        Optional *in-process* memo dict keyed by the training group
-        (:attr:`~repro.experiments.jobs.JobKey.group`).  Nominal setups
-        train once with ϵ = 0 and share that training across both test ϵ
-        columns, so passing the same dict to all cells of one dataset
-        avoids redundant trainings.
-
-        This memo lives and dies with one Python process.  Its
-        *persistent* counterpart is the on-disk result cache
-        (:mod:`repro.experiments.cache`) used by
-        :func:`repro.experiments.parallel.run_table2_parallel`: same
-        sharing rule, but keyed additionally by config fingerprint,
-        surrogate fingerprint and seed, and it survives interrupted runs.
+    every cell of its grid, so both produce the same cells.  Nothing is
+    shared between calls: trainings are reused by ``run_table2_parallel``
+    and its on-disk result cache (:mod:`repro.experiments.cache`).
     """
     surrogates = surrogates if surrogates is not None else default_surrogates()
-    if splits is None:
-        splits = load_splits(dataset, seed=SPLIT_SEED, max_train=config.max_train)
+    splits = load_splits(dataset, seed=SPLIT_SEED, max_train=config.max_train)
     keys = cell_jobs(dataset, setup, eps_test, config)
-    group = keys[0].group
-    if trained is not None and group in trained:
-        best = trained[group]
-    else:
-        best = best_of_seeds(execute_job_lanes(keys, config, surrogates, splits))
-        if trained is not None:
-            trained[group] = best
+    best = best_of_seeds(execute_job_lanes(keys, config, surrogates, splits))
     return evaluate_cell(best, splits, setup, eps_test, config)

@@ -16,8 +16,8 @@ These tests pin the lane loop's two contracts (see ``docs/TRAINING.md``):
   per-epoch ``(train_loss, val_loss)`` history (``==``, no tolerance),
   the exact early-stop epoch, and byte-identical trained parameters —
   including when lanes early-stop at different epochs and the active
-  stack shrinks mid-run.  That is the ``lane_width`` invariance Table II
-  relies on; ``train_pnn`` is the one-lane run.
+  stack shrinks mid-run.  Table II relies on it: a seed's result does not
+  depend on which seeds share its batch; ``train_pnn`` is the one-lane run.
 
 The serial executor's recording, ``golden/serial_executor.json``, was
 taken on the commit before its forward/backward was deleted.  Per key

@@ -25,10 +25,18 @@ class TestParser:
         assert "--backend" in capsys.readouterr().err
 
     def test_table2_has_no_lane_grouping_flag(self, capsys):
-        # "--lane-grouping off" was a second spelling of "--lane-width 1".
+        # "--lane-grouping off" trained every job as its own one-lane batch.
         with pytest.raises(SystemExit):
             cli._build_parser().parse_args(["table2", "--lane-grouping", "off"])
         assert "--lane-grouping" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--lane-width", "1"], ["--deploy-verify", "8x8"]])
+    def test_table2_has_no_lane_width_or_deploy_verify_flag(self, capsys, argv):
+        # A group's pending seeds are one lane batch, and deploy checks run
+        # through "export --verify": a script passing either flag fails loudly.
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(["table2", *argv])
+        assert argv[0] in capsys.readouterr().err
 
 
 class TestCellCommand:

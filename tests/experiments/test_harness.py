@@ -78,6 +78,12 @@ class TestConfig:
         assert config.n_test == 7
         assert PROFILES["smoke"].n_test != 7
 
+    def test_empty_seeds_rejected_when_built(self):
+        with pytest.raises(ValueError, match="seeds is empty"):
+            ExperimentConfig(seeds=())
+        with pytest.raises(ValueError, match="seeds is empty"):
+            PROFILES["smoke"].with_overrides(seeds=())
+
 
 class TestRunner:
     @pytest.fixture(scope="class")
@@ -96,42 +102,16 @@ class TestRunner:
         assert cell.std >= 0.0
         assert cell.best_seed == 1
 
-    def test_run_cell_reuses_trained_cache(self, micro_config, analytic_surrogates):
-        trained = {}
-        setup = Setup(learnable=False, variation_aware=False)
-        first = run_cell("iris", setup, 0.05, micro_config,
-                         surrogates=analytic_surrogates, trained=trained)
-        assert len(trained) == 1
-        second = run_cell("iris", setup, 0.10, micro_config,
-                          surrogates=analytic_surrogates, trained=trained)
-        # Nominal training shared across test epsilons → still one entry.
-        assert len(trained) == 1
-
     def test_run_cell_over_iter_cells_produces_full_grid(
         self, micro_config, analytic_surrogates
     ):
-        trained = {}
         cells = [
-            run_cell(dataset, setup, eps_test, micro_config,
-                     surrogates=analytic_surrogates, trained=trained)
+            run_cell(dataset, setup, eps_test, micro_config, surrogates=analytic_surrogates)
             for dataset, setup, eps_test in iter_cells(["iris"])
         ]
         assert len(cells) == 8     # 4 setups × 2 epsilons
         keys = {(c.setup.learnable, c.setup.variation_aware, c.eps_test) for c in cells}
         assert len(keys) == 8
-        assert len(trained) == 6   # nominal setups train once for both epsilons
-
-    def test_run_cell_memo_keeps_datasets_apart(self, micro_config, analytic_surrogates):
-        trained = {}
-        setup = Setup(learnable=False, variation_aware=False)
-        run_cell("iris", setup, 0.05, micro_config,
-                 surrogates=analytic_surrogates, trained=trained)
-        shared = run_cell("seeds", setup, 0.05, micro_config,
-                          surrogates=analytic_surrogates, trained=trained)
-        alone = run_cell("seeds", setup, 0.05, micro_config,
-                         surrogates=analytic_surrogates)
-        assert sorted(group[0] for group in trained) == ["iris", "seeds"]
-        assert shared == alone
 
     def test_evaluate_cell_scores_in_the_winners_scenario(
         self, micro_config, analytic_surrogates

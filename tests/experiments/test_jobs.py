@@ -88,6 +88,14 @@ class TestCellJobs:
         assert low == high
         assert all(key.train_eps == 0.0 for key in low)
 
+    def test_variation_aware_cells_train_separately(self):
+        # VA circuits are tested at their training ε: one group per test ε.
+        aware = Setup(learnable=False, variation_aware=True)
+        low, high = (cell_jobs("iris", aware, eps, MICRO) for eps in TEST_EPSILONS)
+        assert {key.group for key in low}.isdisjoint({key.group for key in high})
+        assert [key.train_eps for key in low] == [0.05] * len(MICRO.seeds)
+        assert [key.train_eps for key in high] == [0.10] * len(MICRO.seeds)
+
     def test_enumerate_jobs_is_the_deduplicated_cell_jobs(self):
         expected = []
         for cell in iter_cells(["iris", "seeds"]):

@@ -2,15 +2,16 @@
 
 Pins the contracts documented in ``docs/TRAINING.md``:
 
-- :func:`group_jobs_into_lanes` chunks same-group jobs deterministically
-  and never mixes groups in one batch;
+- :func:`group_jobs_into_lanes` makes one batch per training group, in
+  first-appearance order, and never mixes groups in one batch;
 - :func:`execute_job_lanes` on an ``L``-key batch returns outcomes
   **bitwise identical** to ``L`` one-key (one-lane) batches — losses,
-  epochs, parameter snapshots and cache digests — which is the
-  ``lane_width`` invariance Table II relies on;
+  epochs, parameter snapshots and cache digests — so a seed's result
+  does not depend on which seeds share its batch;
 - a one-key batch, and every lane of a wider batch, reproduces the
   outcomes recorded from the per-job serial executor it replaced;
-- :func:`run_table2_parallel` produces identical cells at any lane width.
+- :func:`run_table2_parallel` batches only a group's pending seeds when
+  the cache already holds the others, and its cells do not change.
 """
 
 import hashlib
@@ -18,11 +19,13 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core import PrintedNeuralNetwork, snapshot_params, surrogate_fingerprint, train_pnn
 from repro.datasets import load_splits
 from repro.experiments import (
     ExperimentConfig,
     JobKey,
+    ResultCache,
     enumerate_jobs,
     execute_job_lanes,
     group_jobs_into_lanes,
@@ -30,6 +33,7 @@ from repro.experiments import (
     run_table2_parallel,
 )
 from repro.experiments.jobs import SPLIT_SEED, _train_config
+from repro.telemetry import read_events
 
 MICRO = ExperimentConfig(
     seeds=(1, 2, 3), max_epochs=15, patience=15, n_mc_train=2, n_test=6, max_train=50,
@@ -69,33 +73,32 @@ def params_sha256(params):
 class TestGrouping:
     def test_batches_never_mix_groups(self):
         jobs = enumerate_jobs(["iris", "seeds"], MICRO)
-        for batch in group_jobs_into_lanes(jobs, 8):
+        for batch in group_jobs_into_lanes(jobs):
             assert len({key.group for key in batch}) == 1
+
+    def test_one_batch_per_group(self):
+        jobs = enumerate_jobs(["iris", "seeds"], MICRO)
+        batches = group_jobs_into_lanes(jobs)
+        assert len(batches) == len({key.group for key in jobs}) == 12
+        assert [len(batch) for batch in batches] == [len(MICRO.seeds)] * 12
 
     def test_batches_cover_all_jobs_exactly_once(self):
         jobs = enumerate_jobs(["iris"], MICRO)
-        batches = group_jobs_into_lanes(jobs, 2)
+        batches = group_jobs_into_lanes(jobs)
         flattened = [key for batch in batches for key in batch]
-        assert sorted(flattened) == sorted(jobs)
-        assert len(flattened) == len(set(flattened))
-
-    def test_lane_width_caps_batch_size(self):
-        jobs = enumerate_jobs(["iris"], MICRO)
-        assert all(len(b) <= 2 for b in group_jobs_into_lanes(jobs, 2))
-        # 3 seeds at width 2 → one pair + one singleton per group.
-        widths = sorted(len(b) for b in group_jobs_into_lanes(jobs, 2))
-        assert set(widths) == {1, 2}
-
-    def test_width_one_is_per_job_serial(self):
-        jobs = enumerate_jobs(["iris"], MICRO)
-        assert group_jobs_into_lanes(jobs, 1) == [[key] for key in jobs]
+        assert flattened == jobs
 
     def test_deterministic_first_appearance_order(self):
         jobs = enumerate_jobs(["iris"], MICRO)
-        batches = group_jobs_into_lanes(jobs, 8)
+        batches = group_jobs_into_lanes(jobs)
         assert [batch[0].group for batch in batches] == [
             key.group for i, key in enumerate(jobs) if i % len(MICRO.seeds) == 0
         ]
+
+    def test_interleaved_groups_keep_input_order(self):
+        a1, a2 = (JobKey("iris", True, True, 0.05, seed) for seed in (1, 2))
+        b1, b2 = (JobKey("iris", False, False, 0.0, seed) for seed in (1, 2))
+        assert group_jobs_into_lanes([b2, a1, b1, a2]) == [[b2, b1], [a1, a2]]
 
 
 @pytest.mark.slow
@@ -103,7 +106,7 @@ class TestLaneExecutionBitIdentity:
     @pytest.fixture(scope="class")
     def batch(self):
         jobs = enumerate_jobs(["iris"], MICRO)
-        batches = group_jobs_into_lanes(jobs, 8)
+        batches = group_jobs_into_lanes(jobs)
         # A learnable + variation-aware group exercises every moving part.
         return next(b for b in batches if b[0].learnable and b[0].variation_aware)
 
@@ -122,8 +125,8 @@ class TestLaneExecutionBitIdentity:
                 np.testing.assert_array_equal(ll.theta, sl.theta)
                 np.testing.assert_array_equal(ll.act_omega, sl.act_omega)
                 np.testing.assert_array_equal(ll.neg_omega, sl.neg_omega)
-            # The cache digest ignores the batch width, so every width
-            # lands on the same cache entries.
+            # The cache digest ignores the batch, so a seed lands on the
+            # same cache entry whichever seeds it trained beside.
             assert (
                 job_digest(l.key, MICRO, fingerprint)
                 == job_digest(s.key, MICRO, fingerprint)
@@ -160,7 +163,7 @@ class TestLaneExecutionBitIdentity:
     def test_wider_batches_match_recording(self, analytic_surrogates, scenario, width):
         """Each lane of a wider batch reproduces the serial recording too."""
         keys = [JobKey("iris", True, True, 0.05, seed, scenario) for seed in MICRO.seeds]
-        batches = group_jobs_into_lanes(keys, width)
+        batches = [keys[start:start + width] for start in range(0, len(keys), width)]
         assert max(len(batch) for batch in batches) == width
         for batch in batches:
             for outcome in execute_job_lanes(batch, MICRO, analytic_surrogates):
@@ -180,8 +183,9 @@ class TestLaneExecutionBitIdentity:
 
 
 @pytest.mark.slow
-class TestSchedulerLaneWidths:
-    def test_any_lane_width_same_cells(self, analytic_surrogates):
+class TestSchedulerBatches:
+    def test_resume_batches_only_the_pending_seeds(self, analytic_surrogates, tmp_path):
+        """A group with one cached seed trains its other two as one batch."""
         def signature(results):
             return [
                 (c.dataset, c.setup.learnable, c.setup.variation_aware, c.eps_test,
@@ -189,13 +193,32 @@ class TestSchedulerLaneWidths:
                 for c in results
             ]
 
-        wide = run_table2_parallel(
-            ["iris"], MICRO, surrogates=analytic_surrogates, workers=1, lane_width=8
-        )
-        narrow = run_table2_parallel(
-            ["iris"], MICRO, surrogates=analytic_surrogates, workers=1, lane_width=2
-        )
-        off = run_table2_parallel(
-            ["iris"], MICRO, surrogates=analytic_surrogates, workers=1, lane_width=1
-        )
-        assert signature(wide) == signature(narrow) == signature(off)
+        cache = ResultCache(tmp_path / "cache")
+        jobs = enumerate_jobs(["iris"], MICRO)
+        cached = JobKey("iris", True, True, 0.1, 2)
+        (outcome,) = execute_job_lanes([cached], MICRO, analytic_surrogates)
+        digest = job_digest(cached, MICRO, surrogate_fingerprint(analytic_surrogates))
+        cache.store(digest, outcome, analytic_surrogates)
+
+        telemetry.enable(tmp_path / "tel")
+        try:
+            resumed = run_table2_parallel(["iris"], MICRO, surrogates=analytic_surrogates,
+                                          workers=1, cache=cache)
+        finally:
+            telemetry.disable()
+        events = read_events(tmp_path / "tel")
+        (plan,) = [e["attrs"] for e in events if e.get("name") == "lanes.plan"]
+        groups = list(dict.fromkeys(key.group for key in jobs))
+        assert plan["widths"] == [2 if group == cached.group else 3 for group in groups]
+        batch_seeds = {
+            (a["dataset"], a["learnable"], a["variation_aware"], a["train_eps"],
+             a["scenario"]): a["seeds"]
+            for a in (e["attrs"] for e in events
+                      if e.get("kind") == "span" and e.get("name") == "job.lanes")
+        }
+        assert batch_seeds.pop(cached.group) == [1, 3]
+        assert list(batch_seeds.values()) == [[1, 2, 3]] * (len(groups) - 1)
+
+        uncached = run_table2_parallel(["iris"], MICRO, surrogates=analytic_surrogates,
+                                       workers=1)
+        assert signature(resumed) == signature(uncached)

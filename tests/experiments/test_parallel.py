@@ -6,6 +6,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro import telemetry
 from repro.experiments import (
     ExperimentConfig,
     JobKey,
@@ -17,6 +18,8 @@ from repro.experiments import (
 )
 from repro.experiments import cli, parallel
 from repro.experiments.jobs import iter_cells
+from repro.experiments.report import render_telemetry_report
+from repro.telemetry import read_events
 
 MICRO = ExperimentConfig(
     seeds=(1, 2), max_epochs=15, patience=15, n_mc_train=2, n_test=6, max_train=50,
@@ -35,11 +38,9 @@ def cells_signature(results):
 class TestEquivalence:
     @pytest.fixture(scope="class")
     def serial(self, analytic_surrogates):
-        """``run_cell`` over every iris cell, sharing one ``trained`` memo."""
-        trained = {}
+        """``run_cell`` over every iris cell."""
         return [
-            run_cell(dataset, setup, eps_test, MICRO,
-                     surrogates=analytic_surrogates, trained=trained)
+            run_cell(dataset, setup, eps_test, MICRO, surrogates=analytic_surrogates)
             for dataset, setup, eps_test in iter_cells(["iris"])
         ]
 
@@ -134,20 +135,39 @@ class TestWorkerDeath:
                 os.kill(os.getpid(), signal.SIGKILL)
             return execute(keys, config, surrogates, splits)
 
+        tel_dir = tmp_path / "tel"
         with monkeypatch.context() as patch:
             patch.setattr(parallel, "execute_job_lanes", kill_doomed_worker)
-            with pytest.raises(BrokenProcessPool) as failure:
-                run_table2_parallel(["iris"], MICRO, surrogates=analytic_surrogates,
-                                    workers=2, cache=cache)
+            telemetry.enable(tel_dir)
+            try:
+                with pytest.raises(BrokenProcessPool) as failure:
+                    run_table2_parallel(["iris"], MICRO, surrogates=analytic_surrogates,
+                                        workers=2, cache=cache)
+            finally:
+                telemetry.disable()
 
         finished = {key for key, _ in self.journaled(cache)}
         missing = [key for key in jobs if key not in finished]
         assert doomed in {key.group for key in missing}
+        labels = sorted(parallel._job_label(key) for key in missing)
         message = str(failure.value)
         named = {line.strip() for line in message.splitlines() if line.startswith("  ")}
-        assert named == {parallel._job_label(key) for key in missing}
+        assert named == set(labels)
         assert f"{len(missing)} of {len(jobs)} jobs" in message
         assert "--resume" in message
+
+        # The telemetry directory records the failure, merged, and its
+        # report says so in the header.
+        assert (tel_dir / "events.jsonl").exists()
+        (broken,) = [e["attrs"] for e in read_events(tel_dir)
+                     if e.get("kind") == "event" and e.get("name") == "pool.broken"]
+        assert sorted(broken["lost"]) == labels
+        assert (broken["n_lost"], broken["n_jobs"]) == (len(missing), len(jobs))
+        header = render_telemetry_report(tel_dir).split("\n\n")[0]
+        assert (f"FAILED: a training worker died; {len(missing)} of {len(jobs)} "
+                "jobs did not finish:") in header
+        assert sorted(line.strip() for line in header.splitlines()
+                      if line.startswith("  ")) == labels
 
         seen = len(finished)
         resumed = run_table2_parallel(["iris"], MICRO, surrogates=analytic_surrogates,

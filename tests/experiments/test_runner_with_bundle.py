@@ -23,16 +23,6 @@ class TestSeedSelection:
         assert cell.best_seed in micro_config.seeds
         assert np.isfinite(cell.best_val_loss)
 
-    def test_variation_aware_trains_per_epsilon(self, micro_config, tiny_bundle):
-        trained = {}
-        setup = Setup(learnable=False, variation_aware=True)
-        run_cell("iris", setup, 0.05, micro_config,
-                 surrogates=tiny_bundle, trained=trained)
-        run_cell("iris", setup, 0.10, micro_config,
-                 surrogates=tiny_bundle, trained=trained)
-        # VA setups cannot share: one training per test epsilon.
-        assert len(trained) == 2
-
     def test_nominal_cell_evaluated_at_test_epsilon(self, micro_config, tiny_bundle):
         setup = Setup(learnable=False, variation_aware=False)
         cell = run_cell("iris", setup, 0.10, micro_config, surrogates=tiny_bundle)

@@ -304,7 +304,7 @@ class TestLaneTelemetry:
         (plan,) = [e for e in events if e.get("name") == "lanes.plan"]
         n_jobs = len(enumerate_jobs(["iris"], MICRO))
         assert plan["attrs"]["widths"] == [1] * n_jobs
-        assert "serial_jobs" not in plan["attrs"]
+        assert set(plan["attrs"]) == {"n_jobs", "n_batches", "widths"}
         counters = summarize_events(events)["counters"]
         assert "lanes.jobs" not in counters and "lanes.serial_jobs" not in counters
 
@@ -325,10 +325,7 @@ class TestLaneTelemetry:
         assert "train.run" not in names
         runs = [e["attrs"] for e in events
                 if e.get("kind") == "event" and e.get("name") == "lanes.run"]
-        fwd = sum(a["fwd_bwd_s"] for a in runs)
-        opt = sum(a["optimizer_s"] for a in runs)
-        val = sum(a["validation_s"] for a in runs)
-        total = fwd + opt + val
+        assert all({"dur_s", "lane_epochs", "shrink_events"} <= set(a) for a in runs)
         counters = summarize_events(events)["counters"]
         epochs = int(counters["train.epochs"])
         trained = int(counters["lanes.trained"])
@@ -337,6 +334,3 @@ class TestLaneTelemetry:
         assert (f"training: {len(runs)} lane batches, {trained} jobs trained in lanes, "
                 f"{names.count('train.early_stop')} early-stopped") in report
         assert f"covering {epochs} lane-epochs" in report
-        assert (f"fwd+bwd {fwd:.2f}s ({fwd / total:.0%}), "
-                f"optimizer {opt:.2f}s ({opt / total:.0%}), "
-                f"validation {val:.2f}s ({val / total:.0%})") in report

@@ -81,13 +81,13 @@ def test_doc_commands_parse(capsys):
 
 
 def test_placeholder_rule():
-    assert PLACEHOLDER.search("table2 ... --lane-width 1")
+    assert PLACEHOLDER.search("table2 ... --workers 1")
     assert PLACEHOLDER.search("report --telemetry /tmp/tel [--top N]")
     assert PLACEHOLDER.search("report --telemetry <dir>")
     assert not PLACEHOLDER.search("table2 --profile smoke --datasets iris seeds")
     assert parse_failure("table2 --backend numpy") is not None
-    assert unknown_flags("table2 [--workers N] [--lane-width L]") == []
-    assert unknown_flags("table2 ... [--lane-width L] [--retired S]") == ["--retired"]
+    assert unknown_flags("table2 [--workers N] [--scenario NAME]") == []
+    assert unknown_flags("table2 ... [--scenario NAME] [--retired S]") == ["--retired"]
 
 
 def test_sketches_name_only_real_flags():
