@@ -77,10 +77,8 @@ from repro.core.aging import AgingModel, evaluate_lifetime
 from repro.core.serialization import (
     load_design,
     load_params,
-    load_pnn,
     save_design,
     save_params,
-    save_pnn,
     surrogate_fingerprint,
 )
 
@@ -122,9 +120,7 @@ __all__ = [
     "plan_shards",
     "load_design",
     "load_params",
-    "load_pnn",
     "save_design",
     "save_params",
-    "save_pnn",
     "surrogate_fingerprint",
 ]

@@ -34,7 +34,7 @@ seeds of its group share the batch.  It holds because
 
 Pinned by ``tests/core/test_lane_engine.py`` (step-level equality with
 the recorded serial executor, per-lane histories, states, stop epochs,
-gather invariance) and the ci.sh lane-equality smoke.
+gather invariance, a traced mid-run shrink).
 
 Entry points
 ------------
@@ -640,16 +640,20 @@ def train_pnn_lanes(
             final_states[lane] = capture_state(position)
 
     if trace:
+        # Lanes that took the never-improved fallback saw no finite
+        # validation loss in any epoch.
+        nonfinite = [configs[lane].seed for lane in range(n_lanes)
+                     if stoppers[lane].best_state is None]
         tel.event(
             "lanes.run",
             n_lanes=n_lanes,
             epochs_run=epoch + 1,
             lane_epochs=lane_epochs,
             shrink_events=shrink_events,
+            n_nonfinite=len(nonfinite),
+            nonfinite_seeds=nonfinite,
             dur_s=perf_counter() - train_start,
         )
-        tel.count("train.epochs", lane_epochs)
-        tel.count("lanes.trained", n_lanes)
 
     results = []
     for lane in range(n_lanes):

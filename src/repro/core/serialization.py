@@ -1,13 +1,7 @@
 """Saving and loading trained pNN designs.
 
-Three on-disk forms of a design live here:
+Two on-disk forms of a design live here, sharing one design codec:
 
-- :func:`save_pnn` / :func:`load_pnn` persist the *learnable* module state
-  (raw θ and 𝔴 parameters) so training can resume; the surrogate models
-  are *not* embedded — they are shared artifacts with their own cache (see
-  :mod:`repro.surrogate.io`) — so loading requires passing compatible
-  surrogates, and a fingerprint check warns when they differ from the ones
-  used in training.
 - :func:`save_params` / :func:`load_params` persist a frozen
   :class:`~repro.core.params.PNNParams` inference snapshot — printable θ/ω
   plus the surrogate snapshots, i.e. everything the autograd-free kernel
@@ -18,9 +12,11 @@ Three on-disk forms of a design live here:
   without the surrogate snapshots: the design members (version, sizes,
   flags, per-layer θ and ω) and the fingerprint of the surrogates, which
   loading re-attaches from the live ones the fingerprint names.  This is
-  what the experiment result cache stores.  Both pairs share one design
-  codec, so :func:`load_design` also reads a :func:`save_params` archive
-  that carries a fingerprint.
+  what the experiment result cache stores.  :func:`load_design` also
+  reads a :func:`save_params` archive that carries a fingerprint.
+
+An archive without a ``params_version`` (the raw module state older
+versions saved) is refused by both loaders.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from typing import Union
 
 import numpy as np
 
-from repro.core.conductance import ConductanceConfig
 from repro.core.params import (
     PNN_PARAMS_VERSION,
     LayerParams,
@@ -39,7 +34,6 @@ from repro.core.params import (
     SurrogateParams,
     snapshot_surrogate,
 )
-from repro.core.pnn import PrintedNeuralNetwork
 
 
 def _surrogate_pair(surrogates) -> tuple:
@@ -72,76 +66,6 @@ def surrogate_fingerprint(surrogates) -> str:
         hasher.update(np.ascontiguousarray(surrogate.scale).tobytes())
         hasher.update(np.ascontiguousarray(surrogate.shift).tobytes())
     return hasher.hexdigest()[:16]
-
-
-def save_pnn(pnn: PrintedNeuralNetwork, path: Union[str, Path], surrogates=None) -> Path:
-    """Write a trained design to ``path`` (``.npz``)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    first_layer = pnn.layers[0]
-    payload = {
-        "layer_sizes": np.asarray(pnn.layer_sizes, dtype=np.int64),
-        "per_neuron_activation": np.asarray(pnn.per_neuron_activation, dtype=np.int64),
-        "activation_on_output": np.asarray(pnn.layers[-1].apply_activation, dtype=np.int64),
-        "g_min": np.asarray(first_layer.conductance.g_min),
-        "g_max": np.asarray(first_layer.conductance.g_max),
-        "init_negative_fraction": np.asarray(first_layer.conductance.init_negative_fraction),
-    }
-    if surrogates is not None:
-        payload["surrogate_fingerprint"] = np.frombuffer(
-            surrogate_fingerprint(surrogates).encode(), dtype=np.uint8
-        )
-    for name, value in pnn.state_dict().items():
-        payload[f"param.{name}"] = value
-    np.savez(path, **payload)
-    return path
-
-
-def load_pnn(
-    path: Union[str, Path],
-    surrogates,
-    strict_fingerprint: bool = False,
-) -> PrintedNeuralNetwork:
-    """Rebuild a design saved with :func:`save_pnn`.
-
-    Parameters
-    ----------
-    surrogates:
-        The surrogate bundle (or analytic pair) to attach.  With
-        ``strict_fingerprint=True`` a mismatch against the fingerprint
-        recorded at save time raises instead of silently re-targeting the
-        design to different circuit models.
-    """
-    with np.load(Path(path)) as archive:
-        if strict_fingerprint:
-            if "surrogate_fingerprint" not in archive.files:
-                raise ValueError("design was saved without a surrogate fingerprint")
-            recorded = bytes(archive["surrogate_fingerprint"]).decode()
-            current = surrogate_fingerprint(surrogates)
-            if recorded != current:
-                raise ValueError(
-                    f"surrogate mismatch: design trained against {recorded}, "
-                    f"got {current}"
-                )
-        conductance = ConductanceConfig(
-            g_min=float(archive["g_min"]),
-            g_max=float(archive["g_max"]),
-            init_negative_fraction=float(archive["init_negative_fraction"]),
-        )
-        pnn = PrintedNeuralNetwork(
-            [int(s) for s in archive["layer_sizes"]],
-            surrogates,
-            conductance=conductance,
-            per_neuron_activation=bool(archive["per_neuron_activation"]),
-            activation_on_output=bool(archive["activation_on_output"]),
-            rng=np.random.default_rng(0),
-        )
-        state = {}
-        for key in archive.files:
-            if key.startswith("param."):
-                state[key[len("param."):]] = archive[key]
-        pnn.load_state_dict(state)
-    return pnn
 
 
 # --------------------------------------------------------------------- #
@@ -235,8 +159,7 @@ def _design_from_archive(path, archive, surrogates, strict_fingerprint: bool) ->
     """
     if "params_version" not in archive.files:
         raise ValueError(
-            f"{path} is not a PNNParams snapshot "
-            "(legacy module state? use load_pnn)"
+            f"{path} is not a PNNParams snapshot (legacy module state?)"
         )
     version = int(archive["params_version"])
     if version != PNN_PARAMS_VERSION:

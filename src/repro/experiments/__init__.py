@@ -12,11 +12,12 @@
   plus the JSONL run journal.
 - :mod:`~repro.experiments.parallel` — the Table-II scheduler: lane batches
   first, process pool across batches; bit-for-bit identical results at
-  any worker count and lane width.
+  any worker count.
 - :mod:`~repro.experiments.tables` — renders Table II and Table III.
 - :mod:`~repro.experiments.report` — aggregate summary of a recorded
-  :mod:`repro.telemetry` run (slowest jobs, cache hit ratio, SPICE
-  Newton health).
+  :mod:`repro.telemetry` run: the health rules (unconverged Newton
+  lanes, lost jobs, failed deploy checks, lanes without a finite loss)
+  and generic span, counter and event tables.
 - :mod:`~repro.experiments.figures` — data series for Fig. 2 and Fig. 4.
 - :mod:`~repro.experiments.ablation` — the §IV-D improvement summary.
 """

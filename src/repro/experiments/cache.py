@@ -34,8 +34,8 @@ not stored: the fingerprint, which the digest also covers, names them, and
 whose fingerprint matched.  Entries written in the full
 :func:`~repro.core.serialization.save_params` format (79 members, about
 34 KB with the MLP bundle) load the same way; their surrogate members are
-never read.  An entry written before ``PNNParams`` snapshots (legacy module
-state, ``save_pnn``) or a corrupt archive fails
+never read.  An entry written before ``PNNParams`` snapshots (raw module
+state, no ``params_version``) or a corrupt archive fails
 :meth:`ResultCache.load_design` with an error naming the archive; delete
 the entry (or the cache directory) to re-train.
 """

@@ -29,7 +29,8 @@ applies spatially-correlated printing variation)::
     python -m repro.experiments.cli table2 --profile smoke --datasets iris \
         --scenario default --scenario stuck-1pct
 
-Record structured telemetry while running, then inspect it::
+Record structured telemetry while running, then inspect it (``report``
+exits 1 when a health rule fails)::
 
     python -m repro.experiments.cli table2 --profile smoke --datasets iris \
         --workers 2 --telemetry artifacts/telemetry/run1
@@ -50,7 +51,7 @@ from repro.experiments.ablation import improvement_summary
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import PROFILES, Setup
 from repro.experiments.parallel import run_table2_parallel
-from repro.experiments.report import render_telemetry_report
+from repro.experiments.report import check_health, render_telemetry_report
 from repro.experiments.runner import run_cell
 from repro.experiments.tables import (
     render_scenario_grid,
@@ -157,12 +158,13 @@ def _build_parser() -> argparse.ArgumentParser:
                              "spans, deploy counters) into DIR")
 
     report = commands.add_parser(
-        "report", help="aggregate summary of a recorded telemetry run"
+        "report", help="aggregate summary and health rules of a recorded "
+                       "telemetry run (exit 1 when a rule fails)"
     )
     report.add_argument("--telemetry", metavar="DIR", required=True,
                         help="telemetry directory of a previous run")
     report.add_argument("--top", type=int, default=10, metavar="N",
-                        help="slowest jobs to list (default: 10)")
+                        help="slowest span records to list (default: 10)")
 
     return parser
 
@@ -232,8 +234,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "report":
-        print(render_telemetry_report(args.telemetry, top=args.top), end="")
-        return 0
+        try:
+            report = render_telemetry_report(args.telemetry, top=args.top)
+        except FileNotFoundError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+        print(report, end="")
+        summary = telemetry.summarize_events(telemetry.read_events(args.telemetry))
+        return 1 if any(value for _, value in check_health(summary)) else 0
 
     if args.command == "export":
         return _run_export(args)

@@ -352,15 +352,13 @@ def solve_dc_batch(
         tel.event(
             "spice.solve_dc_batch",
             batch=int(batch),
-            n_converged=int(np.sum(out_converged)),
+            n_unconverged=int(batch - np.sum(out_converged)),
             n_iterations=len(active_trajectory),
             total_lane_iters=total_lane_iters,
             active_trajectory=active_trajectory,
             n_damped_steps=n_damped_steps,
             n_singular=n_singular,
         )
-        tel.count("spice.lanes_solved", int(batch))
-        tel.count("spice.newton_lane_iters", total_lane_iters)
 
     return BatchOperatingPoint(
         plan=plan,

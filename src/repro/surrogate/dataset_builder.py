@@ -177,17 +177,7 @@ def build_surrogate_dataset(
         progress(total, total)
 
     if tel.enabled:
-        # BuildStats as counters + one summary event for the whole build.
-        tel.count("surrogate.sampled", stats.n_sampled, kind=kind)
-        tel.count("surrogate.kept", stats.n_kept, kind=kind)
-        for bucket, n in (
-            ("convergence_error", stats.n_convergence_error),
-            ("low_swing", stats.n_low_swing),
-            ("high_rmse", stats.n_high_rmse),
-            ("out_of_bounds", stats.n_out_of_bounds),
-        ):
-            if n:
-                tel.count(f"surrogate.drop.{bucket}", n, kind=kind)
+        # BuildStats as one summary event for the whole build.
         tel.event(
             "surrogate.build",
             kind=kind,

@@ -6,10 +6,10 @@ cache hit ratios, per-epoch timings and surrogate-build drop accounting
 were either printed ad hoc or invisible.  This package makes
 them observable without touching the numbers:
 
-- :func:`span` — context manager recording monotonic wall time (and
-  nesting) of a code region;
-- :meth:`Telemetry.count` / :meth:`Telemetry.gauge` /
-  :meth:`Telemetry.event` — typed counters, gauges and rich events;
+- :meth:`Telemetry.span` — context manager recording monotonic wall
+  time (and nesting) of a code region;
+- :meth:`Telemetry.count` / :meth:`Telemetry.event` — counters and rich
+  events;
 - :class:`EventLog` — an append-only JSONL sink, one file per OS
   process (``events-<pid>.jsonl``), so forked ``ProcessPoolExecutor``
   workers log without locks or cross-process interleaving;
@@ -34,7 +34,6 @@ from repro.telemetry.core import (
     disable,
     enable,
     get,
-    span,
 )
 from repro.telemetry.events import (
     EVENT_KINDS,
@@ -51,7 +50,6 @@ __all__ = [
     "enable",
     "disable",
     "get",
-    "span",
     "EventLog",
     "EVENT_KINDS",
     "merge_events",

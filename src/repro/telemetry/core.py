@@ -1,4 +1,4 @@
-"""Telemetry front end: spans, counters, gauges and the active sink.
+"""Telemetry front end: spans, counters, events and the active sink.
 
 The module keeps one process-global active :class:`Telemetry` (or the
 shared :data:`NULL` no-op).  Instrumented code always goes through
@@ -58,9 +58,6 @@ class NullTelemetry:
         return None
 
     def count(self, name: str, n: Union[int, float] = 1, **attrs) -> None:
-        return None
-
-    def gauge(self, name: str, value: float, **attrs) -> None:
         return None
 
     def merge(self) -> None:
@@ -160,10 +157,6 @@ class Telemetry:
         """Increment counter ``name`` by ``n`` (aggregated at read time)."""
         self._write("count", name, ts=time.time(), n=n, attrs=attrs)
 
-    def gauge(self, name: str, value: float, **attrs) -> None:
-        """Record an instantaneous value (last-write-wins at read time)."""
-        self._write("gauge", name, ts=time.time(), value=value, attrs=attrs)
-
     # ----------------------------------------------------------------- #
     # lifecycle                                                         #
     # ----------------------------------------------------------------- #
@@ -189,21 +182,19 @@ _active_lock = threading.Lock()
 NULL = NullTelemetry()
 
 
-def enable(directory: Union[str, os.PathLike], manifest: Optional[Dict] = None,
-           export_env: bool = True) -> Telemetry:
+def enable(directory: Union[str, os.PathLike], manifest: Optional[Dict] = None) -> Telemetry:
     """Install a :class:`Telemetry` writing to ``directory`` and return it.
 
     ``manifest`` fields (profile, seeds, argv, …) are merged into the run
-    manifest.  With ``export_env`` (default) the directory is also
-    exported as :data:`TELEMETRY_ENV` so worker processes — forked *or*
-    spawned — pick the same destination up lazily via :func:`get`.
+    manifest.  The directory is also exported as :data:`TELEMETRY_ENV` so
+    worker processes — forked *or* spawned — pick the same destination up
+    lazily via :func:`get`.
     """
     global _active
     with _active_lock:
         tel = Telemetry(directory)
         tel.write_manifest(**(manifest or {}))
-        if export_env:
-            os.environ[TELEMETRY_ENV] = str(tel.directory)
+        os.environ[TELEMETRY_ENV] = str(tel.directory)
         _active = tel
     return tel
 
@@ -236,8 +227,3 @@ def get() -> Union[Telemetry, NullTelemetry]:
                 _active = Telemetry(env)
             return _active
     return NULL
-
-
-def span(name: str, **attrs) -> Union[_Span, _NullSpan]:
-    """Module-level shorthand for ``get().span(...)``."""
-    return get().span(name, **attrs)

@@ -2,7 +2,7 @@
 
 Record schema (one JSON object per line)::
 
-    {"kind": "span"|"event"|"count"|"gauge",
+    {"kind": "span"|"event"|"count",
      "name": "...",            # dotted metric/region name
      "ts":   <unix seconds>,   # wall-clock stamp of the record
      "pid":  <os pid>,         # writing process
@@ -10,8 +10,7 @@ Record schema (one JSON object per line)::
      ...kind-specific fields:
         span  -> "dur_s", "path", "depth", "attrs"
         event -> "attrs"
-        count -> "n", "attrs"
-        gauge -> "value", "attrs"}
+        count -> "n", "attrs"}
 
 Every process writes its own ``events-<pid>.jsonl`` (append-only,
 line-buffered), so concurrent workers never interleave partial lines.
@@ -32,7 +31,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
 #: The record kinds a consumer may encounter.
-EVENT_KINDS = ("span", "event", "count", "gauge")
+EVENT_KINDS = ("span", "event", "count")
 
 
 class EventLog:
@@ -176,25 +175,25 @@ def read_events(directory: Union[str, os.PathLike]) -> List[Dict]:
 
 
 def summarize_events(events: Iterable[Dict]) -> Dict[str, Dict]:
-    """Aggregate a record stream into counters / gauges / span stats.
+    """Aggregate a record stream into counters, span stats and event stats.
 
     Returns
     -------
     dict
-        ``{"counters": {name: total}, "gauges": {name: last value},
+        ``{"counters": {name: total},
         "spans": {name: {"count", "total_s", "max_s", "mean_s"}},
-        "events": {name: occurrences}}``
+        "events": {name: occurrences},
+        "attrs": {event name: {attribute: {"sum", "max"}}}}`` — ``attrs``
+        aggregates every numeric attribute of the events of each name.
     """
     counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
     spans: Dict[str, Dict[str, float]] = {}
     event_counts: Dict[str, int] = {}
+    event_attrs: Dict[str, Dict[str, Dict[str, float]]] = {}
     for record in events:
         kind, name = record.get("kind"), record.get("name")
         if kind == "count":
             counters[name] = counters.get(name, 0) + record.get("n", 1)
-        elif kind == "gauge":
-            gauges[name] = record.get("value")
         elif kind == "span":
             stat = spans.setdefault(
                 name, {"count": 0, "total_s": 0.0, "max_s": 0.0}
@@ -205,11 +204,17 @@ def summarize_events(events: Iterable[Dict]) -> Dict[str, Dict]:
             stat["max_s"] = max(stat["max_s"], dur)
         elif kind == "event":
             event_counts[name] = event_counts.get(name, 0) + 1
+            stats = event_attrs.setdefault(name, {})
+            for attr, value in (record.get("attrs") or {}).items():
+                if isinstance(value, (int, float)):
+                    stat = stats.setdefault(attr, {"sum": 0, "max": value})
+                    stat["sum"] += value
+                    stat["max"] = max(stat["max"], value)
     for stat in spans.values():
         stat["mean_s"] = stat["total_s"] / stat["count"] if stat["count"] else 0.0
     return {
         "counters": counters,
-        "gauges": gauges,
         "spans": spans,
         "events": event_counts,
+        "attrs": event_attrs,
     }

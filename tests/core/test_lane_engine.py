@@ -43,6 +43,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core import PrintedNeuralNetwork, TrainConfig, train_pnn, train_pnn_lanes
 from repro.core import lanes as lanes_module
 from repro.core.aging import AgingModel
@@ -235,19 +236,29 @@ class TestLaneBitIdentity:
             run_stacked(tiny_bundle, blob_data, configs, per_neuron),
         )
 
-    def test_staggered_early_stops(self, analytic_surrogates, blob_data):
+    def test_staggered_early_stops(self, analytic_surrogates, blob_data, tmp_path):
         """Lanes stopping at different epochs shrink the stack mid-run and
-        still finish bitwise equal to their one-lane runs."""
+        still finish bitwise equal to their one-lane runs (traced: the
+        telemetry records the mid-run shrink and changes no bit)."""
         configs = [
             make_config(seed, max_epochs=120, patience=5, loss="ce") for seed in SEEDS
         ]
         one_lane = run_one_lane_each(analytic_surrogates, blob_data, configs)
-        stacked = run_stacked(analytic_surrogates, blob_data, configs)
+        telemetry.enable(tmp_path / "tel")
+        try:
+            stacked = run_stacked(analytic_surrogates, blob_data, configs)
+        finally:
+            telemetry.disable()
         assert_bitwise_equal(one_lane, stacked)
         epochs = {result.epochs_run for result in one_lane[0]}
         assert len(epochs) > 1, (
             "fixture regression: staggered-stop test needs lanes stopping at "
             f"different epochs, got {epochs}"
+        )
+        shrinks = [e["attrs"] for e in telemetry.read_events(tmp_path / "tel")
+                   if e.get("name") == "lanes.shrink"]
+        assert any(shrink["active"] > 0 for shrink in shrinks), (
+            f"no mid-run shrink recorded: {shrinks}"
         )
 
     def test_gather_invariance(self, analytic_surrogates, blob_data):

@@ -8,9 +8,7 @@ from repro.core import (
     PNNParams,
     PrintedNeuralNetwork,
     load_params,
-    load_pnn,
     save_params,
-    save_pnn,
     snapshot_params,
     surrogate_fingerprint,
 )
@@ -127,21 +125,20 @@ class TestSerializationRoundTrip:
         # Non-strict load ignores provenance (snapshot is self-contained).
         loaded = load_params(path, tiny_bundle, strict_fingerprint=False)
         assert loaded.content_digest() == params.content_digest()
+        # A snapshot saved without surrogates has no fingerprint to check.
+        unsigned = save_params(params, tmp_path / "unsigned.npz")
+        with pytest.raises(ValueError, match="without a surrogate fingerprint"):
+            load_params(unsigned, analytic_surrogates, strict_fingerprint=True)
 
     def test_refuses_legacy_module_state(self, tmp_path, analytic_surrogates):
+        # Archives written before the snapshots held the raw module state.
         pnn = make_pnn(analytic_surrogates)
-        path = save_pnn(pnn, tmp_path / "legacy.npz", surrogates=analytic_surrogates)
-        with pytest.raises(ValueError, match="load_pnn"):
+        path = tmp_path / "legacy.npz"
+        np.savez(path, layer_sizes=np.asarray(pnn.layer_sizes),
+                 **{f"param.{name}": value for name, value in pnn.state_dict().items()})
+        with pytest.raises(ValueError, match="not a PNNParams snapshot") as info:
             load_params(path, analytic_surrogates)
-
-    def test_legacy_path_still_works(self, tmp_path, analytic_surrogates):
-        pnn = make_pnn(analytic_surrogates, seed=9)
-        path = save_pnn(pnn, tmp_path / "legacy.npz", surrogates=analytic_surrogates)
-        rebuilt = load_pnn(path, analytic_surrogates, strict_fingerprint=True)
-        assert (
-            snapshot_params(rebuilt).content_digest()
-            == snapshot_params(pnn).content_digest()
-        )
+        assert str(path) in str(info.value)
 
     def test_fingerprint_recorded(self, tmp_path, analytic_surrogates):
         params = snapshot_params(make_pnn(analytic_surrogates))

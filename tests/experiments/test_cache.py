@@ -169,10 +169,10 @@ class TestRoundTrip:
     def test_legacy_module_state_entry_fails_naming_the_archive(
         self, tmp_path, analytic_surrogates, outcome
     ):
-        # Entries written before the PNNParams snapshots hold save_pnn
-        # module state; load_design refuses them loudly instead of
-        # rebuilding, and the error names the archive.
-        from repro.core import PrintedNeuralNetwork, save_pnn
+        # Entries written before the PNNParams snapshots hold the raw
+        # module state (param.* members); load_design refuses them loudly
+        # instead of rebuilding, and the error names the archive.
+        from repro.core import PrintedNeuralNetwork
 
         cache = ResultCache(tmp_path / "cache")
         fp = surrogate_fingerprint(analytic_surrogates)
@@ -183,7 +183,8 @@ class TestRoundTrip:
             rng=np.random.default_rng(KEY.seed),
         )
         path = cache.design_path(digest)
-        save_pnn(pnn, path, surrogates=analytic_surrogates)
+        np.savez(path, layer_sizes=np.asarray(pnn.layer_sizes),
+                 **{f"param.{name}": value for name, value in pnn.state_dict().items()})
 
         with pytest.raises(ValueError, match="not a PNNParams snapshot") as info:
             cache.load_design(digest, analytic_surrogates)

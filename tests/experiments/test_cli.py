@@ -1,8 +1,12 @@
 """Command-line interface."""
 
+import numpy as np
 import pytest
 
+from repro import telemetry
+from repro.core import PrintedNeuralNetwork, TrainConfig, save_params, snapshot_params, train_pnn
 from repro.experiments import cli
+from repro.telemetry import read_events, summarize_events
 
 
 class TestParser:
@@ -71,3 +75,49 @@ class TestCellCommand:
         out = capsys.readouterr().out
         assert "Average" in out
         assert "accuracy" in out   # improvement summary lines
+
+
+class TestReportCommand:
+    def test_directory_without_events_is_a_usage_error(self, capsys, tmp_path):
+        # A mistyped path must not pass a gate that reads the report's exit code.
+        for directory in (tmp_path / "absent", tmp_path):
+            assert cli.main(["report", "--telemetry", str(directory)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"no telemetry events found under {directory}" in captured.err
+
+
+class TestExportCommand:
+    def test_verify_with_telemetry_passes_the_health_rules(
+        self, capsys, tmp_path, analytic_surrogates
+    ):
+        """A trained design whose hidden crossbar spills over 8x8 tiles
+        exports, re-simulates in SPICE under nominal and stuck-at
+        conditions, and its telemetry passes every health rule."""
+        rng = np.random.default_rng(0)
+        pnn = PrintedNeuralNetwork([6, 10, 4], analytic_surrogates,
+                                   rng=np.random.default_rng(7))
+        x = rng.uniform(0.0, 1.0, size=(48, 6))
+        y = rng.integers(0, 4, size=48)
+        train_pnn(pnn, x[:36], y[:36], x[36:], y[36:],
+                  TrainConfig(max_epochs=4, patience=4, epsilon=0.1, n_mc_train=3, seed=1))
+        params = save_params(snapshot_params(pnn), tmp_path / "pnn.npz")
+        netlist, tel = tmp_path / "pnn_tiled.netlist", tmp_path / "tel"
+        try:
+            code = cli.main(["export", "--params", str(params), "--output", str(netlist),
+                             "--tile-rows", "8", "--tile-cols", "8", "--verify",
+                             "--scenario", "nominal", "--scenario", "stuck-1pct",
+                             "--telemetry", str(tel)])
+        finally:
+            telemetry.disable()
+        assert code == 0
+        assert "PASS" in capsys.readouterr().out
+        assert any(line.startswith("* tiling: 8x8") for line in netlist.read_text().splitlines())
+
+        counters = summarize_events(read_events(tel))["counters"]
+        assert counters["export.tiles"] > 1
+        assert counters["export.verify_lanes"] == 8 + 2 * 8
+        assert cli.main(["report", "--telemetry", str(tel)]) == 0
+        report = capsys.readouterr().out
+        assert "FAIL" not in report
+        assert "ok    load-bearing devices skipped at export (export.load_bearing_skips): 0" in report

@@ -19,7 +19,7 @@ from repro.experiments import (
 from repro.experiments import cli, parallel
 from repro.experiments.jobs import iter_cells
 from repro.experiments.report import render_telemetry_report
-from repro.telemetry import read_events
+from repro.telemetry import read_events, summarize_events
 
 MICRO = ExperimentConfig(
     seeds=(1, 2), max_epochs=15, patience=15, n_mc_train=2, n_test=6, max_train=50,
@@ -163,11 +163,15 @@ class TestWorkerDeath:
                      if e.get("kind") == "event" and e.get("name") == "pool.broken"]
         assert sorted(broken["lost"]) == labels
         assert (broken["n_lost"], broken["n_jobs"]) == (len(missing), len(jobs))
-        header = render_telemetry_report(tel_dir).split("\n\n")[0]
+        report = render_telemetry_report(tel_dir)
+        header = report.split("\n\n")[0]
         assert (f"FAILED: a training worker died; {len(missing)} of {len(jobs)} "
                 "jobs did not finish:") in header
         assert sorted(line.strip() for line in header.splitlines()
                       if line.startswith("  ")) == labels
+        assert (f"FAIL  jobs lost to a dead worker (pool.broken.n_lost): {len(missing)}"
+                in report)
+        assert cli.main(["report", "--telemetry", str(tel_dir)]) == 1
 
         seen = len(finished)
         resumed = run_table2_parallel(["iris"], MICRO, surrogates=analytic_surrogates,
@@ -228,15 +232,34 @@ class TestCLIFlags:
         assert code == 2
 
     def test_resume_over_populated_cache(self, capsys, monkeypatch, analytic_surrogates, tmp_path):
+        """A resume at another worker count replays every job from cache.
+
+        The fresh run fans its batches over two workers and merges their
+        logs; the resume's own telemetry shows 100% hits and no training,
+        and both runs pass every health rule.
+        """
         self._trim_smoke(monkeypatch, analytic_surrogates)
-        cache_dir = tmp_path / "cache"
-        assert cli.main(["table2", "--datasets", "iris",
-                         "--cache-dir", str(cache_dir)]) == 0
-        first = capsys.readouterr().out
-        assert cli.main(["table2", "--datasets", "iris", "--resume",
-                         "--cache-dir", str(cache_dir)]) == 0
-        second = capsys.readouterr().out
+        cache_dir, fresh, resume = tmp_path / "cache", tmp_path / "fresh", tmp_path / "resume"
+        try:
+            assert cli.main(["table2", "--datasets", "iris", "--workers", "2",
+                             "--cache-dir", str(cache_dir), "--telemetry", str(fresh)]) == 0
+            first = capsys.readouterr().out
+            assert cli.main(["table2", "--datasets", "iris", "--workers", "1", "--resume",
+                             "--cache-dir", str(cache_dir), "--telemetry", str(resume)]) == 0
+            second = capsys.readouterr().out
+        finally:
+            telemetry.disable()
         assert first == second
         records = RunJournal.read(cache_dir / "journal.jsonl")
         resumed = records[len(records) // 2:]
         assert resumed and all(r["cache_hit"] for r in resumed)
+
+        replay = summarize_events(read_events(resume))
+        assert replay["counters"].get("cache.hit") == len(resumed)
+        assert "cache.miss" not in replay["counters"] and "job.done" not in replay["events"]
+        fresh_events = read_events(fresh)
+        assert (fresh / "events.jsonl").exists()
+        workers = {e["pid"] for e in fresh_events if e.get("name") == "job.done"}
+        assert len(workers) >= 2, f"expected >= 2 worker processes, saw {workers}"
+        for directory in (fresh, resume):
+            assert cli.main(["report", "--telemetry", str(directory)]) == 0

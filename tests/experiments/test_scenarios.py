@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from repro import telemetry
 from repro.core import (
     PrintedNeuralNetwork,
     TrainConfig,
@@ -38,6 +39,7 @@ from repro.experiments import (
     split_by_scenario,
 )
 from repro.experiments.cache import CACHE_SCHEMA
+from repro.telemetry import read_events, summarize_events
 
 MICRO = ExperimentConfig(
     seeds=(1, 2), max_epochs=10, patience=10, n_mc_train=2, n_test=4, max_train=50,
@@ -119,7 +121,7 @@ class TestScenarioTraining:
                 assert_array_equal(ll.act_omega, sl.act_omega)
                 assert_array_equal(ll.neg_omega, sl.neg_omega)
 
-    def test_stuck_scenario_changes_training(self, analytic_surrogates, blob_data):
+    def test_stuck_scenario_changes_training(self, analytic_surrogates, blob_data, tmp_path):
         x_train, y_train, x_val, y_val = blob_data
         histories = {}
         for scenario in ("default", "stuck-1pct"):
@@ -127,9 +129,19 @@ class TestScenarioTraining:
                                        rng=np.random.default_rng(7))
             config = TrainConfig(max_epochs=5, patience=5, epsilon=0.1,
                                  n_mc_train=3, seed=3, scenario=scenario)
-            result = train_pnn(pnn, x_train, y_train, x_val, y_val, config)
+            telemetry.enable(tmp_path / scenario)
+            try:
+                result = train_pnn(pnn, x_train, y_train, x_val, y_val, config)
+            finally:
+                telemetry.disable()
             histories[scenario] = result.history
         assert histories["default"] != histories["stuck-1pct"]
+        # The stuck-at training injected real defects; the default one none.
+        counters = {scenario: summarize_events(read_events(tmp_path / scenario))["counters"]
+                    for scenario in histories}
+        assert "defects.sampled" not in counters["default"]
+        stuck = counters["stuck-1pct"]
+        assert 0 < stuck["defects.applied"] < stuck["defects.sampled"]
 
     def test_stuck_scenario_trains_defect_aware_at_eps_zero(
         self, analytic_surrogates, blob_data
@@ -199,6 +211,7 @@ class TestScenarioSweepEndToEnd:
         buckets = split_by_scenario(results)
         assert list(buckets) == ["default", "stuck-1pct"]
         assert len(buckets["default"]) == len(buckets["stuck-1pct"]) == 8
+        assert [c.mean for c in buckets["default"]] != [c.mean for c in buckets["stuck-1pct"]]
 
     def test_default_cells_match_single_scenario_run(self, sweep, analytic_surrogates):
         results, _ = sweep

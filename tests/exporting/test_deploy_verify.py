@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core import PrintedNeuralNetwork
 from repro.core.kernels import network_forward
 from repro.core.params import snapshot_params
@@ -13,7 +14,10 @@ from repro.exporting import (
     verify_deployment,
 )
 from repro.exporting.deploy import CROSSBAR_TOL, OUTPUT_TOL
+from repro.experiments import cli
+from repro.experiments.report import check_health, render_telemetry_report
 from repro.surrogate import AnalyticSurrogate
+from repro.telemetry import read_events, summarize_events
 
 SURROGATES = (AnalyticSurrogate("ptanh"), AnalyticSurrogate("negweight"))
 
@@ -100,12 +104,25 @@ class TestDetection:
         assert not v.passed
         assert "divergence" in v.scenarios[0].failure
 
-    def test_load_bearing_skip_fails(self):
+    def test_load_bearing_skip_fails(self, tmp_path, capsys):
         pnn = PrintedNeuralNetwork([3, 3, 2], SURROGATES, rng=np.random.default_rng(0))
         pnn.layers[0].theta.data[0, 0] = np.nan
-        v = verify_deployment(snapshot_params(pnn), inputs(4, 3))
+        telemetry.enable(tmp_path / "tel")
+        try:
+            v = verify_deployment(snapshot_params(pnn), inputs(4, 3))
+        finally:
+            telemetry.disable()
         assert not v.passed
         assert "load-bearing" in v.scenarios[0].failure
+        # Both export health rules fail, and so does the report command.
+        health = {rule.name: value for rule, value in
+                  check_health(summarize_events(read_events(tmp_path / "tel")))}
+        assert health["export.verify_failures"] == health["export.load_bearing_skips"] == 1
+        assert cli.main(["report", "--telemetry", str(tmp_path / "tel")]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  failed deploy verifications (export.verify_failures): 1" in out
+        assert ("FAIL  load-bearing devices skipped at export "
+                "(export.load_bearing_skips): 1") in out
 
     def test_benign_zero_theta_passes(self):
         pnn = PrintedNeuralNetwork([3, 3, 2], SURROGATES, rng=np.random.default_rng(0))
@@ -149,10 +166,6 @@ class TestDeployReport:
 
 class TestTelemetry:
     def test_verify_span_counters_and_report_section(self, tmp_path):
-        from repro import telemetry
-        from repro.experiments.report import render_telemetry_report
-        from repro.telemetry import read_events, summarize_events
-
         telemetry.enable(tmp_path / "tel")
         try:
             params = make_params([6, 10, 4], seed=5)
@@ -172,5 +185,6 @@ class TestTelemetry:
         assert counters.get("export.verify_failures", 0) == 0
         assert counters["export.verify_lanes"] == 8 + 16
         rendered = render_telemetry_report(tmp_path / "tel")
-        assert "export:" in rendered
-        assert "verification failures: 0" in rendered
+        assert "ok    failed deploy verifications (export.verify_failures): 0" in rendered
+        assert any(line.split() == ["export.verify_lanes", "24"]
+                   for line in rendered.splitlines())

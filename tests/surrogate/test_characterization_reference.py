@@ -38,6 +38,7 @@ import pytest
 
 from repro import telemetry
 from repro.experiments.figures import figure2_series, figure4_left
+from repro.experiments.report import HEALTH_RULES, check_health
 from repro.surrogate.dataset_builder import BuildStats, build_surrogate_dataset
 
 KINDS = ("ptanh", "negweight")
@@ -75,9 +76,9 @@ def test_traced_build_matches_recording_and_converges(
     """Telemetry never touches the numbers, and no batched lane fails.
 
     The traced build must equal the (untraced) recording, record at least
-    one ``spice.solve_dc_batch`` event, and drop no design for a Newton
-    convergence failure: a regression in batched Newton convergence fails
-    here.
+    one ``spice.solve_dc_batch`` event, drop no design for a Newton
+    convergence failure and pass every health rule: a regression in
+    batched Newton convergence fails here.
     """
     telemetry.enable(tmp_path / "tel")
     try:
@@ -89,12 +90,12 @@ def test_traced_build_matches_recording_and_converges(
     assert_matches_recording(dataset, characterization_reference, kind)
 
     events = telemetry.read_events(tmp_path / "tel")
-    solves = [e for e in events
-              if e["kind"] == "event" and e["name"] == "spice.solve_dc_batch"]
-    assert solves
-    counters = telemetry.summarize_events(events)["counters"]
-    assert counters.get("surrogate.drop.convergence_error", 0) == 0
-    assert all(e["attrs"]["n_converged"] == e["attrs"]["batch"] for e in solves)
+    summary = telemetry.summarize_events(events)
+    assert summary["events"]["spice.solve_dc_batch"] > 0
+    assert summary["attrs"]["surrogate.build"]["n_convergence_error"]["sum"] == 0
+    assert dict((rule.label, value) for rule, value in check_health(summary)) == {
+        rule.label: 0 for rule in HEALTH_RULES
+    }
 
 
 def test_figure_series_match_recorded_digests(characterization_reference):

@@ -1,4 +1,4 @@
-"""Telemetry layer: schema, spans, merge determinism, run identity."""
+"""Telemetry layer: schema, spans, merge determinism, run identity, health rules."""
 
 import json
 import multiprocessing
@@ -9,8 +9,9 @@ import pytest
 
 from repro import telemetry
 from repro.circuits.ptanh import ptanh_param_batch, ptanh_stamp_plan
-from repro.experiments import ExperimentConfig, enumerate_jobs, run_table2_parallel
-from repro.experiments.report import render_telemetry_report
+from repro.core import PrintedNeuralNetwork, TrainConfig, train_pnn, train_pnn_lanes
+from repro.experiments import ExperimentConfig, cli, enumerate_jobs, run_table2_parallel
+from repro.experiments.report import HEALTH_RULES, check_health, render_telemetry_report
 from repro.spice import solve_dc_batch
 from repro.surrogate.sampling import sample_design_points
 from repro.telemetry import (
@@ -48,15 +49,14 @@ def _no_leaked_sink():
 class TestSchema:
     def test_record_round_trip(self, tel):
         tel.count("cache.hit", 3)
-        tel.gauge("pool.workers", 2.0)
         tel.event("job.done", dataset="iris", seed=1)
         with tel.span("outer", phase="x"):
             pass
         events = read_events(tel.directory)
 
         by_kind = {e["kind"] for e in events}
-        assert by_kind == {"span", "event", "count", "gauge"}
-        assert set(EVENT_KINDS) == {"span", "event", "count", "gauge"}
+        assert by_kind == {"span", "event", "count"}
+        assert set(EVENT_KINDS) == {"span", "event", "count"}
         for record in events:
             assert set(record) >= {"kind", "name", "pid", "seq", "ts"}
             assert record["pid"] == os.getpid()
@@ -68,16 +68,18 @@ class TestSchema:
     def test_summarize_aggregates(self, tel):
         tel.count("hits", 2)
         tel.count("hits", 5)
-        tel.gauge("g", 1.0)
-        tel.gauge("g", 7.5)
-        tel.event("done")
-        tel.event("done")
+        tel.event("done", n=3, dur_s=0.5, label="a")
+        tel.event("done", n=4, dur_s=0.25, label="b")
         with tel.span("work"):
             pass
         summary = summarize_events(read_events(tel.directory))
+        assert set(summary) == {"counters", "spans", "events", "attrs"}
         assert summary["counters"]["hits"] == 7
-        assert summary["gauges"]["g"] == 7.5
         assert summary["events"]["done"] == 2
+        # Numeric event attributes are summed and maximized; others skipped.
+        assert summary["attrs"]["done"] == {
+            "n": {"sum": 7, "max": 4}, "dur_s": {"sum": 0.75, "max": 0.5},
+        }
         stat = summary["spans"]["work"]
         assert stat["count"] == 1
         assert stat["total_s"] == stat["max_s"] == stat["mean_s"]
@@ -105,9 +107,20 @@ class TestSchema:
         assert "ok" in names and "torn" not in names
 
 
+def table_row(report, *cells):
+    """Whether a line of ``report`` holds exactly ``cells`` (whitespace-split)."""
+    return any(line.split() == [str(c) for c in cells] for line in report.splitlines())
+
+
+def health(directory):
+    """``{rule label: value}`` of the run at ``directory``."""
+    summary = summarize_events(read_events(directory))
+    return {rule.label: value for rule, value in check_health(summary)}
+
+
 class TestSpiceReport:
-    def test_lanes_that_exhaust_max_iter_are_reported(self, tel):
-        """A capped solve's unconverged lanes show up in the spice line."""
+    def test_lanes_that_exhaust_max_iter_are_reported(self, tel, capsys):
+        """A capped solve's unconverged lanes fail the Newton health rule."""
         plan = ptanh_stamp_plan()
         params = ptanh_param_batch(sample_design_points(12, seed=2), plan)
         iters = solve_dc_batch(plan, params).iterations
@@ -115,9 +128,17 @@ class TestSpiceReport:
         capped = solve_dc_batch(plan, params, max_iter=cap)
         n_failed = int(np.sum(~capped.converged))
         assert n_failed == int(np.sum(iters > cap)) > 0
+        assert health(tel.directory) == {
+            rule.label: (n_failed if rule.name == "spice.solve_dc_batch" else 0)
+            for rule in HEALTH_RULES
+        }
         report = render_telemetry_report(tel.directory)
-        assert "spice: 2 batched solves, 24 lanes" in report
-        assert f"unconverged lanes {n_failed}," in report
+        assert table_row(report, "spice.solve_dc_batch", 2, "batch", 24, 12)
+        assert (f"FAIL  unconverged Newton lanes "
+                f"(spice.solve_dc_batch.n_unconverged): {n_failed}") in report
+        capsys.readouterr()
+        assert cli.main(["report", "--telemetry", str(tel.directory)]) == 1
+        assert capsys.readouterr().out == report
 
 
 class TestSpans:
@@ -165,7 +186,6 @@ class TestNullSink:
             pass
         assert tel.count("c") is None
         assert tel.event("e") is None
-        assert tel.gauge("g", 1.0) is None
 
     def test_env_var_resolution(self, tmp_path):
         telemetry.disable()
@@ -297,7 +317,7 @@ class TestLaneTelemetry:
         n_jobs = len(enumerate_jobs(["iris"], MICRO))
         summary = summarize_events(events)
         assert summary["events"]["lanes.run"] == n_jobs
-        assert summary["counters"]["lanes.trained"] == n_jobs
+        assert summary["attrs"]["lanes.run"]["n_lanes"]["sum"] == n_jobs
 
     def test_plan_event_carries_widths_only(self, traced):
         _, events = traced
@@ -309,28 +329,70 @@ class TestLaneTelemetry:
         assert "lanes.jobs" not in counters and "lanes.serial_jobs" not in counters
 
     def test_report_lanes_section(self, traced):
-        """The lane counts live in the one training section."""
+        """The lane counts live in the events table's ``lanes.run`` rows."""
         directory, _ = traced
         n_jobs = len(enumerate_jobs(["iris"], MICRO))
         report = render_telemetry_report(directory)
-        assert (f"training: {n_jobs} lane batches, {n_jobs} jobs trained in lanes"
-                in report)
-        assert "lanes: " not in report
-        assert "planned serial" not in report
+        assert table_row(report, "lanes.run", n_jobs, "n_lanes", n_jobs, 1)
+        assert table_row(report, "lanes.plan", 1, "n_batches", n_jobs, n_jobs)
 
-    def test_report_training_line_sums_lane_runs(self, traced):
-        """One record per lane run: the training section sums ``lanes.run``."""
+    def test_lane_run_records_each_fact_once(self, traced):
+        """One record per lane run; the report sums ``lanes.run``."""
         directory, events = traced
         names = [e.get("name") for e in events if e.get("kind") == "event"]
         assert "train.run" not in names
         runs = [e["attrs"] for e in events
                 if e.get("kind") == "event" and e.get("name") == "lanes.run"]
-        assert all({"dur_s", "lane_epochs", "shrink_events"} <= set(a) for a in runs)
+        assert all(set(a) == {"n_lanes", "epochs_run", "lane_epochs", "shrink_events",
+                              "n_nonfinite", "nonfinite_seeds", "dur_s"} for a in runs)
+        assert all(a["lane_epochs"] > 0 and a["nonfinite_seeds"] == [] for a in runs)
         counters = summarize_events(events)["counters"]
-        epochs = int(counters["train.epochs"])
-        trained = int(counters["lanes.trained"])
+        assert "train.epochs" not in counters and "lanes.trained" not in counters
         report = render_telemetry_report(directory)
-        assert report.count("training: ") == 1
-        assert (f"training: {len(runs)} lane batches, {trained} jobs trained in lanes, "
-                f"{names.count('train.early_stop')} early-stopped") in report
-        assert f"covering {epochs} lane-epochs" in report
+        lane_epochs = sum(a["lane_epochs"] for a in runs)
+        assert table_row(report, "lanes.run", len(runs), "lane_epochs", lane_epochs,
+                         max(a["lane_epochs"] for a in runs))
+        assert health(directory)["lanes without a finite validation loss"] == 0
+
+
+class TestNonFiniteLane:
+    """A lane that never sees a finite validation loss fails a health rule."""
+
+    def test_poisoned_lane_fails_the_rule_and_leaves_its_mate_alone(
+            self, analytic_surrogates, blob_data, tmp_path, capsys):
+        x_train, y_train, x_val, y_val = blob_data
+
+        def build(seed):
+            return PrintedNeuralNetwork([2, 3, 2], analytic_surrogates,
+                                        rng=np.random.default_rng(seed))
+
+        configs = [TrainConfig(max_epochs=12, patience=4, epsilon=0.1, n_mc_train=2,
+                               seed=seed) for seed in (1, 2)]
+        alone = build(1)
+        reference = train_pnn(alone, x_train, y_train, x_val, y_val, configs[0])
+
+        pnns = [build(1), build(2)]
+        pnns[1].layers[0].theta.data[0, 0] = np.nan
+        directory = tmp_path / "tel"
+        telemetry.enable(directory)
+        try:
+            healthy, poisoned = train_pnn_lanes(pnns, x_train, y_train, x_val, y_val, configs)
+        finally:
+            telemetry.disable()
+
+        assert (poisoned.best_val_loss, poisoned.best_epoch) == (np.inf, -1)
+        assert healthy.history == reference.history
+        assert (healthy.best_epoch, healthy.best_val_loss, healthy.epochs_run) == (
+            reference.best_epoch, reference.best_val_loss, reference.epochs_run)
+        expected = alone.state_dict()
+        for name, value in pnns[0].state_dict().items():
+            np.testing.assert_array_equal(value, expected[name], err_msg=name)
+
+        (run,) = [e["attrs"] for e in read_events(directory) if e.get("name") == "lanes.run"]
+        assert (run["n_nonfinite"], run["nonfinite_seeds"]) == (1, [2])
+        assert health(directory) == {
+            rule.label: (1 if rule.name == "lanes.run" else 0) for rule in HEALTH_RULES
+        }
+        assert cli.main(["report", "--telemetry", str(directory)]) == 1
+        assert ("FAIL  lanes without a finite validation loss (lanes.run.n_nonfinite): 1"
+                in capsys.readouterr().out)
