@@ -42,10 +42,10 @@ def test_analysis_cost_and_sensitivity(benchmark, output_dir, profile, bundle):
     )
     assert cost.n_transistors / n_neurons < 10
 
-    omega = pnn.layers[0].activation.printable_omega()[0]
+    omega = pnn.snapshot().layers[0].act_omega[0]
     lines.append("")
     lines.append("η sensitivity to relative component changes (layer 0 activation):")
-    lines.append(format_sensitivity(eta_sensitivity(pnn.layers[0].activation.surrogate, omega)))
+    lines.append(format_sensitivity(eta_sensitivity(pnn.act_surrogate, omega)))
 
     lines.append("")
     lines.append("accuracy attribution of 10% variation per component group:")

@@ -43,8 +43,11 @@ def main() -> None:
         surrogates,
         rng=np.random.default_rng(1),
     )
+    n_params = sum(
+        array.size for layer in pnn.layers for array in (layer.theta, layer.w_act, layer.w_neg)
+    )
     print(f"pNN topology {splits.n_features}-3-{splits.n_classes}, "
-          f"{sum(p.data.size for p in pnn.parameters())} learnable parameters")
+          f"{n_params} learnable parameters")
 
     config = TrainConfig(
         epsilon=0.10,            # variation-aware training at 10%

@@ -88,7 +88,7 @@ def estimate_cost(pnn: PrintedNeuralNetwork) -> DesignCost:
     area = 0.0
     power = 0.0
 
-    for layer_report, layer in zip(report.layers, pnn.layers):
+    for layer_report in report.layers:
         printed = np.isfinite(layer_report.crossbar_resistances)
         n_resistors += int(printed.sum())
         area += printed.sum() * RESISTOR_AREA_MM2

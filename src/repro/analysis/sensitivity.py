@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.evaluation import evaluate_mc
 from repro.core.grad_kernels import surrogate_eta_bwd, surrogate_eta_fwd
-from repro.core.params import snapshot_surrogate
+from repro.core.params import snapshot_params, snapshot_surrogate
 from repro.core.pnn import PrintedNeuralNetwork
 from repro.core.variation import EpsilonLike, NonIdealityModel, VariationModel
 from repro.surrogate.design_space import OMEGA_NAMES
@@ -116,10 +116,8 @@ def variation_attribution(
     snapshot drivers of :mod:`repro.core.kernels`, which draw each
     layer's ε triple by the role :class:`_SelectiveVariation` keys on.
     """
-    from repro.core.params import PNNParams, snapshot_params
-
     y = np.asarray(y, dtype=np.int64)
-    params = pnn if isinstance(pnn, PNNParams) else snapshot_params(pnn)
+    params = snapshot_params(pnn)
     nominal = evaluate_mc(params, x, y, epsilon=0.0)
     results = []
     for group in ("theta", "activation", "negweight", "all"):

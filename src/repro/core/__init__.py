@@ -4,12 +4,10 @@ This package is the paper's primary contribution (Sec. III):
 
 - :mod:`~repro.core.conductance` — the printable-conductance range and
   the θ initialization;
-- :mod:`~repro.core.nonlinear` — a learnable nonlinear circuit: its raw
-  Fig. 5 parameters 𝔴 and their printable ω;
-- :mod:`~repro.core.player` — one printed layer: the crossbar
-  conductances θ plus its activation and negative-weight circuits;
 - :mod:`~repro.core.pnn` — the full network (topology #input-3-#output in
-  the experiments), a container of those parameters;
+  the experiments) as its learnable arrays: per layer the crossbar
+  conductances θ and the raw Fig. 5 parameters 𝔴 of its activation and
+  negative-weight circuits;
 - :mod:`~repro.core.variation` — the composable non-ideality pipeline:
   the :class:`NonIdealityModel` protocol, the multiplicative printing
   variation ε ~ U[1−ϵ, 1+ϵ] and its Gaussian sibling, stuck-at
@@ -39,7 +37,6 @@ This package is the paper's primary contribution (Sec. III):
 """
 
 from repro.core.conductance import ConductanceConfig
-from repro.core.nonlinear import LearnableNonlinearCircuit
 from repro.core.params import (
     PNN_PARAMS_VERSION,
     LayerParams,
@@ -47,8 +44,7 @@ from repro.core.params import (
     SurrogateParams,
     snapshot_params,
 )
-from repro.core.player import PrintedLayer
-from repro.core.pnn import PrintedNeuralNetwork
+from repro.core.pnn import PrintedLayer, PrintedNeuralNetwork
 from repro.core.variation import (
     DEFAULT_SCENARIO,
     SCENARIOS,
@@ -86,7 +82,6 @@ __all__ = [
     "AgingModel",
     "evaluate_lifetime",
     "ConductanceConfig",
-    "LearnableNonlinearCircuit",
     "PrintedLayer",
     "PrintedNeuralNetwork",
     "PNNParams",

@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.params import snapshot_params
 from repro.core.pnn import PrintedNeuralNetwork
 from repro.core.variation import MultiplicativeModel
 
@@ -147,10 +148,8 @@ def evaluate_lifetime(
     device samples.  The design is snapshotted once and the sweep runs
     through the autograd-free kernel path.
     """
-    from repro.core.params import PNNParams, snapshot_params
-
     y = np.asarray(y, dtype=np.int64)
-    params = pnn if isinstance(pnn, PNNParams) else snapshot_params(pnn)
+    params = snapshot_params(pnn)
     points = []
     for time in times:
         pinned = aging.at_time(float(time))

@@ -76,15 +76,6 @@ class MonteCarloAccuracy:
         return f"{self.mean:.3f} ± {self.std:.3f}"
 
 
-Design = Union[PrintedNeuralNetwork, PNNParams]
-
-
-def _as_params(design: Design) -> PNNParams:
-    if isinstance(design, PNNParams):
-        return design
-    return snapshot_params(design)
-
-
 def draw_variation_samples(
     params: PNNParams,
     variation,
@@ -152,7 +143,7 @@ def _accuracy_rows(params: PNNParams, x: np.ndarray, epsilons, y: np.ndarray,
 
 
 def evaluate_mc(
-    design: Design,
+    design: Union[PrintedNeuralNetwork, PNNParams],
     x: np.ndarray,
     y: np.ndarray,
     epsilon: float,
@@ -176,7 +167,7 @@ def evaluate_mc(
     other scenarios may not be (stuck-at defects still fabricate broken
     devices).
     """
-    params = _as_params(design)
+    params = snapshot_params(design)
     y = np.asarray(y, dtype=np.int64)
     variation = active_scenario_model(scenario, epsilon, seed=seed)
     if variation is None:
@@ -244,7 +235,7 @@ def _evaluate_shard(params: PNNParams, x: np.ndarray, y: np.ndarray, epsilons,
 
 
 def evaluate_mc_sharded(
-    design: Design,
+    design: Union[PrintedNeuralNetwork, PNNParams],
     x: np.ndarray,
     y: np.ndarray,
     epsilon: float,
@@ -280,7 +271,7 @@ def evaluate_mc_sharded(
     Nominal evaluations (``ε = 0`` in the default scenario, or a nominal
     scenario model) early-return exactly like the serial path.
     """
-    params = _as_params(design)
+    params = snapshot_params(design)
     y = np.asarray(y, dtype=np.int64)
     variation = active_scenario_model(scenario, epsilon, seed=seed)
     if variation is None:

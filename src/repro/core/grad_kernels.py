@@ -820,15 +820,15 @@ class KernelNetwork:
                 in_features=layer.in_features,
                 out_features=layer.out_features,
                 apply_activation=layer.apply_activation,
-                g_min=layer.conductance.g_min,
-                g_max=layer.conductance.g_max,
+                g_min=pnn.conductance.g_min,
+                g_max=pnn.conductance.g_max,
             )
             for layer in pnn.layers
         ]
         return cls(
             metas,
-            act_surrogate=snapshot_surrogate(pnn.layers[0].activation.surrogate),
-            neg_surrogate=snapshot_surrogate(pnn.layers[0].negation.surrogate),
+            act_surrogate=snapshot_surrogate(pnn.act_surrogate),
+            neg_surrogate=snapshot_surrogate(pnn.neg_surrogate),
             space=pnn.space,
             layer_sizes=pnn.layer_sizes,
         )
@@ -837,22 +837,9 @@ class KernelNetwork:
     def extract_arrays(pnn) -> List[List[np.ndarray]]:
         """Copy a network's raw parameters as ``[[θ, 𝔴_act, 𝔴_neg], ...]``."""
         return [
-            [
-                layer.theta.data.copy(),
-                layer.activation.w_raw.data.copy(),
-                layer.negation.w_raw.data.copy(),
-            ]
+            [layer.theta.copy(), layer.w_act.copy(), layer.w_neg.copy()]
             for layer in pnn.layers
         ]
-
-    @staticmethod
-    def state_names(index: int) -> Tuple[str, str, str]:
-        """The ``state_dict`` keys of layer ``index``'s three parameters."""
-        return (
-            f"layer{index}.theta",
-            f"layer{index}.activation.w_raw",
-            f"layer{index}.negation.w_raw",
-        )
 
     # ------------------------------------------------------------------ #
     # one-network calls: the one-lane case of LaneNetwork                #

@@ -39,8 +39,8 @@ gather invariance, a traced mid-run shrink).
 Entry points
 ------------
 :func:`train_pnn_lanes` — train a list of networks in lockstep; returns
-one :class:`~repro.core.training.TrainResult` per lane and leaves each
-module holding its best-epoch parameters.
+one :class:`~repro.core.training.TrainResult` per lane and writes each
+lane's best-epoch arrays back into its network.
 :class:`LaneNetwork` — the one forward/backward executor over raw
 parameter arrays, lane-stacked ``(L, ...)``, reusing the frozen structure
 of a :class:`~repro.core.grad_kernels.KernelNetwork`; one-network calls
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -170,9 +170,10 @@ class LaneNetwork:
     def from_pnns(cls, pnns: Sequence[PrintedNeuralNetwork]) -> "LaneNetwork":
         """Freeze a compatible set of networks into one lane engine.
 
-        All networks must share topology, per-neuron-activation mode and
-        the *same* surrogate objects (one snapshot serves every lane —
-        anything else would silently break per-lane bit-identity).
+        All networks must share topology, per-neuron-activation mode, the
+        conductance range and the *same* surrogate and design-space objects
+        (one snapshot serves every lane — anything else would train a lane
+        under another network's projection than the one it is printed with).
         """
         if not pnns:
             raise ValueError("need at least one network")
@@ -185,11 +186,15 @@ class LaneNetwork:
             for mine, theirs in zip(first.layers, other.layers):
                 if theirs.apply_activation != mine.apply_activation:
                     raise ValueError("lane networks must share activation placement")
-                if (
-                    theirs.activation.surrogate is not mine.activation.surrogate
-                    or theirs.negation.surrogate is not mine.negation.surrogate
-                ):
-                    raise ValueError("lane networks must share surrogate objects")
+            if (
+                other.act_surrogate is not first.act_surrogate
+                or other.neg_surrogate is not first.neg_surrogate
+            ):
+                raise ValueError("lane networks must share surrogate objects")
+            if other.conductance != first.conductance:
+                raise ValueError("lane networks must share the conductance range")
+            if other.space is not first.space:
+                raise ValueError("lane networks must share the design-space object")
         return cls(KernelNetwork.from_pnn(first))
 
     @staticmethod
@@ -447,7 +452,7 @@ def train_pnn_lanes(
     pnns:
         The networks, one per lane — same topology and surrogates,
         independently initialized (each from its own seed).  Trained in
-        place: each module ends up holding its best-epoch parameters.
+        place: each network ends up holding its best-epoch arrays.
     x_train, y_train, x_val, y_val:
         The *shared* dataset splits (lane batching groups jobs by
         dataset/setup, so all lanes see the same data).
@@ -495,15 +500,13 @@ def train_pnn_lanes(
         raise ValueError("need exactly one variation model entry per network")
 
     lane_net = LaneNetwork.from_pnns(pnns)
-    n_layers = len(lane_net.net.layers)
-    stacked = LaneNetwork.stack_arrays(pnns)
-    theta_params: List[RawParameter] = []
-    omega_params: List[RawParameter] = []
-    for index, (theta, w_act, w_neg) in enumerate(stacked):
-        theta_name, act_name, neg_name = KernelNetwork.state_names(index)
-        theta_params.append(RawParameter(theta, theta_name))
-        omega_params.append(RawParameter(w_act, act_name))
-        omega_params.append(RawParameter(w_neg, neg_name))
+    # [θ, 𝔴_act, 𝔴_neg] per layer, each lane-stacked.
+    layer_params = [
+        [RawParameter(array) for array in layer]
+        for layer in LaneNetwork.stack_arrays(pnns)
+    ]
+    theta_params = [theta for theta, _, _ in layer_params]
+    omega_params = [w for _, w_act, w_neg in layer_params for w in (w_act, w_neg)]
     all_params = theta_params + omega_params
 
     learn_omega = base.learnable_nonlinear and base.lr_omega > 0
@@ -541,21 +544,18 @@ def train_pnn_lanes(
     stoppers = [EarlyStopping(patience=base.patience) for _ in range(n_lanes)]
     histories: List[List[Tuple[int, float, float]]] = [[] for _ in range(n_lanes)]
     epochs_run = [0] * n_lanes
-    final_states: List[Optional[Dict[str, np.ndarray]]] = [None] * n_lanes
+    final_states: List[Optional[List[List[np.ndarray]]]] = [None] * n_lanes
     active: List[int] = list(range(n_lanes))
 
     def layer_arrays():
         # The optimizer rebinds ``param.data`` every step (and compaction
         # gathers it), so the stacked view is re-derived on demand.
-        return [
-            [theta_params[i].data, omega_params[2 * i].data, omega_params[2 * i + 1].data]
-            for i in range(n_layers)
-        ]
+        return [[param.data for param in layer] for layer in layer_params]
 
-    def capture_state(position: int) -> Dict[str, np.ndarray]:
-        # One lane's slice of every stacked parameter, keyed like a
-        # module state dict (position = index into the *current* stack).
-        return {p.name: p.data[position].copy() for p in all_params}
+    def capture_state(position: int) -> List[List[np.ndarray]]:
+        # One lane's [θ, 𝔴_act, 𝔴_neg] per layer (position = index into
+        # the *current* stack).
+        return [[param.data[position].copy() for param in layer] for layer in layer_params]
 
     tel = telemetry.get()
     trace = tel.enabled
@@ -576,10 +576,10 @@ def train_pnn_lanes(
             arrays, x_train, y_train, loss=base.loss, epsilons=epsilons,
             need_omega_grads=learn_omega,
         )
-        for i, layer_grads in enumerate(grads):
-            theta_params[i].grad = layer_grads.theta
-            omega_params[2 * i].grad = layer_grads.w_act
-            omega_params[2 * i + 1].grad = layer_grads.w_neg
+        for (theta, w_act, w_neg), layer_grads in zip(layer_params, grads):
+            theta.grad = layer_grads.theta
+            w_act.grad = layer_grads.w_act
+            w_neg.grad = layer_grads.w_neg
         optimizer.step()
         val_losses = lane_net.loss_values(
             layer_arrays(), x_val, y_val, loss=base.loss, epsilons=val_epsilons,
@@ -660,7 +660,8 @@ def train_pnn_lanes(
         stopper = stoppers[lane]
         state = stopper.best_state if stopper.best_state is not None else final_states[lane]
         assert state is not None
-        pnns[lane].load_state_dict(state)
+        for layer, (theta, w_act, w_neg) in zip(pnns[lane].layers, state):
+            layer.theta, layer.w_act, layer.w_neg = theta, w_act, w_neg
         results.append(
             TrainResult(
                 best_epoch=stopper.best_epoch,

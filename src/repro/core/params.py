@@ -233,30 +233,36 @@ def snapshot_surrogate(surrogate) -> SurrogateParams:
     )
 
 
-def snapshot_params(pnn) -> PNNParams:
-    """Snapshot a :class:`~repro.core.pnn.PrintedNeuralNetwork` for inference.
+def snapshot_params(design) -> PNNParams:
+    """Freeze a design for inference; a :class:`PNNParams` is returned as is.
 
-    Runs the projection / reassembly kernels once and freezes the
-    results: θ through the printable-conductance projection, each
-    circuit's 𝔴 through the Fig. 5 steps 1–3 into printable ω.  It is
-    the one snapshot path: training restores each lane's best-epoch raw
-    arrays into its module, which is then frozen here.  The snapshot is
-    decoupled from the module — later training steps do not leak into it.
+    A live :class:`~repro.core.pnn.PrintedNeuralNetwork` is frozen from its
+    arrays: θ through the printable-conductance projection, each circuit's
+    𝔴 through the Fig. 5 steps 1–3 into printable ω.  It is the one
+    snapshot path: training writes each lane's best-epoch arrays back into
+    its network, which is then frozen here.  The snapshot copies — later
+    training steps do not leak into it.
     """
+    if isinstance(design, PNNParams):
+        return design
+    # Deferred: repro.core.grad_kernels imports this module.
+    from repro.core.grad_kernels import project_printable, reassemble_omega_fwd
+
+    g_min, g_max = design.conductance.g_min, design.conductance.g_max
     layers = tuple(
         LayerParams(
-            theta=layer.printable_theta(),
-            act_omega=layer.activation.printable_omega(),
-            neg_omega=layer.negation.printable_omega(),
+            theta=project_printable(layer.theta, g_min, g_max),
+            act_omega=reassemble_omega_fwd(layer.w_act, design.space)[0],
+            neg_omega=reassemble_omega_fwd(layer.w_neg, design.space)[0],
             apply_activation=layer.apply_activation,
         )
-        for layer in pnn.layers
+        for layer in design.layers
     )
     return PNNParams(
-        layer_sizes=tuple(int(s) for s in pnn.layer_sizes),
-        per_neuron_activation=bool(pnn.per_neuron_activation),
-        activation_on_output=bool(pnn.layers[-1].apply_activation),
+        layer_sizes=tuple(int(s) for s in design.layer_sizes),
+        per_neuron_activation=bool(design.per_neuron_activation),
+        activation_on_output=bool(design.layers[-1].apply_activation),
         layers=layers,
-        act_surrogate=snapshot_surrogate(pnn.layers[0].activation.surrogate),
-        neg_surrogate=snapshot_surrogate(pnn.layers[0].negation.surrogate),
+        act_surrogate=snapshot_surrogate(design.act_surrogate),
+        neg_surrogate=snapshot_surrogate(design.neg_surrogate),
     )

@@ -1,30 +1,67 @@
 """The printed neural network: a stack of printed layers (Sec. II-C, III).
 
 The experiments use the topology ``#input – 3 – #output`` (one hidden layer
-of three printed neurons).  Each layer owns its own learnable activation
-circuit and negative-weight circuit.  The network is a container of the
-learnable parameters (θ and 𝔴 per layer, with their ``state_dict``);
-training runs the kernels of :mod:`repro.core.grad_kernels` over its raw
-arrays, and inference runs a frozen :meth:`PrintedNeuralNetwork.snapshot`.
+of three printed neurons).  The network is its learnable arrays: per layer
+a :class:`PrintedLayer` of the crossbar conductances θ and the raw Fig. 5
+parameters 𝔴 of its activation and negative-weight circuits.  Training runs
+the kernels of :mod:`repro.core.grad_kernels` over these arrays (the lane
+loop of :mod:`repro.core.lanes`), and inference runs a frozen
+:meth:`PrintedNeuralNetwork.snapshot`.
+
+θ has shape ``(in_features + 2, out_features)``: one row per input line
+plus a bias row (driven by the 1 V rail) and a "down" row (driven by
+ground).  Eq. 1 routes negative weights through the learned
+negative-weight circuit,
+
+    V_z,j = [ Σ_{i: θ_ij ≥ 0} |θ_ij| V_i + Σ_{i: θ_ij < 0} |θ_ij| inv(V_i) ]
+            / Σ_i |θ_ij|
+
+followed by the (learned) ptanh activation.  Each circuit's 𝔴 is the
+reduced parameterization ``[R1, R3, R5, W, L, k1, k2]`` before Fig. 5's
+sigmoid and denormalization
+(:func:`~repro.core.grad_kernels.reassemble_omega_fwd`); printing variation
+multiplies the printable ω that comes out of it, never 𝔴 itself.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.conductance import ConductanceConfig
-from repro.core.nonlinear import LearnableNonlinearCircuit
 from repro.core.params import PNNParams, snapshot_params
-from repro.core.player import PrintedLayer
 from repro.core.variation import VariationModel
-from repro.nn.module import Module, Parameter
 from repro.surrogate.design_space import DESIGN_SPACE, DesignSpace
 from repro.surrogate.pipeline import SurrogateBundle
 
 
-class PrintedNeuralNetwork(Module):
+@dataclass
+class PrintedLayer:
+    """One printed layer's learnable arrays: crossbar θ and circuit 𝔴.
+
+    ``theta`` is ``(in_features + 2, out_features)``; ``w_act`` is
+    ``(C, 7)`` — one activation circuit shared by the layer (``C = 1``, as
+    in the paper) or one per neuron — and ``w_neg`` is the ``(1, 7)``
+    negative-weight circuit.
+    """
+
+    theta: np.ndarray
+    w_act: np.ndarray
+    w_neg: np.ndarray
+    apply_activation: bool
+
+    @property
+    def in_features(self) -> int:
+        return self.theta.shape[0] - 2
+
+    @property
+    def out_features(self) -> int:
+        return self.theta.shape[1]
+
+
+class PrintedNeuralNetwork:
     """A pNN whose nonlinear subcircuits can be learned alongside θ.
 
     Parameters
@@ -34,7 +71,8 @@ class PrintedNeuralNetwork(Module):
         ``#input-3-#output`` topology).
     surrogates:
         A :class:`~repro.surrogate.pipeline.SurrogateBundle` (NN surrogates)
-        or a pair of :class:`~repro.surrogate.analytic.AnalyticSurrogate`.
+        or a ``(ptanh, negweight)`` pair of
+        :class:`~repro.surrogate.analytic.AnalyticSurrogate`.
     per_neuron_activation:
         When ``True`` every neuron gets its own bespoke activation circuit;
         the default is one shared circuit per layer, as in the paper.
@@ -54,69 +92,43 @@ class PrintedNeuralNetwork(Module):
         activation_on_output: bool = True,
         rng: Optional[np.random.Generator] = None,
     ):
-        super().__init__()
         layer_sizes = [int(s) for s in layer_sizes]
         if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
             raise ValueError("layer_sizes must list at least input and output widths")
         rng = rng if rng is not None else np.random.default_rng()
 
         if isinstance(surrogates, SurrogateBundle):
-            act_surrogate, neg_surrogate = surrogates.ptanh, surrogates.negweight
+            self.act_surrogate, self.neg_surrogate = surrogates.ptanh, surrogates.negweight
             space = space or surrogates.space
         else:
-            act_surrogate, neg_surrogate = surrogates
+            self.act_surrogate, self.neg_surrogate = surrogates
             space = space or DESIGN_SPACE
+        # The executor runs the first as the Eq. 2 activation and the second
+        # as the Eq. 3 negation; a swapped pair would train silently.
+        if (self.act_surrogate.kind, self.neg_surrogate.kind) != ("ptanh", "negweight"):
+            raise ValueError("surrogates must be a (ptanh, negweight) pair, in that order")
 
         self.layer_sizes = layer_sizes
         self.space = space
+        self.conductance = conductance
         self.per_neuron_activation = per_neuron_activation
-        self._layer_names: List[str] = []
+        self.layers: List[PrintedLayer] = []
         for i, (n_in, n_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
-            is_last = i == len(layer_sizes) - 2
-            activation = LearnableNonlinearCircuit(
-                act_surrogate,
-                space,
-                "ptanh",
-                n_circuits=n_out if per_neuron_activation else 1,
-                rng=rng,
+            # sigmoid(0) = 0.5 is the mid-range reference circuit of the
+            # non-learnable baselines.  Small noise breaks symmetry between
+            # per-neuron circuits; it is drawn before θ.
+            n_act = n_out if per_neuron_activation else 1
+            w_act = np.zeros((n_act, 7))
+            if n_act > 1:
+                w_act = w_act + 0.01 * rng.standard_normal((n_act, 7))
+            self.layers.append(
+                PrintedLayer(
+                    theta=conductance.init_theta((n_in + 2, n_out), rng),
+                    w_act=w_act,
+                    w_neg=np.zeros((1, 7)),
+                    apply_activation=activation_on_output or i < len(layer_sizes) - 2,
+                )
             )
-            negation = LearnableNonlinearCircuit(neg_surrogate, space, "negweight", rng=rng)
-            layer = PrintedLayer(
-                n_in,
-                n_out,
-                activation=activation,
-                negation=negation,
-                conductance=conductance,
-                apply_activation=activation_on_output or not is_last,
-                rng=rng,
-            )
-            name = f"layer{i}"
-            setattr(self, name, layer)
-            self._layer_names.append(name)
-
-    # ------------------------------------------------------------------ #
-    # structure                                                          #
-    # ------------------------------------------------------------------ #
-
-    @property
-    def layers(self) -> List[PrintedLayer]:
-        return [getattr(self, name) for name in self._layer_names]
-
-    def theta_parameters(self) -> List[Parameter]:
-        """Crossbar conductances (learning rate α_θ in the paper)."""
-        return [layer.theta for layer in self.layers]
-
-    def nonlinear_parameters(self) -> List[Parameter]:
-        """Nonlinear-circuit parameters 𝔴 (learning rate α_ω)."""
-        params: List[Parameter] = []
-        for layer in self.layers:
-            params.append(layer.activation.w_raw)
-            params.append(layer.negation.w_raw)
-        return params
-
-    # ------------------------------------------------------------------ #
-    # inference helpers                                                  #
-    # ------------------------------------------------------------------ #
 
     def predict(
         self,
@@ -134,6 +146,6 @@ class PrintedNeuralNetwork(Module):
         """
         return self.snapshot().predict(x, variation=variation, n_mc=n_mc)
 
-    def snapshot(self) -> "PNNParams":
+    def snapshot(self) -> PNNParams:
         """Freeze the current design into an immutable inference snapshot."""
         return snapshot_params(self)

@@ -107,11 +107,7 @@ def draw_epoch_epsilons(variation, n_mc: int, pnn: PrintedNeuralNetwork):
     """
     return [
         sample_layer_epsilons(
-            variation,
-            n_mc,
-            (layer.in_features + 2, layer.out_features),
-            layer.activation.n_circuits,
-            layer.negation.n_circuits,
+            variation, n_mc, layer.theta.shape, len(layer.w_act), len(layer.w_neg)
         )
         for layer in pnn.layers
     ]

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Optional
 
@@ -169,6 +170,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _recording(directory: Optional[str], manifest: dict):
+    """Record telemetry into ``directory`` (when given) for the block only.
+
+    :func:`telemetry.enable` also exports ``REPRO_TELEMETRY_DIR``; switching
+    it off on every way out keeps an in-process caller of :func:`main` from
+    writing into ``directory`` afterwards.
+    """
+    if not directory:
+        yield
+        return
+    telemetry.enable(directory, manifest=manifest)
+    try:
+        yield
+    finally:
+        telemetry.disable()
+
+
 def _run_export(args) -> int:
     from repro.core.serialization import load_params
     from repro.exporting import (
@@ -179,52 +198,51 @@ def _run_export(args) -> int:
         export_tiled_netlist_text,
     )
 
-    if args.telemetry:
-        telemetry.enable(args.telemetry, manifest={
-            "command": "export",
-            "params": str(args.params),
-            "tile_rows": args.tile_rows,
-            "tile_cols": args.tile_cols,
-            "bias_policy": args.bias_policy,
-            "verify": bool(args.verify),
-            "scenarios": list(args.scenarios or ("nominal", "default")),
-            "seed": args.seed,
-        })
+    manifest = {
+        "command": "export",
+        "params": str(args.params),
+        "tile_rows": args.tile_rows,
+        "tile_cols": args.tile_cols,
+        "bias_policy": args.bias_policy,
+        "verify": bool(args.verify),
+        "scenarios": list(args.scenarios or ("nominal", "default")),
+        "seed": args.seed,
+    }
+    with _recording(args.telemetry, manifest):
+        params = load_params(args.params)
+        try:
+            spec = TileSpec(
+                max_rows=args.tile_rows,
+                max_cols=args.tile_cols,
+                bias_policy=args.bias_policy,
+                inverter_budget=args.inverter_budget,
+            )
+            tiled = compile_tiling(params, spec)
+        except TilingError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
 
-    params = load_params(args.params)
-    try:
-        spec = TileSpec(
-            max_rows=args.tile_rows,
-            max_cols=args.tile_cols,
-            bias_policy=args.bias_policy,
-            inverter_budget=args.inverter_budget,
+        if args.output:
+            text = export_tiled_netlist_text(tiled, title=args.title)
+            out = Path(args.output)
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(text + "\n")
+            print(f"netlist written: {out}", file=sys.stderr)
+
+        scenarios = tuple(dict.fromkeys(args.scenarios or ("nominal", "default")))
+        report = deploy_report(
+            params, spec,
+            tiled=tiled,
+            verify=args.verify,
+            scenarios=scenarios,
+            epsilon=args.epsilon,
+            n_mc=args.n_mc,
+            seed=args.seed,
+            n_samples=args.verify_samples,
         )
-        tiled = compile_tiling(params, spec)
-    except TilingError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    if args.output:
-        text = export_tiled_netlist_text(tiled, title=args.title)
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
-        print(f"netlist written: {out}", file=sys.stderr)
-
-    scenarios = tuple(dict.fromkeys(args.scenarios or ("nominal", "default")))
-    report = deploy_report(
-        params, spec,
-        tiled=tiled,
-        verify=args.verify,
-        scenarios=scenarios,
-        epsilon=args.epsilon,
-        n_mc=args.n_mc,
-        seed=args.seed,
-        n_samples=args.verify_samples,
-    )
-    print(report.summary())
-    if args.telemetry:
-        telemetry.get().merge()
+        print(report.summary())
+        if args.telemetry:
+            telemetry.get().merge()
     if args.verify and not report.passed:
         return 1
     return 0
@@ -276,21 +294,21 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 2
             cache = ResultCache(cache_dir)
         scenarios = tuple(dict.fromkeys(args.scenarios or (DEFAULT_SCENARIO,)))
-        if args.telemetry:
-            telemetry.enable(args.telemetry, manifest={
-                "command": "table2",
-                "profile": args.profile,
-                "datasets": list(args.datasets),
-                "workers": args.workers,
-                "seeds": list(profile.seeds),
-                "scenarios": list(scenarios),
-            })
-        results = run_table2_parallel(
-            args.datasets, profile, surrogates=bundle,
-            workers=args.workers, cache=cache,
-            progress=lambda msg: print(f"[run] {msg}", file=sys.stderr),
-            scenarios=scenarios,
-        )
+        manifest = {
+            "command": "table2",
+            "profile": args.profile,
+            "datasets": list(args.datasets),
+            "workers": args.workers,
+            "seeds": list(profile.seeds),
+            "scenarios": list(scenarios),
+        }
+        with _recording(args.telemetry, manifest):
+            results = run_table2_parallel(
+                args.datasets, profile, surrogates=bundle,
+                workers=args.workers, cache=cache,
+                progress=lambda msg: print(f"[run] {msg}", file=sys.stderr),
+                scenarios=scenarios,
+            )
         print(render_scenario_grid(results))
         print()
         # Table III and the §IV-D summary are per-scenario analyses.

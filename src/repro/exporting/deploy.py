@@ -70,7 +70,6 @@ from repro.spice.netlist import GROUND, Netlist
 from repro.spice.plan import ParamBatch, StampPlan, compile_netlist
 from repro.spice.batch import solve_dc_batch
 
-from .report import PHYSICAL_SCALE
 from .tiling import TiledDesign, TileSpec, compile_tiling, iter_tile_devices
 
 __all__ = [
@@ -402,7 +401,7 @@ def verify_deployment(
     :class:`~repro.exporting.report.LayerReport`) fails immediately: the
     printed circuit could not carry the trained conductances.
     """
-    params = design if isinstance(design, PNNParams) else snapshot_params(design)
+    params = snapshot_params(design)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("expected a (samples, features) input array")
@@ -587,7 +586,7 @@ def deploy_report(
     When ``x`` is omitted, ``n_samples`` uniform inputs in [0, 1] V are
     drawn from ``seed`` (the networks operate on voltages in that band).
     """
-    params = design if isinstance(design, PNNParams) else snapshot_params(design)
+    params = snapshot_params(design)
     if tiled is None:
         tiled = compile_tiling(params, spec)
     else:

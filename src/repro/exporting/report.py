@@ -106,7 +106,7 @@ def _format_omega(omega: np.ndarray) -> str:
 
 def design_report(design: Union[PrintedNeuralNetwork, PNNParams]) -> DesignReport:
     """Extract the printable design from a trained network or a snapshot."""
-    params = design if isinstance(design, PNNParams) else snapshot_params(design)
+    params = snapshot_params(design)
     report = DesignReport(layer_sizes=list(params.layer_sizes))
     for index, layer in enumerate(params.layers):
         theta = layer.theta

@@ -37,7 +37,7 @@ from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.params import PNNParams, snapshot_params
+from repro.core.params import PNNParams
 from repro.core.pnn import PrintedNeuralNetwork
 from repro import telemetry
 
@@ -192,9 +192,6 @@ class TiledLayer:
                 np.int64
             )
         return tuple(int(j) for j in np.nonzero(feeders > 1)[0])
-
-    def tile_at(self, row_block: int, col_block: int) -> Tile:
-        return self.tiles[row_block * self.n_col_blocks + col_block]
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,11 @@ class RawParameter:
     with zero Tensor/graph overhead in the steady-state epoch.
     """
 
-    __slots__ = ("data", "grad", "name")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data: np.ndarray, name: str = ""):
+    def __init__(self, data: np.ndarray):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.name = name
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -34,7 +33,7 @@ class RawParameter:
         return self.data.shape
 
     def __repr__(self) -> str:
-        return f"RawParameter(name={self.name!r}, shape={self.data.shape})"
+        return f"RawParameter(shape={self.data.shape})"
 
 
 ParamGroups = Union[Iterable[Parameter], Sequence[dict]]

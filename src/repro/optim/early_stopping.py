@@ -7,7 +7,7 @@ the parameters of the best epoch.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -28,14 +28,14 @@ class EarlyStopping:
         self.patience = patience
         self.best_value: float = np.inf
         self.best_epoch: int = -1
-        self.best_state: Optional[Dict[str, np.ndarray]] = None
+        self.best_state: Any = None
         self.epochs_since_best: int = 0
 
     def update(
         self,
         value: float,
         epoch: int,
-        state_fn: Optional[Callable[[], Dict[str, np.ndarray]]] = None,
+        state_fn: Optional[Callable[[], Any]] = None,
     ) -> bool:
         """Record an epoch result; return ``True`` if it is a new best.
 

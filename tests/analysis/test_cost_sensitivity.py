@@ -78,7 +78,7 @@ class TestCost:
 
     def test_fewer_devices_when_no_negative_weights(self, pnn):
         for layer in pnn.layers:
-            layer.theta.data = np.abs(layer.theta.data)
+            layer.theta = np.abs(layer.theta)
         cost = estimate_cost(pnn)
         assert cost.n_negweight_circuits == 0
 
@@ -89,14 +89,14 @@ class TestCost:
 
 class TestEtaSensitivity:
     def test_jacobian_shape(self, pnn):
-        omega = pnn.layers[0].activation.printable_omega()[0]
-        jacobian = eta_sensitivity(pnn.layers[0].activation.surrogate, omega)
+        omega = pnn.snapshot().layers[0].act_omega[0]
+        jacobian = eta_sensitivity(pnn.act_surrogate, omega)
         assert jacobian.shape == (4, 7)
         assert np.all(np.isfinite(jacobian))
 
     def test_matches_finite_difference(self, pnn):
-        surrogate = pnn.layers[0].activation.surrogate
-        omega = pnn.layers[0].activation.printable_omega()[0]
+        surrogate = pnn.act_surrogate
+        omega = pnn.snapshot().layers[0].act_omega[0]
         jacobian = eta_sensitivity(surrogate, omega)
         # Check one representative entry: ∂η3/∂ln R2 (the divider ratio
         # directly shifts the trip point).
@@ -113,15 +113,15 @@ class TestEtaSensitivity:
 
     def test_trip_point_dominated_by_divider(self, pnn):
         """η3 must be most sensitive to the input divider (R1/R2)."""
-        surrogate = pnn.layers[0].activation.surrogate
-        omega = pnn.layers[0].activation.printable_omega()[0]
+        surrogate = pnn.act_surrogate
+        omega = pnn.snapshot().layers[0].act_omega[0]
         jacobian = np.abs(eta_sensitivity(surrogate, omega))
         divider_sensitivity = jacobian[2, 0] + jacobian[2, 1]
         assert divider_sensitivity > jacobian[2, 4]   # ≫ R5's influence
 
     def test_format_table(self, pnn):
-        omega = pnn.layers[0].activation.printable_omega()[0]
-        jacobian = eta_sensitivity(pnn.layers[0].activation.surrogate, omega)
+        omega = pnn.snapshot().layers[0].act_omega[0]
+        jacobian = eta_sensitivity(pnn.act_surrogate, omega)
         text = format_sensitivity(jacobian)
         assert "eta3" in text and "R1" in text
 

@@ -43,6 +43,27 @@ def numeric_grad():
     return central_difference
 
 
+def recorded_state(pnn):
+    """A pNN's raw arrays, copied, under the names the recordings use.
+
+    The golden files store each layer's θ, activation 𝔴 and negation 𝔴
+    as ``layer{i}.theta``, ``layer{i}.activation.w_raw`` and
+    ``layer{i}.negation.w_raw``.
+    """
+    state = {}
+    for i, layer in enumerate(pnn.layers):
+        state[f"layer{i}.theta"] = layer.theta.copy()
+        state[f"layer{i}.activation.w_raw"] = layer.w_act.copy()
+        state[f"layer{i}.negation.w_raw"] = layer.w_neg.copy()
+    return state
+
+
+@pytest.fixture(scope="session")
+def pnn_state():
+    """The :func:`recorded_state` helper, for tests against recordings."""
+    return recorded_state
+
+
 @pytest.fixture(scope="session")
 def characterization_reference():
     """Recorded characterization values, keyed as in the golden file.

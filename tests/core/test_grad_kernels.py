@@ -73,13 +73,9 @@ def make_pnn(surrogates, per_neuron=False, seed=7):
     )
     rng = np.random.default_rng(seed + 1)
     for layer in pnn.layers:
-        layer.theta.data = layer.theta.data + rng.normal(0, 0.05, layer.theta.data.shape)
-        layer.activation.w_raw.data = (
-            layer.activation.w_raw.data + rng.normal(0, 0.3, layer.activation.w_raw.data.shape)
-        )
-        layer.negation.w_raw.data = (
-            layer.negation.w_raw.data + rng.normal(0, 0.3, layer.negation.w_raw.data.shape)
-        )
+        layer.theta = layer.theta + rng.normal(0, 0.05, layer.theta.shape)
+        layer.w_act = layer.w_act + rng.normal(0, 0.3, layer.w_act.shape)
+        layer.w_neg = layer.w_neg + rng.normal(0, 0.3, layer.w_neg.shape)
     return pnn
 
 
@@ -90,8 +86,8 @@ def draw_epsilons(pnn, epsilon, n_mc, seed=11):
     return [
         (
             vm.sample(n_mc, (layer.in_features + 2, layer.out_features)),
-            vm.sample(n_mc, (layer.activation.n_circuits, 7)),
-            vm.sample(n_mc, (layer.negation.n_circuits, 7)),
+            vm.sample(n_mc, layer.w_act.shape),
+            vm.sample(n_mc, layer.w_neg.shape),
         )
         for layer in pnn.layers
     ]
@@ -209,15 +205,15 @@ def interior_pnn(surrogates, per_neuron, activation_on_output=True, seed=3):
     )
     nudge = np.random.default_rng(seed + 1)
     for layer in pnn.layers:
-        shape = layer.theta.data.shape
+        shape = layer.theta.shape
         magnitude = rng.uniform(0.1, 2.0, shape)
-        layer.theta.data = magnitude * np.where(rng.uniform(size=shape) < 0.5, -1.0, 1.0)
-        for circuit in (layer.activation, layer.negation):
-            circuit.w_raw.data = circuit.w_raw.data + nudge.normal(0, 0.3, circuit.w_raw.data.shape)
+        layer.theta = magnitude * np.where(rng.uniform(size=shape) < 0.5, -1.0, 1.0)
+        layer.w_act = layer.w_act + nudge.normal(0, 0.3, layer.w_act.shape)
+        layer.w_neg = layer.w_neg + nudge.normal(0, 0.3, layer.w_neg.shape)
     space = pnn.space
     for layer in pnn.layers:
-        for circuit in (layer.activation, layer.negation):
-            omega, _ = reassemble_omega_fwd(circuit.w_raw.data, space)
+        for w_raw in (layer.w_act, layer.w_neg):
+            omega, _ = reassemble_omega_fwd(w_raw, space)
             assert np.all(omega[:, 1] > space.lower[1]) and np.all(omega[:, 1] < space.upper[1])
             assert np.all(omega[:, 3] > space.lower[3]) and np.all(omega[:, 3] < space.upper[3])
     return pnn

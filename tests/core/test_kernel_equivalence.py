@@ -59,8 +59,11 @@ def make_pnn(surrogates, per_neuron, sizes=(4, 3, 3), seed=7):
     )
     # Nudge parameters off the init point so the test is non-degenerate.
     nudge = np.random.default_rng(1)
-    for param in pnn.parameters():
-        param.data = param.data + 0.05 * nudge.standard_normal(param.data.shape)
+    for layer in pnn.layers:
+        layer.theta, layer.w_act, layer.w_neg = (
+            array + 0.05 * nudge.standard_normal(array.shape)
+            for array in (layer.theta, layer.w_act, layer.w_neg)
+        )
     return pnn
 
 

@@ -44,12 +44,20 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.core import PrintedNeuralNetwork, TrainConfig, train_pnn, train_pnn_lanes
+from repro.core import (
+    ConductanceConfig,
+    KernelNetwork,
+    PrintedNeuralNetwork,
+    TrainConfig,
+    train_pnn,
+    train_pnn_lanes,
+)
 from repro.core import lanes as lanes_module
 from repro.core.aging import AgingModel
 from repro.core.lanes import LANE_SHARED_FIELDS, LaneNetwork, stack_epsilons
 from repro.core.training import VALIDATION_SEED_OFFSET, draw_epoch_epsilons
 from repro.core.variation import ComposedModel, VariationModel, build_scenario_model
+from repro.surrogate.design_space import DesignSpace
 
 SEEDS = (1, 2, 3)
 
@@ -87,7 +95,7 @@ def run_one_lane_each(surrogates, blob_data, configs, per_neuron=False, **overri
                 **{name: models[lane] for name, models in overrides.items()},
             )
         )
-        states.append(pnn.state_dict())
+        states.append(KernelNetwork.extract_arrays(pnn))
     return results, states
 
 
@@ -96,7 +104,7 @@ def run_stacked(surrogates, blob_data, configs, per_neuron=False, **overrides):
     x_train, y_train, x_val, y_val = blob_data
     pnns = [make_pnn(surrogates, config.seed, per_neuron) for config in configs]
     results = train_pnn_lanes(pnns, x_train, y_train, x_val, y_val, configs, **overrides)
-    return results, [pnn.state_dict() for pnn in pnns]
+    return results, [KernelNetwork.extract_arrays(pnn) for pnn in pnns]
 
 
 def assert_bitwise_equal(one_lane, stacked):
@@ -109,9 +117,10 @@ def assert_bitwise_equal(one_lane, stacked):
         assert l.epochs_run == s.epochs_run
         assert l.best_val_loss == s.best_val_loss
     for s, l in zip(one_states, lane_states):
-        assert s.keys() == l.keys()
-        for name in s:
-            np.testing.assert_array_equal(l[name], s[name], err_msg=name)
+        assert len(s) == len(l)
+        for index, (one_layer, lane_layer) in enumerate(zip(s, l)):
+            for name, mine, theirs in zip(("theta", "w_act", "w_neg"), lane_layer, one_layer):
+                np.testing.assert_array_equal(mine, theirs, err_msg=f"layer{index}.{name}")
 
 
 #: Variation settings of the step-level grid: nominal, the default ε
@@ -399,6 +408,25 @@ class TestLaneValidation:
         a = make_pnn(analytic_surrogates, 1)
         b = make_pnn((AnalyticSurrogate("ptanh"), AnalyticSurrogate("negweight")), 2)
         with pytest.raises(ValueError, match="surrogate"):
+            LaneNetwork.from_pnns([a, b])
+
+    def test_mismatched_conductance_rejected(self, analytic_surrogates):
+        a = make_pnn(analytic_surrogates, 1)
+        b = PrintedNeuralNetwork(
+            [2, 3, 2], analytic_surrogates,
+            conductance=ConductanceConfig(g_min=0.5, g_max=2.0),
+            rng=np.random.default_rng(2),
+        )
+        with pytest.raises(ValueError, match="conductance"):
+            LaneNetwork.from_pnns([a, b])
+
+    def test_mismatched_design_space_rejected(self, analytic_surrogates):
+        a = make_pnn(analytic_surrogates, 1)
+        b = PrintedNeuralNetwork(
+            [2, 3, 2], analytic_surrogates, space=DesignSpace(),
+            rng=np.random.default_rng(2),
+        )
+        with pytest.raises(ValueError, match="design-space"):
             LaneNetwork.from_pnns([a, b])
 
     def test_empty_lane_list_returns_empty(self, blob_data):

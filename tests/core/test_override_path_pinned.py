@@ -5,7 +5,8 @@ training takes (``repro.core.aging``) — runs as a one-lane
 ``train_pnn_lanes`` run.  These pins were recorded from the serial epoch
 loop that path used before it moved onto lanes: every per-epoch
 ``(train_loss, val_loss)`` as ``float.hex``, the early-stop bookkeeping,
-and a sha256 of the restored best-epoch state dict.  They cover the
+and a sha256 of the restored best-epoch arrays under their recorded
+names (the ``pnn_state`` fixture).  They cover the
 analytic surrogate pair and the trained MLP bundle, each under five
 override cases:
 
@@ -82,20 +83,20 @@ def make_config(epsilon, seed=3):
     return TrainConfig(max_epochs=30, patience=3, epsilon=epsilon, n_mc_train=4, seed=seed)
 
 
-def assert_matches_recording(surrogate, case, result, pnn):
+def assert_matches_recording(surrogate, case, result, state):
     recorded = RECORDED[f"{surrogate}/{case}"]
     history = [f"{epoch} {train.hex()} {val.hex()}" for epoch, train, val in result.history]
     assert history == recorded["history"]
     assert result.best_epoch == recorded["best_epoch"]
     assert result.epochs_run == recorded["epochs_run"]
     assert result.best_val_loss == float.fromhex(recorded["best_val_loss"])
-    assert state_sha256(pnn.state_dict()) == recorded["state_sha256"]
+    assert state_sha256(state) == recorded["state_sha256"]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("surrogate", ["analytic", "mlp"])
 def test_override_training_bit_identical_to_recorded(
-    surrogate, case, analytic_surrogates, tiny_bundle, blob_data
+    surrogate, case, analytic_surrogates, tiny_bundle, blob_data, pnn_state
 ):
     x_train, y_train, x_val, y_val = blob_data
     surrogates = analytic_surrogates if surrogate == "analytic" else tiny_bundle
@@ -105,13 +106,13 @@ def test_override_training_bit_identical_to_recorded(
         pnn, x_train, y_train, x_val, y_val, make_config(epsilon),
         variation=variation, val_variation=val_variation,
     )
-    assert_matches_recording(surrogate, case, result, pnn)
+    assert_matches_recording(surrogate, case, result, pnn_state(pnn))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("surrogate", ["analytic", "mlp"])
 def test_override_lane_in_stack_bit_identical_to_recorded(
-    surrogate, case, analytic_surrogates, tiny_bundle, blob_data
+    surrogate, case, analytic_surrogates, tiny_bundle, blob_data, pnn_state
 ):
     x_train, y_train, x_val, y_val = blob_data
     surrogates = analytic_surrogates if surrogate == "analytic" else tiny_bundle
@@ -129,4 +130,4 @@ def test_override_lane_in_stack_bit_identical_to_recorded(
         variations=[variation for _, variation, _ in lanes],
         val_variations=[val_variation for _, _, val_variation in lanes],
     )
-    assert_matches_recording(surrogate, case, results[1], pnns[1])
+    assert_matches_recording(surrogate, case, results[1], pnn_state(pnns[1]))

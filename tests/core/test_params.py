@@ -50,9 +50,17 @@ class TestSnapshot:
         pnn = make_pnn(analytic_surrogates, seed=3)
         params = snapshot_params(pnn)
         theta_before = params.layers[0].theta.copy()
-        for param in pnn.parameters():
-            param.data = param.data + 0.1
+        for layer in pnn.layers:
+            layer.theta += 0.1
+            layer.w_act += 0.1
+            layer.w_neg += 0.1
         np.testing.assert_array_equal(params.layers[0].theta, theta_before)
+
+    def test_snapshot_of_a_snapshot_is_itself(self, analytic_surrogates):
+        # The one snapshot entry point: every caller that accepts a live
+        # network or a design passes either straight to snapshot_params.
+        params = snapshot_params(make_pnn(analytic_surrogates))
+        assert snapshot_params(params) is params
 
     def test_content_digest_tracks_content(self, analytic_surrogates):
         a = snapshot_params(make_pnn(analytic_surrogates, seed=1))
@@ -130,12 +138,12 @@ class TestSerializationRoundTrip:
         with pytest.raises(ValueError, match="without a surrogate fingerprint"):
             load_params(unsigned, analytic_surrogates, strict_fingerprint=True)
 
-    def test_refuses_legacy_module_state(self, tmp_path, analytic_surrogates):
+    def test_refuses_legacy_module_state(self, tmp_path, analytic_surrogates, pnn_state):
         # Archives written before the snapshots held the raw module state.
         pnn = make_pnn(analytic_surrogates)
         path = tmp_path / "legacy.npz"
         np.savez(path, layer_sizes=np.asarray(pnn.layer_sizes),
-                 **{f"param.{name}": value for name, value in pnn.state_dict().items()})
+                 **{f"param.{name}": value for name, value in pnn_state(pnn).items()})
         with pytest.raises(ValueError, match="not a PNNParams snapshot") as info:
             load_params(path, analytic_surrogates)
         assert str(path) in str(info.value)

@@ -1,8 +1,9 @@
 """Printed layer and full pNN: Eq. 1 forward, routing, MC axis, gradients.
 
-The layers and networks are parameter containers; their designs run
-through the kernels (``kernels.layer_forward`` / ``network_forward``) and
-their gradients through ``KernelNetwork.loss_and_grads``.
+A layer is its raw arrays (θ, 𝔴_act, 𝔴_neg) and a network is a list of
+layers; their designs run through the kernels (``kernels.layer_forward`` /
+``network_forward``) and their gradients through
+``KernelNetwork.loss_and_grads``.
 """
 
 import numpy as np
@@ -12,28 +13,26 @@ from repro.core import (
     ConductanceConfig,
     KernelNetwork,
     LayerParams,
-    LearnableNonlinearCircuit,
     PrintedLayer,
     PrintedNeuralNetwork,
     VariationModel,
     kernels,
 )
+from repro.core.grad_kernels import project_printable, reassemble_omega_fwd
 from repro.core.params import snapshot_surrogate
 from repro.surrogate import AnalyticSurrogate
 from repro.surrogate.design_space import DESIGN_SPACE
 
+CONDUCTANCE = ConductanceConfig()
+
 
 def make_layer(n_in=3, n_out=2, seed=0, apply_activation=True):
-    rng = np.random.default_rng(seed)
-    activation = LearnableNonlinearCircuit(
-        AnalyticSurrogate("ptanh"), DESIGN_SPACE, "ptanh", rng=rng
-    )
-    negation = LearnableNonlinearCircuit(
-        AnalyticSurrogate("negweight"), DESIGN_SPACE, "negweight", rng=rng
-    )
+    """One shared-circuit layer at its initial point: mid-range 𝔴, random θ."""
     return PrintedLayer(
-        n_in, n_out, activation=activation, negation=negation,
-        apply_activation=apply_activation, rng=rng,
+        theta=CONDUCTANCE.init_theta((n_in + 2, n_out), np.random.default_rng(seed)),
+        w_act=np.zeros((1, 7)),
+        w_neg=np.zeros((1, 7)),
+        apply_activation=apply_activation,
     )
 
 
@@ -42,19 +41,23 @@ def make_pnn(sizes=(3, 3, 2), seed=0, **kwargs):
     return PrintedNeuralNetwork(sizes, surrogates, rng=np.random.default_rng(seed), **kwargs)
 
 
+def printable_theta(layer):
+    return project_printable(layer.theta, CONDUCTANCE.g_min, CONDUCTANCE.g_max)
+
+
 def layer_forward(layer, x, *epsilons):
     """Run a live layer's printable design through ``kernels.layer_forward``."""
     design = LayerParams(
-        theta=layer.printable_theta(),
-        act_omega=layer.activation.printable_omega(),
-        neg_omega=layer.negation.printable_omega(),
+        theta=printable_theta(layer),
+        act_omega=reassemble_omega_fwd(layer.w_act, DESIGN_SPACE)[0],
+        neg_omega=reassemble_omega_fwd(layer.w_neg, DESIGN_SPACE)[0],
         apply_activation=layer.apply_activation,
     )
     return kernels.layer_forward(
         np.asarray(x, dtype=np.float64),
         design,
-        snapshot_surrogate(layer.activation.surrogate),
-        snapshot_surrogate(layer.negation.surrogate),
+        snapshot_surrogate(AnalyticSurrogate("ptanh")),
+        snapshot_surrogate(AnalyticSurrogate("negweight")),
         *epsilons,
     )
 
@@ -63,7 +66,7 @@ def assert_every_parameter_gets_a_gradient(pnn, x, y):
     """``loss_and_grads`` returns finite, non-zero θ, 𝔴_act, 𝔴_neg grads per layer."""
     for layer in pnn.layers:
         # A negative first-input row puts every negation circuit in the path.
-        layer.theta.data[0] = -np.abs(layer.theta.data[0])
+        layer.theta[0] = -np.abs(layer.theta[0])
     net = KernelNetwork.from_pnn(pnn)
     _, grads = net.loss_and_grads(KernelNetwork.extract_arrays(pnn), x, y)
     for index, layer in enumerate(grads):
@@ -79,21 +82,22 @@ class TestPrintedLayer:
         assert out.shape == (1, 5, 2)
 
     def test_theta_shape_includes_bias_and_down(self):
-        layer = make_layer(n_in=4, n_out=3)
+        layer = make_pnn((4, 3, 2)).layers[0]
         assert layer.theta.shape == (6, 3)
+        assert (layer.in_features, layer.out_features) == (4, 3)
 
     def test_all_positive_theta_is_weighted_average(self):
         """With every θ ≥ 0 the crossbar output is a convex combination of
         the inputs and the 1 V bias — it must stay in [0, 1]."""
         layer = make_layer(apply_activation=False)
-        layer.theta.data = np.abs(layer.theta.data)
+        layer.theta = np.abs(layer.theta)
         x = np.random.default_rng(1).uniform(size=(1, 20, 3))
         out = layer_forward(layer, x)
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
     def test_eq1_weighted_sum_matches_manual(self):
         layer = make_layer(n_in=2, n_out=1, apply_activation=False)
-        layer.theta.data = np.array([[0.5], [0.3], [0.2], [0.1]])  # in0,in1,b,d
+        layer.theta = np.array([[0.5], [0.3], [0.2], [0.1]])  # in0,in1,b,d
         x = np.array([[0.4, 0.8]])
         out = layer_forward(layer, x.reshape(1, 1, 2))[0, 0, 0]
         total = 0.5 + 0.3 + 0.2 + 0.1
@@ -102,22 +106,22 @@ class TestPrintedLayer:
 
     def test_negative_theta_routes_through_negation(self):
         layer = make_layer(n_in=1, n_out=1, apply_activation=False)
-        layer.theta.data = np.array([[-0.5], [0.3], [0.1]])
+        layer.theta = np.array([[-0.5], [0.3], [0.1]])
         x = np.full((1, 1, 1), 0.5)
         out = layer_forward(layer, x)[0, 0, 0]
         # The negated input contributes negatively → output below the
         # bias-only level.
-        layer.theta.data = np.array([[0.0], [0.3], [0.1]])
+        layer.theta = np.array([[0.0], [0.3], [0.1]])
         bias_only = layer_forward(layer, x)[0, 0, 0]
         assert out < bias_only
 
     def test_down_row_never_routed_through_negation(self):
         layer = make_layer(n_in=1, n_out=1, apply_activation=False)
         base = np.array([[0.5], [0.3], [0.2]])
-        layer.theta.data = base.copy()
+        layer.theta = base.copy()
         x = np.full((1, 1, 1), 0.5)
         positive_down = layer_forward(layer, x)[0, 0, 0]
-        layer.theta.data = base * np.array([[1.0], [1.0], [-1.0]])
+        layer.theta = base * np.array([[1.0], [1.0], [-1.0]])
         negative_down = layer_forward(layer, x)[0, 0, 0]
         assert positive_down == pytest.approx(negative_down, rel=1e-12)
 
@@ -148,24 +152,18 @@ class TestPrintedLayer:
             layer_forward(layer, x, np.ones((1, 3, 3)))
 
     def test_kind_validation(self):
-        rng = np.random.default_rng(0)
-        ptanh = LearnableNonlinearCircuit(
-            AnalyticSurrogate("ptanh"), DESIGN_SPACE, "ptanh", rng=rng
-        )
-        neg = LearnableNonlinearCircuit(
-            AnalyticSurrogate("negweight"), DESIGN_SPACE, "negweight", rng=rng
-        )
-        with pytest.raises(ValueError):
-            PrintedLayer(2, 2, activation=neg, negation=neg)
-        with pytest.raises(ValueError):
-            PrintedLayer(2, 2, activation=ptanh, negation=ptanh)
+        """A layer's activation slot runs a ptanh circuit and its negation
+        slot a negweight one: the network rejects any other surrogate pair."""
+        ptanh, neg = AnalyticSurrogate("ptanh"), AnalyticSurrogate("negweight")
+        for pair in ((neg, ptanh), (ptanh, ptanh), (neg, neg)):
+            with pytest.raises(ValueError, match="ptanh, negweight"):
+                PrintedNeuralNetwork([2, 2], pair)
 
     def test_printable_theta_in_printable_set(self):
         layer = make_layer()
-        config = ConductanceConfig()
-        printed = np.abs(layer.printable_theta())
+        printed = np.abs(printable_theta(layer))
         nonzero = printed[printed > 0]
-        assert np.all((nonzero >= config.g_min) & (nonzero <= config.g_max))
+        assert np.all((nonzero >= CONDUCTANCE.g_min) & (nonzero <= CONDUCTANCE.g_max))
 
 
 class TestPrintedNeuralNetwork:
@@ -190,15 +188,6 @@ class TestPrintedNeuralNetwork:
         )
         assert out.shape[0] == 1
 
-    def test_parameter_groups_split(self):
-        pnn = make_pnn((4, 3, 2))
-        thetas = pnn.theta_parameters()
-        nonlinear = pnn.nonlinear_parameters()
-        assert len(thetas) == 2          # two layers
-        assert len(nonlinear) == 4       # activation + negation per layer
-        all_params = list(pnn.parameters())
-        assert len(all_params) == len(thetas) + len(nonlinear)
-
     def test_predict_argmax(self):
         pnn = make_pnn((2, 3, 2))
         predictions = pnn.predict(np.random.default_rng(0).uniform(size=(5, 2)))
@@ -207,7 +196,8 @@ class TestPrintedNeuralNetwork:
 
     def test_per_neuron_activation_option(self):
         pnn = make_pnn((3, 3, 2), per_neuron_activation=True)
-        assert pnn.layers[0].activation.n_circuits == 3
+        assert pnn.layers[0].w_act.shape == (3, 7)
+        assert pnn.layers[0].w_neg.shape == (1, 7)
         out = pnn.snapshot().forward(np.random.default_rng(0).uniform(size=(4, 3)))
         assert out.shape == (1, 4, 2)
 
@@ -224,13 +214,6 @@ class TestPrintedNeuralNetwork:
             pnn.snapshot().forward(np.zeros(3))         # wrong ndim
         with pytest.raises(ValueError):
             make_pnn((3,))                      # too few layers
-
-    def test_state_dict_round_trip_preserves_outputs(self):
-        pnn_a = make_pnn((3, 3, 2), seed=1)
-        pnn_b = make_pnn((3, 3, 2), seed=2)
-        x = np.random.default_rng(0).uniform(size=(4, 3))
-        pnn_b.load_state_dict(pnn_a.state_dict())
-        assert np.allclose(pnn_a.snapshot().forward(x), pnn_b.snapshot().forward(x))
 
     def test_gradients_flow_to_every_parameter(self):
         pnn = make_pnn((3, 3, 2))

@@ -35,7 +35,7 @@ class TestForwardInvariants:
     def test_all_zero_column_stays_finite(self, seed):
         """A column whose conductances all snap to zero must not blow up."""
         pnn = build_pnn(3, 3, 2, seed)
-        pnn.layers[0].theta.data[:, 0] = 1e-9   # below the printable floor
+        pnn.layers[0].theta[:, 0] = 1e-9   # below the printable floor
         out = pnn.snapshot().forward(np.random.default_rng(seed).uniform(size=(4, 3)))
         assert np.all(np.isfinite(out))
 
@@ -74,7 +74,7 @@ class TestForwardInvariants:
         """With all-positive θ, V_z is a convex combination of inputs ∪ {0, 1}."""
         pnn = build_pnn(3, 3, 2, seed)
         layer = pnn.layers[0]
-        layer.theta.data = np.abs(layer.theta.data)
+        layer.theta = np.abs(layer.theta)
         layer.apply_activation = False
         x = np.random.default_rng(seed).uniform(size=(1, 7, 3))
         design = pnn.snapshot()

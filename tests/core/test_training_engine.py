@@ -22,7 +22,8 @@ taped path was deleted: ``make_pnn`` below (analytic surrogates, ``[2, 3,
   overrides;
 
 recording each epoch's ``(train_loss, val_loss)`` as ``float.hex``, the
-early-stopping bookkeeping, and the restored ``state_dict``.
+early-stopping bookkeeping, and the restored best-epoch arrays (keyed by
+their recorded names, see the ``pnn_state`` fixture).
 """
 
 import json
@@ -86,7 +87,9 @@ class TestTrajectoryEquivalence:
             (0.1, True, "ce"),
         ],
     )
-    def test_loss_histories_agree(self, analytic_surrogates, blob_data, epsilon, learnable, loss):
+    def test_loss_histories_agree(
+        self, analytic_surrogates, blob_data, pnn_state, epsilon, learnable, loss
+    ):
         config = TrainConfig(
             max_epochs=30, patience=30, epsilon=epsilon, n_mc_train=8,
             learnable_nonlinear=learnable, loss=loss, seed=5,
@@ -95,7 +98,7 @@ class TestTrajectoryEquivalence:
         key = f"trajectory/{epsilon}/{'learnable' if learnable else 'fixed'}/{loss}"
         assert_history_matches_recording(result, key)
         # The restored best-epoch designs must match too.
-        trained = pnn.state_dict()
+        trained = pnn_state(pnn)
         # atol floor: coordinates with ~zero gradient wander at the 1e-10
         # level under Adam's eps, identically-shaped noise in both engines
         # (the live comparison used the same tolerances).
@@ -159,18 +162,15 @@ class TestKernelEngineBehaviour:
     def test_non_learnable_keeps_w_fixed(self, analytic_surrogates, blob_data):
         x_train, y_train, x_val, y_val = blob_data
         pnn = make_pnn(analytic_surrogates)
-        before = [
-            (layer.activation.w_raw.data.copy(), layer.negation.w_raw.data.copy())
-            for layer in pnn.layers
-        ]
-        theta_before = [layer.theta.data.copy() for layer in pnn.layers]
+        before = [(layer.w_act.copy(), layer.w_neg.copy()) for layer in pnn.layers]
+        theta_before = [layer.theta.copy() for layer in pnn.layers]
         config = TrainConfig(max_epochs=10, patience=10, learnable_nonlinear=False, seed=0)
         train_pnn(pnn, x_train, y_train, x_val, y_val, config)
         for layer, (w_act, w_neg) in zip(pnn.layers, before):
-            np.testing.assert_array_equal(layer.activation.w_raw.data, w_act)
-            np.testing.assert_array_equal(layer.negation.w_raw.data, w_neg)
+            np.testing.assert_array_equal(layer.w_act, w_act)
+            np.testing.assert_array_equal(layer.w_neg, w_neg)
         assert any(
-            not np.array_equal(layer.theta.data, ref)
+            not np.array_equal(layer.theta, ref)
             for layer, ref in zip(pnn.layers, theta_before)
         ), "theta should still train"
 

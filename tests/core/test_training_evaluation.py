@@ -19,6 +19,11 @@ def make_pnn(sizes, seed=0):
     return PrintedNeuralNetwork(sizes, surrogates, rng=np.random.default_rng(seed))
 
 
+def nonlinear_arrays(pnn):
+    """Copies of every circuit's raw 𝔴 (activation, then negation, per layer)."""
+    return [w.copy() for layer in pnn.layers for w in (layer.w_act, layer.w_neg)]
+
+
 class TestTrainConfig:
     def test_variation_aware_flag(self):
         assert not TrainConfig(epsilon=0.0).variation_aware
@@ -54,23 +59,23 @@ class TestNominalTraining:
     def test_non_learnable_keeps_w_fixed(self, blob_data):
         x_train, y_train, x_val, y_val = blob_data
         pnn = make_pnn((2, 3, 2), seed=4)
-        w_before = [p.data.copy() for p in pnn.nonlinear_parameters()]
+        w_before = nonlinear_arrays(pnn)
         config = TrainConfig(
             max_epochs=60, patience=60, epsilon=0.0, learnable_nonlinear=False, seed=4
         )
         train_pnn(pnn, x_train, y_train, x_val, y_val, config)
-        for before, param in zip(w_before, pnn.nonlinear_parameters()):
-            assert np.array_equal(before, param.data)
+        for before, after in zip(w_before, nonlinear_arrays(pnn)):
+            assert np.array_equal(before, after)
 
     def test_learnable_changes_w(self, blob_data):
         x_train, y_train, x_val, y_val = blob_data
         pnn = make_pnn((2, 3, 2), seed=5)
-        w_before = [p.data.copy() for p in pnn.nonlinear_parameters()]
+        w_before = nonlinear_arrays(pnn)
         config = TrainConfig(max_epochs=60, patience=60, epsilon=0.0, seed=5)
         train_pnn(pnn, x_train, y_train, x_val, y_val, config)
         changed = any(
-            not np.array_equal(before, param.data)
-            for before, param in zip(w_before, pnn.nonlinear_parameters())
+            not np.array_equal(before, after)
+            for before, after in zip(w_before, nonlinear_arrays(pnn))
         )
         assert changed
 

@@ -167,7 +167,7 @@ class TestRoundTrip:
         assert "retrains" in message
 
     def test_legacy_module_state_entry_fails_naming_the_archive(
-        self, tmp_path, analytic_surrogates, outcome
+        self, tmp_path, analytic_surrogates, outcome, pnn_state
     ):
         # Entries written before the PNNParams snapshots hold the raw
         # module state (param.* members); load_design refuses them loudly
@@ -184,7 +184,7 @@ class TestRoundTrip:
         )
         path = cache.design_path(digest)
         np.savez(path, layer_sizes=np.asarray(pnn.layer_sizes),
-                 **{f"param.{name}": value for name, value in pnn.state_dict().items()})
+                 **{f"param.{name}": value for name, value in pnn_state(pnn).items()})
 
         with pytest.raises(ValueError, match="not a PNNParams snapshot") as info:
             cache.load_design(digest, analytic_surrogates)

@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro import telemetry
 from repro.core import PrintedNeuralNetwork, TrainConfig, save_params, snapshot_params, train_pnn
 from repro.experiments import cli
 from repro.telemetry import read_events, summarize_events
+from repro.telemetry.core import NULL, TELEMETRY_ENV
 
 
 class TestParser:
@@ -88,6 +91,21 @@ class TestReportCommand:
 
 
 class TestExportCommand:
+    def test_telemetry_is_off_after_the_command(self, capsys, tmp_path, analytic_surrogates):
+        """``--telemetry DIR`` records only while the command runs: an
+        in-process caller is back on the no-op sink afterwards, also when
+        the command fails early (a tile too small for its rails: exit 2)."""
+        pnn = PrintedNeuralNetwork([3, 3, 2], analytic_surrogates,
+                                   rng=np.random.default_rng(0))
+        params = save_params(snapshot_params(pnn), tmp_path / "pnn.npz")
+        tel = tmp_path / "tel"
+        assert cli.main(["export", "--params", str(params), "--tile-rows", "2",
+                         "--telemetry", str(tel)]) == 2
+        assert "reserved bias/ground rail rows" in capsys.readouterr().err
+        assert (tel / "manifest.json").is_file()
+        assert TELEMETRY_ENV not in os.environ
+        assert telemetry.get() is NULL
+
     def test_verify_with_telemetry_passes_the_health_rules(
         self, capsys, tmp_path, analytic_surrogates
     ):
@@ -103,13 +121,10 @@ class TestExportCommand:
                   TrainConfig(max_epochs=4, patience=4, epsilon=0.1, n_mc_train=3, seed=1))
         params = save_params(snapshot_params(pnn), tmp_path / "pnn.npz")
         netlist, tel = tmp_path / "pnn_tiled.netlist", tmp_path / "tel"
-        try:
-            code = cli.main(["export", "--params", str(params), "--output", str(netlist),
-                             "--tile-rows", "8", "--tile-cols", "8", "--verify",
-                             "--scenario", "nominal", "--scenario", "stuck-1pct",
-                             "--telemetry", str(tel)])
-        finally:
-            telemetry.disable()
+        code = cli.main(["export", "--params", str(params), "--output", str(netlist),
+                         "--tile-rows", "8", "--tile-cols", "8", "--verify",
+                         "--scenario", "nominal", "--scenario", "stuck-1pct",
+                         "--telemetry", str(tel)])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
         assert any(line.startswith("* tiling: 8x8") for line in netlist.read_text().splitlines())

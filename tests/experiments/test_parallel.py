@@ -20,6 +20,7 @@ from repro.experiments import cli, parallel
 from repro.experiments.jobs import iter_cells
 from repro.experiments.report import render_telemetry_report
 from repro.telemetry import read_events, summarize_events
+from repro.telemetry.core import NULL
 
 MICRO = ExperimentConfig(
     seeds=(1, 2), max_epochs=15, patience=15, n_mc_train=2, n_test=6, max_train=50,
@@ -240,15 +241,13 @@ class TestCLIFlags:
         """
         self._trim_smoke(monkeypatch, analytic_surrogates)
         cache_dir, fresh, resume = tmp_path / "cache", tmp_path / "fresh", tmp_path / "resume"
-        try:
-            assert cli.main(["table2", "--datasets", "iris", "--workers", "2",
-                             "--cache-dir", str(cache_dir), "--telemetry", str(fresh)]) == 0
-            first = capsys.readouterr().out
-            assert cli.main(["table2", "--datasets", "iris", "--workers", "1", "--resume",
-                             "--cache-dir", str(cache_dir), "--telemetry", str(resume)]) == 0
-            second = capsys.readouterr().out
-        finally:
-            telemetry.disable()
+        assert cli.main(["table2", "--datasets", "iris", "--workers", "2",
+                         "--cache-dir", str(cache_dir), "--telemetry", str(fresh)]) == 0
+        first = capsys.readouterr().out
+        assert cli.main(["table2", "--datasets", "iris", "--workers", "1", "--resume",
+                         "--cache-dir", str(cache_dir), "--telemetry", str(resume)]) == 0
+        second = capsys.readouterr().out
+        assert telemetry.get() is NULL        # the CLI switched its telemetry off
         assert first == second
         records = RunJournal.read(cache_dir / "journal.jsonl")
         resumed = records[len(records) // 2:]

@@ -106,7 +106,7 @@ class TestDetection:
 
     def test_load_bearing_skip_fails(self, tmp_path, capsys):
         pnn = PrintedNeuralNetwork([3, 3, 2], SURROGATES, rng=np.random.default_rng(0))
-        pnn.layers[0].theta.data[0, 0] = np.nan
+        pnn.layers[0].theta[0, 0] = np.nan
         telemetry.enable(tmp_path / "tel")
         try:
             v = verify_deployment(snapshot_params(pnn), inputs(4, 3))
@@ -126,7 +126,7 @@ class TestDetection:
 
     def test_benign_zero_theta_passes(self):
         pnn = PrintedNeuralNetwork([3, 3, 2], SURROGATES, rng=np.random.default_rng(0))
-        pnn.layers[0].theta.data[0, 0] = 0.0
+        pnn.layers[0].theta[0, 0] = 0.0
         v = verify_deployment(snapshot_params(pnn), inputs(4, 3))
         assert v.passed
 

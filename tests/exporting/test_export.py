@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import PrintedNeuralNetwork
+from repro.core.grad_kernels import project_printable
 from repro.exporting import design_report, export_netlist_text
 from repro.exporting.report import PHYSICAL_SCALE
 from repro.surrogate import AnalyticSurrogate
@@ -32,8 +33,10 @@ class TestDesignReport:
 
     def test_negation_mask_matches_theta_sign(self, pnn):
         report = design_report(pnn)
+        config = pnn.conductance
         for layer, player in zip(report.layers, pnn.layers):
-            assert np.array_equal(layer.negated_inputs, player.printable_theta() < 0)
+            printed = project_printable(player.theta, config.g_min, config.g_max)
+            assert np.array_equal(layer.negated_inputs, printed < 0)
 
     def test_omega_within_design_space(self, pnn):
         report = design_report(pnn)
@@ -70,7 +73,7 @@ class TestNetlistExport:
         assert len(resistor_cards) == report.total_printed_resistors
 
     def test_negative_routes_have_inverter_instances(self, pnn):
-        pnn.layers[0].theta.data[0, 0] = -0.5   # force one negative weight
+        pnn.layers[0].theta[0, 0] = -0.5   # force one negative weight
         text = export_netlist_text(pnn)
         assert "Xinv_0_0_0" in text
 

@@ -46,8 +46,8 @@ class TestUntiledByteIdentity:
 
     def test_negated_routes(self):
         pnn = PrintedNeuralNetwork([3, 3, 2], SURROGATES, rng=np.random.default_rng(0))
-        pnn.layers[0].theta.data[0, 0] = -0.5
-        pnn.layers[1].theta.data[2, 1] = -1.7
+        pnn.layers[0].theta[0, 0] = -0.5
+        pnn.layers[1].theta[2, 1] = -1.7
         text = export_netlist_text(pnn, title="golden-negated") + "\n"
         assert text == _golden("untiled_negated_3_3_2.netlist")
 
@@ -76,7 +76,7 @@ class TestTiledNetlist:
     @pytest.fixture
     def pnn(self):
         pnn = PrintedNeuralNetwork([6, 10, 4], SURROGATES, rng=np.random.default_rng(5))
-        pnn.layers[0].theta.data[1, 2] = -0.3
+        pnn.layers[0].theta[1, 2] = -0.3
         return pnn
 
     def test_conductance_per_column_conserved(self, pnn):
@@ -126,7 +126,7 @@ class TestTiledNetlist:
 class TestSkippedDeviceAccounting:
     def test_zero_theta_is_benign(self):
         pnn = PrintedNeuralNetwork([3, 3, 2], SURROGATES, rng=np.random.default_rng(0))
-        pnn.layers[0].theta.data[0, 0] = 0.0
+        pnn.layers[0].theta[0, 0] = 0.0
         report = design_report(pnn)
         assert report.layers[0].skipped_zero == 1
         assert report.layers[0].skipped_load_bearing == 0
@@ -135,7 +135,7 @@ class TestSkippedDeviceAccounting:
 
     def test_nan_theta_is_load_bearing(self):
         pnn = PrintedNeuralNetwork([3, 3, 2], SURROGATES, rng=np.random.default_rng(0))
-        pnn.layers[1].theta.data[1, 1] = np.nan
+        pnn.layers[1].theta[1, 1] = np.nan
         report = design_report(pnn)
         assert report.layers[1].skipped_load_bearing == 1
         assert report.total_load_bearing_skips == 1

@@ -144,8 +144,8 @@ class TestBoundedCompile:
     def test_inverter_budget_enforced(self):
         pnn = make_pnn([6, 10, 4])
         for layer in pnn.layers:
-            layer.theta.data[:] = np.abs(layer.theta.data)
-        pnn.layers[0].theta.data[:4, :4] = -np.abs(pnn.layers[0].theta.data[:4, :4])
+            layer.theta[:] = np.abs(layer.theta)
+        pnn.layers[0].theta[:4, :4] = -np.abs(pnn.layers[0].theta[:4, :4])
         compile_tiling(pnn, TileSpec(max_rows=8, max_cols=8, inverter_budget=16))
         with pytest.raises(TilingError, match="budget"):
             compile_tiling(pnn, TileSpec(max_rows=8, max_cols=8, inverter_budget=15))
@@ -157,8 +157,8 @@ class TestBoundedCompile:
 
     def test_skipped_accounting_propagates(self):
         pnn = make_pnn([6, 10, 4])
-        pnn.layers[0].theta.data[0, 0] = 0.0
-        pnn.layers[1].theta.data[0, 0] = np.nan
+        pnn.layers[0].theta[0, 0] = 0.0
+        pnn.layers[1].theta[0, 0] = np.nan
         tiled = compile_tiling(pnn, TileSpec(max_rows=8, max_cols=8))
         assert tiled.skipped_zero == 1
         assert tiled.skipped_load_bearing == 1

@@ -23,7 +23,7 @@ def run_stacked(opt_cls, data, grads, keep_at=None, keep=None, **kwargs):
 
     Returns the final stacked data (in surviving-lane order when compacted).
     """
-    param = RawParameter(data.copy(), "p")
+    param = RawParameter(data.copy())
     optimizer = opt_cls([{"params": [param], "lr": 0.05}], **kwargs)
     lanes = list(range(data.shape[0]))
     for step, grad in enumerate(grads):
@@ -38,7 +38,7 @@ def run_stacked(opt_cls, data, grads, keep_at=None, keep=None, **kwargs):
 
 def run_serial(opt_cls, data, grads, lane, steps=None, **kwargs):
     """Run one lane's slice through the serial optimizer."""
-    param = RawParameter(data[lane].copy(), "p")
+    param = RawParameter(data[lane].copy())
     optimizer = opt_cls([{"params": [param], "lr": 0.05}], **kwargs)
     for grad in grads[:steps]:
         param.grad = grad[lane]
@@ -79,7 +79,7 @@ class TestStackedEqualsSerial:
 
 class TestCompactBookkeeping:
     def test_adam_step_counter_survives_compaction(self):
-        param = RawParameter(np.zeros((3, 2)), "p")
+        param = RawParameter(np.zeros((3, 2)))
         optimizer = LaneAdam([{"params": [param], "lr": 0.05}])
         for _ in range(4):
             param.grad = np.ones((3, 2))
@@ -94,7 +94,7 @@ class TestCompactBookkeeping:
         assert state["v"].shape == (2, 2)
 
     def test_compact_before_first_step_is_noop(self):
-        param = RawParameter(np.zeros((3, 2)), "p")
+        param = RawParameter(np.zeros((3, 2)))
         optimizer = LaneAdam([{"params": [param], "lr": 0.05}])
         optimizer.compact([0, 1])                 # no state yet; must not raise
 

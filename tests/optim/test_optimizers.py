@@ -199,7 +199,7 @@ class TestRawParameter:
     """Graph-free parameters: the lane training engine's update targets."""
 
     def test_accepted_by_optimizers(self):
-        raw = RawParameter(np.zeros(3), name="theta")
+        raw = RawParameter(np.zeros(3))
         Adam([raw], lr=0.1)
         LaneAdam([{"params": [raw], "lr": 0.1}])
 

@@ -359,7 +359,7 @@ class TestNonFiniteLane:
     """A lane that never sees a finite validation loss fails a health rule."""
 
     def test_poisoned_lane_fails_the_rule_and_leaves_its_mate_alone(
-            self, analytic_surrogates, blob_data, tmp_path, capsys):
+            self, analytic_surrogates, blob_data, tmp_path, capsys, pnn_state):
         x_train, y_train, x_val, y_val = blob_data
 
         def build(seed):
@@ -372,7 +372,7 @@ class TestNonFiniteLane:
         reference = train_pnn(alone, x_train, y_train, x_val, y_val, configs[0])
 
         pnns = [build(1), build(2)]
-        pnns[1].layers[0].theta.data[0, 0] = np.nan
+        pnns[1].layers[0].theta[0, 0] = np.nan
         directory = tmp_path / "tel"
         telemetry.enable(directory)
         try:
@@ -384,8 +384,8 @@ class TestNonFiniteLane:
         assert healthy.history == reference.history
         assert (healthy.best_epoch, healthy.best_val_loss, healthy.epochs_run) == (
             reference.best_epoch, reference.best_val_loss, reference.epochs_run)
-        expected = alone.state_dict()
-        for name, value in pnns[0].state_dict().items():
+        expected = pnn_state(alone)
+        for name, value in pnn_state(pnns[0]).items():
             np.testing.assert_array_equal(value, expected[name], err_msg=name)
 
         (run,) = [e["attrs"] for e in read_events(directory) if e.get("name") == "lanes.run"]

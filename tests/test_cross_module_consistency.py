@@ -10,39 +10,42 @@ import numpy as np
 import pytest
 
 from repro.circuits import CrossbarColumn, crossbar_netlist, crossbar_output
-from repro.core import LayerParams, LearnableNonlinearCircuit, PrintedLayer, kernels
+from repro.core import ConductanceConfig, LayerParams, PrintedLayer, kernels
+from repro.core.grad_kernels import project_printable, reassemble_omega_fwd
 from repro.core.params import snapshot_surrogate
 from repro.spice import solve_dc
 from repro.surrogate import AnalyticSurrogate
 from repro.surrogate.design_space import DESIGN_SPACE
 
+CONDUCTANCE = ConductanceConfig()
+
 
 def make_layer(n_in, n_out, seed=0):
-    rng = np.random.default_rng(seed)
-    activation = LearnableNonlinearCircuit(
-        AnalyticSurrogate("ptanh"), DESIGN_SPACE, "ptanh", rng=rng
-    )
-    negation = LearnableNonlinearCircuit(
-        AnalyticSurrogate("negweight"), DESIGN_SPACE, "negweight", rng=rng
-    )
+    """A crossbar-only layer (no activation) with random initial θ."""
     return PrintedLayer(
-        n_in, n_out, activation=activation, negation=negation,
-        apply_activation=False, rng=rng,
+        theta=CONDUCTANCE.init_theta((n_in + 2, n_out), np.random.default_rng(seed)),
+        w_act=np.zeros((1, 7)),
+        w_neg=np.zeros((1, 7)),
+        apply_activation=False,
     )
+
+
+def printable_theta(layer):
+    return project_printable(layer.theta, CONDUCTANCE.g_min, CONDUCTANCE.g_max)
 
 
 def layer_forward(layer, x):
     """The layer's printable design through ``kernels.layer_forward``."""
     design = LayerParams(
-        theta=layer.printable_theta(),
-        act_omega=layer.activation.printable_omega(),
-        neg_omega=layer.negation.printable_omega(),
+        theta=printable_theta(layer),
+        act_omega=reassemble_omega_fwd(layer.w_act, DESIGN_SPACE)[0],
+        neg_omega=reassemble_omega_fwd(layer.w_neg, DESIGN_SPACE)[0],
         apply_activation=layer.apply_activation,
     )
     return kernels.layer_forward(
         x, design,
-        snapshot_surrogate(layer.activation.surrogate),
-        snapshot_surrogate(layer.negation.surrogate),
+        snapshot_surrogate(AnalyticSurrogate("ptanh")),
+        snapshot_surrogate(AnalyticSurrogate("negweight")),
     )
 
 
@@ -51,8 +54,8 @@ class TestLayerVsCrossbar:
     def test_positive_theta_matches_analytic_crossbar(self, seed):
         """For all-positive θ the layer output IS Eq. 1."""
         layer = make_layer(3, 1, seed=seed)
-        layer.theta.data = np.abs(layer.theta.data)
-        theta = layer.printable_theta()[:, 0]
+        layer.theta = np.abs(layer.theta)
+        theta = printable_theta(layer)[:, 0]
 
         rng = np.random.default_rng(seed + 10)
         voltages = rng.uniform(0.0, 1.0, size=3)
@@ -69,8 +72,8 @@ class TestLayerVsCrossbar:
     def test_positive_theta_matches_solved_netlist(self, seed):
         """...and the solved physical netlist agrees with both."""
         layer = make_layer(2, 1, seed=seed)
-        layer.theta.data = np.abs(layer.theta.data)
-        theta = layer.printable_theta()[:, 0]
+        layer.theta = np.abs(layer.theta)
+        theta = printable_theta(layer)[:, 0]
 
         # The surrogate conductances are dimensionless; the netlist check
         # uses the export scale (weights g/G are scale invariant).
@@ -90,11 +93,11 @@ class TestLayerVsCrossbar:
         """Multiplying a whole column by a constant leaves V_z unchanged —
         the physical reason surrogate conductances are dimensionless."""
         layer = make_layer(3, 2, seed=5)
-        layer.theta.data = np.abs(layer.theta.data)
+        layer.theta = np.abs(layer.theta)
         x = np.random.default_rng(0).uniform(size=(1, 4, 3))
         before = layer_forward(layer, x)
-        layer.theta.data = layer.theta.data * 3.7
-        layer.theta.data = np.clip(layer.theta.data, 0.01, 10.0)  # stay printable
+        layer.theta = layer.theta * 3.7
+        layer.theta = np.clip(layer.theta, 0.01, 10.0)  # stay printable
         after = layer_forward(layer, x)
         assert np.allclose(before, after, atol=1e-9)
 
@@ -103,7 +106,7 @@ class TestActivationVsCircuitSim:
     def test_learned_activation_matches_its_own_circuit(self):
         """The η the pNN uses must describe the circuit that ω builds.
 
-        Round trip: take the layer's printable ω, sweep the *physical*
+        Round trip: take a fresh circuit's printable ω, sweep the *physical*
         circuit with the DC solver, fit η to that sweep, and compare with
         the surrogate's prediction the pNN trained against.  The NN
         surrogate carries regression error, so the analytic surrogate used
@@ -114,10 +117,8 @@ class TestActivationVsCircuitSim:
 
         dataset = build_surrogate_dataset("ptanh", n_points=64, sweep_points=21, seed=21)
         surrogate = AnalyticSurrogate("ptanh").calibrate(dataset)
-        rng = np.random.default_rng(1)
-        activation = LearnableNonlinearCircuit(surrogate, DESIGN_SPACE, "ptanh", rng=rng)
-
-        omega = activation.printable_omega()[0]
+        # A layer-shared circuit starts at 𝔴 = 0, the mid-range design.
+        omega = reassemble_omega_fwd(np.zeros((1, 7)), DESIGN_SPACE)[0][0]
         v_in, v_out = simulate_ptanh_curve(omega, n_points=21)
         fitted = fit_ptanh(v_in, v_out).eta
         predicted = surrogate.eta_from_omega(omega[None])[0]

@@ -57,10 +57,10 @@ class TestFullPipelineWithTrainedSurrogate:
     def test_learned_omega_moves_from_reference(self, tiny_bundle, blob_data):
         x_train, y_train, x_val, y_val = blob_data
         pnn = PrintedNeuralNetwork([2, 3, 2], tiny_bundle, rng=np.random.default_rng(4))
-        reference = pnn.layers[0].activation.printable_omega().copy()
+        reference = pnn.snapshot().layers[0].act_omega
         config = TrainConfig(max_epochs=150, patience=150, seed=4)
         train_pnn(pnn, x_train, y_train, x_val, y_val, config)
-        learned = pnn.layers[0].activation.printable_omega()
+        learned = pnn.snapshot().layers[0].act_omega
         assert not np.allclose(reference, learned)
         assert DESIGN_SPACE.contains(learned[0], atol=1e-6)
 
