@@ -18,8 +18,10 @@ This package is the paper's primary contribution (Sec. III):
   kernels with hand-derived VJPs, plus :class:`KernelNetwork`, the frozen
   structure of one network, whose one-network loss calls run the lane
   executor with one lane;
-- :mod:`~repro.core.kernels` — the forward drivers over a frozen design
-  and the canonical variation-sampling order;
+- :mod:`~repro.core.kernels` — the one printed-layer assembly
+  (``layer_forward``, run by training, evaluation and deploy
+  verification), the forward drivers over a frozen design and the
+  canonical variation-sampling order;
 - :mod:`~repro.core.params` — immutable :class:`PNNParams` snapshots, the
   designs the drivers execute;
 - :mod:`~repro.core.training` — nominal and variation-aware training

@@ -6,8 +6,9 @@ nonlinear-circuit components), classifies the whole test set, and yields
 one accuracy.  Table II reports the mean and standard deviation over these
 samples — the standard deviation is the paper's robustness measure.
 
-Evaluation runs the forward kernels training runs, through the snapshot
-drivers of :mod:`repro.core.kernels` over a
+Evaluation runs the printed layer training runs,
+:func:`repro.core.kernels.layer_forward`, through
+:func:`~repro.core.kernels.network_forward` over a
 :class:`~repro.core.params.PNNParams` design.
 
 **Sampling stream.**  The ε factors for all ``n_test`` fabrications are
@@ -167,6 +168,8 @@ def evaluate_mc(
     other scenarios may not be (stuck-at defects still fabricate broken
     devices).
     """
+    if n_test < 1:
+        raise ValueError(f"n_test must be >= 1, got {n_test!r}")
     params = snapshot_params(design)
     y = np.asarray(y, dtype=np.int64)
     variation = active_scenario_model(scenario, epsilon, seed=seed)

@@ -2,9 +2,10 @@
 
 Every equation of the paper's differentiable chain is implemented once,
 here, as a plain-``numpy`` forward kernel paired with its hand-derived
-vector–Jacobian product (VJP).  Training descends these VJPs; Monte-Carlo
-evaluation, analysis, export and deploy verification run the same forward
-kernels through the snapshot drivers of :mod:`repro.core.kernels`.  One
+vector–Jacobian product (VJP).  :func:`repro.core.kernels.layer_forward`
+assembles them into a printed layer once; training runs it and descends
+these VJPs, and Monte-Carlo evaluation, analysis, export and deploy
+verification run the same assembly forward only.  One
 variation-aware training epoch — the Monte-Carlo expected loss of
 Sec. III-C over ``n_mc`` fabricated circuit instances — is a handful of
 array operations:
@@ -24,7 +25,9 @@ array operations:
 - the Eq. 2/3 tanh-like transfer (:func:`transfer_fwd` /
   :func:`transfer_bwd`);
 - the printing non-idealities applied to the printable θ and ω
-  (:func:`apply_nonideality` / :func:`apply_nonideality_bwd`);
+  (:func:`apply_nonideality` / :func:`apply_nonideality_bwd`), and one
+  circuit's η under a draw (:func:`circuit_eta_fwd` /
+  :func:`circuit_eta_bwd`: MC axis, draw, surrogate);
 - the margin and voltage-cross-entropy losses (:func:`margin_loss_fwd` /
   :func:`margin_loss_bwd`, :func:`ce_loss_fwd` / :func:`ce_loss_bwd`).
 
@@ -35,11 +38,11 @@ recordings of the taped autograd path this module replaced
 
 :class:`KernelNetwork` freezes the static structure (surrogate snapshots,
 design-space bounds, conductance limits) of a
-:class:`~repro.core.pnn.PrintedNeuralNetwork`.  The kernels run over raw
-parameter arrays in one executor, :class:`repro.core.lanes.LaneNetwork`,
-which keeps the augmented inputs and crossbar products in
-:class:`Workspace` buffers; ``KernelNetwork.loss_and_grads`` and
-``.loss_value`` answer one-network calls as its one-lane case.
+:class:`~repro.core.pnn.PrintedNeuralNetwork`.  One executor runs raw
+parameter arrays, :class:`repro.core.lanes.LaneNetwork`: it projects
+them to printable values and calls ``layer_forward`` with its
+:class:`Workspace`; ``KernelNetwork.loss_and_grads`` and ``.loss_value``
+answer one-network calls as its one-lane case.
 
 Shape convention — the leading lane axis
 ----------------------------------------
@@ -50,7 +53,7 @@ shapes of one network
 - parameters θ ``(in+2, out)``, 𝔴/ω ``(C, 7)``, η ``(C, 4)``,
 - activations ``(n_mc, batch, features)``,
 
-which the snapshot drivers of :mod:`repro.core.kernels` pass, generalize
+which :func:`repro.core.kernels.network_forward` passes, generalize
 to an optional **leading lane axis** ``L`` — ``(L, in+2, out)``,
 ``(L, n_mc, batch, features)``, … — carrying ``L`` independent training
 jobs in lockstep (:mod:`repro.core.lanes`).  The generalization is not a
@@ -61,8 +64,8 @@ elementwise operations, the same per-slice 2-D GEMMs, and reductions whose
 memory-layout relationship to the reduced axis is unchanged — so lane ``l``
 of a stacked call is bitwise equal to a 3-D call on lane ``l``'s data
 alone (pinned by ``tests/core/test_lane_engine.py`` against the recorded
-serial executor and by ``tests/core/test_grad_kernels.py`` against the
-snapshot drivers).
+serial executor and by ``tests/core/test_grad_kernels.py`` against
+``network_forward``).
 """
 
 from __future__ import annotations
@@ -483,6 +486,35 @@ def surrogate_eta_bwd(d_eta: np.ndarray, ctx: tuple, sp: SurrogateParams) -> np.
     if sp.backend == "mlp":
         return mlp_eta_bwd(d_eta, ctx, sp)
     return analytic_eta_bwd(d_eta, ctx, sp)
+
+
+def circuit_eta_fwd(
+    omega: np.ndarray, eps: Optional[EpsilonLike], sp: SurrogateParams
+) -> Tuple[np.ndarray, tuple]:
+    """One circuit's η under printing variation (Fig. 5 step 4 and the surrogate).
+
+    Inserts the Monte-Carlo axis in front of the circuit axis of the
+    printable ω ``(..., C, 7)``, applies the draw ``eps``
+    ``(..., N, C, 7)`` — variation multiplies printable values — and runs
+    the surrogate: η ``(..., N, C, 4)``, or ``(..., 1, C, 4)`` for
+    ``eps=None``.  VJP: :func:`circuit_eta_bwd`.
+    """
+    omega_mc = omega[..., None, :, :]
+    if eps is not None:
+        if eps.shape[-2:] != omega.shape[-2:]:
+            raise ValueError("the ω draw must be (..., n_mc, n_circuits, 7)")
+        omega_mc = apply_nonideality(omega_mc, eps)
+    eta, ctx = surrogate_eta_fwd(omega_mc, sp)
+    return eta, (eps, ctx)
+
+
+def circuit_eta_bwd(d_eta: np.ndarray, ctx: tuple, sp: SurrogateParams) -> np.ndarray:
+    """VJP of :func:`circuit_eta_fwd`: dη → printable dω, reducing the MC axis."""
+    eps, ctx_sp = ctx
+    d_omega_mc = surrogate_eta_bwd(d_eta, ctx_sp, sp)
+    if eps is None:
+        return d_omega_mc[..., 0, :, :]
+    return apply_nonideality_bwd(d_omega_mc, eps, axis=-3)
 
 
 # --------------------------------------------------------------------- #

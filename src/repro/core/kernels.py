@@ -1,12 +1,19 @@
-"""Snapshot drivers: the pNN forward over a frozen :class:`PNNParams` design.
+"""The printed layer, assembled once, and the snapshot drivers around it.
 
 The equations themselves — Eq. 1 crossbar, the Fig. 5 reassembly, the
 ω → η surrogates and the Eq. 2/3 transfer — are implemented once, in
 :mod:`repro.core.grad_kernels`, each next to its hand-derived VJP.
-Training runs them there; this module runs the same forward kernels over
-an immutable :class:`~repro.core.params.PNNParams` snapshot, which is what
-Monte-Carlo evaluation, analysis, export and deploy verification execute:
-plain ``numpy`` arrays, no parameters, no gradient context kept.
+:func:`layer_forward` assembles them into one printed layer over printable
+θ and ω with any leading lane axes, and returns a :class:`LayerTape` with
+the VJP contexts and the intermediates.  Every pNN forward runs it:
+
+- training — :class:`repro.core.lanes.LaneNetwork` projects its raw arrays
+  to printable values, calls it once per layer and descends the tape;
+- Monte-Carlo evaluation, analysis and export — :func:`network_forward`
+  loops it over an immutable :class:`~repro.core.params.PNNParams`
+  snapshot;
+- deploy verification — :mod:`repro.exporting.deploy` runs it as the
+  kernel reference and drives its SPICE chain with the tape's θ_eff and η.
 
 It also owns the canonical variation-sampling order
 (:func:`sample_layer_epsilons`: per layer θ, then activation ω, then
@@ -16,63 +23,38 @@ streams.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.grad_kernels import (
     BIAS_VOLTAGE,
+    Workspace,
     apply_nonideality,
+    circuit_eta_fwd,
     crossbar_fwd,
-    surrogate_eta_fwd,
     transfer_fwd,
 )
-from repro.core.variation import EpsilonLike, Perturbation
+from repro.core.variation import EpsilonLike
 
 if TYPE_CHECKING:  # real imports would be cyclic and are not needed at runtime
-    from repro.core.params import LayerParams, PNNParams, SurrogateParams
+    from repro.core.params import PNNParams, SurrogateParams
 
 
-def augment_inputs(x: np.ndarray) -> np.ndarray:
-    """Append the bias (1 V) and down (0 V) input lines: ``(N,B,F)→(N,B,F+2)``."""
-    n_mc, batch = x.shape[0], x.shape[-2]
-    ones = np.full((n_mc, batch, 1), BIAS_VOLTAGE)
-    zeros = np.zeros((n_mc, batch, 1))
-    return np.concatenate([x, ones, zeros], axis=-1)
-
-
-def surrogate_eta(omega: np.ndarray, surrogate: "SurrogateParams") -> np.ndarray:
-    """Map printable ω ``(..., 7)`` to η ``(..., 4)`` through a snapshot.
-
-    The forward of :func:`repro.core.grad_kernels.surrogate_eta_fwd`
-    (NN or analytic backend), without its VJP context.
-    """
-    eta, _ = surrogate_eta_fwd(np.asarray(omega, dtype=np.float64), surrogate)
-    return eta
-
-
-def circuit_eta(
-    omega: np.ndarray,
-    surrogate: "SurrogateParams",
-    epsilon_omega: Optional[EpsilonLike] = None,
+def augment_inputs(
+    x: np.ndarray, ws: Optional[Workspace] = None, tag: str = "layer"
 ) -> np.ndarray:
-    """η of one nonlinear circuit, optionally under printing variation.
+    """Append the bias (1 V) and down (0 V) input lines: ``(..., B, F) → (..., B, F+2)``.
 
-    ``omega`` is the printable component matrix ``(n_circuits, 7)``;
-    ``epsilon_omega`` optionally perturbs it with per-sample draws
-    ``(n_mc, n_circuits, 7)`` (Fig. 5 step 4 — variation applies to the
-    printable values).  Returns ``(n_mc | 1, n_circuits, 4)``.
+    Fills the workspace buffer ``{tag}.x_aug`` (a fresh array without ``ws``).
     """
-    n_circuits = omega.shape[0]
-    omega = omega.reshape(1, n_circuits, 7)
-    if epsilon_omega is not None:
-        eps = epsilon_omega
-        if not isinstance(eps, Perturbation):
-            eps = np.asarray(eps, dtype=np.float64)
-        if eps.ndim != 3 or eps.shape[1:] != (n_circuits, 7):
-            raise ValueError("epsilon_omega must be (n_mc, n_circuits, 7)")
-        omega = apply_nonideality(omega, eps)
-    return surrogate_eta(omega, surrogate)
+    n_in = x.shape[-1]
+    x_aug = (ws or Workspace()).buf(f"{tag}.x_aug", (*x.shape[:-1], n_in + 2))
+    x_aug[..., :n_in] = x
+    x_aug[..., n_in] = BIAS_VOLTAGE
+    x_aug[..., n_in + 1] = 0.0
+    return x_aug
 
 
 #: One layer's variation draw: (ε_theta, ε_activation, ε_negweight).
@@ -83,44 +65,74 @@ LayerEpsilons = Tuple[
 ]
 
 
+@dataclass
+class LayerTape:
+    """What one :func:`layer_forward` call keeps.
+
+    The VJP contexts of its kernels (``crossbar``, the transfers and the
+    :func:`~repro.core.grad_kernels.circuit_eta_fwd` steps, plus the θ
+    draw) for the training backward, and the intermediates deploy
+    verification drives its SPICE chain with.  The activation fields are
+    ``None`` for a layer without an activation circuit.
+    """
+
+    theta_eff: np.ndarray            # (..., N | 1, I+2, O) θ under the draw
+    eta_neg: np.ndarray              # (..., N | 1, C_neg, 4)
+    v_z: np.ndarray                  # (..., N, B, O) crossbar output
+    eps_theta: Optional[EpsilonLike]
+    crossbar: tuple
+    neg_transfer: tuple
+    neg_eta: tuple
+    eta_act: Optional[np.ndarray] = None   # (..., N | 1, C_act, 4)
+    act_transfer: Optional[tuple] = None
+    act_eta: Optional[tuple] = None
+
+
 def layer_forward(
     x: np.ndarray,
-    layer: "LayerParams",
+    theta: np.ndarray,
+    act_omega: Optional[np.ndarray],
+    neg_omega: np.ndarray,
+    apply_activation: bool,
     act_surrogate: "SurrogateParams",
     neg_surrogate: "SurrogateParams",
-    epsilon_theta: Optional[EpsilonLike] = None,
-    epsilon_act: Optional[EpsilonLike] = None,
-    epsilon_neg: Optional[EpsilonLike] = None,
-) -> np.ndarray:
-    """One printed layer: Eq. 1 + (optionally) Eq. 2, forward only.
+    epsilons: Optional[LayerEpsilons] = None,
+    ws: Optional[Workspace] = None,
+    tag: str = "layer",
+) -> Tuple[np.ndarray, LayerTape]:
+    """One printed layer: Eq. 1 with Eq. 3 negation, then (optionally) Eq. 2.
 
-    The crossbar and transfer kernels training runs
-    (:func:`~repro.core.grad_kernels.crossbar_fwd`,
-    :func:`~repro.core.grad_kernels.transfer_fwd`), on printable values;
-    the returned VJP contexts are dropped.
+    ``x`` is ``(..., n_mc | 1, batch, in)``; the printable θ
+    ``(..., in+2, out)`` and circuit ω ``(..., C, 7)`` carry the same
+    leading lane axes (none for a snapshot, ``L`` in the lane executor).
+    ``epsilons`` is the layer's ``(ε_θ, ε_act, ε_neg)`` draw, each slot with
+    the Monte-Carlo axis in front of the device axes, or ``None`` for the
+    nominal layer.  ``ws`` holds the augmented inputs and crossbar products
+    (fresh buffers without it); ``tag`` names the call site — the crossbar
+    runs under ``tag``, the transfers under ``tag.neg`` and ``tag.act``.
+    Returns the layer output and its :class:`LayerTape`.
     """
-    if x.ndim != 3:
-        raise ValueError("expected (n_mc, batch, features) input")
-    x_aug = augment_inputs(x)                                 # (N, B, I+2)
+    if x.ndim < 3:
+        raise ValueError("expected a (..., n_mc, batch, features) input")
+    eps_theta, eps_act, eps_neg = epsilons or (None, None, None)
+    ws = ws or Workspace()
+    x_aug = augment_inputs(x, ws, tag)                        # (..., N, B, I+2)
 
-    theta_eff = layer.theta[None]                             # (1, I+2, O)
-    if epsilon_theta is not None:
-        eps = epsilon_theta
-        if not isinstance(eps, Perturbation):
-            eps = np.asarray(eps, dtype=np.float64)
-        if eps.ndim != 3 or eps.shape[1:] != layer.theta.shape:
-            raise ValueError("epsilon_theta must be (n_mc, in+2, out)")
-        theta_eff = apply_nonideality(theta_eff, eps)         # (N, I+2, O)
+    theta_eff = theta[..., None, :, :]                        # (..., 1, I+2, O)
+    if eps_theta is not None:
+        if eps_theta.shape[-2:] != theta.shape[-2:]:
+            raise ValueError("the θ draw must be (..., n_mc, in+2, out)")
+        theta_eff = apply_nonideality(theta_eff, eps_theta)   # (..., N, I+2, O)
 
-    inv_eta = circuit_eta(layer.neg_omega, neg_surrogate, epsilon_neg)
-    inverted, _ = transfer_fwd(x_aug, inv_eta, "negweight")
-
-    v_z, _ = crossbar_fwd(x_aug, inverted, theta_eff)
-    if not layer.apply_activation:
-        return v_z
-    act_eta = circuit_eta(layer.act_omega, act_surrogate, epsilon_act)
-    out, _ = transfer_fwd(v_z, act_eta, "ptanh")
-    return out
+    eta_neg, neg_eta = circuit_eta_fwd(neg_omega, eps_neg, neg_surrogate)
+    inverted, neg_transfer = transfer_fwd(x_aug, eta_neg, "negweight", tag=f"{tag}.neg")
+    v_z, crossbar = crossbar_fwd(x_aug, inverted, theta_eff, ws=ws, tag=tag)
+    tape = LayerTape(theta_eff, eta_neg, v_z, eps_theta, crossbar, neg_transfer, neg_eta)
+    if not apply_activation:
+        return v_z, tape
+    tape.eta_act, tape.act_eta = circuit_eta_fwd(act_omega, eps_act, act_surrogate)
+    out, tape.act_transfer = transfer_fwd(v_z, tape.eta_act, "ptanh", tag=f"{tag}.act")
+    return out, tape
 
 
 def sample_layer_epsilons(
@@ -147,13 +159,17 @@ def sample_layer_epsilons(
     return eps_theta, eps_act, eps_neg
 
 
-def sample_params_epsilons(variation, n_mc: int, params: "PNNParams") -> List[LayerEpsilons]:
-    """One :func:`sample_layer_epsilons` triple per layer of a snapshot."""
+def sample_params_epsilons(variation, n_mc: int, design) -> List[LayerEpsilons]:
+    """One :func:`sample_layer_epsilons` triple per layer of ``design``.
+
+    The one per-layer loop: a live network (each training epoch, the
+    frozen validation draw) and its :class:`~repro.core.params.PNNParams`
+    snapshot (evaluation, deploy verification) both give each layer's θ
+    and ``circuit_counts``, so both consume the same stream.
+    """
     return [
-        sample_layer_epsilons(
-            variation, n_mc, layer.theta.shape, len(layer.act_omega), len(layer.neg_omega)
-        )
-        for layer in params.layers
+        sample_layer_epsilons(variation, n_mc, layer.theta.shape, *layer.circuit_counts)
+        for layer in design.layers
     ]
 
 
@@ -197,17 +213,10 @@ def network_forward(
         hidden = np.broadcast_to(hidden, (n_mc, *data.shape))
 
     for index, layer in enumerate(params.layers):
-        eps_theta = eps_act = eps_neg = None
-        if epsilons is not None:
-            eps_theta, eps_act, eps_neg = epsilons[index]
-        hidden = layer_forward(
-            hidden,
-            layer,
-            params.act_surrogate,
-            params.neg_surrogate,
-            epsilon_theta=eps_theta,
-            epsilon_act=eps_act,
-            epsilon_neg=eps_neg,
+        hidden, _ = layer_forward(
+            hidden, layer.theta, layer.act_omega, layer.neg_omega, layer.apply_activation,
+            params.act_surrogate, params.neg_surrogate,
+            None if epsilons is None else epsilons[index],
         )
     return hidden
 

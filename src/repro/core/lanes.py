@@ -17,9 +17,10 @@ history, the same early-stop epoch, and byte-identical trained parameters.
 Table II relies on it: a seed's result does not depend on which other
 seeds of its group share the batch.  It holds because
 
-- every kernel in :mod:`repro.core.grad_kernels` addresses trailing axes,
-  so a lane's slice undergoes the same elementwise operations and the same
-  per-slice 2-D GEMMs as a call on that lane's unstacked arrays;
+- every kernel in :mod:`repro.core.grad_kernels`, and the layer assembly
+  chaining them, addresses trailing axes, so a lane's slice undergoes the
+  same elementwise operations and the same per-slice 2-D GEMMs as a call
+  on that lane's unstacked arrays;
 - reductions (batch sums, MC means) keep the reduced axis's memory layout
   unchanged when a leading lane axis is added, so numpy's pairwise
   summation produces the same partial-sum tree per lane;
@@ -43,13 +44,15 @@ one :class:`~repro.core.training.TrainResult` per lane and writes each
 lane's best-epoch arrays back into its network.
 :class:`LaneNetwork` — the one forward/backward executor over raw
 parameter arrays, lane-stacked ``(L, ...)``, reusing the frozen structure
-of a :class:`~repro.core.grad_kernels.KernelNetwork`; one-network calls
-(``KernelNetwork.loss_and_grads`` / ``.loss_value``) run it with one lane.
+of a :class:`~repro.core.grad_kernels.KernelNetwork`: per layer it
+projects the raw arrays and runs :func:`repro.core.kernels.layer_forward`,
+the printed layer evaluation and deploy verification run too; one-network
+calls (``KernelNetwork.loss_and_grads`` / ``.loss_value``) run it with one
+lane.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 from typing import List, Optional, Sequence, Tuple
 
@@ -57,23 +60,19 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.grad_kernels import (
-    BIAS_VOLTAGE,
     LOSS_KERNELS,
     KernelNetwork,
     LayerGrads,
     Workspace,
-    apply_nonideality,
     apply_nonideality_bwd,
+    circuit_eta_bwd,
     crossbar_bwd,
-    crossbar_fwd,
     project_printable,
     reassemble_omega_bwd,
     reassemble_omega_fwd,
-    surrogate_eta_bwd,
-    surrogate_eta_fwd,
     transfer_bwd,
-    transfer_fwd,
 )
+from repro.core.kernels import LayerTape, layer_forward
 from repro.core.pnn import PrintedNeuralNetwork
 from repro.core.training import (
     TrainResult,
@@ -131,29 +130,17 @@ def compact_epsilons(epsilons, keep: Sequence[int]):
     return [tuple(array[keep] for array in triple) for triple in epsilons]
 
 
-@dataclass
-class _LayerTape:
-    """Per-layer saved intermediates of one recorded forward pass."""
-
-    x_aug: np.ndarray
-    eps_theta: Optional[EpsilonLike]
-    eps_act: Optional[EpsilonLike]
-    eps_neg: Optional[EpsilonLike]
-    crossbar: tuple = ()
-    neg_transfer: tuple = ()
-    act_transfer: Optional[tuple] = None
-    act_chain: Optional[tuple] = None
-    neg_chain: Optional[tuple] = None
-
-
 class LaneNetwork:
     """The forward/backward executor over ``(L, ...)`` raw pNN arrays.
 
     Wraps a frozen :class:`~repro.core.grad_kernels.KernelNetwork` (layer
-    metadata, surrogate snapshots, design space — shared by all lanes) and
-    runs the kernel sequence over lane-stacked parameters
-    ``[θ (L, in+2, out), 𝔴_act (L, C, 7), 𝔴_neg (L, C, 7)]`` per layer and
-    activations ``(L, n_mc, batch, features)``.  Owns its
+    metadata, surrogate snapshots, design space — shared by all lanes).
+    Per layer of lane-stacked parameters
+    ``[θ (L, in+2, out), 𝔴_act (L, C, 7), 𝔴_neg (L, C, 7)]`` it runs the
+    raw → printable step (the θ projection, the Fig. 5 reassembly) and then
+    :func:`repro.core.kernels.layer_forward`, the one printed-layer
+    assembly, over activations ``(L, n_mc, batch, features)``; the backward
+    reads the returned tapes.  Owns its
     :class:`~repro.core.grad_kernels.Workspace`, reused across calls of
     constant shape.
     """
@@ -215,26 +202,6 @@ class LaneNetwork:
     # forward                                                            #
     # ------------------------------------------------------------------ #
 
-    def _eta_chain(self, w_raw, epsilon, sp, record):
-        """Lane-stacked 𝔴 ``(L, C, 7)`` → η; MC axis inserted after the lane."""
-        omega_printable, ctx_re = reassemble_omega_fwd(w_raw, self.net.space)
-        omega = omega_printable[:, None]                      # (L, 1, C, 7)
-        if epsilon is not None:
-            omega = apply_nonideality(omega, epsilon)         # (L, N, C, 7)
-        eta, ctx_sp = surrogate_eta_fwd(omega, sp)
-        ctx = (ctx_re, omega, epsilon, ctx_sp) if record else None
-        return eta, ctx
-
-    def _eta_chain_bwd(self, d_eta, ctx, sp):
-        """VJP of :meth:`_eta_chain`; the ε chain rule reduces the MC axis (1)."""
-        ctx_re, _omega, epsilon, ctx_sp = ctx
-        d_omega_scaled = surrogate_eta_bwd(d_eta, ctx_sp, sp)
-        if epsilon is not None:
-            d_printable = apply_nonideality_bwd(d_omega_scaled, epsilon, axis=1)
-        else:
-            d_printable = d_omega_scaled[:, 0]
-        return reassemble_omega_bwd(d_printable, ctx_re)
-
     def forward(
         self,
         arrays: Sequence[Sequence[np.ndarray]],
@@ -242,7 +209,7 @@ class LaneNetwork:
         epsilons=None,
         record: bool = False,
         tag: str = "lanes",
-    ) -> Tuple[np.ndarray, Optional[List[_LayerTape]]]:
+    ) -> Tuple[np.ndarray, Optional[List[tuple]]]:
         """Stacked forward pass over raw arrays; optionally record the tape.
 
         ``x`` is the shared ``(batch, features)`` input (all lanes of a
@@ -250,7 +217,10 @@ class LaneNetwork:
         ``(ε_θ, ε_act, ε_neg)`` triple per layer with leading axes
         ``(L, n_mc)`` (see :func:`stack_epsilons`) or ``None`` for the
         nominal pass.  ``tag`` namespaces the workspace buffers so
-        alternating train/validation batches do not thrash reallocations.
+        alternating train/validation batches do not thrash reallocations;
+        layer ``i`` runs under ``{tag}.l{i}``.  The tape holds, per layer,
+        the :class:`~repro.core.kernels.LayerTape` and the two reassembly
+        contexts.
         """
         data = np.asarray(x, dtype=np.float64)
         if data.ndim != 2:
@@ -265,62 +235,23 @@ class LaneNetwork:
         if epsilons is not None and epsilons[0][0] is not None:
             n_mc = int(epsilons[0][0].shape[1])
 
-        ws = self.workspace
-        batch = data.shape[0]
-        hidden = np.broadcast_to(data, (n_lanes, n_mc, batch, data.shape[1]))
-        tape: Optional[List[_LayerTape]] = [] if record else None
-
-        for index, (meta, params) in enumerate(zip(self.net.layers, arrays)):
-            theta_raw, w_act, w_neg = params
-            eps_theta = eps_act = eps_neg = None
-            if epsilons is not None:
-                eps_theta, eps_act, eps_neg = epsilons[index]
-
-            n_in = hidden.shape[-1]
-            x_aug = ws.buf(f"{tag}.l{index}.x_aug", (n_lanes, n_mc, batch, n_in + 2))
-            x_aug[..., :n_in] = hidden
-            x_aug[..., n_in] = BIAS_VOLTAGE
-            x_aug[..., n_in + 1] = 0.0
-
-            printable = project_printable(theta_raw, meta.g_min, meta.g_max)
-            theta_eff = printable[:, None]                    # (L, 1, I, O)
-            if eps_theta is not None:
-                theta_eff = apply_nonideality(theta_eff, eps_theta)
-
-            eta_neg, neg_chain = self._eta_chain(
-                w_neg, eps_neg, self.net.neg_surrogate, record
-            )
-            inverted, ctx_neg_transfer = transfer_fwd(
-                x_aug, eta_neg, "negweight", tag=f"{tag}.l{index}.neg"
-            )
-            v_z, ctx_crossbar = crossbar_fwd(
-                x_aug, inverted, theta_eff, ws=ws, tag=f"{tag}.l{index}"
-            )
+        net = self.net
+        hidden = np.broadcast_to(data, (n_lanes, n_mc, *data.shape))
+        tape: Optional[List[tuple]] = [] if record else None
+        for index, (meta, (theta_raw, w_act, w_neg)) in enumerate(zip(net.layers, arrays)):
+            theta = project_printable(theta_raw, meta.g_min, meta.g_max)
+            neg_omega, neg_re = reassemble_omega_fwd(w_neg, net.space)
+            act_omega = act_re = None
             if meta.apply_activation:
-                eta_act, act_chain = self._eta_chain(
-                    w_act, eps_act, self.net.act_surrogate, record
-                )
-                hidden, ctx_act_transfer = transfer_fwd(
-                    v_z, eta_act, "ptanh", tag=f"{tag}.l{index}.act"
-                )
-            else:
-                act_chain = ctx_act_transfer = None
-                hidden = v_z
-
+                act_omega, act_re = reassemble_omega_fwd(w_act, net.space)
+            hidden, layer_tape = layer_forward(
+                hidden, theta, act_omega, neg_omega, meta.apply_activation,
+                net.act_surrogate, net.neg_surrogate,
+                None if epsilons is None else epsilons[index],
+                ws=self.workspace, tag=f"{tag}.l{index}",
+            )
             if record:
-                tape.append(
-                    _LayerTape(
-                        x_aug=x_aug,
-                        eps_theta=eps_theta,
-                        eps_act=eps_act,
-                        eps_neg=eps_neg,
-                        crossbar=ctx_crossbar,
-                        neg_transfer=ctx_neg_transfer,
-                        act_transfer=ctx_act_transfer,
-                        act_chain=act_chain,
-                        neg_chain=neg_chain,
-                    )
-                )
+                tape.append((layer_tape, act_re, neg_re))
         return hidden, tape
 
     # ------------------------------------------------------------------ #
@@ -329,7 +260,7 @@ class LaneNetwork:
 
     def backward(
         self,
-        tape: List[_LayerTape],
+        tape: List[Tuple[LayerTape, Optional[tuple], tuple]],
         d_out: np.ndarray,
         need_omega_grads: bool = True,
     ) -> List[LayerGrads]:
@@ -341,35 +272,35 @@ class LaneNetwork:
         when ``need_omega_grads`` is off (the non-learnable baselines never
         pay for them) or when a layer applies no activation circuit.
         """
-        grads = [LayerGrads() for _ in self.net.layers]
+        net = self.net
+        grads = [LayerGrads() for _ in net.layers]
         grad = d_out
-        for index in range(len(self.net.layers) - 1, -1, -1):
-            meta, ctx = self.net.layers[index], tape[index]
+        for index in range(len(net.layers) - 1, -1, -1):
+            meta = net.layers[index]
+            layer, act_re, neg_re = tape[index]
             if meta.apply_activation:
                 grad, d_eta_act = transfer_bwd(
-                    grad, ctx.act_transfer, tag=f"lanes.bwd.l{index}.act"
+                    grad, layer.act_transfer, tag=f"lanes.bwd.l{index}.act"
                 )
                 if need_omega_grads:
-                    grads[index].w_act = self._eta_chain_bwd(
-                        d_eta_act, ctx.act_chain, self.net.act_surrogate
-                    )
+                    d_omega = circuit_eta_bwd(d_eta_act, layer.act_eta, net.act_surrogate)
+                    grads[index].w_act = reassemble_omega_bwd(d_omega, act_re)
             d_x_aug, d_inverted, d_theta_eff = crossbar_bwd(
-                grad, ctx.crossbar, ws=self.workspace, tag=f"lanes.bwd.l{index}"
+                grad, layer.crossbar, ws=self.workspace, tag=f"lanes.bwd.l{index}"
             )
-            if ctx.eps_theta is not None:
-                d_printable = apply_nonideality_bwd(d_theta_eff, ctx.eps_theta, axis=1)
+            if layer.eps_theta is not None:
+                d_printable = apply_nonideality_bwd(d_theta_eff, layer.eps_theta, axis=1)
             else:
                 d_printable = d_theta_eff[:, 0]
             grads[index].theta = d_printable          # straight-through projection
 
             d_x_aug2, d_eta_neg = transfer_bwd(
-                d_inverted, ctx.neg_transfer, tag=f"lanes.bwd.l{index}.neg"
+                d_inverted, layer.neg_transfer, tag=f"lanes.bwd.l{index}.neg"
             )
             d_x_aug += d_x_aug2
             if need_omega_grads:
-                grads[index].w_neg = self._eta_chain_bwd(
-                    d_eta_neg, ctx.neg_chain, self.net.neg_surrogate
-                )
+                d_omega = circuit_eta_bwd(d_eta_neg, layer.neg_eta, net.neg_surrogate)
+                grads[index].w_neg = reassemble_omega_bwd(d_omega, neg_re)
             grad = d_x_aug[..., : meta.in_features]
         return grads
 
@@ -612,8 +543,8 @@ def train_pnn_lanes(
                         epoch=epoch,
                         best_epoch=stoppers[lane].best_epoch,
                         patience=base.patience,
-                        lane=lane,
-                        seed=configs[lane].seed,
+                        lane=str(lane),
+                        seed=str(configs[lane].seed),
                     )
             stopped = set(stopped_positions)
             keep = [i for i in range(len(active)) if i not in stopped]

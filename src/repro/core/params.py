@@ -111,6 +111,11 @@ class LayerParams:
     def out_features(self) -> int:
         return self.theta.shape[1]
 
+    @property
+    def circuit_counts(self) -> Tuple[int, int]:
+        """Activation and negative-weight circuit counts (rows of ω_act, ω_neg)."""
+        return len(self.act_omega), len(self.neg_omega)
+
 
 @dataclass(frozen=True)
 class PNNParams:

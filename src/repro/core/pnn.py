@@ -26,7 +26,7 @@ multiplies the printable ω that comes out of it, never 𝔴 itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,6 +59,11 @@ class PrintedLayer:
     @property
     def out_features(self) -> int:
         return self.theta.shape[1]
+
+    @property
+    def circuit_counts(self) -> Tuple[int, int]:
+        """Activation and negative-weight circuit counts (rows of 𝔴_act, 𝔴_neg)."""
+        return len(self.w_act), len(self.w_neg)
 
 
 class PrintedNeuralNetwork:

@@ -34,7 +34,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core.grad_kernels import LOSS_KERNELS
-from repro.core.kernels import sample_layer_epsilons
+from repro.core.kernels import sample_params_epsilons
 from repro.core.pnn import PrintedNeuralNetwork
 from repro.core.variation import DEFAULT_SCENARIO, active_scenario_model
 
@@ -100,17 +100,12 @@ def draw_epoch_epsilons(variation, n_mc: int, pnn: PrintedNeuralNetwork):
     """Draw one epoch's variation factors in the canonical stream order.
 
     One ``(ε_θ, ε_act, ε_neg)`` triple per layer of the live network,
-    drawn by :func:`repro.core.kernels.sample_layer_epsilons` — the
-    sampler evaluation uses too — so pre-drawing (each training epoch, or
-    the frozen validation set) consumes the RNG in the one canonical
+    drawn by :func:`repro.core.kernels.sample_params_epsilons` — the loop
+    evaluation runs over a snapshot — so pre-drawing (each training epoch,
+    or the frozen validation set) consumes the RNG in the one canonical
     order (``tests/core/test_sampling_order.py``).
     """
-    return [
-        sample_layer_epsilons(
-            variation, n_mc, layer.theta.shape, len(layer.w_act), len(layer.w_neg)
-        )
-        for layer in pnn.layers
-    ]
+    return sample_params_epsilons(variation, n_mc, pnn)
 
 
 def _training_variation(config: TrainConfig):

@@ -62,6 +62,10 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValueError(f"ExperimentConfig.seeds is empty ({self.seeds!r}); "
                              "a run needs at least one seed")
+        # Every cell is measured over n_test fabrications.
+        if self.n_test < 1:
+            raise ValueError(f"ExperimentConfig.n_test is {self.n_test!r}; "
+                             "a cell needs at least one Monte-Carlo fabrication")
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         from dataclasses import replace

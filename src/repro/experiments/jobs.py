@@ -348,7 +348,7 @@ def execute_job_lanes(
                 learnable=key.learnable,
                 variation_aware=key.variation_aware,
                 train_eps=key.train_eps,
-                seed=key.seed,
+                seed=str(key.seed),
                 scenario=key.scenario,
                 wall_s=wall_share,
                 cpu_s=cpu_share,

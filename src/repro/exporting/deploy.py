@@ -5,14 +5,16 @@ The export path's trust anchor.  :func:`verify_deployment` compiles a
 engine's :class:`~repro.spice.plan.StampPlan` / ``ParamBatch`` form — one
 plan per layer, one resistor per *placed tile device* in canonical
 emission order — and solves every (MC draw × input sample) operating
-point with :func:`~repro.spice.batch.solve_dc_batch`.  The solved column
-voltages are pushed through the same activation/negation transfer kernels
-the training stack uses and propagated layer to layer, then the final
-outputs are compared per sample against
-:func:`repro.core.kernels.network_forward` evaluated with the *same*
-pre-drawn variation factors.  A tiling bug — a dropped, duplicated or
-mis-valued device, a wrong rail split — changes the summed conductance at
-a column node and shows up as output divergence.
+point with :func:`~repro.spice.batch.solve_dc_batch`.  The kernel
+reference is the forward the design was trained with:
+:func:`repro.core.kernels.layer_forward`, run once per layer with the
+*same* pre-drawn variation factors.  Its tape supplies the effective θ
+that scales each placed device and the η of the negation and activation
+circuits; the solved column voltages are pushed through those circuits'
+transfer kernels and propagated layer to layer, and the final outputs are
+compared per sample against the reference's.  A tiling bug — a dropped,
+duplicated or mis-valued device, a wrong rail split — changes the summed
+conductance at a column node and shows up as output divergence.
 
 Analog tolerance (documented contract)
 --------------------------------------
@@ -51,21 +53,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import telemetry
-from repro.core.grad_kernels import (
-    BIAS_VOLTAGE,
-    apply_nonideality,
-    crossbar_fwd,
-    transfer_fwd,
-)
-from repro.core.kernels import (
-    augment_inputs,
-    circuit_eta,
-    network_forward,
-    sample_params_epsilons,
-)
+from repro.core.grad_kernels import BIAS_VOLTAGE, transfer_fwd
+from repro.core.kernels import augment_inputs, layer_forward, sample_params_epsilons
 from repro.core.params import PNNParams, snapshot_params
 from repro.core.pnn import PrintedNeuralNetwork
-from repro.core.variation import Perturbation, build_scenario_model
+from repro.core.variation import build_scenario_model
 from repro.spice.netlist import GROUND, Netlist
 from repro.spice.plan import ParamBatch, StampPlan, compile_netlist
 from repro.spice.batch import solve_dc_batch
@@ -236,13 +228,6 @@ def _scenario_epsilons(name: str, params: PNNParams, epsilon: float,
     return sample_params_epsilons(model, n_mc, params)
 
 
-def _effective_theta(layer, eps_theta) -> np.ndarray:
-    theta = layer.theta[None]
-    if eps_theta is None:
-        return theta
-    return apply_nonideality(theta, eps_theta)
-
-
 def _run_scenario(
     params: PNNParams,
     plans: Sequence[_LayerPlan],
@@ -253,29 +238,26 @@ def _run_scenario(
     output_tol: float,
 ) -> ScenarioVerification:
     n_samples = x.shape[0]
-    if epsilons is None:
-        n_mc = 1
-    else:
-        first = epsilons[0][0]
-        n_mc = 1 if first is None else int(np.asarray(
-            first.scale if isinstance(first, Perturbation) else first
-        ).shape[0])
+    first = None if epsilons is None else epsilons[0][0]
+    n_mc = 1 if first is None else int(first.shape[0])
     n_lanes = n_mc * n_samples
 
-    reference = network_forward(params, x, epsilons=epsilons)  # (N, B, O)
-
     hidden = np.broadcast_to(x[None], (n_mc, *x.shape)).astype(np.float64)
-    ref_hidden = hidden
+    reference = hidden
     crossbar_div: List[float] = []
     n_route_flips = 0
     failure: Optional[str] = None
     t0 = time.perf_counter()
 
     for layer, lp in zip(params.layers, plans):
-        eps_theta = eps_act = eps_neg = None
-        if epsilons is not None:
-            eps_theta, eps_act, eps_neg = epsilons[lp.index]
-        theta_eff = _effective_theta(layer, eps_theta)         # (N|1, I+2, O)
+        # The kernel reference: the layer the design was trained with, fed
+        # by its own propagated chain; its tape supplies θ_eff and η.
+        reference, tape = layer_forward(
+            reference, layer.theta, layer.act_omega, layer.neg_omega,
+            layer.apply_activation, params.act_surrogate, params.neg_surrogate,
+            None if epsilons is None else epsilons[lp.index],
+        )
+        theta_eff = tape.theta_eff                             # (N|1, I+2, O)
         if theta_eff.shape[0] == 1 and n_mc > 1:
             theta_eff = np.broadcast_to(theta_eff, (n_mc, *theta_eff.shape[1:]))
 
@@ -284,9 +266,7 @@ def _run_scenario(
         ) & (layer.theta[None] != 0)
         n_route_flips += int(placed_sign_flip.sum())
 
-        inv_eta = circuit_eta(layer.neg_omega, params.neg_surrogate, eps_neg)
-        x_aug = augment_inputs(hidden)                          # (N, B, I+2)
-        inverted, _ = transfer_fwd(x_aug, inv_eta, "negweight")
+        inverted, _ = transfer_fwd(augment_inputs(hidden), tape.eta_neg, "negweight")
 
         # Per-lane effective resistances: lanes are (draw d, sample b),
         # draw-major, matching the vin lane layout below.  Each device
@@ -336,20 +316,12 @@ def _run_scenario(
             axis=-1,
         ).reshape(n_mc, n_samples, lp.n_outputs)
 
-        # Kernel-side crossbar at the same effective θ, fed by the kernel's
-        # own propagated chain — per-stage diagnostic of the gmin floor.
-        ref_aug = augment_inputs(ref_hidden)
-        ref_inverted, _ = transfer_fwd(ref_aug, inv_eta, "negweight")
-        ref_v_z, _ = crossbar_fwd(ref_aug, ref_inverted, theta_eff)
-        crossbar_div.append(float(np.max(np.abs(v_z - ref_v_z))))
-
-        if layer.apply_activation:
-            act_eta = circuit_eta(layer.act_omega, params.act_surrogate, eps_act)
-            hidden, _ = transfer_fwd(v_z, act_eta, "ptanh")
-            ref_hidden, _ = transfer_fwd(ref_v_z, act_eta, "ptanh")
-        else:
-            hidden = v_z
-            ref_hidden = ref_v_z
+        # Per-stage diagnostic of the gmin floor: the SPICE column voltages
+        # against the kernel crossbar at the same effective θ.
+        crossbar_div.append(float(np.max(np.abs(v_z - tape.v_z))))
+        hidden = (
+            transfer_fwd(v_z, tape.eta_act, "ptanh")[0] if layer.apply_activation else v_z
+        )
 
     invoke_s = time.perf_counter() - t0
 
@@ -396,7 +368,8 @@ def verify_deployment(
     ``scenarios`` mixes the literal ``"nominal"`` with any name from
     :data:`repro.core.variation.SCENARIOS`; each non-nominal scenario
     pre-draws ``n_mc`` variation samples and the re-simulation is compared
-    against :func:`network_forward` under those exact draws.  A design
+    against :func:`~repro.core.kernels.layer_forward` under those exact
+    draws.  A design
     with load-bearing skipped devices (see
     :class:`~repro.exporting.report.LayerReport`) fails immediately: the
     printed circuit could not carry the trained conductances.

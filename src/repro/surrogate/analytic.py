@@ -48,10 +48,11 @@ class AnalyticSurrogate:
     def eta_from_omega(self, omega: np.ndarray) -> np.ndarray:
         """Map printable ω ``(..., 7)`` to calibrated η ``(..., 4)``."""
         # Deferred: repro.core imports repro.surrogate during its own init.
-        from repro.core.kernels import surrogate_eta
+        from repro.core.grad_kernels import surrogate_eta_fwd
         from repro.core.params import snapshot_surrogate
 
-        return surrogate_eta(omega, snapshot_surrogate(self))
+        eta, _ = surrogate_eta_fwd(np.asarray(omega, dtype=np.float64), snapshot_surrogate(self))
+        return eta
 
     def calibrate(self, dataset: SurrogateDataset) -> "AnalyticSurrogate":
         """Fit the per-η affine correction on a simulated dataset."""

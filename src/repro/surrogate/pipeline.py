@@ -43,10 +43,11 @@ class CircuitSurrogate:
         (:func:`repro.core.grad_kernels.mlp_eta_fwd`).
         """
         # Deferred: repro.core imports repro.surrogate during its own init.
-        from repro.core.kernels import surrogate_eta
+        from repro.core.grad_kernels import surrogate_eta_fwd
         from repro.core.params import snapshot_surrogate
 
-        return surrogate_eta(omega, snapshot_surrogate(self))
+        eta, _ = surrogate_eta_fwd(np.asarray(omega, dtype=np.float64), snapshot_surrogate(self))
+        return eta
 
 
 @dataclass

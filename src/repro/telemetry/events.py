@@ -71,7 +71,7 @@ class EventLog:
         # stream must show a process starting before its first record).
         self._emit("event", "process.start",
                    ts=first_ts if first_ts is not None else time.time(),
-                   attrs={"ppid": os.getppid()})
+                   attrs={"ppid": str(os.getppid())})
 
     def _emit(self, kind: str, name: str, **payload) -> None:
         record = {"kind": kind, "name": name, "pid": self._pid, "seq": self._seq}
@@ -185,6 +185,8 @@ def summarize_events(events: Iterable[Dict]) -> Dict[str, Dict]:
         "events": {name: occurrences},
         "attrs": {event name: {attribute: {"sum", "max"}}}}`` — ``attrs``
         aggregates every numeric attribute of the events of each name.
+        Booleans are flags, not quantities, and are left out; emitters
+        record identifiers (process ids, seeds, lanes) as strings.
     """
     counters: Dict[str, float] = {}
     spans: Dict[str, Dict[str, float]] = {}
@@ -206,7 +208,7 @@ def summarize_events(events: Iterable[Dict]) -> Dict[str, Dict]:
             event_counts[name] = event_counts.get(name, 0) + 1
             stats = event_attrs.setdefault(name, {})
             for attr, value in (record.get("attrs") or {}).items():
-                if isinstance(value, (int, float)):
+                if isinstance(value, (int, float)) and not isinstance(value, bool):
                     stat = stats.setdefault(attr, {"sum": 0, "max": value})
                     stat["sum"] += value
                     stat["max"] = max(stat["max"], value)

@@ -1,15 +1,16 @@
 """Learnable nonlinear circuits: the Fig. 5 processing chain over raw 𝔴.
 
 A circuit is its raw ``(C, 7)`` array 𝔴; the chain runs through the
-kernels: 𝔴 → ω (``reassemble_omega_fwd``), ω → η (``kernels.circuit_eta``)
+kernels: 𝔴 → ω (``reassemble_omega_fwd``), ω → η (``circuit_eta_fwd``)
 and the Eq. 2/3 transfer (``transfer_fwd``), with their VJPs.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import PrintedNeuralNetwork, kernels
+from repro.core import PrintedNeuralNetwork
 from repro.core.grad_kernels import (
+    circuit_eta_fwd,
     reassemble_omega_bwd,
     reassemble_omega_fwd,
     surrogate_eta_bwd,
@@ -46,9 +47,10 @@ def printable_omega(w):
 
 def eta(w, kind="ptanh", epsilon_omega=None):
     """η ``(n_mc | 1, n_circuits, 4)`` of a circuit's printable design."""
-    return kernels.circuit_eta(
-        printable_omega(w), snapshot_surrogate(SURROGATES[kind]), epsilon_omega
+    out, _ = circuit_eta_fwd(
+        printable_omega(w), epsilon_omega, snapshot_surrogate(SURROGATES[kind])
     )
+    return out
 
 
 def transfer(w, kind, voltage):

@@ -12,7 +12,6 @@ import pytest
 from repro.core import (
     ConductanceConfig,
     KernelNetwork,
-    LayerParams,
     PrintedLayer,
     PrintedNeuralNetwork,
     VariationModel,
@@ -45,21 +44,19 @@ def printable_theta(layer):
     return project_printable(layer.theta, CONDUCTANCE.g_min, CONDUCTANCE.g_max)
 
 
-def layer_forward(layer, x, *epsilons):
+def layer_forward(layer, x, eps_theta=None, eps_act=None, eps_neg=None):
     """Run a live layer's printable design through ``kernels.layer_forward``."""
-    design = LayerParams(
-        theta=printable_theta(layer),
-        act_omega=reassemble_omega_fwd(layer.w_act, DESIGN_SPACE)[0],
-        neg_omega=reassemble_omega_fwd(layer.w_neg, DESIGN_SPACE)[0],
-        apply_activation=layer.apply_activation,
-    )
-    return kernels.layer_forward(
+    out, _ = kernels.layer_forward(
         np.asarray(x, dtype=np.float64),
-        design,
+        printable_theta(layer),
+        reassemble_omega_fwd(layer.w_act, DESIGN_SPACE)[0],
+        reassemble_omega_fwd(layer.w_neg, DESIGN_SPACE)[0],
+        layer.apply_activation,
         snapshot_surrogate(AnalyticSurrogate("ptanh")),
         snapshot_surrogate(AnalyticSurrogate("negweight")),
-        *epsilons,
+        (eps_theta, eps_act, eps_neg),
     )
+    return out
 
 
 def assert_every_parameter_gets_a_gradient(pnn, x, y):

@@ -78,8 +78,10 @@ class TestForwardInvariants:
         layer.apply_activation = False
         x = np.random.default_rng(seed).uniform(size=(1, 7, 3))
         design = pnn.snapshot()
-        v_z = kernels.layer_forward(
-            x, design.layers[0], design.act_surrogate, design.neg_surrogate
+        printed = design.layers[0]
+        v_z, _ = kernels.layer_forward(
+            x, printed.theta, printed.act_omega, printed.neg_omega, printed.apply_activation,
+            design.act_surrogate, design.neg_surrogate,
         )
         assert np.all(v_z >= -1e-9)
         assert np.all(v_z <= 1.0 + 1e-9)

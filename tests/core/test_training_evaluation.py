@@ -129,6 +129,13 @@ class TestEvaluation:
         accuracy = evaluate_mc(pnn, x_val, y_val, epsilon=0.15, n_test=15)
         assert np.all((accuracy.accuracies >= 0) & (accuracy.accuracies <= 1))
 
+    def test_no_fabrications_rejected(self, blob_data):
+        _, _, x_val, y_val = blob_data
+        pnn = make_pnn((2, 3, 2), seed=12)
+        for epsilon in (0.0, 0.1):
+            with pytest.raises(ValueError, match="n_test"):
+                evaluate_mc(pnn, x_val, y_val, epsilon=epsilon, n_test=0)
+
     def test_str_format(self):
         accuracy = MonteCarloAccuracy(np.array([0.5, 0.7]))
         assert "0.600" in str(accuracy)

@@ -84,6 +84,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="seeds is empty"):
             PROFILES["smoke"].with_overrides(seeds=())
 
+    def test_no_fabrications_rejected_when_built(self):
+        """A grid with n_test < 1 fails before it trains, not in assembly."""
+        for n_test in (0, -1):
+            with pytest.raises(ValueError, match="n_test"):
+                PROFILES["smoke"].with_overrides(n_test=n_test)
+
 
 class TestRunner:
     @pytest.fixture(scope="class")

@@ -12,6 +12,7 @@ from repro.circuits.ptanh import ptanh_param_batch, ptanh_stamp_plan
 from repro.core import PrintedNeuralNetwork, TrainConfig, train_pnn, train_pnn_lanes
 from repro.experiments import ExperimentConfig, cli, enumerate_jobs, run_table2_parallel
 from repro.experiments.report import HEALTH_RULES, check_health, render_telemetry_report
+from repro.exporting import deploy_report
 from repro.spice import solve_dc_batch
 from repro.surrogate.sampling import sample_design_points
 from repro.telemetry import (
@@ -353,6 +354,53 @@ class TestLaneTelemetry:
         assert table_row(report, "lanes.run", len(runs), "lane_epochs", lane_epochs,
                          max(a["lane_epochs"] for a in runs))
         assert health(directory)["lanes without a finite validation loss"] == 0
+
+
+class TestReportSums:
+    """The events table sums quantities, never identifiers or flags."""
+
+    #: (event, attribute) pairs a run records that have no meaningful sum.
+    IDENTIFIERS_AND_FLAGS = {
+        ("process.start", "ppid"),
+        ("job.done", "seed"),
+        ("job.done", "learnable"),
+        ("job.done", "variation_aware"),
+        ("train.early_stop", "lane"),
+        ("train.early_stop", "seed"),
+        ("table2.start", "cached"),
+        ("export.verify", "passed"),
+        ("export.deploy", "passed"),
+    }
+
+    def test_report_sums_no_identifier_or_flag(self, analytic_surrogates, tmp_path):
+        directory = tmp_path / "tel"
+        telemetry.enable(directory)
+        try:
+            # patience=1 stops lanes early, so train.early_stop is recorded too.
+            run_table2_parallel(["iris"], MICRO.with_overrides(patience=1),
+                                surrogates=analytic_surrogates, workers=1)
+            pnn = PrintedNeuralNetwork([4, 3, 3], analytic_surrogates,
+                                       rng=np.random.default_rng(0))
+            deploy_report(pnn, n_samples=2)
+        finally:
+            telemetry.disable()
+        events = read_events(directory)
+        recorded = {(e["name"], attr) for e in events if e.get("kind") == "event"
+                    for attr in e.get("attrs") or {}}
+        assert self.IDENTIFIERS_AND_FLAGS <= recorded
+
+        report = render_telemetry_report(directory)
+        table = report[report.index("\nevent "):].splitlines()
+        summed = {(cells[0], cells[2]) for cells in map(str.split, table) if len(cells) == 5}
+        assert summed & self.IDENTIFIERS_AND_FLAGS == set()
+        assert ("job.done", "epochs_run") in summed
+
+        summary = summarize_events(events)
+        for rule in HEALTH_RULES:
+            if rule.attr is not None and rule.name in summary["events"]:
+                assert rule.attr in summary["attrs"][rule.name], rule
+            assert f"ok    {rule.label} (" in report, rule
+        assert health(directory) == {rule.label: 0 for rule in HEALTH_RULES}
 
 
 class TestNonFiniteLane:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import CrossbarColumn, crossbar_netlist, crossbar_output
-from repro.core import ConductanceConfig, LayerParams, PrintedLayer, kernels
+from repro.core import ConductanceConfig, PrintedLayer, kernels
 from repro.core.grad_kernels import project_printable, reassemble_omega_fwd
 from repro.core.params import snapshot_surrogate
 from repro.spice import solve_dc
@@ -36,17 +36,16 @@ def printable_theta(layer):
 
 def layer_forward(layer, x):
     """The layer's printable design through ``kernels.layer_forward``."""
-    design = LayerParams(
-        theta=printable_theta(layer),
-        act_omega=reassemble_omega_fwd(layer.w_act, DESIGN_SPACE)[0],
-        neg_omega=reassemble_omega_fwd(layer.w_neg, DESIGN_SPACE)[0],
-        apply_activation=layer.apply_activation,
-    )
-    return kernels.layer_forward(
-        x, design,
+    out, _ = kernels.layer_forward(
+        x,
+        printable_theta(layer),
+        reassemble_omega_fwd(layer.w_act, DESIGN_SPACE)[0],
+        reassemble_omega_fwd(layer.w_neg, DESIGN_SPACE)[0],
+        layer.apply_activation,
         snapshot_surrogate(AnalyticSurrogate("ptanh")),
         snapshot_surrogate(AnalyticSurrogate("negweight")),
     )
+    return out
 
 
 class TestLayerVsCrossbar:
