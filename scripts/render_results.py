@@ -15,6 +15,15 @@ from repro.experiments.config import Setup
 from repro.experiments.runner import CellResult
 
 
+def cell_row(cell: CellResult) -> dict:
+    """One results-JSON row of ``cell``: the fields :func:`load_cells` reads."""
+    return dict(
+        dataset=cell.dataset, learnable=cell.setup.learnable, va=cell.setup.variation_aware,
+        eps=cell.eps_test, mean=cell.mean, std=cell.std, seed=cell.best_seed,
+        val_loss=cell.best_val_loss,
+    )
+
+
 def load_cells(path: str):
     with open(path) as handle:
         payload = json.load(handle)

@@ -1,16 +1,24 @@
-"""One-off driver: fast-profile Table II run with the NN surrogate bundle.
+"""Fast-profile Table II run with the NN surrogate bundle.
 
 Cache-aware and parallel: pass a worker count as the first argument
-(default 1).  A killed run restarts from the persistent result cache in
-``artifacts/table2_cache`` instead of from scratch.
+(default 1).  A killed or partial run restarts from the persistent result
+cache in ``artifacts/table2_cache``: a re-run trains only the missing jobs.
+After each dataset the script rewrites ``artifacts/table2_fast.json``
+with every cell so far, one :func:`render_results.cell_row` per cell.
+
+Usage:  python scripts/run_table2_fast.py [workers]
 """
 import json
 import sys
 import time
+from pathlib import Path
 
-from repro import default_artifacts_dir, get_default_bundle
-from repro.datasets import DATASET_NAMES
-from repro.experiments import (
+sys.path.insert(0, str(Path(__file__).parent))
+
+from render_results import cell_row  # noqa: E402 - same directory
+from repro import default_artifacts_dir, get_default_bundle  # noqa: E402
+from repro.datasets import DATASET_NAMES  # noqa: E402
+from repro.experiments import (  # noqa: E402
     PROFILES,
     ResultCache,
     improvement_summary,
@@ -31,13 +39,8 @@ for name in DATASET_NAMES:
     res = run_table2_parallel([name], cfg, surrogates=bundle, workers=WORKERS, cache=cache)
     all_results.extend(res)
     print(f"[{time.time()-t0:7.0f}s] {name} done in {time.time()-t1:.0f}s", flush=True)
-    payload = [
-        dict(dataset=c.dataset, learnable=c.setup.learnable, va=c.setup.variation_aware,
-             eps=c.eps_test, mean=c.mean, std=c.std, seed=c.best_seed, val_loss=c.best_val_loss)
-        for c in all_results
-    ]
     with open("artifacts/table2_fast.json", "w") as f:
-        json.dump(payload, f, indent=1)
+        json.dump([cell_row(c) for c in all_results], f, indent=1)
 
 print(render_table2(all_results))
 print()

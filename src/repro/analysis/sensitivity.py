@@ -26,7 +26,7 @@ from repro.core.evaluation import evaluate_mc
 from repro.core.grad_kernels import surrogate_eta_bwd, surrogate_eta_fwd
 from repro.core.params import snapshot_params, snapshot_surrogate
 from repro.core.pnn import PrintedNeuralNetwork
-from repro.core.variation import EpsilonLike, NonIdealityModel, VariationModel
+from repro.core.variation import NonIdealityModel, Perturbation, VariationModel
 from repro.surrogate.design_space import OMEGA_NAMES
 
 ETA_NAMES = ("eta1", "eta2", "eta3", "eta4")
@@ -92,10 +92,10 @@ class _SelectiveVariation(NonIdealityModel):
         return False
 
     def sample_perturbation(self, n_mc: int, shape: Sequence[int],
-                            role: str = "theta") -> EpsilonLike:
+                            role: str = "theta") -> Perturbation:
         if role == self.role:
-            return self.inner.sample(n_mc, shape)
-        return np.ones((n_mc, *tuple(shape)))
+            return self.inner.sample_perturbation(n_mc, shape)
+        return Perturbation(np.ones((n_mc, *tuple(shape))))
 
 
 def variation_attribution(

@@ -81,25 +81,21 @@ def draw_variation_samples(
     params: PNNParams,
     variation,
     n_test: int,
-    block: int = SAMPLE_BLOCK,
 ) -> List[kernels.LayerEpsilons]:
     """Pre-draw all variation perturbations for ``n_test`` fabrications.
 
-    Consumes the model's stream in blocks of ``block`` samples (each block
-    draws θ, activation ω, negative-weight ω per layer, in order) and
-    concatenates per layer.  Works for any
-    :class:`~repro.core.variation.NonIdealityModel`: bare ε arrays
-    concatenate exactly as before, override-bearing perturbations
-    concatenate field-wise.  Returns one
+    Consumes the model's stream in blocks of :data:`SAMPLE_BLOCK` samples
+    (each block draws θ, activation ω, negative-weight ω per layer, in
+    order) and concatenates each slot's
+    :class:`~repro.core.variation.Perturbation` blocks field-wise.  Works
+    for any :class:`~repro.core.variation.NonIdealityModel`.  Returns one
     :data:`~repro.core.kernels.LayerEpsilons` triple per layer, each with
     leading axis ``n_test``.
     """
-    per_layer: List[List[List[np.ndarray]]] = [
-        [[], [], []] for _ in params.layers
-    ]
+    per_layer = [[[], [], []] for _ in params.layers]
     remaining = n_test
     while remaining > 0:
-        chunk = min(block, remaining)
+        chunk = min(SAMPLE_BLOCK, remaining)
         for slots, triple in zip(
             per_layer, kernels.sample_params_epsilons(variation, chunk, params)
         ):

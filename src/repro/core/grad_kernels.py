@@ -24,8 +24,10 @@ array operations:
   :func:`analytic_eta_bwd`);
 - the Eq. 2/3 tanh-like transfer (:func:`transfer_fwd` /
   :func:`transfer_bwd`);
-- the printing non-idealities applied to the printable θ and ω
-  (:func:`apply_nonideality` / :func:`apply_nonideality_bwd`), and one
+- the printing non-idealities, one
+  :class:`~repro.core.variation.Perturbation` draw applied to the
+  printable θ or ω (:func:`apply_nonideality` /
+  :func:`apply_nonideality_bwd`), and one
   circuit's η under a draw (:func:`circuit_eta_fwd` /
   :func:`circuit_eta_bwd`: MC axis, draw, surrogate);
 - the margin and voltage-cross-entropy losses (:func:`margin_loss_fwd` /
@@ -77,9 +79,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.params import SurrogateParams, snapshot_surrogate
-from repro.core.variation import EpsilonLike, Perturbation
+from repro.core.variation import Perturbation
 
-Epsilons = Optional[Sequence[Tuple[Optional[EpsilonLike], ...]]]
+Epsilons = Optional[Sequence[Tuple[Perturbation, Perturbation, Perturbation]]]
 
 #: Voltage of the bias rail feeding the crossbar bias row (the paper's V_b).
 BIAS_VOLTAGE = 1.0
@@ -97,51 +99,43 @@ def stable_sigmoid(z: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------- #
 
 
-def apply_nonideality(nominal: np.ndarray, eps: EpsilonLike) -> np.ndarray:
+def apply_nonideality(nominal: np.ndarray, eps: Perturbation) -> np.ndarray:
     """Apply one sampled non-ideality draw to nominal printed values.
 
     The single variation-application kernel shared by the crossbar θ and
-    circuit ω paths (training, lanes and evaluation alike):
-
-    - a bare ``ndarray`` is a pure multiplicative factor — exactly the
-      pre-refactor ``nominal * eps`` instruction, which is what keeps the
-      default ε-only scenario bit-identical to recorded results;
-    - a :class:`~repro.core.variation.Perturbation` multiplies by its
-      ``scale`` and then pins overridden devices to ``sign(nominal) *
-      override_value`` (a stuck conductance keeps the crossbar routing
-      sign; a zero nominal entry stays zero).
+    circuit ω paths (training, lanes and evaluation alike): multiply by
+    the draw's ``scale`` — for the paper's ε-only draws exactly the
+    ``nominal * ε`` instruction the recorded results were made with —
+    then pin overridden devices to ``sign(nominal) * override_value`` (a
+    stuck conductance keeps the crossbar routing sign; a zero nominal
+    entry stays zero).
     """
-    if isinstance(eps, Perturbation):
-        effective = nominal * eps.scale
-        if eps.override_mask is not None:
-            effective = np.where(
-                eps.override_mask, np.sign(nominal) * eps.override_value, effective
-            )
-        return effective
-    return nominal * eps
+    effective = nominal * eps.scale
+    if eps.override_mask is not None:
+        effective = np.where(
+            eps.override_mask, np.sign(nominal) * eps.override_value, effective
+        )
+    return effective
 
 
 def apply_nonideality_bwd(
-    d_effective: np.ndarray, eps: EpsilonLike, axis: int = 0
+    d_effective: np.ndarray, eps: Perturbation, axis: int = 0
 ) -> np.ndarray:
     """VJP of :func:`apply_nonideality` onto the nominal printed values,
     reducing the Monte-Carlo ``axis``.
 
-    For a bare multiplicative draw this is exactly the pre-refactor
-    ``(d_eff * ε).sum(axis)`` instruction.  For a
-    :class:`~repro.core.variation.Perturbation` the cotangent is scaled and
-    **zeroed through overridden devices** — a stuck conductance contributes
-    no gradient to the printed value it replaced, which is what makes
-    defect-aware training train around defects instead of fighting them.
-    ``axis=0`` reduces one network's ``(n_mc, ...)`` block; the lane
-    executor reduces ``axis=1`` (its leading axis is the lane stack).
+    The cotangent is scaled — ``(d_eff * ε).sum(axis)`` for an ε-only
+    draw — and **zeroed through overridden devices**: a stuck conductance
+    contributes no gradient to the printed value it replaced, which is
+    what makes defect-aware training train around defects instead of
+    fighting them.  ``axis=0`` reduces one network's ``(n_mc, ...)``
+    block; the lane executor reduces ``axis=1`` (its leading axis is the
+    lane stack).
     """
-    if isinstance(eps, Perturbation):
-        grad = d_effective * eps.scale
-        if eps.override_mask is not None:
-            grad = np.where(eps.override_mask, 0.0, grad)
-        return grad.sum(axis=axis)
-    return (d_effective * eps).sum(axis=axis)
+    grad = d_effective * eps.scale
+    if eps.override_mask is not None:
+        grad = np.where(eps.override_mask, 0.0, grad)
+    return grad.sum(axis=axis)
 
 
 # --------------------------------------------------------------------- #
@@ -489,7 +483,7 @@ def surrogate_eta_bwd(d_eta: np.ndarray, ctx: tuple, sp: SurrogateParams) -> np.
 
 
 def circuit_eta_fwd(
-    omega: np.ndarray, eps: Optional[EpsilonLike], sp: SurrogateParams
+    omega: np.ndarray, eps: Optional[Perturbation], sp: SurrogateParams
 ) -> Tuple[np.ndarray, tuple]:
     """One circuit's η under printing variation (Fig. 5 step 4 and the surrogate).
 
@@ -564,13 +558,9 @@ def transfer_bwd(
     axes = (-2, -1) if n_circuits == 1 else (-2,)
 
     def reduce(term):
-        # Unbroadcast back to η's (*lead, n_circuits): batch axis always,
-        # the column axis for a shared circuit, and the MC axis when η was
-        # nominal (size-1 MC axis) against a broadcasted MC voltage batch.
-        r = term.sum(axis=axes, keepdims=True)
-        if lead[-1] == 1 and r.shape[-3] > 1:
-            r = r.sum(axis=-3, keepdims=True)
-        return r.reshape(*lead, n_circuits)
+        # Unbroadcast back to η's (*lead, n_circuits): the batch axis always,
+        # and the column axis for a shared circuit.
+        return term.sum(axis=axes, keepdims=True).reshape(*lead, n_circuits)
 
     d_core = -grad if kind == "negweight" else grad
     d_tanh = d_core * eta2
@@ -615,11 +605,11 @@ def crossbar_fwd(
     """Eq. 1 forward: normalized weighted sum with negative-weight routing.
 
     ``x_aug``/``inverted`` are ``(..., batch, in+2)`` and ``theta_eff`` is
-    ``(..., N | 1, in+2, out)`` — serially ``(N, B, I)`` with θ
-    ``(N | 1, I, O)``, lane-stacked ``(L, N, B, I)`` with θ
-    ``(L, N | 1, I, O)``.  The routing mask follows the *sign* of the
-    effective conductances and carries no gradient.  VJP:
-    :func:`crossbar_bwd`.
+    ``(..., N, in+2, out)`` on the same Monte-Carlo axis ``N`` (1 for a
+    nominal pass) — serially ``(N, B, I)`` with θ ``(N, I, O)``,
+    lane-stacked ``(L, N, B, I)`` with θ ``(L, N, I, O)``.  The routing
+    mask follows the *sign* of the effective conductances and carries no
+    gradient.  VJP: :func:`crossbar_bwd`.
     """
     ws = ws or Workspace()
     *lead, batch, _ = x_aug.shape
@@ -646,21 +636,17 @@ def crossbar_bwd(
     ``−g·num/denom²`` (reduced over the batch), which then broadcasts back
     over every crossbar row — this is the term a naive "matmul-only"
     backward would miss.  Shapes mirror :func:`crossbar_fwd` (optional
-    leading lane axis); MC-axis unbroadcasting addresses axis ``-3`` so the
-    serial and stacked layouts share one code path.
+    leading lane axis), with θ's Monte-Carlo axis the inputs' own: a
+    drawn θ and a drawn batch, or a nominal θ and a nominal batch.
     """
     ws = ws or Workspace()
     x_aug, inverted, theta_eff, route, pos_w, neg_w, numerator, denom = ctx
     *lead, batch, n_in = x_aug.shape
     n_out = theta_eff.shape[-1]
-    # θ broadcast over the MC axis (nominal / frozen-ε layers): unbroadcast.
-    mc_broadcast = theta_eff.shape[-3] == 1 and x_aug.shape[-3] > 1
 
     d_num = np.divide(grad, denom, out=ws.buf(f"{tag}.dnum", (*lead, batch, n_out)))
     d_denom_full = -grad * numerator / (denom * denom)
     d_denom = d_denom_full.sum(axis=-2, keepdims=True)        # (..., N, 1, O)
-    if mc_broadcast:
-        d_denom = d_denom.sum(axis=-3, keepdims=True)
 
     d_x_aug = np.matmul(
         d_num, pos_w.swapaxes(-1, -2), out=ws.buf(f"{tag}.dx", (*lead, batch, n_in))
@@ -670,9 +656,6 @@ def crossbar_bwd(
     )
     d_pos_w = np.matmul(x_aug.swapaxes(-1, -2), d_num)        # (..., N, I+2, O)
     d_neg_w = np.matmul(inverted.swapaxes(-1, -2), d_num)
-    if mc_broadcast:
-        d_pos_w = d_pos_w.sum(axis=-3, keepdims=True)
-        d_neg_w = d_neg_w.sum(axis=-3, keepdims=True)
     d_magnitude = d_denom + d_neg_w * (1.0 - route) + d_pos_w * route
     d_theta_eff = d_magnitude * np.sign(theta_eff)
     return d_x_aug, d_inverted, d_theta_eff

@@ -18,7 +18,9 @@ the VJP contexts and the intermediates.  Every pNN forward runs it:
 It also owns the canonical variation-sampling order
 (:func:`sample_layer_epsilons`: per layer θ, then activation ω, then
 negative-weight ω), which defines the training and evaluation noise
-streams.
+streams.  Each slot of a layer's draw is a
+:class:`~repro.core.variation.Perturbation`, and a layer draws all three
+slots or none.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.core.grad_kernels import (
     crossbar_fwd,
     transfer_fwd,
 )
-from repro.core.variation import EpsilonLike
+from repro.core.variation import Perturbation
 
 if TYPE_CHECKING:  # real imports would be cyclic and are not needed at runtime
     from repro.core.params import PNNParams, SurrogateParams
@@ -57,12 +59,10 @@ def augment_inputs(
     return x_aug
 
 
-#: One layer's variation draw: (ε_theta, ε_activation, ε_negweight).
-#: Each slot is a bare multiplicative factor array (legacy) or a
-#: generalized :class:`~repro.core.variation.Perturbation`.
-LayerEpsilons = Tuple[
-    Optional[EpsilonLike], Optional[EpsilonLike], Optional[EpsilonLike]
-]
+#: One layer's variation draw: (ε_theta, ε_activation, ε_negweight), each
+#: a :class:`~repro.core.variation.Perturbation`.  A layer draws all three
+#: slots or none (``None``, the nominal pass).
+LayerEpsilons = Tuple[Perturbation, Perturbation, Perturbation]
 
 
 @dataclass
@@ -73,17 +73,18 @@ class LayerTape:
     :func:`~repro.core.grad_kernels.circuit_eta_fwd` steps, plus the θ
     draw) for the training backward, and the intermediates deploy
     verification drives its SPICE chain with.  The activation fields are
-    ``None`` for a layer without an activation circuit.
+    ``None`` for a layer without an activation circuit; ``N`` is 1 for a
+    nominal pass.
     """
 
-    theta_eff: np.ndarray            # (..., N | 1, I+2, O) θ under the draw
-    eta_neg: np.ndarray              # (..., N | 1, C_neg, 4)
+    theta_eff: np.ndarray            # (..., N, I+2, O) θ under the draw
+    eta_neg: np.ndarray              # (..., N, C_neg, 4)
     v_z: np.ndarray                  # (..., N, B, O) crossbar output
-    eps_theta: Optional[EpsilonLike]
+    eps_theta: Optional[Perturbation]
     crossbar: tuple
     neg_transfer: tuple
     neg_eta: tuple
-    eta_act: Optional[np.ndarray] = None   # (..., N | 1, C_act, 4)
+    eta_act: Optional[np.ndarray] = None   # (..., N, C_act, 4)
     act_transfer: Optional[tuple] = None
     act_eta: Optional[tuple] = None
 
@@ -102,18 +103,22 @@ def layer_forward(
 ) -> Tuple[np.ndarray, LayerTape]:
     """One printed layer: Eq. 1 with Eq. 3 negation, then (optionally) Eq. 2.
 
-    ``x`` is ``(..., n_mc | 1, batch, in)``; the printable θ
+    ``x`` is ``(..., n_mc, batch, in)``; the printable θ
     ``(..., in+2, out)`` and circuit ω ``(..., C, 7)`` carry the same
     leading lane axes (none for a snapshot, ``L`` in the lane executor).
-    ``epsilons`` is the layer's ``(ε_θ, ε_act, ε_neg)`` draw, each slot with
-    the Monte-Carlo axis in front of the device axes, or ``None`` for the
-    nominal layer.  ``ws`` holds the augmented inputs and crossbar products
-    (fresh buffers without it); ``tag`` names the call site — the crossbar
-    runs under ``tag``, the transfers under ``tag.neg`` and ``tag.act``.
+    ``epsilons`` is the layer's full ``(ε_θ, ε_act, ε_neg)`` draw, each slot
+    with the Monte-Carlo axis ``n_mc`` in front of the device axes, or
+    ``None`` for the nominal layer (``n_mc = 1``); a triple with a ``None``
+    slot raises ``ValueError``.  ``ws`` holds the augmented inputs and
+    crossbar products (fresh buffers without it); ``tag`` names the call
+    site — the crossbar runs under ``tag``, the transfers under ``tag.neg``
+    and ``tag.act``.
     Returns the layer output and its :class:`LayerTape`.
     """
     if x.ndim < 3:
         raise ValueError("expected a (..., n_mc, batch, features) input")
+    if epsilons is not None and any(eps is None for eps in epsilons):
+        raise ValueError("a layer draw fills all of (ε_θ, ε_act, ε_neg), or is None")
     eps_theta, eps_act, eps_neg = epsilons or (None, None, None)
     ws = ws or Workspace()
     x_aug = augment_inputs(x, ws, tag)                        # (..., N, B, I+2)
@@ -138,7 +143,7 @@ def layer_forward(
 def sample_layer_epsilons(
     variation, n_mc: int, theta_shape: Tuple[int, int], n_act: int, n_neg: int
 ) -> LayerEpsilons:
-    """Draw one layer's variation factors in the canonical order.
+    """Draw one layer's :data:`LayerEpsilons` triple in the canonical order.
 
     ``theta_shape`` is the crossbar's ``(in+2, out)``; ``n_act`` and
     ``n_neg`` count the layer's activation and negative-weight circuits.
@@ -205,8 +210,7 @@ def network_forward(
     if epsilons is not None:
         if len(epsilons) != len(params.layers):
             raise ValueError("need one epsilon triple per layer")
-        first = epsilons[0][0]
-        n_mc = 1 if first is None else int(first.shape[0])
+        n_mc = int(epsilons[0][0].shape[0])
 
     hidden = data[None]                                       # (1, B, F)
     if n_mc > 1:

@@ -80,7 +80,7 @@ from repro.core.training import (
     _validation_epsilons,
     draw_epoch_epsilons,
 )
-from repro.core.variation import EpsilonLike, eps_stack
+from repro.core.variation import Perturbation, eps_stack
 from repro.optim import EarlyStopping, RawParameter
 from repro.optim.lanes import LaneAdam
 
@@ -97,20 +97,15 @@ LANE_SHARED_FIELDS = (
     "loss",
 )
 
-#: One lane's pre-drawn ε triples: list over layers of (ε_θ, ε_act, ε_neg);
-#: each slot is a bare factor array or a generalized ``Perturbation``.
-LaneEpsilons = Optional[List[Tuple[EpsilonLike, EpsilonLike, EpsilonLike]]]
-
-
-def stack_epsilons(per_lane: Sequence[List[Tuple[EpsilonLike, ...]]]):
+def stack_epsilons(per_lane: Sequence[List[Tuple[Perturbation, ...]]]):
     """Stack per-lane ε draws into lane-stacked triples.
 
     ``per_lane[l]`` is lane ``l``'s :func:`draw_epoch_epsilons` result
     (one ``(ε_θ, ε_act, ε_neg)`` triple per layer, leading axis ``n_mc``);
     the return value carries one triple per layer with leading axes
     ``(L, n_mc)``.  Stacking copies — lanes stay bitwise independent.
-    Perturbation slots (scenario models with overrides) stack field-wise
-    through :func:`~repro.core.variation.eps_stack`.
+    Every field of a draw stacks through
+    :func:`~repro.core.variation.eps_stack`.
     """
     n_layers = len(per_lane[0])
     return [
@@ -231,9 +226,7 @@ class LaneNetwork:
                 f"{self.net.layer_sizes[0]}"
             )
         n_lanes = int(arrays[0][0].shape[0])
-        n_mc = 1
-        if epsilons is not None and epsilons[0][0] is not None:
-            n_mc = int(epsilons[0][0].shape[1])
+        n_mc = 1 if epsilons is None else int(epsilons[0][0].shape[1])
 
         net = self.net
         hidden = np.broadcast_to(data, (n_lanes, n_mc, *data.shape))
@@ -540,9 +533,9 @@ def train_pnn_lanes(
                 if trace:
                     tel.event(
                         "train.early_stop",
-                        epoch=epoch,
-                        best_epoch=stoppers[lane].best_epoch,
-                        patience=base.patience,
+                        epoch=str(epoch),
+                        best_epoch=str(stoppers[lane].best_epoch),
+                        patience=str(base.patience),
                         lane=str(lane),
                         seed=str(configs[lane].seed),
                     )
@@ -553,7 +546,7 @@ def train_pnn_lanes(
             if trace:
                 tel.event(
                     "lanes.shrink",
-                    epoch=epoch,
+                    epoch=str(epoch),
                     active=len(active),
                     stopped=len(stopped),
                 )

@@ -14,13 +14,12 @@ Networks") — so this module generalizes the seam:
 
 - :class:`NonIdealityModel` is the isinstance-checkable protocol every
   model implements: ``sample_perturbation`` draws one role's
-  perturbation and may return a :class:`Perturbation` carrying
-  per-device overrides.  :class:`MultiplicativeModel` is the purely
-  multiplicative kind, whose draw is its ``sample`` factor array.
-- :class:`Perturbation` is one sampled draw: a multiplicative ``scale``
-  plus an optional ``(override_mask, override_value)`` pair.  A **bare
-  ndarray remains a valid draw** (a pure multiplicative perturbation) so
-  the legacy ε-only path executes byte-for-byte the pre-refactor
+  :class:`Perturbation`.  :class:`MultiplicativeModel` is the purely
+  multiplicative kind, whose draw wraps its ``sample`` factor array.
+- :class:`Perturbation` is the one form of a sampled draw: a
+  multiplicative ``scale`` plus an optional ``(override_mask,
+  override_value)`` pair.  Without overrides, applying it is exactly
+  ``nominal * scale``, so the paper's ε-only draws keep the recorded
   arithmetic — the bit-identity gate of ``docs/TRAINING.md`` §2.
 - :class:`ComposedModel` chains models over the same devices (scales
   multiply; a later model's override wins).
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,9 +51,8 @@ class Perturbation:
     must not flow through overridden devices; the VJP helpers in
     ``core.grad_kernels`` zero them.
 
-    ``shape``/``ndim``/``__getitem__`` proxy the leading Monte-Carlo axis
-    of every field so code written against bare ε arrays (chunk slicing,
-    lane compaction) works unchanged on a :class:`Perturbation`.
+    ``shape``/``ndim``/``__getitem__`` proxy the leading axes of every
+    field, so chunk slicing and lane compaction index a draw like an array.
     """
 
     scale: np.ndarray
@@ -77,47 +75,31 @@ class Perturbation:
         )
 
 
-#: One slot of a layer's (θ, act, neg) triple: a bare multiplicative
-#: factor array (legacy) or a generalized :class:`Perturbation`.
-EpsilonLike = Union[np.ndarray, Perturbation]
-
 #: The roles a per-layer draw triple is sampled in — canonical order.
 EPSILON_ROLES: Tuple[str, ...] = ("theta", "act", "neg")
 
 
-def _zeros_like_mask(scale: np.ndarray) -> np.ndarray:
-    return np.zeros(scale.shape, dtype=bool)
-
-
-def _combine(parts: Sequence[EpsilonLike], join) -> EpsilonLike:
-    if all(isinstance(p, np.ndarray) for p in parts):
-        return join(list(parts))
-    scales = [p.scale if isinstance(p, Perturbation) else p for p in parts]
-    scale = join(scales)
-    if all(not isinstance(p, Perturbation) or p.override_mask is None
-           for p in parts):
+def _combine(parts: Sequence[Perturbation], join) -> Perturbation:
+    scale = join([p.scale for p in parts])
+    if all(p.override_mask is None for p in parts):
         return Perturbation(scale)
-    masks, values = [], []
-    for p, s in zip(parts, scales):
-        if isinstance(p, Perturbation) and p.override_mask is not None:
-            masks.append(p.override_mask)
-            values.append(p.override_value)
-        else:
-            masks.append(_zeros_like_mask(s))
-            values.append(np.zeros(s.shape))
+    masks = [np.zeros(p.shape, dtype=bool) if p.override_mask is None
+             else p.override_mask for p in parts]
+    values = [np.zeros(p.shape) if p.override_mask is None
+              else p.override_value for p in parts]
     return Perturbation(scale, join(masks), join(values))
 
 
-def eps_concat(parts: Sequence[EpsilonLike], axis: int = 0) -> EpsilonLike:
+def eps_concat(parts: Sequence[Perturbation], axis: int = 0) -> Perturbation:
     """Concatenate draw blocks along the Monte-Carlo axis.
 
-    Bare arrays take exactly the legacy ``np.concatenate`` path;
-    perturbations concatenate field-wise (absent masks fill with zeros).
+    Every field concatenates with ``np.concatenate``; a part without
+    overrides contributes an all-False mask when another part has one.
     """
     return _combine(parts, lambda arrays: np.concatenate(arrays, axis=axis))
 
 
-def eps_stack(parts: Sequence[EpsilonLike], axis: int = 0) -> EpsilonLike:
+def eps_stack(parts: Sequence[Perturbation], axis: int = 0) -> Perturbation:
     """Stack per-lane draws on a new leading lane axis (lane tier)."""
     return _combine(parts, lambda arrays: np.stack(arrays, axis=axis))
 
@@ -137,7 +119,7 @@ class NonIdealityModel(ABC):
 
     @abstractmethod
     def sample_perturbation(self, n_mc: int, shape: Sequence[int],
-                            role: str = "theta") -> EpsilonLike:
+                            role: str = "theta") -> Perturbation:
         """Draw the ``(n_mc, *shape)`` perturbation for one ``role`` slot.
 
         ``role`` is one of :data:`EPSILON_ROLES` — ``"theta"`` for crossbar
@@ -147,7 +129,7 @@ class NonIdealityModel(ABC):
 
 
 class MultiplicativeModel(NonIdealityModel):
-    """A non-ideality that only scales devices: its draw is :meth:`sample`.
+    """A non-ideality that only scales devices: its draw wraps :meth:`sample`.
 
     Every role draws the same way, so a multiplicative model consumes its
     RNG stream identically through :meth:`sample` and
@@ -159,17 +141,17 @@ class MultiplicativeModel(NonIdealityModel):
         """Draw ``(n_mc, *shape)`` multiplicative factors."""
 
     def sample_perturbation(self, n_mc: int, shape: Sequence[int],
-                            role: str = "theta") -> np.ndarray:
-        return self.sample(n_mc, shape)
+                            role: str = "theta") -> Perturbation:
+        return Perturbation(self.sample(n_mc, shape))
 
 
 class _EpsilonFamilyModel(MultiplicativeModel):
     """Shared plumbing of the multiplicative ε families.
 
     Epsilon validation, RNG setup, ``is_nominal`` and the ``sample``
-    skeleton used to be copy-pasted between :class:`VariationModel` and
-    :class:`GaussianVariationModel`; subclasses now only supply
-    :meth:`_draw`.
+    skeleton are shared by :class:`VariationModel`,
+    :class:`GaussianVariationModel` and :class:`CorrelatedVariationModel`;
+    subclasses only supply :meth:`_draw`.
     """
 
     def __init__(self, epsilon: float, rng: Optional[np.random.Generator] = None,
@@ -268,13 +250,13 @@ class StuckAtModel(NonIdealityModel):
         return self.p_stuck_on == 0.0 and self.p_stuck_off == 0.0
 
     def sample_perturbation(self, n_mc: int, shape: Sequence[int],
-                            role: str = "theta") -> EpsilonLike:
+                            role: str = "theta") -> Perturbation:
         if n_mc < 1:
             raise ValueError("n_mc must be >= 1")
         full_shape = (n_mc, *tuple(int(s) for s in shape))
         scale = np.ones(full_shape)
         if role != "theta" or self.is_nominal:
-            return scale
+            return Perturbation(scale)
         draw = self.rng.uniform(size=full_shape)
         stuck_on = draw < self.p_stuck_on
         stuck_off = (draw >= self.p_stuck_on) & (draw < self.p_stuck_on + self.p_stuck_off)
@@ -288,7 +270,7 @@ class StuckAtModel(NonIdealityModel):
         return Perturbation(scale, mask, value)
 
 
-class CorrelatedVariationModel(MultiplicativeModel):
+class CorrelatedVariationModel(_EpsilonFamilyModel):
     """Spatially-correlated printing variation (shared blockwise factors).
 
     Printing heads drift slowly, so neighbouring devices err together.  A
@@ -304,28 +286,14 @@ class CorrelatedVariationModel(MultiplicativeModel):
     def __init__(self, epsilon: float, correlation: float = 0.5,
                  rng: Optional[np.random.Generator] = None,
                  seed: Optional[int] = None):
-        if epsilon < 0 or epsilon >= 1:
-            raise ValueError("epsilon must be in [0, 1)")
+        super().__init__(epsilon, rng=rng, seed=seed)
         if not 0.0 <= correlation <= 1.0:
             raise ValueError("correlation must be in [0, 1]")
-        self.epsilon = float(epsilon)
         self.correlation = float(correlation)
         self.sigma = self.epsilon / np.sqrt(3.0)
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        self.rng = rng
 
-    @property
-    def is_nominal(self) -> bool:
-        return self.epsilon == 0.0
-
-    def sample(self, n_mc: int, shape: Sequence[int]) -> np.ndarray:
-        if n_mc < 1:
-            raise ValueError("n_mc must be >= 1")
-        shape = tuple(int(s) for s in shape)
-        full_shape = (n_mc, *shape)
-        if self.is_nominal:
-            return np.ones(full_shape)
+    def _draw(self, full_shape: Tuple[int, ...]) -> np.ndarray:
+        n_mc, *shape = full_shape
         rho, sigma = self.correlation, self.sigma
         if len(shape) == 2:
             rows, cols = shape
@@ -365,27 +333,20 @@ class ComposedModel(NonIdealityModel):
         return all(model.is_nominal for model in self.models)
 
     def sample_perturbation(self, n_mc: int, shape: Sequence[int],
-                            role: str = "theta") -> EpsilonLike:
+                            role: str = "theta") -> Perturbation:
         scale: Optional[np.ndarray] = None
         mask: Optional[np.ndarray] = None
         value: Optional[np.ndarray] = None
         for model in self.models:
             drawn = model.sample_perturbation(n_mc, shape, role=role)
-            if isinstance(drawn, Perturbation):
-                part_scale = drawn.scale
-                part_mask, part_value = drawn.override_mask, drawn.override_value
-            else:
-                part_scale, part_mask, part_value = drawn, None, None
-            scale = part_scale if scale is None else scale * part_scale
-            if part_mask is not None:
+            scale = drawn.scale if scale is None else scale * drawn.scale
+            if drawn.override_mask is not None:
                 if mask is None:
-                    mask = part_mask.copy()
-                    value = np.where(part_mask, part_value, 0.0)
+                    mask = drawn.override_mask.copy()
+                    value = np.where(drawn.override_mask, drawn.override_value, 0.0)
                 else:
-                    value = np.where(part_mask, part_value, value)
-                    mask = mask | part_mask
-        if mask is None:
-            return scale
+                    value = np.where(drawn.override_mask, drawn.override_value, value)
+                    mask = mask | drawn.override_mask
         return Perturbation(scale, mask, value)
 
 

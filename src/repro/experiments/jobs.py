@@ -347,13 +347,13 @@ def execute_job_lanes(
                 dataset=key.dataset,
                 learnable=key.learnable,
                 variation_aware=key.variation_aware,
-                train_eps=key.train_eps,
+                train_eps=str(key.train_eps),
                 seed=str(key.seed),
                 scenario=key.scenario,
                 wall_s=wall_share,
                 cpu_s=cpu_share,
                 epochs_run=result.epochs_run,
-                best_epoch=result.best_epoch,
+                best_epoch=str(result.best_epoch),
                 val_loss=result.best_val_loss,
                 lanes=len(keys),
             )

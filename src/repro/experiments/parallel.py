@@ -147,7 +147,7 @@ def run_table2_parallel(
         tel.event(
             "table2.start",
             datasets=list(datasets),
-            workers=int(workers),
+            workers=str(workers),
             n_jobs=len(jobs),
             cached=cache is not None,
             scenarios=list(scenarios),
@@ -197,7 +197,7 @@ def run_table2_parallel(
         _FORK_STATE["surrogates"] = surrogates
         try:
             ctx = _pool_context()
-            tel.event("pool.start", workers=int(workers), n_pending=len(batches))
+            tel.event("pool.start", workers=str(workers), n_pending=len(batches))
             with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
                 not_done = {pool.submit(_forked_execute_batch, batch) for batch in batches}
                 while not_done:
@@ -213,7 +213,7 @@ def run_table2_parallel(
                             _finish(outcome)
                     if broken is not None:
                         raise broken
-            tel.event("pool.stop", workers=int(workers))
+            tel.event("pool.stop", workers=str(workers))
         except BrokenProcessPool as error:
             # Raised once the pool has shut down, so every worker log is
             # complete when the failure is recorded and merged.

@@ -234,12 +234,10 @@ def _run_scenario(
     x: np.ndarray,
     name: str,
     epsilons,
-    solver_tol: float,
     output_tol: float,
 ) -> ScenarioVerification:
     n_samples = x.shape[0]
-    first = None if epsilons is None else epsilons[0][0]
-    n_mc = 1 if first is None else int(first.shape[0])
+    n_mc = 1 if epsilons is None else int(epsilons[0][0].shape[0])
     n_lanes = n_mc * n_samples
 
     hidden = np.broadcast_to(x[None], (n_mc, *x.shape)).astype(np.float64)
@@ -257,10 +255,7 @@ def _run_scenario(
             layer.apply_activation, params.act_surrogate, params.neg_surrogate,
             None if epsilons is None else epsilons[lp.index],
         )
-        theta_eff = tape.theta_eff                             # (N|1, I+2, O)
-        if theta_eff.shape[0] == 1 and n_mc > 1:
-            theta_eff = np.broadcast_to(theta_eff, (n_mc, *theta_eff.shape[1:]))
-
+        theta_eff = tape.theta_eff                             # (N, I+2, O)
         placed_sign_flip = (
             (theta_eff < 0) != (layer.theta[None] < 0)
         ) & (layer.theta[None] != 0)
@@ -290,20 +285,15 @@ def _run_scenario(
         }
         for i in range(lp.n_inputs):
             vin[f"Vin_{i}"] = np.ascontiguousarray(hidden[:, :, i].reshape(n_lanes))
-        inv_lanes = (
-            inverted if inverted.shape[0] == n_mc
-            else np.broadcast_to(inverted, (n_mc, *inverted.shape[1:]))
-        )
         for gr in lp.inv_rows:
             vin[f"Vinv_{gr}"] = np.ascontiguousarray(
-                inv_lanes[:, :, gr].reshape(n_lanes)
+                inverted[:, :, gr].reshape(n_lanes)
             )
 
         solution = solve_dc_batch(
             lp.plan,
             param_batch=ParamBatch(resistances=resistances),
             vin_batch=vin,
-            tol=solver_tol,
         )
         if not solution.converged.all():
             failure = (
@@ -361,7 +351,6 @@ def verify_deployment(
     n_mc: int = 2,
     seed: int = 0,
     output_tol: float = OUTPUT_TOL,
-    solver_tol: float = 1e-10,
 ) -> DeployVerification:
     """Re-simulate a tiled design through the batched SPICE engine.
 
@@ -419,7 +408,7 @@ def verify_deployment(
         for name in scenarios:
             epsilons = _scenario_epsilons(name, params, epsilon, n_mc, seed)
             results.append(
-                _run_scenario(params, plans, x, name, epsilons, solver_tol, output_tol)
+                _run_scenario(params, plans, x, name, epsilons, output_tol)
             )
 
         verification = DeployVerification(

@@ -156,16 +156,13 @@ class ParamBatch:
         )
 
 
-def compile_netlist(
-    netlist: Netlist, gmin: float = 1e-12, validate: bool = True
-) -> StampPlan:
-    """Lower ``netlist`` into a :class:`StampPlan` (strings → index arrays).
+def compile_netlist(netlist: Netlist, gmin: float = 1e-12) -> StampPlan:
+    """Validate ``netlist`` and lower it into a :class:`StampPlan`.
 
-    ``gmin`` is baked into the plan because it is part of the constant
+    Node and element names become index arrays.  ``gmin`` is baked into the plan because it is part of the constant
     linear stamps; use the same value as any ``solve_dc`` it must match.
     """
-    if validate:
-        validate_netlist(netlist)
+    validate_netlist(netlist)
 
     nodes = tuple(netlist.nodes())
     index: Dict[str, int] = {name: i for i, name in enumerate(nodes)}

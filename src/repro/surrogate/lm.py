@@ -20,6 +20,12 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+#: Starting damping λ of every lane.
+LAMBDA_INIT = 1e-3
+
+#: Factor λ shrinks by after an accepted step and grows by after a rejected one.
+LAMBDA_FACTOR = 10.0
+
 
 @dataclass
 class LMBatchResult:
@@ -62,8 +68,6 @@ def levenberg_marquardt_batch(
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray],
     max_iter: int = 200,
     tol: float = 1e-10,
-    lambda_init: float = 1e-3,
-    lambda_factor: float = 10.0,
 ) -> LMBatchResult:
     """Minimize ``0.5 * ||residual(x_b)||²`` for B problems in lockstep.
 
@@ -84,13 +88,13 @@ def levenberg_marquardt_batch(
         decrease.
 
     Each lane takes damped Gauss-Newton steps ``(JᵀJ + λ·diag(JᵀJ)) δ =
-    −Jᵀr``: an accepted step (lower cost) divides λ by ``lambda_factor``,
-    a rejected one multiplies it, for up to 30 tries per iteration.  A lane
-    finishes when a step improves the cost by less than ``tol`` with a
-    step norm below ``tol``, or when no try improves it; both count as
-    converged, and a lane still running at ``max_iter`` does not.  Finished
-    lanes are removed from the active set so slow problems do not keep
-    paying for fast ones.
+    −Jᵀr``, starting from λ = :data:`LAMBDA_INIT`: an accepted step (lower
+    cost) divides λ by :data:`LAMBDA_FACTOR`, a rejected one multiplies
+    it, for up to 30 tries per iteration.  A lane finishes when a step
+    improves the cost by less than ``tol`` with a step norm below ``tol``,
+    or when no try improves it; both count as converged, and a lane still
+    running at ``max_iter`` does not.  Finished lanes are removed from the
+    active set so slow problems do not keep paying for fast ones.
     """
     x = np.array(x0, dtype=np.float64)
     if x.ndim != 2:
@@ -102,7 +106,7 @@ def levenberg_marquardt_batch(
     if res.ndim != 2 or len(res) != n_problems:
         raise ValueError("residual must return a (B, n) stack")
     cost = 0.5 * np.sum(res * res, axis=-1)
-    lam = np.full(n_problems, lambda_init)
+    lam = np.full(n_problems, LAMBDA_INIT)
     iterations = np.zeros(n_problems, dtype=np.int64)
     converged = np.zeros(n_problems, dtype=bool)
 
@@ -136,7 +140,7 @@ def levenberg_marquardt_batch(
                 break
             damped = hessian[pidx] + lama[pidx][:, None, None] * damping_matrix[pidx]
             step, ok = _solve_damped(damped, -gradient[pidx])
-            lama[pidx[~ok]] *= lambda_factor
+            lama[pidx[~ok]] *= LAMBDA_FACTOR
             sidx = pidx[ok]
             if sidx.size == 0:
                 continue
@@ -155,12 +159,12 @@ def levenberg_marquardt_batch(
                 xa[aidx] = candidate[accept]
                 resa[aidx] = candidate_res[accept]
                 costa[aidx] = candidate_cost[accept]
-                lama[aidx] = np.maximum(lama[aidx] / lambda_factor, 1e-12)
+                lama[aidx] = np.maximum(lama[aidx] / LAMBDA_FACTOR, 1e-12)
                 conv_now[aidx] = (improvement < tol) & (step_norm < tol)
                 improved[aidx] = True
                 pending[aidx] = False
             ridx = sidx[~accept]
-            lama[ridx] *= lambda_factor
+            lama[ridx] *= LAMBDA_FACTOR
 
         iterations[active] = it
         x[active] = xa

@@ -69,7 +69,7 @@ class TestCompositeVariation:
         composite = ComposedModel(aging, variation)
         sample = composite.sample_perturbation(4, (2,))
         expected = aging.decay_factor(np.array(1.0))
-        assert np.allclose(sample, expected)
+        assert np.allclose(sample.scale, expected)
 
     def test_nominal_only_if_all_nominal(self):
         nominal = VariationModel(0.0, seed=0)

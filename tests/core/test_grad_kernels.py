@@ -85,9 +85,9 @@ def draw_epsilons(pnn, epsilon, n_mc, seed=11):
     vm = VariationModel(epsilon, seed=seed)
     return [
         (
-            vm.sample(n_mc, (layer.in_features + 2, layer.out_features)),
-            vm.sample(n_mc, layer.w_act.shape),
-            vm.sample(n_mc, layer.w_neg.shape),
+            Perturbation(vm.sample(n_mc, (layer.in_features + 2, layer.out_features))),
+            Perturbation(vm.sample(n_mc, layer.w_act.shape)),
+            Perturbation(vm.sample(n_mc, layer.w_neg.shape)),
         )
         for layer in pnn.layers
     ]

@@ -1,20 +1,23 @@
 """Unit tests for the composable non-ideality pipeline.
 
-Covers the :class:`~repro.core.variation.Perturbation` container and its
-combinators, the concrete non-ideality models (stuck-at defects,
-correlated variation, composition), the ``apply_nonideality``
-forward/backward kernels, and the scenario registry.
+Covers the :class:`~repro.core.variation.Perturbation` container — the one
+form of a draw, for every model and role — and its combinators, the
+concrete non-ideality models (stuck-at defects, correlated variation,
+composition), the ``apply_nonideality`` forward/backward kernels, and the
+scenario registry.
 """
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from repro.analysis.sensitivity import _SelectiveVariation
 from repro.core.aging import AgingModel
 from repro.core.grad_kernels import apply_nonideality_bwd
 from repro.core.kernels import apply_nonideality
 from repro.core.variation import (
     DEFAULT_SCENARIO,
+    EPSILON_ROLES,
     SCENARIOS,
     ComposedModel,
     CorrelatedVariationModel,
@@ -51,21 +54,42 @@ class TestPerturbation:
         assert p.override_mask is None and p.override_value is None
 
 
+def every_model():
+    """Each scenario at ϵ = 5 %, aging alone and composed, and the
+    selective sampler of each component group."""
+    models = {name: build_scenario_model(name, 0.05, seed=0) for name in SCENARIOS}
+    models["aging"] = AgingModel(seed=0)
+    models["variation+aging"] = ComposedModel(VariationModel(0.05, seed=0), AgingModel(seed=1))
+    for group in ("theta", "activation", "negweight"):
+        models[f"selective-{group}"] = _SelectiveVariation(0.05, group, seed=0)
+    return models
+
+
+class TestOneDrawForm:
+    @pytest.mark.parametrize("role", EPSILON_ROLES)
+    @pytest.mark.parametrize("name", sorted(every_model()))
+    def test_every_model_draws_a_perturbation_per_role(self, name, role):
+        shape = (4, 3) if role == "theta" else (2, 7)
+        draw = every_model()[name].sample_perturbation(5, shape, role=role)
+        assert isinstance(draw, Perturbation)
+        assert draw.scale.shape == (5, *shape)
+
+
 class TestCombinators:
-    def test_all_ndarray_concat_is_plain_concatenate(self):
-        parts = [np.full((2, 3), i, dtype=float) for i in range(3)]
-        out = eps_concat(parts, axis=0)
-        assert isinstance(out, np.ndarray)
-        assert_array_equal(out, np.concatenate(parts, axis=0))
+    def test_mask_free_concat_is_plain_concatenate(self):
+        scales = [np.full((2, 3), i, dtype=float) for i in range(3)]
+        out = eps_concat([Perturbation(scale) for scale in scales], axis=0)
+        assert out.override_mask is None and out.override_value is None
+        assert_array_equal(out.scale, np.concatenate(scales, axis=0))
 
     def test_mixed_concat_zero_fills_missing_masks(self):
-        bare = np.full((2, 3), 2.0)
+        plain = Perturbation(np.full((2, 3), 2.0))
         masked = Perturbation(
             np.ones((2, 3)),
             np.array([[True, False, False], [False, False, True]]),
             np.full((2, 3), 9.0),
         )
-        out = eps_concat([bare, masked], axis=0)
+        out = eps_concat([plain, masked], axis=0)
         assert isinstance(out, Perturbation)
         assert out.shape == (4, 3)
         assert not out.override_mask[:2].any()
@@ -73,10 +97,11 @@ class TestCombinators:
         assert_array_equal(out.override_value[2:], masked.override_value)
 
     def test_stack_adds_lane_axis(self):
-        parts = [np.full((2, 3), float(i)) for i in range(4)]
-        out = eps_stack(parts, axis=0)
-        assert isinstance(out, np.ndarray)
+        scales = [np.full((2, 3), float(i)) for i in range(4)]
+        out = eps_stack([Perturbation(scale) for scale in scales], axis=0)
+        assert out.override_mask is None
         assert out.shape == (4, 2, 3)
+        assert_array_equal(out.scale, np.stack(scales, axis=0))
 
 
 class TestProtocol:
@@ -109,8 +134,8 @@ class TestStuckAtModel:
         model = StuckAtModel(p_stuck_on=0.0, p_stuck_off=0.0, seed=0)
         assert model.is_nominal
         out = model.sample_perturbation(3, (2, 2), role="theta")
-        assert isinstance(out, np.ndarray)
-        assert_array_equal(out, np.ones((3, 2, 2)))
+        assert out.override_mask is None
+        assert_array_equal(out.scale, np.ones((3, 2, 2)))
 
     def test_invalid_probabilities_rejected(self):
         with pytest.raises(ValueError):
@@ -154,7 +179,7 @@ class TestComposedModel:
         composed = ComposedModel(VariationModel(0.1, seed=1),
                                  GaussianVariationModel(0.05, seed=2))
         assert_array_equal(
-            composed.sample_perturbation(5, (3, 3)),
+            composed.sample_perturbation(5, (3, 3)).scale,
             a.sample(5, (3, 3)) * b.sample(5, (3, 3)),
         )
 
@@ -166,10 +191,11 @@ class TestComposedModel:
         assert p.override_mask.all()
         assert_array_equal(p.override_value, np.full((2, 2, 2), 0.01))
 
-    def test_no_override_components_return_bare_array(self):
+    def test_no_override_components_return_mask_free_draw(self):
         composed = ComposedModel(VariationModel(0.1, seed=1))
         out = composed.sample_perturbation(3, (2, 2), role="theta")
-        assert isinstance(out, np.ndarray)
+        assert out.override_mask is None and out.override_value is None
+        assert_array_equal(out.scale, VariationModel(0.1, seed=1).sample(3, (2, 2)))
 
     def test_protocol_flags(self):
         composed = ComposedModel(VariationModel(0.0, seed=1), StuckAtModel(seed=2))
@@ -183,10 +209,10 @@ class TestComposedModel:
 
 
 class TestApplyNonideality:
-    def test_bare_array_is_plain_multiply(self):
+    def test_mask_free_draw_is_plain_multiply(self):
         nominal = np.arange(6.0).reshape(2, 3)
         eps = np.linspace(0.9, 1.1, 12).reshape(2, 2, 3)
-        assert_array_equal(apply_nonideality(nominal, eps), nominal * eps)
+        assert_array_equal(apply_nonideality(nominal, Perturbation(eps)), nominal * eps)
 
     def test_override_pins_sign_preserving_magnitude(self):
         nominal = np.array([[1.0, -2.0], [3.0, -4.0]])
@@ -197,11 +223,11 @@ class TestApplyNonideality:
         assert_array_equal(out[0, 0], [10.0, -10.0])     # sign kept
         assert_array_equal(out[0, 1], [4.5, -6.0])       # scaled elsewhere
 
-    def test_bwd_matches_legacy_for_bare_arrays(self):
+    def test_bwd_of_mask_free_draw_is_scaled_sum(self):
         d_eff = np.arange(12.0).reshape(2, 2, 3)
         eps = np.linspace(0.9, 1.1, 12).reshape(2, 2, 3)
         assert_array_equal(
-            apply_nonideality_bwd(d_eff, eps, axis=0),
+            apply_nonideality_bwd(d_eff, Perturbation(eps), axis=0),
             (d_eff * eps).sum(axis=0),
         )
 
@@ -236,7 +262,7 @@ class TestScenarioRegistry:
         reference = VariationModel(0.1, seed=3)
         assert type(model) is VariationModel
         for shape, role in (((5, 3), "theta"), ((2, 7), "act"), ((2, 7), "neg")):
-            assert_array_equal(model.sample_perturbation(4, shape, role=role),
+            assert_array_equal(model.sample_perturbation(4, shape, role=role).scale,
                                reference.sample(4, shape))
 
     def test_known_scenarios(self):

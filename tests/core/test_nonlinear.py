@@ -19,6 +19,7 @@ from repro.core.grad_kernels import (
     transfer_fwd,
 )
 from repro.core.params import snapshot_surrogate
+from repro.core.variation import Perturbation
 from repro.surrogate import AnalyticSurrogate
 from repro.surrogate.design_space import DESIGN_SPACE
 
@@ -95,17 +96,17 @@ class TestEta:
         assert eta(w_raw).shape == (1, 1, 4)
 
     def test_variation_shape(self, w_raw):
-        eps = np.random.default_rng(0).uniform(0.9, 1.1, size=(5, 1, 7))
+        eps = Perturbation(np.random.default_rng(0).uniform(0.9, 1.1, size=(5, 1, 7)))
         assert eta(w_raw, epsilon_omega=eps).shape == (5, 1, 4)
 
     def test_variation_changes_eta(self, w_raw):
-        eps = np.random.default_rng(0).uniform(0.9, 1.1, size=(5, 1, 7))
+        eps = Perturbation(np.random.default_rng(0).uniform(0.9, 1.1, size=(5, 1, 7)))
         etas = eta(w_raw, epsilon_omega=eps)
         assert np.std(etas, axis=0).max() > 0
 
     def test_rejects_bad_eps_shape(self, w_raw):
         with pytest.raises(ValueError):
-            eta(w_raw, epsilon_omega=np.ones((5, 2, 7)))
+            eta(w_raw, epsilon_omega=Perturbation(np.ones((5, 2, 7))))
 
     def test_gradient_reaches_w(self, w_raw):
         sp = snapshot_surrogate(SURROGATES["ptanh"])

@@ -12,6 +12,7 @@ import pytest
 from repro.core import (
     ConductanceConfig,
     KernelNetwork,
+    Perturbation,
     PrintedLayer,
     PrintedNeuralNetwork,
     VariationModel,
@@ -44,7 +45,7 @@ def printable_theta(layer):
     return project_printable(layer.theta, CONDUCTANCE.g_min, CONDUCTANCE.g_max)
 
 
-def layer_forward(layer, x, eps_theta=None, eps_act=None, eps_neg=None):
+def layer_forward(layer, x, epsilons=None):
     """Run a live layer's printable design through ``kernels.layer_forward``."""
     out, _ = kernels.layer_forward(
         np.asarray(x, dtype=np.float64),
@@ -54,7 +55,7 @@ def layer_forward(layer, x, eps_theta=None, eps_act=None, eps_neg=None):
         layer.apply_activation,
         snapshot_surrogate(AnalyticSurrogate("ptanh")),
         snapshot_surrogate(AnalyticSurrogate("negweight")),
-        (eps_theta, eps_act, eps_neg),
+        epsilons,
     )
     return out
 
@@ -125,11 +126,11 @@ class TestPrintedLayer:
     def test_mc_axis_with_variation(self):
         layer = make_layer()
         variation = VariationModel(0.1, seed=0)
-        eps_theta = variation.sample(7, (5, 2))
-        eps_act = variation.sample(7, (1, 7))
-        eps_neg = variation.sample(7, (1, 7))
+        eps_theta = Perturbation(variation.sample(7, (5, 2)))
+        eps_act = Perturbation(variation.sample(7, (1, 7)))
+        eps_neg = Perturbation(variation.sample(7, (1, 7)))
         x = np.random.default_rng(2).uniform(size=(7, 4, 3))
-        out = layer_forward(layer, x, eps_theta, eps_act, eps_neg)
+        out = layer_forward(layer, x, (eps_theta, eps_act, eps_neg))
         assert out.shape == (7, 4, 2)
         assert np.std(out, axis=0).max() > 0   # samples differ
 
@@ -145,8 +146,21 @@ class TestPrintedLayer:
     def test_rejects_wrong_eps_shape(self):
         layer = make_layer()
         x = np.zeros((1, 2, 3))
-        with pytest.raises(ValueError):
-            layer_forward(layer, x, np.ones((1, 3, 3)))
+        circuit = Perturbation(np.ones((1, 1, 7)))
+        with pytest.raises(ValueError, match="θ draw"):
+            layer_forward(layer, x, (Perturbation(np.ones((1, 3, 3))), circuit, circuit))
+
+    @pytest.mark.parametrize("missing", [(0,), (1,), (2,), (1, 2)])
+    def test_rejects_partial_draw(self, missing):
+        """A layer draws all three slots or none: the backward has no
+        Monte-Carlo unbroadcast for a nominal slot beside drawn ones."""
+        variation = VariationModel(0.1, seed=0)
+        draw = [Perturbation(variation.sample(3, shape)) for shape in ((5, 2), (1, 7), (1, 7))]
+        for slot in missing:
+            draw[slot] = None
+        x = np.random.default_rng(2).uniform(size=(3, 4, 3))
+        with pytest.raises(ValueError, match="all of"):
+            layer_forward(make_layer(), x, tuple(draw))
 
     def test_kind_validation(self):
         """A layer's activation slot runs a ptanh circuit and its negation

@@ -86,8 +86,8 @@ class TestStreamConsumption:
         triple = sample_layer_epsilons(VariationModel(0.1, seed=5), N_MC, *LAYER)
         rng = np.random.default_rng(5)
         for eps, shape in zip(triple, (THETA_SHAPE, (N_ACT, 7), (N_NEG, 7))):
-            assert isinstance(eps, np.ndarray)
-            assert_array_equal(eps, rng.uniform(0.9, 1.1, size=(N_MC, *shape)))
+            assert isinstance(eps, Perturbation) and eps.override_mask is None
+            assert_array_equal(eps.scale, rng.uniform(0.9, 1.1, size=(N_MC, *shape)))
 
     def test_gaussian_variation(self):
         model = GaussianVariationModel(0.1, seed=5)
@@ -96,7 +96,7 @@ class TestStreamConsumption:
         for eps, shape in zip(triple, (THETA_SHAPE, (N_ACT, 7), (N_NEG, 7))):
             draws = rng.normal(1.0, model.sigma, size=(N_MC, *shape))
             expected = np.clip(draws, 1.0 - 3 * model.sigma, 1.0 + 3 * model.sigma)
-            assert_array_equal(eps, expected)
+            assert_array_equal(eps.scale, expected)
 
     def test_stuck_at_consumes_rng_only_for_theta(self):
         model = StuckAtModel(p_stuck_on=0.3, p_stuck_off=0.3, seed=5)
@@ -109,10 +109,10 @@ class TestStreamConsumption:
             assert_array_equal(triple[0].override_mask, draw < 0.6)
             assert_array_equal(triple[0].scale, np.ones((N_MC, *THETA_SHAPE)))
             # ω slots are untouched and draw nothing from the stream.
-            assert isinstance(triple[1], np.ndarray)
-            assert isinstance(triple[2], np.ndarray)
-            assert_array_equal(triple[1], np.ones((N_MC, N_ACT, 7)))
-            assert_array_equal(triple[2], np.ones((N_MC, N_NEG, 7)))
+            assert triple[1].override_mask is None
+            assert triple[2].override_mask is None
+            assert_array_equal(triple[1].scale, np.ones((N_MC, N_ACT, 7)))
+            assert_array_equal(triple[2].scale, np.ones((N_MC, N_NEG, 7)))
 
     def test_correlated_variation(self):
         model = CorrelatedVariationModel(0.1, correlation=0.5, seed=5)
@@ -130,7 +130,7 @@ class TestStreamConsumption:
             ):
                 expected = expected + amplitude * rng.standard_normal(part_shape)
             expected = np.clip(expected, 1.0 - 3 * sigma, 1.0 + 3 * sigma)
-            assert_array_equal(eps, expected)
+            assert_array_equal(eps.scale, expected)
 
     def test_composed_draws_components_in_listed_order_per_role(self):
         model = ComposedModel(
@@ -149,11 +149,11 @@ class TestStreamConsumption:
             theta.override_mask,
             defect_rng.uniform(size=(N_MC, *THETA_SHAPE)) < 0.3,
         )
-        # ω slots: only the ε component draws, so they stay bare arrays
-        # continuing the ε stream exactly where θ left it.
+        # ω slots: only the ε component draws, so they carry no overrides
+        # and continue the ε stream exactly where θ left it.
         for eps, shape in zip(triple[1:], ((N_ACT, 7), (N_NEG, 7))):
-            assert isinstance(eps, np.ndarray)
-            assert_array_equal(eps, eps_rng.uniform(0.9, 1.1, size=(N_MC, *shape)))
+            assert eps.override_mask is None
+            assert_array_equal(eps.scale, eps_rng.uniform(0.9, 1.1, size=(N_MC, *shape)))
 
     def test_aging_model(self):
         model = AgingModel(drift_rate=0.05, spread=0.02, seed=5)
@@ -161,7 +161,7 @@ class TestStreamConsumption:
         rng = np.random.default_rng(5)
         reference = AgingModel(drift_rate=0.05, spread=0.02, rng=rng)
         for eps, shape in zip(triple, (THETA_SHAPE, (N_ACT, 7), (N_NEG, 7))):
-            assert_array_equal(eps, reference.sample(N_MC, shape))
+            assert_array_equal(eps.scale, reference.sample(N_MC, shape))
 
 
 class TestTrainingDraws:
@@ -181,7 +181,7 @@ class TestTrainingDraws:
         assert len(drawn) == len(shapes)
         for triple, layer_shapes in zip(drawn, shapes):
             for eps, shape in zip(triple, layer_shapes):
-                assert_array_equal(eps, rng.uniform(0.9, 1.1, size=(N_MC, *shape)))
+                assert_array_equal(eps.scale, rng.uniform(0.9, 1.1, size=(N_MC, *shape)))
 
     def test_protocol_roles_per_layer(self, analytic_surrogates):
         pnn = PrintedNeuralNetwork([4, 3, 2], analytic_surrogates, rng=np.random.default_rng(7))

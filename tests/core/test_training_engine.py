@@ -224,9 +224,9 @@ class TestValidationSampleHoisting:
         ]
         for later in epoch_draws[1:]:
             for (a1, a2, a3), (b1, b2, b3) in zip(epoch_draws[0], later):
-                np.testing.assert_array_equal(a1, b1)
-                np.testing.assert_array_equal(a2, b2)
-                np.testing.assert_array_equal(a3, b3)
+                np.testing.assert_array_equal(a1.scale, b1.scale)
+                np.testing.assert_array_equal(a2.scale, b2.scale)
+                np.testing.assert_array_equal(a3.scale, b3.scale)
 
     def test_validation_loss_identical_across_epochs(self, analytic_surrogates, blob_data):
         _, _, x_val, y_val = blob_data

@@ -357,7 +357,7 @@ class TestLaneTelemetry:
 
 
 class TestReportSums:
-    """The events table sums quantities, never identifiers or flags."""
+    """The events table sums quantities, never identifiers, indices, settings or flags."""
 
     #: (event, attribute) pairs a run records that have no meaningful sum.
     IDENTIFIERS_AND_FLAGS = {
@@ -365,9 +365,16 @@ class TestReportSums:
         ("job.done", "seed"),
         ("job.done", "learnable"),
         ("job.done", "variation_aware"),
+        ("job.done", "best_epoch"),
+        ("job.done", "train_eps"),
         ("train.early_stop", "lane"),
         ("train.early_stop", "seed"),
+        ("train.early_stop", "epoch"),
+        ("train.early_stop", "best_epoch"),
+        ("train.early_stop", "patience"),
+        ("lanes.shrink", "epoch"),
         ("table2.start", "cached"),
+        ("table2.start", "workers"),
         ("export.verify", "passed"),
         ("export.deploy", "passed"),
     }
