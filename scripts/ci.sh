@@ -1,22 +1,16 @@
 #!/usr/bin/env bash
-# CI entry point: lint, tier-1 tests, a 2-worker Table-II run on one
-# dataset with the real surrogate bundle and its 1-worker resume from the
-# result cache, then the end-to-end benchmark's tests and a
-# correctness-only run of it.  Each Table-II run is gated by its own
-# telemetry: `cli report` exits 1 when a health rule of
-# repro.experiments.report.HEALTH_RULES fails.
+# CI entry point: tier-1 tests, a 2-worker Table-II run on one dataset
+# with the real surrogate bundle and its 1-worker resume from the result
+# cache, then the end-to-end benchmark's tests and a correctness-only run
+# of it.  Each Table-II run is gated by its own telemetry: `cli report`
+# exits 1 when a health rule of repro.experiments.report.HEALTH_RULES
+# fails.  Lint is separate: `make lint`, and the `lint` job of
+# .github/workflows/ci.yml, which this script's CI job waits for.
 #
 #   bash scripts/ci.sh          # or: make verify
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
-
-echo "== lint (ruff) =="
-if command -v ruff >/dev/null 2>&1; then
-    ruff check src tests
-else
-    echo "ruff not installed; skipping lint (CI installs it)"
-fi
 
 echo "== tier-1 tests =="
 python -m pytest -x -q

@@ -18,13 +18,14 @@ design:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
-from repro.circuits.ptanh import build_ptanh_netlist
+from repro.circuits.ptanh import VDD, ptanh_param_batch, ptanh_stamp_plan
 from repro.core.pnn import PrintedNeuralNetwork
-from repro.exporting.report import design_report
-from repro.spice.mna import ConvergenceError, solve_dc
+from repro.exporting.report import LayerReport, design_report
+from repro.spice.batch import solve_dc_batch
 
 #: Printed footprint of one passive component (mm²), order-of-magnitude per
 #: the paper's remark that component feature sizes are ~1 mm.
@@ -55,15 +56,20 @@ class DesignCost:
         )
 
 
-def _nonlinear_circuit_power(omega: np.ndarray, vin: float = 0.5) -> float:
-    """Static power of one nonlinear circuit at a mid-range input (W)."""
-    netlist = build_ptanh_netlist(omega, vin=vin)
-    try:
-        op = solve_dc(netlist)
-    except ConvergenceError:
-        return 0.0
-    # Power delivered by the supply rail.
-    return abs(op.source_currents["Vdd"]) * 1.0
+def layer_circuit_power(layer: LayerReport) -> Tuple[np.ndarray, float]:
+    """Static power (W) of a layer's activation circuits and of its negation circuit.
+
+    One batched DC solve covers every activation ω row and the first
+    negation ω, each at a mid-range input of 0.5 V; a circuit draws the
+    power its supply rail delivers, ``|I_Vdd| · VDD``.  A circuit whose
+    Newton iteration does not converge counts as 0 W.
+    """
+    omegas = np.concatenate([layer.activation_omega, layer.negation_omega[:1]])
+    plan = ptanh_stamp_plan()
+    solution = solve_dc_batch(plan, ptanh_param_batch(omegas, plan), vin_batch={"Vin": 0.5})
+    supply = np.abs(solution.source_currents[:, plan.source_index("Vdd")]) * VDD
+    power = np.where(solution.converged, supply, 0.0)
+    return power[:-1], power[-1]
 
 
 def _crossbar_power(resistances: np.ndarray, negated: np.ndarray) -> float:
@@ -103,19 +109,20 @@ def estimate_cost(pnn: PrintedNeuralNetwork) -> DesignCost:
 
         # One activation circuit per (shared or per-neuron) instance plus
         # the negative-weight instances; each has 2 EGTs and 5 resistors.
-        for omega in layer_report.activation_omega:
+        act_power, neg_power = layer_circuit_power(layer_report)
+        for omega, circuit_power in zip(layer_report.activation_omega, act_power):
             n_transistors += 2
             n_resistors += 5
             width_mm = omega[5] / 1000.0
             length_mm = omega[6] / 1000.0
             area += NONLINEAR_OVERHEAD_MM2 + 2 * width_mm * length_mm
-            power += _nonlinear_circuit_power(omega)
+            power += circuit_power
         for _ in range(int(negated_lines.sum())):
             omega = layer_report.negation_omega[0]
             n_transistors += 2
             n_resistors += 5
             area += NONLINEAR_OVERHEAD_MM2 + 2 * (omega[5] / 1000.0) * (omega[6] / 1000.0)
-            power += _nonlinear_circuit_power(omega)
+            power += neg_power
 
     return DesignCost(
         n_resistors=n_resistors,

@@ -2,7 +2,8 @@
 
 - :mod:`~repro.circuits.crossbar`: the resistor crossbar implementing the
   weighted sum of Eq. 1, both as an analytic model and as a netlist whose
-  solved output cross-checks the analytic expression.
+  solved output cross-checks the analytic expression — the tests' physics
+  reference for the pNN's crossbar kernel.
 - :mod:`~repro.circuits.ptanh`: the two-stage inverter circuit whose
   transfer curve is tanh-like (Eq. 2), parameterized by
   ω = [R1, R2, R3, R4, R5, W, L].

@@ -8,9 +8,11 @@ law gives
     V_z = Σ_i (g_i / G) V_i + (g_b / G) V_b,     G = Σ_i g_i + g_b + g_d
 
 which is the weighted sum (with bias) the pNN training treats as a linear
-layer.  This module provides both the analytic expression (used by the pNN
-forward pass) and a netlist builder so the analytic model can be verified
-against the circuit solver.
+layer.  This module provides both the analytic expression for one column
+and a netlist builder, so the tests can check Eq. 1 against the circuit
+solver and the pNN's vectorized crossbar
+(:func:`repro.core.grad_kernels.crossbar_fwd`) against both: it is the
+tests' physics reference, not part of the pNN forward pass.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.spice.batch import ConvergenceError
 from repro.spice.egt import EGTModel
-from repro.spice.mna import ConvergenceError
 from repro.spice.netlist import GROUND, Netlist
 from repro.spice.plan import ParamBatch, StampPlan, compile_netlist
 from repro.spice.sweep import dc_sweep_batch
@@ -189,7 +189,7 @@ def sweep_one_design(
     """Run a batched curve sweep on the single design ``omega``.
 
     Returns ``(V_in, curve)``; raises
-    :class:`~repro.spice.mna.ConvergenceError` when the lane fails.
+    :class:`~repro.spice.batch.ConvergenceError` when the lane fails.
     """
     omega = np.asarray(omega, dtype=np.float64)
     if omega.shape != (7,):

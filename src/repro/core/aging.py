@@ -108,7 +108,7 @@ class AgingModel(MultiplicativeModel):
                 1.0 - self.spread, 1.0 + self.spread, size=(n_mc, *shape)
             )
         else:
-            jitter = 1.0
+            jitter = np.ones((n_mc, *shape))
         return drift * jitter
 
     def at_time(self, time: float) -> "AgingModel":

@@ -40,7 +40,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Perturbation:
     """One sampled non-ideality draw over a ``(n_mc, *device_shape)`` block.
 
@@ -53,6 +53,9 @@ class Perturbation:
 
     ``shape``/``ndim``/``__getitem__`` proxy the leading axes of every
     field, so chunk slicing and lane compaction index a draw like an array.
+    Equality and hashing are by identity: a draw is one event, not a value,
+    so two draws with equal arrays stay distinct (compare fields with
+    ``np.array_equal`` to ask whether their values agree).
     """
 
     scale: np.ndarray

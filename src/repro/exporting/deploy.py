@@ -503,7 +503,7 @@ def _physical_estimates(tiled: TiledDesign) -> Tuple[float, float]:
     from repro.analysis.cost import (
         NONLINEAR_OVERHEAD_MM2,
         RESISTOR_AREA_MM2,
-        _nonlinear_circuit_power,
+        layer_circuit_power,
     )
 
     area = tiled.n_devices * RESISTOR_AREA_MM2
@@ -518,10 +518,10 @@ def _physical_estimates(tiled: TiledDesign) -> Tuple[float, float]:
         for j in range(n_act):
             omega = act_omegas[j % len(act_omegas)]
             area += NONLINEAR_OVERHEAD_MM2 + 2 * (omega[5] / 1000.0) * (omega[6] / 1000.0)
-        for omega in act_omegas:
-            power += _nonlinear_circuit_power(omega) * (n_act / len(act_omegas))
+        act_power, inv_power = layer_circuit_power(layer_report)
+        for circuit_power in act_power:
+            power += circuit_power * (n_act / len(act_omegas))
         neg_omega = layer_report.negation_omega[0]
-        inv_power = _nonlinear_circuit_power(neg_omega)
         area += layer.n_inverters * (
             NONLINEAR_OVERHEAD_MM2 + 2 * (neg_omega[5] / 1000.0) * (neg_omega[6] / 1000.0)
         )

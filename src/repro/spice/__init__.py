@@ -10,12 +10,11 @@ required subset from scratch:
 - :mod:`~repro.spice.egt` — a smooth compact model for printed
   electrolyte-gated transistors (synthetic pPDK, calibrated so that the
   two-inverter circuit of the paper produces tanh-like transfer curves).
-- :mod:`~repro.spice.mna` — modified nodal analysis with Newton-Raphson
-  iteration for the nonlinear devices, one operating point per call.
 - :mod:`~repro.spice.plan` — compiled stamp plans: a netlist lowered once
   into index arrays so hot loops never touch strings or dicts.
-- :mod:`~repro.spice.batch` — vectorized Newton-Raphson over ``(B, n, n)``
-  stacked MNA systems (bit-identical to the one-point solver per lane).
+- :mod:`~repro.spice.batch` — the DC solver: modified nodal analysis with
+  Newton-Raphson iteration for the nonlinear devices, vectorized over
+  ``(B, n, n)`` stacked systems (one netlist is a batch of one).
 - :mod:`~repro.spice.sweep` — warm-started DC sweeps of ``B`` lanes at
   once; every transfer curve in the reproduction comes from here.
 - :mod:`~repro.spice.validate` — connectivity checks (networkx based).
@@ -24,9 +23,8 @@ required subset from scratch:
 from repro.spice.netlist import Netlist
 from repro.spice.components import Resistor, VoltageSource, EGT
 from repro.spice.egt import EGTModel, id_gm_gds
-from repro.spice.mna import ConvergenceError, OperatingPoint, solve_dc
 from repro.spice.plan import ParamBatch, StampPlan, compile_netlist
-from repro.spice.batch import BatchOperatingPoint, solve_dc_batch
+from repro.spice.batch import BatchOperatingPoint, ConvergenceError, solve_dc_batch
 from repro.spice.sweep import dc_sweep_batch
 from repro.spice.validate import validate_netlist, NetlistError
 
@@ -38,8 +36,6 @@ __all__ = [
     "EGTModel",
     "id_gm_gds",
     "ConvergenceError",
-    "OperatingPoint",
-    "solve_dc",
     "StampPlan",
     "ParamBatch",
     "compile_netlist",

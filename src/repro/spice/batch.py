@@ -1,19 +1,26 @@
 """Vectorized Newton-Raphson: B independent DC operating points per solve.
 
-``solve_dc_batch`` stacks ``B`` operating points of one compiled
-:class:`~repro.spice.plan.StampPlan` into a ``(B, n, n)`` MNA system and
-runs all Newton iterations as array operations: one vectorized EGT
-companion-model evaluation, one stacked ``np.linalg.solve`` per iteration,
-per-lane damping, and per-lane convergence masks that remove converged
-lanes from the active set (so slow lanes never make fast lanes pay).
+``solve_dc_batch`` is the DC solver of :mod:`repro.spice`: every sweep,
+surrogate dataset, deploy verification and static-power estimate runs it.
+It stacks ``B`` operating points of one compiled
+:class:`~repro.spice.plan.StampPlan` into a ``(B, n, n)`` modified-nodal-
+analysis system and runs all Newton iterations as array operations: one
+vectorized EGT companion-model evaluation
 
-Every floating-point operation mirrors the scalar solver
-(:func:`repro.spice.mna.solve_dc`) in the same order — stamps accumulate
-device-by-device, the EGT model routes through the same numpy kernels —
-so a batched lane reproduces the scalar solution *bit for bit*, not just
-to tolerance.  A lane that exhausts ``max_iter`` is reported
-``converged=False``: the scalar solver, started from the same point with
-the same tolerance, damping and cap, would exhaust it too.
+    Id ≈ Id* + gm (Vgs − Vgs*) + gds (Vds − Vds*)
+
+per iteration, one stacked ``np.linalg.solve``, and per-lane convergence
+masks that remove converged lanes from the active set (so slow lanes
+never make fast lanes pay).  A ``GMIN`` conductance from every node to
+ground keeps the system well conditioned, and a per-iteration voltage
+step limit (``DAMPING``) keeps the iteration inside the model's smooth
+region.
+
+Stamps accumulate device by device in netlist insertion order, and every
+batched operation is gather invariant, so a lane's solution does not
+depend on its batch mates.  Lanes must reproduce the recorded one-point
+solutions in ``tests/spice/golden/scalar_solver_reference.json`` bit for
+bit.
 """
 
 from __future__ import annotations
@@ -25,9 +32,21 @@ import numpy as np
 
 from repro import telemetry
 from repro.spice.egt import id_gm_gds
-from repro.spice.mna import ConvergenceError, OperatingPoint
 from repro.spice.netlist import GROUND
 from repro.spice.plan import ParamBatch, StampPlan
+
+#: Conductance from every node to ground (S).
+GMIN = 1e-12
+
+#: Convergence threshold on a lane's max node-voltage update (V).
+TOL = 1e-10
+
+#: Largest per-iteration node-voltage step (V).
+DAMPING = 0.5
+
+
+class ConvergenceError(RuntimeError):
+    """Raised when a design's Newton-Raphson iteration does not converge."""
 
 
 @dataclass
@@ -35,9 +54,8 @@ class BatchOperatingPoint:
     """DC solutions of ``B`` lanes sharing one stamp plan.
 
     ``converged`` marks lanes whose Newton iteration finished within
-    ``max_iter`` (scalar-equivalent lanes would have raised
-    :class:`ConvergenceError` where it is ``False``); their ``voltages``
-    rows are NaN.
+    ``max_iter`` with a solvable system; where it is ``False`` the
+    ``voltages`` and ``source_currents`` rows are NaN.
     """
 
     plan: StampPlan
@@ -54,22 +72,6 @@ class BatchOperatingPoint:
         if node == GROUND:
             return np.zeros(len(self), dtype=np.float64)
         return self.voltages[:, self.plan.node_index(node)]
-
-    def operating_point(self, lane: int) -> OperatingPoint:
-        """Bridge one lane to the scalar :class:`OperatingPoint` API."""
-        if not self.converged[lane]:
-            raise ConvergenceError(f"lane {lane} did not converge")
-        return OperatingPoint(
-            voltages={
-                name: float(self.voltages[lane, i])
-                for i, name in enumerate(self.plan.nodes)
-            },
-            source_currents={
-                name: float(self.source_currents[lane, k])
-                for k, name in enumerate(self.plan.source_names)
-            },
-            iterations=int(self.iterations[lane]),
-        )
 
 
 def _infer_batch_size(
@@ -107,13 +109,13 @@ def _assemble_base(
     conductances: np.ndarray,
     source_voltages: np.ndarray,
 ):
-    """Constant (linear) stamps for every lane, in scalar stamp order."""
+    """Constant (linear) stamps for every lane, in netlist device order."""
     n_nodes, size = plan.n_nodes, plan.size
     base_matrix = np.zeros((batch, size, size))
     base_rhs = np.zeros((batch, size))
 
     diag = np.arange(n_nodes)
-    base_matrix[:, diag, diag] += plan.gmin
+    base_matrix[:, diag, diag] += GMIN
 
     for j in range(plan.n_resistors):
         g = conductances[:, j]
@@ -166,9 +168,7 @@ def solve_dc_batch(
     param_batch: Optional[ParamBatch] = None,
     vin_batch: Optional[Mapping[str, Union[float, np.ndarray]]] = None,
     initial: Optional[np.ndarray] = None,
-    tol: float = 1e-10,
     max_iter: int = 200,
-    damping: float = 0.5,
     batch_size: Optional[int] = None,
 ) -> BatchOperatingPoint:
     """Solve ``B`` DC operating points of ``plan`` in lockstep.
@@ -180,10 +180,13 @@ def solve_dc_batch(
     vin_batch:
         Per-lane voltage-source overrides, ``{source_name: (B,) or float}``.
     initial:
-        Optional ``(B, n_nodes)`` warm-start voltages (used by sweeps).
-    tol / max_iter / damping:
-        As in :func:`~repro.spice.mna.solve_dc`; ``damping`` may also be a
-        ``(B,)`` array for per-lane step limits.
+        Optional ``(B, n_nodes)`` warm-start voltages (used by sweeps);
+        every node starts at 0.5 V without it.
+    max_iter:
+        Newton iteration limit; a lane still moving by ``TOL`` or more
+        after it is reported ``converged=False``.
+    batch_size:
+        ``B`` when no other argument carries it.
     """
     batch = _infer_batch_size(plan, param_batch, vin_batch, initial, batch_size)
     n_nodes, n_sources = plan.n_nodes, plan.n_sources
@@ -223,7 +226,7 @@ def solve_dc_batch(
             raise ValueError(f"lengths must have shape {(batch, n_egt)}")
     if n_egt and (np.any(widths <= 0) or np.any(lengths <= 0)):
         raise ValueError("transistor dimensions must be positive")
-    # beta = k' * W / L, the same expression the scalar model evaluates.
+    # beta = k' * W / L per device.
     betas = np.broadcast_to(
         plan.egt_k_prime * widths / lengths, (batch, n_egt)
     ) if n_egt else np.zeros((batch, 0))
@@ -244,9 +247,6 @@ def solve_dc_batch(
     else:
         voltages = np.full((batch, n_nodes), 0.5)
 
-    damping = np.asarray(damping, dtype=np.float64)
-    lane_damping = np.broadcast_to(damping, (batch,))[:, None]
-
     # EGT terminal gather indices into a ground-padded voltage array.
     d_pad = np.where(plan.egt_d >= 0, plan.egt_d, n_nodes)
     g_pad = np.where(plan.egt_g >= 0, plan.egt_g, n_nodes)
@@ -261,7 +261,7 @@ def solve_dc_batch(
     # --- Newton iteration over the shrinking active set ----------------- #
     active = np.arange(batch)
     act_base, act_rhs, act_v = base_matrix, base_rhs, voltages
-    act_betas, act_damping = betas, lane_damping
+    act_betas = betas
     if n_nodes == 0:
         # Degenerate source-only systems converge in a single linear solve.
         solution, ok = _solve_lanes(act_base, act_rhs)
@@ -313,7 +313,7 @@ def solve_dc_batch(
 
         solution, solvable = _solve_lanes(matrix, rhs)
         if not solvable.all():
-            # Singular lanes mirror the scalar ConvergenceError; drop them.
+            # A singular lane cannot take a Newton step; it fails here.
             if trace:
                 n_singular += int(np.sum(~solvable))
             failed = active[~solvable]
@@ -321,21 +321,21 @@ def solve_dc_batch(
             keep = solvable
             active = active[keep]
             act_base, act_rhs, act_v = act_base[keep], act_rhs[keep], act_v[keep]
-            act_betas, act_damping = act_betas[keep], act_damping[keep]
+            act_betas = act_betas[keep]
             solution = solution[keep]
             if not len(active):
                 break
 
         new_voltages = solution[:, :n_nodes]
         delta = new_voltages - act_v
-        step = np.clip(delta, -act_damping, act_damping)
+        step = np.clip(delta, -DAMPING, DAMPING)
         if trace:
             # Lanes whose Newton step got clipped by the damping limit.
             n_damped_steps += int(
-                np.sum(np.any(np.abs(delta) > act_damping, axis=1))
+                np.sum(np.any(np.abs(delta) > DAMPING, axis=1))
             )
         act_v = act_v + step
-        done = np.max(np.abs(delta), axis=1) < tol
+        done = np.max(np.abs(delta), axis=1) < TOL
 
         if done.any():
             lanes = active[done]
@@ -346,7 +346,7 @@ def solve_dc_batch(
             keep = ~done
             active = active[keep]
             act_base, act_rhs, act_v = act_base[keep], act_rhs[keep], act_v[keep]
-            act_betas, act_damping = act_betas[keep], act_damping[keep]
+            act_betas = act_betas[keep]
 
     if trace:
         tel.event(

@@ -1,4 +1,4 @@
-"""Circuit devices understood by the MNA solver."""
+"""Circuit devices understood by the DC solver."""
 
 from __future__ import annotations
 
@@ -19,10 +19,6 @@ class Resistor:
     def __post_init__(self):
         if self.resistance <= 0:
             raise ValueError(f"resistor {self.name}: resistance must be positive")
-
-    @property
-    def conductance(self) -> float:
-        return 1.0 / self.resistance
 
 
 @dataclass

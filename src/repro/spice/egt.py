@@ -22,10 +22,10 @@ drain and source.  All constants are chosen so that the inverter stages of
 the ptanh circuit switch within the 0–1 V input range across the whole
 Table-I design space.
 
-The evaluation is array-in/array-out (:func:`id_gm_gds`): the batched DC
-engine stamps whole ``(lanes, devices)`` blocks per Newton iteration, and
-the scalar solver routes through the same numpy kernels so both paths
-produce bit-identical companion models.
+The evaluation is array-in/array-out (:func:`id_gm_gds`): the DC solver
+(:func:`repro.spice.batch.solve_dc_batch`) stamps whole ``(lanes,
+devices)`` blocks per Newton iteration.  :class:`EGTModel` only carries
+the parameter set.
 """
 
 from __future__ import annotations
@@ -46,11 +46,11 @@ def id_gm_gds(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized drain current and small-signal derivatives.
 
-    All voltage/β inputs broadcast together; the returned ``(id, gm, gds)``
-    arrays share the broadcast shape.  ``vds < 0`` elements are treated
-    symmetrically (drain and source exchanged), exactly like the scalar
-    :meth:`EGTModel.ids` — which delegates here, so scalar and batched
-    solves agree to the last bit.
+    ``beta`` is the device transconductance factor ``k' * W / L``.  All
+    voltage/β inputs broadcast together; the returned ``(id, gm, gds)`` —
+    drain-to-source current (A), ``dId/dVgs`` and ``dId/dVds`` (S) — share
+    the broadcast shape.  ``vds < 0`` elements are treated symmetrically
+    (drain and source exchanged).
     """
     vgs = np.asarray(vgs, dtype=np.float64)
     vds = np.asarray(vds, dtype=np.float64)
@@ -116,33 +116,3 @@ class EGTModel:
     v_threshold: float = 0.03
     phi: float = 0.06
     channel_lambda: float = 0.05
-
-    def beta(self, width: float, length: float) -> float:
-        """Device transconductance factor ``k' * W / L``."""
-        if width <= 0 or length <= 0:
-            raise ValueError("transistor dimensions must be positive")
-        return self.k_prime * width / length
-
-    def id_gm_gds(
-        self, vgs: np.ndarray, vds: np.ndarray, beta: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Array-in/array-out evaluation at this model's parameters."""
-        return id_gm_gds(
-            vgs, vds, beta, self.v_threshold, self.phi, self.channel_lambda
-        )
-
-    def ids(
-        self, vgs: float, vds: float, width: float, length: float
-    ) -> Tuple[float, float, float]:
-        """Drain current and small-signal derivatives at a bias point.
-
-        Returns
-        -------
-        (id, gm, gds):
-            Drain-to-source current (A), transconductance ``dId/dVgs`` (S)
-            and output conductance ``dId/dVds`` (S).  For ``vds < 0`` the
-            device is treated symmetrically (drain and source exchanged).
-        """
-        beta = self.beta(width, length)
-        current, gm, gds = self.id_gm_gds(vgs, vds, beta)
-        return float(current), float(gm), float(gds)

@@ -1,13 +1,11 @@
 """Compiled stamp plans: a ``Netlist`` lowered to index arrays.
 
-The scalar solver re-derives node indices, string-keyed dictionaries and a
-fresh device walk on every DC solve.  For the surrogate pipeline — hundreds
-of thousands of solves over the *same topology* with different element
-values — that bookkeeping dominates.  :func:`compile_netlist` performs it
-once: the netlist is lowered into flat integer index arrays (resistor node
-pairs, voltage-source rows, EGT terminal triples) plus template element
-values, so the batched Newton-Raphson loop (:mod:`repro.spice.batch`)
-never touches a string or a dict.
+The surrogate pipeline runs hundreds of thousands of DC solves over the
+*same topology* with different element values.  :func:`compile_netlist`
+resolves the topology once: the netlist is lowered into flat integer index
+arrays (resistor node pairs, voltage-source rows, EGT terminal triples)
+plus template element values, so the batched Newton-Raphson loop
+(:mod:`repro.spice.batch`) never touches a string or a dict.
 
 A :class:`ParamBatch` carries per-lane element overrides (resistances and
 EGT geometries) for ``B`` independent operating points sharing the plan's
@@ -33,14 +31,12 @@ class StampPlan:
     """A ``Netlist`` lowered to index arrays for the batched solver.
 
     Node indices follow ``Netlist.nodes()`` order; ``-1`` marks ground.
-    Device columns follow netlist insertion order, so the batched stamps
-    accumulate matrix entries in exactly the scalar solver's order (which
-    keeps the two paths bit-identical).
+    Device columns follow netlist insertion order, and the batched stamps
+    accumulate matrix entries in that order.
     """
 
     title: str
     nodes: Tuple[str, ...]
-    gmin: float
 
     # resistors: node pair + template conductance-defining resistance
     resistor_names: Tuple[str, ...]
@@ -156,11 +152,12 @@ class ParamBatch:
         )
 
 
-def compile_netlist(netlist: Netlist, gmin: float = 1e-12) -> StampPlan:
+def compile_netlist(netlist: Netlist) -> StampPlan:
     """Validate ``netlist`` and lower it into a :class:`StampPlan`.
 
-    Node and element names become index arrays.  ``gmin`` is baked into the plan because it is part of the constant
-    linear stamps; use the same value as any ``solve_dc`` it must match.
+    Node and element names become index arrays.  Raises
+    :class:`~repro.spice.validate.NetlistError` when the netlist cannot be
+    solved.
     """
     validate_netlist(netlist)
 
@@ -181,7 +178,6 @@ def compile_netlist(netlist: Netlist, gmin: float = 1e-12) -> StampPlan:
     return StampPlan(
         title=netlist.title,
         nodes=nodes,
-        gmin=float(gmin),
         resistor_names=tuple(r.name for r in netlist.resistors),
         res_a=res_a,
         res_b=res_b,

@@ -18,16 +18,14 @@ def dc_sweep_batch(
     values: Iterable[float],
     output_node: Optional[str] = None,
     batch_size: Optional[int] = None,
-    **solver_kwargs,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sweep one voltage source across ``B`` lanes simultaneously.
 
     All lanes advance through the sweep in lockstep; each sweep column is
     warm-started from the previous column's solutions, which makes the
     sweep both faster and more robust near high-gain transitions.  Lanes
-    whose Newton iteration fails at some column (where
-    :func:`~repro.spice.mna.solve_dc` would raise
-    :class:`~repro.spice.mna.ConvergenceError`) are dropped from the
+    whose Newton iteration fails at some column (``converged=False`` in
+    :func:`~repro.spice.batch.solve_dc_batch`) are dropped from the
     remaining columns and reported in the returned mask.
 
     Returns
@@ -62,7 +60,6 @@ def dc_sweep_batch(
             vin_batch={source_name: value},
             initial=warm,
             batch_size=len(active),
-            **solver_kwargs,
         )
         good = solution.converged
         if not good.all():

@@ -11,6 +11,7 @@ from repro.analysis import (
 from repro.analysis.sensitivity import _SelectiveVariation, format_sensitivity
 from repro.core import PrintedNeuralNetwork, TrainConfig, VariationModel, train_pnn
 from repro.core.kernels import sample_layer_epsilons
+from repro.exporting import deploy_report, design_report
 from repro.surrogate import AnalyticSurrogate
 
 #: ``variation_attribution`` per group as (mean, std) ``float.hex`` on the
@@ -62,8 +63,6 @@ def pnn():
 
 class TestCost:
     def test_counts_consistent_with_report(self, pnn):
-        from repro.exporting import design_report
-
         cost = estimate_cost(pnn)
         report = design_report(pnn)
         # Crossbar resistors plus 5 per nonlinear circuit instance.
@@ -85,6 +84,47 @@ class TestCost:
     def test_summary_readable(self, pnn):
         text = estimate_cost(pnn).summary()
         assert "mm²" in text and "µW" in text
+
+
+class TestRecordedStaticPower:
+    """Power and area equal the one-point-solver recordings bit for bit.
+
+    Each layer's circuits are one batched DC solve; the recipe is in the
+    docstring of ``tests/spice/test_plan_batch.py`` (``cost/...``).
+    """
+
+    @staticmethod
+    def design(name):
+        surrogates = (AnalyticSurrogate("ptanh"), AnalyticSurrogate("negweight"))
+        if name == "shared":
+            return PrintedNeuralNetwork([3, 3, 2], surrogates, rng=np.random.default_rng(0))
+        return PrintedNeuralNetwork(
+            [6, 3, 4], surrogates, per_neuron_activation=True, rng=np.random.default_rng(1)
+        )
+
+    @pytest.mark.parametrize("name", ["shared", "per_neuron"])
+    def test_matches_recording(self, name, scalar_solver_reference):
+        pnn = self.design(name)
+        cost = estimate_cost(pnn)
+        report = deploy_report(pnn, verify=False)
+        assert cost.n_negweight_circuits > 0   # negation power is counted too
+        for call, result in (("estimate_cost", cost), ("deploy_report", report)):
+            for field in ("static_power_uw", "area_mm2"):
+                recorded = scalar_solver_reference[f"cost/{name}/{call}/{field}"]
+                assert getattr(result, field) == float(recorded), (call, field)
+
+    def test_unconverged_circuit_draws_no_power(self, pnn, monkeypatch):
+        """A circuit whose Newton iteration fails counts as 0 W."""
+        from repro.analysis import cost as cost_module
+        from repro.spice import solve_dc_batch
+
+        def capped(*args, **kwargs):
+            return solve_dc_batch(*args, max_iter=1, **kwargs)
+
+        monkeypatch.setattr(cost_module, "solve_dc_batch", capped)
+        report = design_report(pnn)
+        act_power, neg_power = cost_module.layer_circuit_power(report.layers[0])
+        assert np.all(act_power == 0.0) and neg_power == 0.0
 
 
 class TestEtaSensitivity:

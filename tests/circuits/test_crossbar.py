@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuits import CrossbarColumn, crossbar_netlist, crossbar_output
-from repro.spice import solve_dc
 
 
 def column(gs, gb=1e-5, gd=1e-5, vb=1.0):
@@ -51,13 +50,13 @@ class TestAgainstSolver:
         gd=st.floats(1e-6, 1e-4),
     )
     @settings(max_examples=40, deadline=None)
-    def test_analytic_matches_netlist(self, gs, voltages_seed, gb, gd):
+    def test_analytic_matches_netlist(self, solve_one, gs, voltages_seed, gb, gd):
         rng = np.random.default_rng(voltages_seed)
         voltages = rng.uniform(0.0, 1.0, size=len(gs))
         col = column(gs, gb=gb, gd=gd)
         predicted = crossbar_output(col, voltages)
         netlist = crossbar_netlist(col, voltages)
-        solved = solve_dc(netlist).voltage("vz")
+        solved = solve_one(netlist).voltage("vz")[0]
         assert solved == pytest.approx(predicted, abs=1e-6)
 
     def test_zero_conductance_not_printed(self):
@@ -66,8 +65,8 @@ class TestAgainstSolver:
         names = [r.name for r in netlist.resistors]
         assert "Rc1" not in names and "Rc0" in names
 
-    def test_netlist_output_with_zero_branch_matches(self):
+    def test_netlist_output_with_zero_branch_matches(self, solve_one):
         col = column([1e-5, 0.0], gb=1e-5, gd=1e-5)
         predicted = crossbar_output(col, [0.5, 0.9])
-        solved = solve_dc(crossbar_netlist(col, [0.5, 0.9])).voltage("vz")
+        solved = solve_one(crossbar_netlist(col, [0.5, 0.9])).voltage("vz")[0]
         assert solved == pytest.approx(predicted, abs=1e-6)

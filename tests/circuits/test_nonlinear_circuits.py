@@ -9,7 +9,6 @@ from repro.circuits import (
     simulate_negweight_curve,
     simulate_ptanh_curve,
 )
-from repro.spice import solve_dc
 from repro.surrogate.sampling import sample_design_points
 
 #: A mid-range, expressive design point used across these tests.
@@ -46,9 +45,9 @@ class TestNetlistStructure:
         with pytest.raises(ValueError):
             build_ptanh_netlist(bad)
 
-    def test_solvable_at_operating_point(self):
-        op = solve_dc(build_ptanh_netlist(OMEGA, vin=0.5))
-        assert 0.0 <= op.voltage(PTANH_NODES["output"]) <= 1.0
+    def test_solvable_at_operating_point(self, solve_one):
+        op = solve_one(build_ptanh_netlist(OMEGA, vin=0.5))
+        assert 0.0 <= op.voltage(PTANH_NODES["output"])[0] <= 1.0
 
 
 class TestTransferCurves:

@@ -7,12 +7,15 @@ exercising the genuine pipeline.
 
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
+from repro.spice import compile_netlist, solve_dc_batch
 from repro.surrogate.analytic import AnalyticSurrogate
 from repro.surrogate.dataset_builder import build_surrogate_dataset
 from repro.surrogate.model import TINY_LAYER_WIDTHS
@@ -64,16 +67,72 @@ def pnn_state():
     return recorded_state
 
 
+class _Callers(ast.NodeVisitor):
+    """Qualified names of the functions that call ``name``."""
+
+    def __init__(self, module: str, name: str):
+        self.scope = [module]
+        self.name = name
+        self.found = set()
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _enter
+
+    def visit_Call(self, node):
+        func = node.func
+        called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if called == self.name:
+            self.found.add(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def package_callers(name):
+    """Every function under ``src/repro`` that calls ``name``, parsed, not imported."""
+    root = Path(repro.__file__).parent
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root).with_suffix("").parts
+        module = ".".join(("repro",) + (parts[:-1] if parts[-1] == "__init__" else parts))
+        visitor = _Callers(module, name)
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        found |= visitor.found
+    return found
+
+
 @pytest.fixture(scope="session")
-def characterization_reference():
-    """Recorded characterization values, keyed as in the golden file.
+def callers():
+    """The :func:`package_callers` helper, for one-implementation guards."""
+    return package_callers
+
+
+def solve_netlist(netlist, initial=None):
+    """One netlist's DC operating point: a one-lane ``solve_dc_batch``.
+
+    Asserts that the lane converged; read values as ``op.voltage(node)[0]``.
+    """
+    solution = solve_dc_batch(compile_netlist(netlist), initial=initial, batch_size=1)
+    assert solution.converged[0], "the DC solve did not converge"
+    return solution
+
+
+@pytest.fixture(scope="session")
+def solve_one():
+    """The :func:`solve_netlist` helper, for single-netlist checks."""
+    return solve_netlist
+
+
+def load_hex_golden(relative_path):
+    """A golden JSON file under ``tests/``, keyed as stored.
 
     Array entries are stored as ``float.hex`` with their shape and decode
-    to float64 arrays; other entries (build stats, sha256 digests) are
-    returned as stored.  The recipe for every entry is in the docstring
-    of ``tests/surrogate/test_characterization_reference.py``.
+    to float64 arrays; other entries (counts, flags, sha256 digests) are
+    returned as stored.
     """
-    path = Path(__file__).parent / "surrogate" / "golden" / "characterization_reference.json"
+    path = Path(__file__).parent / relative_path
     decoded = {}
     for key, value in json.loads(path.read_text()).items():
         if isinstance(value, dict) and "hex" in value:
@@ -81,6 +140,26 @@ def characterization_reference():
             value = flat.reshape(value["shape"])
         decoded[key] = value
     return decoded
+
+
+@pytest.fixture(scope="session")
+def characterization_reference():
+    """Recorded characterization values (:func:`load_hex_golden`).
+
+    The recipe for every entry is in the docstring of
+    ``tests/surrogate/test_characterization_reference.py``.
+    """
+    return load_hex_golden("surrogate/golden/characterization_reference.json")
+
+
+@pytest.fixture(scope="session")
+def scalar_solver_reference():
+    """Recorded one-point DC solver outputs (:func:`load_hex_golden`).
+
+    The recipe for every entry is in the docstring of
+    ``tests/spice/test_plan_batch.py``.
+    """
+    return load_hex_golden("spice/golden/scalar_solver_reference.json")
 
 
 @pytest.fixture(scope="session")

@@ -40,6 +40,28 @@ class TestAgingModel:
         assert np.all(sample >= worst - 1e-12)
         assert np.all(sample <= 1.02 + 1e-12)
 
+    def test_drift_only_sample_has_full_shape(self):
+        """``spread=0`` still draws ``(n_mc, *shape)``, and no extra RNG call."""
+        model = AgingModel(drift_rate=0.2, spread=0.0, seed=3)
+        sample = model.sample(3, (4, 2))
+        assert sample.shape == (3, 4, 2)
+        reference = np.random.default_rng(3)
+        times = reference.uniform(0.0, model.time_horizon, size=3)
+        assert np.array_equal(
+            sample, np.broadcast_to(model.decay_factor(times)[:, None, None], (3, 4, 2))
+        )
+        assert model.rng.bit_generator.state == reference.bit_generator.state
+
+    def test_drift_only_model_drives_a_forward(self):
+        from repro.core import kernels
+
+        params = make_pnn().snapshot()
+        x = np.random.default_rng(0).uniform(size=(5, 2))
+        out = kernels.network_forward(
+            params, x, variation=AgingModel(drift_rate=0.2, spread=0.0, seed=0), n_mc=3
+        )
+        assert out.shape == (3, 5, 2)
+
     def test_fixed_time_removes_age_randomness(self):
         model = AgingModel(drift_rate=0.1, spread=0.0, fixed_time=0.5, seed=0)
         sample = model.sample(5, (3,))

@@ -53,6 +53,13 @@ class TestPerturbation:
         p = Perturbation(np.ones((4, 2)))[:2]
         assert p.override_mask is None and p.override_value is None
 
+    def test_equality_and_hash_are_identity(self):
+        """Two draws with equal arrays are distinct events; no array truth test."""
+        first, second = Perturbation(np.ones(2)), Perturbation(np.ones(2))
+        assert first != second
+        assert first == first
+        assert {first: "a", second: "b"}[first] == "a"
+
 
 def every_model():
     """Each scenario at ϵ = 5 %, aging alone and composed, and the

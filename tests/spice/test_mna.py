@@ -1,4 +1,9 @@
-"""MNA solver: analytic linear circuits and nonlinear operating points."""
+"""MNA solver: analytic linear circuits and nonlinear operating points.
+
+Each netlist is solved as a one-lane ``solve_dc_batch`` (the ``solve_one``
+fixture); the validation cases go through ``compile_netlist``, which
+validates every netlist the solver sees.
+"""
 
 import numpy as np
 import pytest
@@ -9,38 +14,39 @@ from repro.spice import (
     NetlistError,
     compile_netlist,
     dc_sweep_batch,
-    solve_dc,
+    id_gm_gds,
 )
 
 
 class TestLinearCircuits:
-    def test_voltage_divider(self):
+    def test_voltage_divider(self, solve_one):
         netlist = Netlist("divider")
         netlist.add_voltage_source("V1", "in", "0", 1.0)
         netlist.add_resistor("R1", "in", "mid", 3000.0)
         netlist.add_resistor("R2", "mid", "0", 1000.0)
-        op = solve_dc(netlist)
-        assert op.voltage("mid") == pytest.approx(0.25, rel=1e-9)
+        op = solve_one(netlist)
+        assert op.voltage("mid")[0] == pytest.approx(0.25, rel=1e-9)
 
-    def test_source_current(self):
+    def test_source_current(self, solve_one):
         netlist = Netlist()
         netlist.add_voltage_source("V1", "a", "0", 2.0)
         netlist.add_resistor("R1", "a", "0", 1000.0)
-        op = solve_dc(netlist)
+        op = solve_one(netlist)
         # The MNA current flows from + through the source; magnitude 2 mA.
-        assert abs(op.source_currents["V1"]) == pytest.approx(2e-3, rel=1e-9)
+        current = op.source_currents[0, op.plan.source_index("V1")]
+        assert abs(current) == pytest.approx(2e-3, rel=1e-9)
 
-    def test_superposition_two_sources(self):
+    def test_superposition_two_sources(self, solve_one):
         netlist = Netlist()
         netlist.add_voltage_source("Va", "a", "0", 1.0)
         netlist.add_voltage_source("Vb", "b", "0", 2.0)
         netlist.add_resistor("R1", "a", "out", 1000.0)
         netlist.add_resistor("R2", "b", "out", 1000.0)
         netlist.add_resistor("R3", "out", "0", 1000.0)
-        op = solve_dc(netlist)
-        assert op.voltage("out") == pytest.approx(1.0, rel=1e-9)
+        op = solve_one(netlist)
+        assert op.voltage("out")[0] == pytest.approx(1.0, rel=1e-9)
 
-    def test_wheatstone_bridge_balanced(self):
+    def test_wheatstone_bridge_balanced(self, solve_one):
         netlist = Netlist("bridge")
         netlist.add_voltage_source("V1", "top", "0", 1.0)
         for name, a, b in (
@@ -49,14 +55,14 @@ class TestLinearCircuits:
         ):
             netlist.add_resistor(name, a, b, 1000.0)
         netlist.add_resistor("Rg", "left", "right", 500.0)
-        op = solve_dc(netlist)
-        assert op.voltage("left") == pytest.approx(op.voltage("right"), abs=1e-9)
+        op = solve_one(netlist)
+        assert op.voltage("left")[0] == pytest.approx(op.voltage("right")[0], abs=1e-9)
 
-    def test_ground_voltage_is_zero(self):
+    def test_ground_voltage_is_zero(self, solve_one):
         netlist = Netlist()
         netlist.add_voltage_source("V1", "a", "0", 1.0)
         netlist.add_resistor("R1", "a", "0", 100.0)
-        assert solve_dc(netlist).voltage("0") == 0.0
+        assert solve_one(netlist).voltage("0")[0] == 0.0
 
 
 class TestNonlinearCircuits:
@@ -68,28 +74,32 @@ class TestNonlinearCircuits:
         netlist.add_egt("T1", "d", "g", "0", 500, 30, EGTModel())
         return netlist
 
-    def test_inverter_inverts(self):
-        low = solve_dc(self._inverter(0.0)).voltage("d")
-        high = solve_dc(self._inverter(1.0)).voltage("d")
+    def test_inverter_inverts(self, solve_one):
+        low = solve_one(self._inverter(0.0)).voltage("d")[0]
+        high = solve_one(self._inverter(1.0)).voltage("d")[0]
         assert low > 0.9
         assert high < 0.3
         assert low > high
 
-    def test_kcl_at_drain(self):
+    def test_kcl_at_drain(self, solve_one):
         """Resistor current must equal transistor current at the drain."""
         netlist = self._inverter(0.6)
-        op = solve_dc(netlist)
-        vd = op.voltage("d")
+        op = solve_one(netlist)
+        vd = op.voltage("d")[0]
         resistor_current = (1.0 - vd) / 100e3
         egt = netlist.transistors[0]
-        device_current, _, _ = egt.model.ids(0.6, vd, egt.width, egt.length)
-        assert resistor_current == pytest.approx(device_current, rel=1e-5)
+        model = egt.model
+        device_current, _, _ = id_gm_gds(
+            0.6, vd, model.k_prime * egt.width / egt.length,
+            model.v_threshold, model.phi, model.channel_lambda,
+        )
+        assert resistor_current == pytest.approx(float(device_current), rel=1e-5)
 
-    def test_warm_start_converges_faster(self):
+    def test_warm_start_converges_faster(self, solve_one):
         netlist = self._inverter(0.55)
-        cold = solve_dc(netlist)
-        warm = solve_dc(netlist, initial=cold.voltages)
-        assert warm.iterations <= cold.iterations
+        cold = solve_one(netlist)
+        warm = solve_one(netlist, initial=cold.voltages)
+        assert warm.iterations[0] <= cold.iterations[0]
 
     def test_sweep_monotone_falling(self):
         plan = compile_netlist(self._inverter(0.0))
@@ -103,7 +113,7 @@ class TestNonlinearCircuits:
 class TestValidation:
     def test_empty_netlist_rejected(self):
         with pytest.raises(NetlistError):
-            solve_dc(Netlist())
+            compile_netlist(Netlist())
 
     def test_floating_node_rejected(self):
         netlist = Netlist()
@@ -111,14 +121,14 @@ class TestValidation:
         netlist.add_resistor("R1", "a", "0", 100.0)
         netlist.add_resistor("R2", "x", "y", 100.0)   # island
         with pytest.raises(NetlistError, match="not connected"):
-            solve_dc(netlist)
+            compile_netlist(netlist)
 
     def test_no_ground_rejected(self):
         netlist = Netlist()
         netlist.add_voltage_source("V1", "a", "b", 1.0)
         netlist.add_resistor("R1", "a", "b", 100.0)
         with pytest.raises(NetlistError):
-            solve_dc(netlist)
+            compile_netlist(netlist)
 
     def test_duplicate_device_name_rejected(self):
         netlist = Netlist()

@@ -1,27 +1,58 @@
 """Compiled stamp plans and the batched Newton-Raphson solver.
 
-The batched path must be a drop-in replacement for the scalar solver: the
-acceptance bar is agreement to 1e-9 V across a QMC sample of the Table-I
-design space, and the implementation actually achieves bitwise equality
-(same float ops in the same order), which is asserted where it matters.
+``solve_dc_batch`` is the only DC solver.  It replaced a one-point solver
+(one netlist per call, the same float ops in the same order) that it
+matched bit for bit.  That solver's outputs were recorded as ``float.hex``
+in ``golden/scalar_solver_reference.json`` before it was deleted, and the
+tests compare the batched lanes against them exactly.
+
+Recipe, run on the one-point solver (``solve_dc(netlist)``: gmin 1e-12 S,
+tolerance 1e-10 V, damping 0.5 V, ``max_iter=200``, every node starting
+at 0.5 V unless warm-started) on ``build_ptanh_netlist(omega, vin)``,
+with node voltages in ``ptanh_stamp_plan().nodes`` order (``nodes``) and
+source currents in its ``source_names`` order (``source_names``):
+
+- ``qmc24/voltages``: the node voltages of the 24 designs
+  ``sample_design_points(24, seed=11)`` at ``vin=0``.
+- ``qmc8/{voltages,source_currents,iterations}``: the 8 designs
+  ``sample_design_points(8, seed=5)`` at ``vin=0``.
+- ``vin/output``: the ``out`` voltage at ``OMEGA`` for ``vin`` in
+  ``np.linspace(0, 1, 5)``.
+- ``warm/{cold_iterations,warm_iterations,voltages}``: at ``OMEGA`` and
+  ``vin=0``, the cold solve's iteration count, then the iteration count
+  and node voltages of a solve warm-started from the cold voltages.
+- ``capped/{cap,converged,voltages}``: the 12 designs
+  ``sample_design_points(12, seed=2)`` solved with ``max_iter=cap``;
+  ``cap`` is ``(min + max) // 2`` of their uncapped iteration counts,
+  ``converged`` is False where the solve raised ``ConvergenceError``, and
+  ``voltages`` holds the converged designs' rows in order.
+- ``template/voltages``: ``_TEMPLATE_OMEGA`` at ``vin=0``.
+- ``cost/<design>/<call>/{static_power_uw,area_mm2}``: ``estimate_cost(pnn)``
+  and ``deploy_report(pnn, verify=False)`` when every nonlinear circuit's
+  static power was one one-point solve at ``vin=0.5``, for ``shared =
+  PrintedNeuralNetwork([3, 3, 2], ANALYTIC, rng=np.random.default_rng(0))``
+  and ``per_neuron = PrintedNeuralNetwork([6, 3, 4], ANALYTIC,
+  per_neuron_activation=True, rng=np.random.default_rng(1))``, where
+  ``ANALYTIC = (AnalyticSurrogate("ptanh"), AnalyticSurrogate("negweight"))``.
+  Checked in ``tests/analysis/test_cost_sensitivity.py``.
+
+Do not loosen these comparisons: a failure means the solver changed its
+arithmetic.
 """
 
 import numpy as np
 import pytest
 
 from repro.circuits.ptanh import (
-    _TEMPLATE_OMEGA,
     PTANH_NODES,
     build_ptanh_netlist,
     ptanh_param_batch,
     ptanh_stamp_plan,
 )
 from repro.spice import (
-    ConvergenceError,
     Netlist,
     ParamBatch,
     compile_netlist,
-    solve_dc,
     solve_dc_batch,
 )
 from repro.spice.egt import EGTModel, id_gm_gds
@@ -90,26 +121,7 @@ class TestParamBatch:
 
 
 class TestVectorizedEGTModel:
-    """The numpy kernel and the scalar model API must agree exactly."""
-
-    def test_scalar_method_matches_vectorized_kernel(self):
-        model = EGTModel()
-        vgs = np.linspace(-0.5, 1.5, 41)
-        vds = np.linspace(-1.0, 1.0, 41)
-        beta = model.beta(500.0, 30.0)
-        grid_vgs, grid_vds = np.meshgrid(vgs, vds)
-        current, gm, gds = id_gm_gds(
-            grid_vgs,
-            grid_vds,
-            beta,
-            model.v_threshold,
-            model.phi,
-            model.channel_lambda,
-        )
-        for i in range(0, 41, 5):
-            for j in range(0, 41, 5):
-                scalar = model.ids(grid_vgs[i, j], grid_vds[i, j], 500.0, 30.0)
-                assert scalar == (current[i, j], gm[i, j], gds[i, j])
+    """The EGT kernel's overdrive regimes and drain/source symmetry."""
 
     def test_all_overdrive_branches_covered(self):
         model = EGTModel()
@@ -118,7 +130,7 @@ class TestVectorizedEGTModel:
                         model.v_threshold - 31 * model.phi,
                         model.v_threshold + 0.1])
         current, gm, gds = id_gm_gds(
-            vgs, np.full(3, 0.5), model.beta(500.0, 30.0),
+            vgs, np.full(3, 0.5), model.k_prime * 500.0 / 30.0,
             model.v_threshold, model.phi, model.channel_lambda,
         )
         assert np.all(np.isfinite(current))
@@ -127,7 +139,7 @@ class TestVectorizedEGTModel:
     def test_reverse_vds_symmetry(self):
         """vds < 0 swaps drain and source: I(vgs, -vds) = -I(vgs - vds, vds)."""
         model = EGTModel()
-        beta = model.beta(500.0, 30.0)
+        beta = model.k_prime * 500.0 / 30.0
         args = (model.v_threshold, model.phi, model.channel_lambda)
         fwd, _, _ = id_gm_gds(0.9, 0.4, beta, *args)
         rev, _, _ = id_gm_gds(0.9 - 0.4, -0.4, beta, *args)
@@ -135,77 +147,72 @@ class TestVectorizedEGTModel:
 
 
 class TestSolveDCBatchAgainstScalar:
-    def test_qmc_sample_matches_scalar_within_1e9(self):
-        """Acceptance property: ≤1e-9 V over a Table-I QMC sample."""
+    """Batched lanes equal the recorded one-point solver outputs exactly."""
+
+    def test_plan_orders_match_recording(self, scalar_solver_reference):
         plan = ptanh_stamp_plan()
-        omegas = sample_design_points(24, seed=11)
-        params = ptanh_param_batch(omegas, plan)
+        assert list(plan.nodes) == scalar_solver_reference["nodes"]
+        assert list(plan.source_names) == scalar_solver_reference["source_names"]
+
+    def test_qmc_sample_matches_recorded_scalar_exactly(self, scalar_solver_reference):
+        """Acceptance property over a Table-I QMC sample, at zero tolerance."""
+        plan = ptanh_stamp_plan()
+        params = ptanh_param_batch(sample_design_points(24, seed=11), plan)
         solution = solve_dc_batch(plan, params)
         assert solution.converged.all()
-        for lane, omega in enumerate(omegas):
-            scalar = solve_dc(build_ptanh_netlist(omega))
-            for i, name in enumerate(plan.nodes):
-                assert abs(solution.voltages[lane, i] - scalar.voltages[name]) <= 1e-9
+        assert np.array_equal(solution.voltages, scalar_solver_reference["qmc24/voltages"])
 
-    def test_lanes_are_bitwise_identical_to_scalar(self):
+    def test_lanes_are_bitwise_identical_to_scalar(self, scalar_solver_reference):
         plan = ptanh_stamp_plan()
-        omegas = sample_design_points(8, seed=5)
-        params = ptanh_param_batch(omegas, plan)
+        params = ptanh_param_batch(sample_design_points(8, seed=5), plan)
         solution = solve_dc_batch(plan, params)
-        for lane, omega in enumerate(omegas):
-            scalar = solve_dc(build_ptanh_netlist(omega))
-            point = solution.operating_point(lane)
-            assert point.voltages == scalar.voltages
-            assert point.source_currents == scalar.source_currents
-            assert point.iterations == scalar.iterations
+        assert np.array_equal(solution.voltages, scalar_solver_reference["qmc8/voltages"])
+        assert np.array_equal(
+            solution.source_currents, scalar_solver_reference["qmc8/source_currents"]
+        )
+        assert solution.iterations.tolist() == scalar_solver_reference["qmc8/iterations"]
 
-    def test_vin_batch_overrides_per_lane(self):
+    def test_vin_batch_overrides_per_lane(self, scalar_solver_reference):
         plan = ptanh_stamp_plan()
         omegas = np.broadcast_to(OMEGA, (5, 7))
         params = ptanh_param_batch(omegas, plan)
         vins = np.linspace(0.0, 1.0, 5)
         solution = solve_dc_batch(plan, params, vin_batch={"Vin": vins})
         out = solution.voltage(PTANH_NODES["output"])
-        for lane, vin in enumerate(vins):
-            scalar = solve_dc(build_ptanh_netlist(OMEGA, vin=float(vin)))
-            assert out[lane] == scalar.voltages[PTANH_NODES["output"]]
+        assert np.array_equal(out, scalar_solver_reference["vin/output"])
         # the curve should rise tanh-like with the input
         assert out[-1] > out[0]
 
-    def test_warm_start_matches_scalar_warm_start(self):
+    def test_warm_start_matches_scalar_warm_start(self, scalar_solver_reference):
         plan = ptanh_stamp_plan()
         omegas = np.broadcast_to(OMEGA, (3, 7))
         params = ptanh_param_batch(omegas, plan)
         cold = solve_dc_batch(plan, params)
         warm = solve_dc_batch(plan, params, initial=cold.voltages)
-        netlist = build_ptanh_netlist(OMEGA)
-        scalar_cold = solve_dc(netlist)
-        scalar_warm = solve_dc(netlist, initial=scalar_cold.voltages)
-        assert warm.iterations[0] == scalar_warm.iterations
-        assert warm.operating_point(0).voltages == scalar_warm.voltages
+        assert (cold.iterations == scalar_solver_reference["warm/cold_iterations"]).all()
+        assert (warm.iterations == scalar_solver_reference["warm/warm_iterations"]).all()
+        for lane in range(3):
+            assert np.array_equal(warm.voltages[lane], scalar_solver_reference["warm/voltages"])
         assert warm.iterations[0] < cold.iterations[0]
 
-    def test_mixed_convergence_masks_match_scalar_outcomes(self):
-        """Lanes whose scalar solve would raise get converged=False."""
+    def test_mixed_convergence_masks_match_scalar_outcomes(self, scalar_solver_reference):
+        """Lanes whose one-point solve raised get converged=False and NaN rows."""
         plan = ptanh_stamp_plan()
         omegas = sample_design_points(12, seed=2)
         params = ptanh_param_batch(omegas, plan)
         iters = solve_dc_batch(plan, params).iterations
         assert iters.min() < iters.max(), "need heterogeneous iteration counts"
         cap = int((iters.min() + iters.max()) // 2)
+        assert cap == scalar_solver_reference["capped/cap"]
 
         solution = solve_dc_batch(plan, params, max_iter=cap)
-        for lane, omega in enumerate(omegas):
-            netlist = build_ptanh_netlist(omega)
-            try:
-                scalar = solve_dc(netlist, max_iter=cap)
-                assert solution.converged[lane]
-                assert solution.operating_point(lane).voltages == scalar.voltages
-            except ConvergenceError:
-                assert not solution.converged[lane]
-                assert np.isnan(solution.voltages[lane]).all()
-                with pytest.raises(ConvergenceError):
-                    solution.operating_point(lane)
+        converged = solution.converged
+        assert converged.tolist() == scalar_solver_reference["capped/converged"]
+        assert np.array_equal(
+            solution.voltages[converged], scalar_solver_reference["capped/voltages"]
+        )
+        assert np.isnan(solution.voltages[~converged]).all()
+        assert np.isnan(solution.source_currents[~converged]).all()
 
     def test_lane_converges_iff_it_needs_at_most_max_iter(self):
         """A cap fails exactly the lanes whose uncapped solve needs more."""
@@ -230,13 +237,14 @@ class TestSolveDCBatchValidation:
         with pytest.raises(ValueError, match="inconsistent batch sizes"):
             solve_dc_batch(plan, params, vin_batch={"Vin": np.zeros(4)})
 
-    def test_template_values_used_without_params(self):
+    def test_template_values_used_without_params(self, scalar_solver_reference):
         plan = ptanh_stamp_plan()
         solution = solve_dc_batch(plan, batch_size=2)
         assert solution.converged.all()
-        scalar = solve_dc(build_ptanh_netlist(_TEMPLATE_OMEGA))
-        assert solution.operating_point(0).voltages == scalar.voltages
-        assert solution.operating_point(1).voltages == scalar.voltages
+        for lane in range(2):
+            assert np.array_equal(
+                solution.voltages[lane], scalar_solver_reference["template/voltages"]
+            )
 
     def test_nonpositive_resistances_rejected(self):
         plan = ptanh_stamp_plan()

@@ -13,7 +13,6 @@ from repro.circuits import CrossbarColumn, crossbar_netlist, crossbar_output
 from repro.core import ConductanceConfig, PrintedLayer, kernels
 from repro.core.grad_kernels import project_printable, reassemble_omega_fwd
 from repro.core.params import snapshot_surrogate
-from repro.spice import solve_dc
 from repro.surrogate import AnalyticSurrogate
 from repro.surrogate.design_space import DESIGN_SPACE
 
@@ -68,7 +67,7 @@ class TestLayerVsCrossbar:
         assert out == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_positive_theta_matches_solved_netlist(self, seed):
+    def test_positive_theta_matches_solved_netlist(self, solve_one, seed):
         """...and the solved physical netlist agrees with both."""
         layer = make_layer(2, 1, seed=seed)
         layer.theta = np.abs(layer.theta)
@@ -84,7 +83,7 @@ class TestLayerVsCrossbar:
             bias_conductance=theta[2] * PHYSICAL_SCALE,
             down_conductance=theta[3] * PHYSICAL_SCALE,
         )
-        solved = solve_dc(crossbar_netlist(column, voltages)).voltage("vz")
+        solved = solve_one(crossbar_netlist(column, voltages)).voltage("vz")[0]
         out = layer_forward(layer, voltages.reshape(1, 1, 2))[0, 0, 0]
         assert out == pytest.approx(solved, abs=1e-6)
 
